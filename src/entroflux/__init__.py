@@ -21,7 +21,6 @@ from .entropy import (
     entropy_rate_check,
     info_density,
     info_entropy,
-    info_field,
     rate_identity_residual,
     sign_witness,
     take_snapshot,
@@ -51,6 +50,6 @@ from .propagate import (
     kinetic_phase,
     step,
 )
-from .report import RunReport, RunRow, run_oracle, run_simulation
+from .report import RunReport, run_oracle, run_simulation
 
 __version__ = "0.1.0"

@@ -50,13 +50,13 @@ def _cmd_run(args, analytic: bool) -> int:
     report = run_oracle(cfg) if analytic else run_simulation(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(report.rows, out / "series.csv")
+    write_series_csv(report.columns, out / "series.csv")
     write_summary_json(report.summary, out / "summary.json")
     if cfg.save_snapshots:
-        write_snapshots(report.snapshots, out / "snapshots")
+        write_snapshots(report.series, out / "snapshots")
     if not args.quiet:
         print(
-            f"{'oracle' if analytic else 'simulate'}: {len(report.rows)} rows, "
+            f"{'oracle' if analytic else 'simulate'}: {len(report.series.t)} rows, "
             f"I = {report.summary['I_final']:.6g}, "
             f"delta_I = {report.summary['delta_I']:.6g}, "
             f"checks {'passed' if report.summary['passed'] else 'FAILED'}"

@@ -9,18 +9,14 @@ dt ~ 1/hbar.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import entropy_rate_check, sign_witness, take_snapshot
+from .entropy import collect, diagnose, summarize
 from .grid import Grid1D, PhysicalParams
 from .oracle import GaussianOracle
-from .propagate import Potential, evolve, init_gaussian
-
-THREADS_ENV = "ENTROFLUX_THREADS"
+from .propagate import Potential, init_gaussian
 
 
 @dataclass(frozen=True)
@@ -87,72 +83,39 @@ def _run_one(spec: SweepSpec, eps: float) -> SweepRow:
     stride = max(1, int(round(n_steps / spec.n_samples)))
     oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
     expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
+    common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)
     try:
         wf = init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
-        snaps = [take_snapshot(wf, spec.reg_floor)]
-        evolve(
-            wf,
-            Potential.free(),
-            dt,
-            n_steps,
-            observer=lambda w: snaps.append(take_snapshot(w, spec.reg_floor)),
-            stride=stride,
-        )
-        seam = max(snaps[-1].den.rho.values[0], snaps[-1].den.rho.values[-1])
+        series = collect(wf, Potential.free(), dt, n_steps, stride, spec.reg_floor)
+        if len(series.t) < 3:
+            raise ValueError(f"{len(series.t)} samples leave no centred difference")
+        seam = max(series.rho[-1, 0], series.rho[-1, -1])
         if seam > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
-        reports = entropy_rate_check(snaps)
-        interior = reports[1:-1]
-        didt_scale = max(max(abs(r.dIdt_fd) for r in interior), 1e-300)
-        eq16_err = max(abs(r.dIdt_fd - r.rhs_eq16) for r in interior) / didt_scale
-        row = SweepRow(
-            epsilon=eps,
-            hbar=hbar,
-            dt=dt,
-            n_steps=n_steps,
-            delta_I=snaps[-1].info.I - snaps[0].info.I,
-            delta_I_expected=expected,
-            residual13_l2_max=max(r.residual_l2 for r in interior),
-            eq16_rel_err=eq16_err,
-            sign_fraction=sign_witness(reports).fraction,
-        )
+        summary = summarize(diagnose(series))
     except ValueError as exc:
-        row = SweepRow(
-            epsilon=eps,
-            hbar=hbar,
-            dt=dt,
-            n_steps=n_steps,
-            delta_I=float("nan"),
-            delta_I_expected=expected,
-            residual13_l2_max=float("nan"),
-            eq16_rel_err=float("nan"),
-            sign_fraction=float("nan"),
-            error=str(exc),
-        )
-    return row
+        nan = float("nan")
+        return SweepRow(**common, delta_I=nan, residual13_l2_max=nan,
+                        eq16_rel_err=nan, sign_fraction=nan, error=str(exc))
+    return SweepRow(
+        **common,
+        delta_I=summary["delta_I"],
+        residual13_l2_max=summary["max_residual13_l2"],
+        eq16_rel_err=summary["eq16_rel_err"],
+        sign_fraction=summary["sign_witness_fraction"],
+    )
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepReport:
+def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     """Run one simulation per epsilon (descending) and fit delta_I ~ eps^p.
 
+    Rows run one after another in the calling thread; max_workers must be 1.
     Failed rows carry an error string and are excluded from the fit; the sweep
-    continues past them.  Parallelism is capped by max_workers or the
-    ENTROFLUX_THREADS environment variable (0 = auto).
+    continues past them.
     """
-    if max_workers is None:
-        env = os.environ.get(THREADS_ENV, "0")
-        try:
-            max_workers = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    if max_workers <= 0:
-        max_workers = min(len(spec.epsilons), os.cpu_count() or 1)
-    if max_workers == 1:
-        rows = [_run_one(spec, e) for e in spec.epsilons]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda e: _run_one(spec, e), spec.epsilons))
-    rows.sort(key=lambda r: -r.epsilon)
+    if max_workers != 1:
+        raise ValueError(f"the sweep runs serially: max_workers must be 1, got {max_workers}")
+    rows = [_run_one(spec, e) for e in spec.epsilons]
     good = [r for r in rows if not r.error and r.delta_I > 0.0]
     if len(good) >= 2:
         exponent = float(

@@ -6,13 +6,14 @@ are all reported with the offending line number.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .climit import SweepSpec
 from .grid import Grid1D, PhysicalParams
-from .propagate import Potential, kinetic_phase
+from .propagate import Potential, check_dt, check_width
 
 
 class ConfigError(ValueError):
@@ -21,6 +22,17 @@ class ConfigError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+@contextmanager
+def _at_line(line: int | None):
+    """Report a ValueError raised by the enclosed checks as a ConfigError at line."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from exc
 
 
 def _tokenize(text: str) -> dict:
@@ -41,13 +53,18 @@ def _tokenize(text: str) -> dict:
     return entries
 
 
+def _finite(x: float) -> float:
+    if not np.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
 def _convert(kind: str, value: str, key: str, line: int):
     try:
         if kind == "float":
-            return float(value)
+            return _finite(float(value))
         if kind == "int":
-            out = int(value)
-            return out
+            return int(value)
         if kind == "bool":
             if value.lower() in ("true", "yes", "1"):
                 return True
@@ -60,9 +77,9 @@ def _convert(kind: str, value: str, key: str, line: int):
             items = [s.strip() for s in value.split(",") if s.strip()]
             if not items:
                 raise ValueError(value)
-            return tuple(float(s) for s in items)
+            return tuple(_finite(float(s)) for s in items)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as {kind}", line)
+        raise ConfigError(f"{key}: cannot parse {value!r} as finite {kind}", line)
     raise AssertionError(f"unknown schema kind {kind}")
 
 
@@ -150,17 +167,13 @@ def parse_config(text: str) -> RunConfig:
     e = _Entries(text, _RUN_SCHEMA)
 
     n = e.require("n")
-    try:
+    with _at_line(e.line("n")):
         grid = Grid1D(e.require("x_min"), e.require("x_max"), n)
-    except ValueError as exc:
-        raise ConfigError(str(exc), e.line("n")) from exc
 
     hbar = e.get("hbar", 1.0)
     mass = e.get("mass", 1.0)
-    try:
+    with _at_line(e.line("hbar") or e.line("mass")):
         params = PhysicalParams(hbar=hbar, mass=mass)
-    except ValueError as exc:
-        raise ConfigError(str(exc), e.line("hbar") or e.line("mass")) from exc
 
     initial = e.get("initial", "gaussian")
     if initial not in ("gaussian", "coherent"):
@@ -168,6 +181,12 @@ def parse_config(text: str) -> RunConfig:
             f"initial must be 'gaussian' or 'coherent', got {initial!r}",
             e.line("initial"),
         )
+    for key in ("x0", "amplitude"):
+        if e.has(key) and not grid.x_min <= e.get(key) < grid.x_max:
+            raise ConfigError(
+                f"{key} = {e.get(key)} lies outside the grid [{grid.x_min}, {grid.x_max})",
+                e.line(key),
+            )
     omega = amplitude = None
     if initial == "gaussian":
         sigma0 = e.require("sigma0")
@@ -179,20 +198,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"omega must be positive, got {omega}", e.line("omega"))
         sigma0 = float(np.sqrt(hbar / (2.0 * mass * omega)))
         width_line = e.line("omega")
-    if not sigma0 > 3.0 * grid.dx:
-        raise ConfigError(
-            f"grid too coarse: initial width {sigma0:.6g} must exceed "
-            f"3*dx = {3.0 * grid.dx:.6g}",
-            width_line,
-        )
-    if not 4.0 * sigma0 < 0.5 * grid.length:
-        raise ConfigError(
-            f"packet too wide for the domain: 4*width = {4.0 * sigma0:.6g}",
-            width_line,
-        )
+    with _at_line(width_line):
+        check_width(grid, sigma0)
 
     pot_kind = e.get("potential", "free")
-    try:
+    with _at_line(e.line("potential")):
         if pot_kind == "free":
             potential = Potential.free()
         elif pot_kind == "harmonic":
@@ -211,31 +221,29 @@ def parse_config(text: str) -> RunConfig:
                 f"got {pot_kind!r}",
                 e.line("potential"),
             )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), e.line("potential")) from exc
 
     dt = e.require("dt")
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}", e.line("dt"))
-    phase = kinetic_phase(grid, params, dt)
-    if not phase < np.pi:
-        raise ConfigError(
-            f"time step too large: dt*hbar*k_max^2/(2m) = {phase:.6g} >= pi",
-            e.line("dt"),
-        )
+    with _at_line(e.line("dt")):
+        check_dt(grid, params, dt)
 
     t_final = e.require("t_final")
     if t_final < 0.0:
         raise ConfigError(f"t_final must be >= 0, got {t_final}", e.line("t_final"))
     n_steps = int(round(t_final / dt))
+    if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
+        raise ConfigError(
+            f"t_final = {t_final} is not a whole number of steps dt = {dt}",
+            e.line("t_final"),
+        )
 
     observe_stride = e.get("observe_stride", 10)
-    if observe_stride < 1:
+    if observe_stride < 1 or n_steps % observe_stride:
         raise ConfigError(
-            f"observe_stride must be >= 1, got {observe_stride}",
-            e.line("observe_stride"),
+            f"observe_stride = {observe_stride} must be >= 1 and divide the "
+            f"{n_steps} steps",
+            e.line("observe_stride") or e.line("t_final"),
         )
     reg_floor = e.get("reg_floor", 1e-12)
     if not reg_floor > 0.0:
@@ -299,7 +307,7 @@ _SWEEP_SCHEMA = {
 
 def parse_sweep_config(text: str) -> SweepSpec:
     e = _Entries(text, _SWEEP_SCHEMA)
-    try:
+    with _at_line(e.line("epsilons")):
         return SweepSpec(
             epsilons=e.require("epsilons"),
             t_c=e.require("t_c"),
@@ -314,10 +322,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
             n_samples=e.get("n_samples", 100),
             reg_floor=e.get("reg_floor", 1e-12),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), e.line("epsilons")) from exc
 
 
 @dataclass(frozen=True)
@@ -342,10 +346,8 @@ _BINNING_SCHEMA = {
 
 def parse_binning_config(text: str) -> BinningConfig:
     e = _Entries(text, _BINNING_SCHEMA)
-    try:
+    with _at_line(e.line("n")):
         grid = Grid1D(e.require("x_min"), e.require("x_max"), e.require("n"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), e.line("n")) from exc
     sigma0 = e.require("sigma0")
     if not sigma0 > 0.0:
         raise ConfigError(f"sigma0 must be positive, got {sigma0}", e.line("sigma0"))

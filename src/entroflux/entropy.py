@@ -13,16 +13,25 @@ Diagnostics (all residuals should vanish to discretization order):
   local balance    d(rho_I)/dt + d/dx[(rho_I - rho) v] + v d(rho)/dx = 0
   integral form    dI/dt = -[(rho_I - rho) v]_boundary - int v d(rho)/dx
 with the boundary term vanishing on the full periodic domain.
+
+A run stacks its samples in one `Series` of (T, n) arrays, and `diagnose`
+computes every check from slices of it.  The per-instant functions
+(`take_snapshot`, `balance_residual`, `rate_identity_residual`,
+`entropy_rate_check`, `sign_witness`) pass small stacks through the same code.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, RealField, derivative, integrate
-from .madelung import DEFAULT_REG_FLOOR, DensityFields, fields
-from .propagate import WaveFunction
+from .grid import Grid1D, RealField, _spectral_derivative, integrate
+from .madelung import DEFAULT_REG_FLOOR, DensityFields, madelung_arrays
+from .propagate import Potential, WaveFunction, evolve
+
+# Grid points per block of rows in `diagnose`; bounds its FFT temporaries.
+CHUNK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,16 +92,19 @@ class BinRow:
     resolved: bool
 
 
-def info_density(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
-    """Pointwise -rho (ln rho - 1), set to 0 where rho < reg_floor."""
-    r = rho.values
+def _info_density(r: np.ndarray, reg_floor: float) -> np.ndarray:
     if np.any(r < 0.0):
         raise ValueError("negative density")
     out = np.zeros_like(r)
     mask = r >= reg_floor
     rm = r[mask]
     out[mask] = -rm * (np.log(rm) - 1.0)
-    return RealField(rho.grid, out)
+    return out
+
+
+def info_density(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
+    """Pointwise -rho (ln rho - 1), set to 0 where rho < reg_floor."""
+    return RealField(rho.grid, _info_density(rho.values, reg_floor))
 
 
 def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
@@ -103,16 +115,81 @@ def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
     return integrate(info_density(rho, reg_floor))
 
 
-def info_field(
-    rho: RealField, t: float, reg_floor: float = DEFAULT_REG_FLOOR
-) -> InfoDensityField:
-    rho_i = info_density(rho, reg_floor)
-    return InfoDensityField(rho_I=rho_i, I=integrate(rho_i), t=t)
+@dataclass(frozen=True)
+class Series:
+    """Observed samples stacked along axis 0: row i holds the fields at t[i].
+
+    rho, current, velocity and rho_I are (T, n) arrays; t and floored_points
+    have one entry per row.  rho_I uses reg_floor, as does the rate identity.
+    """
+
+    grid: Grid1D
+    reg_floor: float
+    t: np.ndarray
+    rho: np.ndarray
+    current: np.ndarray
+    velocity: np.ndarray
+    rho_I: np.ndarray
+    floored_points: np.ndarray
+
+    @classmethod
+    def empty(cls, grid: Grid1D, n_rows: int, reg_floor: float = DEFAULT_REG_FLOOR):
+        shape = (n_rows, grid.n)
+        return cls(
+            grid, reg_floor, np.zeros(n_rows),
+            np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape),
+            np.zeros(n_rows, dtype=int),
+        )
+
+    def record(self, i: int, t: float, rho, current, velocity, floored_points=0):
+        """Store the fields of row i; its rho_I follows from rho."""
+        self.t[i] = t
+        self.rho[i] = rho
+        self.current[i] = current
+        self.velocity[i] = velocity
+        self.rho_I[i] = _info_density(self.rho[i], self.reg_floor)
+        self.floored_points[i] = floored_points
+
+    def observe(self, i: int, wf: WaveFunction) -> None:
+        """Store the Madelung fields of wf as row i."""
+        rho, j, v, floored = madelung_arrays(wf, self.reg_floor)
+        self.record(i, wf.t, rho, j, v, floored)
+
+    def snapshot(self, i: int) -> Snapshot:
+        """Row i as a Snapshot whose fields are views of this series."""
+        grid, t = self.grid, float(self.t[i])
+        rho_i = RealField(grid, self.rho_I[i])
+        den = DensityFields(
+            t=t,
+            rho=RealField(grid, self.rho[i]),
+            current=RealField(grid, self.current[i]),
+            velocity=RealField(grid, self.velocity[i]),
+            floored_points=int(self.floored_points[i]),
+        )
+        return Snapshot(den=den, info=InfoDensityField(rho_I=rho_i, I=integrate(rho_i), t=t))
+
+
+def collect(
+    wf: WaveFunction,
+    potential: Potential,
+    dt: float,
+    n_steps: int,
+    stride: int,
+    reg_floor: float = DEFAULT_REG_FLOOR,
+) -> Series:
+    """Evolve wf by n_steps; stack its fields at the start and every `stride` steps."""
+    series = Series.empty(wf.grid, n_steps // stride + 1, reg_floor)
+    series.observe(0, wf)
+    rows = itertools.count(1)
+    evolve(wf, potential, dt, n_steps, stride=stride,
+           observer=lambda w: series.observe(next(rows), w))
+    return series
 
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
-    den = fields(wf, reg_floor)
-    return Snapshot(den=den, info=info_field(den.rho, wf.t, reg_floor))
+    series = Series.empty(wf.grid, 1, reg_floor)
+    series.observe(0, wf)
+    return series.snapshot(0)
 
 
 def binned_entropy(rho: RealField, bin_width: float) -> float:
@@ -171,8 +248,167 @@ def binning_limit_study(
     return rows
 
 
-def _l2(grid: Grid1D, r: np.ndarray) -> float:
-    return float(np.sqrt(grid.dx * np.sum(r * r)))
+def _subvolume_indices(grid: Grid1D, subvolume) -> tuple[int, int]:
+    a, b = subvolume
+    ia = int(round((a - grid.x_min) / grid.dx))
+    ib = int(round((b - grid.x_min) / grid.dx))
+    if not (0 <= ia < ib <= grid.n - 1):
+        raise ValueError(f"subvolume [{a}, {b}] outside grid domain")
+    return ia, ib
+
+
+def _sample_spacing(t: np.ndarray) -> float:
+    if len(t) < 2:
+        return 0.0
+    strides = np.diff(t)
+    dt = float(strides[0])
+    if np.any(np.abs(strides - dt) > 1e-9 * max(abs(dt), 1.0)):
+        raise ValueError("snapshots not uniformly spaced in time")
+    return dt
+
+
+def _rate(i_series: np.ndarray, dt: float) -> np.ndarray:
+    """dI/dt: centred differences, one-sided at the two ends, 0 for one sample."""
+    rate = np.zeros(len(i_series))
+    if len(i_series) > 1:
+        rate[0] = (i_series[1] - i_series[0]) / dt
+        rate[-1] = (i_series[-1] - i_series[-2]) / dt
+        rate[1:-1] = (i_series[2:] - i_series[:-2]) / (2.0 * dt)
+    return rate
+
+
+def _l2(dx: float, r: np.ndarray) -> np.ndarray:
+    return np.sqrt(dx * np.sum(r * r, axis=1))
+
+
+def _residuals(series: Series, a: int, b: int, dt: float, v_drho: np.ndarray, out: dict) -> None:
+    """Local balance law and rate identity at the interior rows a..b-1."""
+    grid = series.grid
+    rho, v, rho_I = series.rho[a:b], series.velocity[a:b], series.rho_I[a:b]
+    d_rho_I = (series.rho_I[a + 1 : b + 1] - series.rho_I[a - 1 : b - 1]) / (2.0 * dt)
+    div_flux = _spectral_derivative((rho_I - rho) * v, grid).real
+    r13 = d_rho_I + div_flux + v_drho
+    out["residual13_l2"][a:b] = _l2(grid.dx, r13)
+    out["residual13_linf"][a:b] = np.max(np.abs(r13), axis=1)
+    d_rho = (series.rho[a + 1 : b + 1] - series.rho[a - 1 : b - 1]) / (2.0 * dt)
+    mask = rho >= series.reg_floor
+    r9 = np.zeros_like(rho)
+    r9[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
+    out["residual9_l2"][a:b] = _l2(grid.dx, r9)
+    out["residual9_linf"][a:b] = np.max(np.abs(r9), axis=1)
+
+
+def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
+    """Every per-row diagnostic of a series, as arrays with one entry per row.
+
+    Keys: the series.csv columns (t, norm, I, dIdt_fd, rhs_eq16,
+    boundary_flux, rhs_eq15, residual13_l2, residual13_linf, residual9_l2,
+    floored_points), residual9_linf, and the full-domain dIdt_full and
+    rhs_eq16_full.  With a subvolume [a, b] (snapped to grid points),
+    dIdt_fd, rhs_eq16 and the boundary flux refer to it and its integrals use
+    the trapezoid rule; on the full periodic domain the flux is zero and the
+    rectangle rule applies.  dt defaults to the (uniform) sample spacing.  dI/dt
+    is one-sided at the two ends, where the residuals have no centred stencil
+    and read zero.
+
+    Rows are taken CHUNK_POINTS grid points at a time; the centred time
+    differences read one row on either side straight from the series' arrays.
+    """
+    grid, n_rows = series.grid, len(series.t)
+    if dt is None:
+        dt = _sample_spacing(series.t)
+    elif not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    names = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
+             "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
+    out = {name: np.zeros(n_rows) for name in names}
+    out.update(t=series.t, floored_points=series.floored_points)
+    i_sub = np.zeros(n_rows)
+    if subvolume is not None:
+        ia, ib = _subvolume_indices(grid, subvolume)
+        xs = grid.x[ia : ib + 1]
+    step = max(1, CHUNK_POINTS // grid.n)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        rho, v, rho_I = series.rho[lo:hi], series.velocity[lo:hi], series.rho_I[lo:hi]
+        v_drho = v * _spectral_derivative(rho, grid).real
+        out["norm"][lo:hi] = grid.dx * rho.sum(axis=1)
+        out["I"][lo:hi] = grid.dx * rho_I.sum(axis=1)
+        out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
+        if subvolume is not None:
+            i_sub[lo:hi] = np.trapezoid(rho_I[:, ia : ib + 1], xs, axis=1)
+            out["rhs_eq16"][lo:hi] = -np.trapezoid(v_drho[:, ia : ib + 1], xs, axis=1)
+            g = (rho_I[:, [ia, ib]] - rho[:, [ia, ib]]) * v[:, [ia, ib]]
+            out["boundary_flux"][lo:hi] = g[:, 1] - g[:, 0]
+        a, b = max(lo, 1), min(hi, n_rows - 1)
+        if a < b:
+            _residuals(series, a, b, dt, v_drho[a - lo : b - lo], out)
+    out["dIdt_full"] = _rate(out["I"], dt)
+    if subvolume is None:
+        out["dIdt_fd"] = out["dIdt_full"]
+        out["rhs_eq16"] = out["rhs_eq16_full"]
+    else:
+        out["dIdt_fd"] = _rate(i_sub, dt)
+    out["rhs_eq15"] = -out["boundary_flux"] + out["rhs_eq16"]
+    return out
+
+
+def _sign_witness(didt, rhs16, deadband: float = 1e-8) -> SignWitness:
+    didt, rhs16 = np.asarray(didt, float)[1:-1], np.asarray(rhs16, float)[1:-1]
+    eligible = ~(np.abs(didt) < deadband)
+    n_eligible = int(np.count_nonzero(eligible))
+    n_agree = int(np.count_nonzero(eligible & (np.sign(didt) == np.sign(rhs16))))
+    fraction = 1.0 if n_eligible == 0 else n_agree / n_eligible
+    return SignWitness(fraction=fraction, n_eligible=n_eligible, n_agree=n_agree)
+
+
+def summarize(columns: dict) -> dict:
+    """Run-level values of `diagnose` output.
+
+    The eq 16 agreement and the sign witness use the full domain and the
+    interior rows only.
+    """
+    didt, rhs16 = columns["dIdt_full"], columns["rhs_eq16_full"]
+    if len(didt) > 2:
+        didt_scale = max(float(np.max(np.abs(didt[1:-1]))), 1e-300)
+        eq16_rel_err = float(np.max(np.abs(didt - rhs16)[1:-1])) / didt_scale
+    else:
+        eq16_rel_err = 0.0
+    witness = _sign_witness(didt, rhs16)
+    norm, info = columns["norm"], columns["I"]
+    return {
+        "final_t": float(columns["t"][-1]),
+        "final_norm": float(norm[-1]),
+        "norm_drift_max": float(np.max(np.abs(norm - 1.0))),
+        "I_initial": float(info[0]),
+        "I_final": float(info[-1]),
+        "delta_I": float(info[-1] - info[0]),
+        "max_residual13_l2": float(np.max(columns["residual13_l2"])),
+        "max_residual13_linf": float(np.max(columns["residual13_linf"])),
+        "max_residual9_l2": float(np.max(columns["residual9_l2"])),
+        "eq16_rel_err": eq16_rel_err,
+        "sign_witness_fraction": witness.fraction,
+        "sign_witness_eligible": witness.n_eligible,
+        "max_floored_points": int(np.max(columns["floored_points"])),
+    }
+
+
+def _stack(snapshots: list, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
+    """Copy snapshots into a Series, keeping each one's own rho_I."""
+    grid = snapshots[0].den.rho.grid
+    for s in snapshots:
+        if not s.den.rho.grid.matches(grid):
+            raise ValueError("mismatched grids")
+    return Series(
+        grid,
+        reg_floor,
+        np.array([s.t for s in snapshots], dtype=float),
+        np.array([s.den.rho.values for s in snapshots]),
+        np.array([s.den.current.values for s in snapshots]),
+        np.array([s.den.velocity.values for s in snapshots]),
+        np.array([s.info.rho_I.values for s in snapshots]),
+        np.array([s.den.floored_points for s in snapshots]),
+    )
 
 
 def rate_identity_residual(
@@ -187,20 +423,14 @@ def rate_identity_residual(
     Returns (L2, Linf) norms of the residual, masked where rho < reg_floor.
     Snapshots are at t-dt, t, t+dt on one grid.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     grid = rho_mid.grid
     if not (grid.matches(rho_prev.grid) and grid.matches(rho_next.grid)):
         raise ValueError("mismatched grids")
-    drho_i = (
-        info_density(rho_next, reg_floor).values
-        - info_density(rho_prev, reg_floor).values
-    ) / (2.0 * dt)
-    drho = (rho_next.values - rho_prev.values) / (2.0 * dt)
-    mask = rho_mid.values >= reg_floor
-    r = np.zeros(grid.n)
-    r[mask] = drho_i[mask] + drho[mask] * np.log(rho_mid.values[mask])
-    return _l2(grid, r), float(np.max(np.abs(r)))
+    series = Series.empty(grid, 3, reg_floor)
+    for i, rho in enumerate((rho_prev, rho_mid, rho_next)):
+        series.record(i, 0.0, rho.values, 0.0, 0.0)
+    out = diagnose(series, dt=dt)
+    return float(out["residual9_l2"][1]), float(out["residual9_linf"][1])
 
 
 def balance_residual(
@@ -212,110 +442,23 @@ def balance_residual(
     Returns (L2, Linf); an exact identity for any wavefunction, so the result
     is pure discretization error.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = mid.den.rho.grid
-    if not (grid.matches(prev.den.rho.grid) and grid.matches(nxt.den.rho.grid)):
-        raise ValueError("mismatched grids")
-    dt_rho_i = (nxt.info.rho_I.values - prev.info.rho_I.values) / (2.0 * dt)
-    v = mid.den.velocity.values
-    flux = (mid.info.rho_I.values - mid.den.rho.values) * v
-    div_flux = derivative(RealField(grid, flux), "spectral").values
-    drho_dx = derivative(mid.den.rho, "spectral").values
-    r = dt_rho_i + div_flux + v * drho_dx
-    return _l2(grid, r), float(np.max(np.abs(r)))
-
-
-def _subvolume_indices(grid: Grid1D, subvolume) -> tuple[int, int]:
-    a, b = subvolume
-    ia = int(round((a - grid.x_min) / grid.dx))
-    ib = int(round((b - grid.x_min) / grid.dx))
-    if not (0 <= ia < ib <= grid.n - 1):
-        raise ValueError(f"subvolume [{a}, {b}] outside grid domain")
-    return ia, ib
+    out = diagnose(_stack([prev, mid, nxt]), dt=dt)
+    return float(out["residual13_l2"][1]), float(out["residual13_linf"][1])
 
 
 def entropy_rate_check(
     snapshots: list[Snapshot], subvolume=None
 ) -> list[BalanceReport]:
-    """Integral balance diagnostics along a time series of snapshots.
+    """Integral balance diagnostics along a uniformly spaced series of snapshots.
 
-    With a subvolume [a, b] (snapped to grid points) the boundary flux is the
-    difference of (rho_I - rho) v at the endpoints and integrals use the
-    trapezoid rule on the slice; on the full periodic domain the flux is zero
-    and the rectangle rule applies.  dI/dt uses centered differences over the
-    sample stride (one-sided at the series endpoints, where the local-law
-    residual columns are reported as zero).
+    See `diagnose` for the subvolume, quadrature and endpoint conventions.
     """
     if len(snapshots) < 1:
         raise ValueError("empty snapshot series")
-    grid = snapshots[0].den.rho.grid
-    for s in snapshots:
-        if not s.den.rho.grid.matches(grid):
-            raise ValueError("mismatched grids")
-    times = np.array([s.t for s in snapshots])
-    if len(snapshots) >= 2:
-        strides = np.diff(times)
-        dt_s = float(strides[0])
-        if np.any(np.abs(strides - dt_s) > 1e-9 * max(abs(dt_s), 1.0)):
-            raise ValueError("snapshots not uniformly spaced in time")
-    else:
-        dt_s = 0.0
-
-    if subvolume is not None:
-        ia, ib = _subvolume_indices(grid, subvolume)
-        xs = grid.x[ia : ib + 1]
-
-        def vol_int(values):
-            return float(np.trapezoid(values[ia : ib + 1], xs))
-    else:
-        ia = ib = None
-
-        def vol_int(values):
-            return float(grid.dx * values.sum())
-
-    i_series = []
-    for s in snapshots:
-        i_series.append(vol_int(s.info.rho_I.values))
-    i_series = np.array(i_series)
-
-    reports = []
-    n = len(snapshots)
-    for i, s in enumerate(snapshots):
-        v = s.den.velocity.values
-        drho_dx = derivative(s.den.rho, "spectral").values
-        rhs16 = -vol_int(v * drho_dx)
-        if subvolume is not None:
-            g = (s.info.rho_I.values - s.den.rho.values) * v
-            flux = float(g[ib] - g[ia])
-        else:
-            flux = 0.0
-        if n == 1:
-            didt = 0.0
-        elif i == 0:
-            didt = float((i_series[1] - i_series[0]) / dt_s)
-        elif i == n - 1:
-            didt = float((i_series[-1] - i_series[-2]) / dt_s)
-        else:
-            didt = float((i_series[i + 1] - i_series[i - 1]) / (2.0 * dt_s))
-        if 0 < i < n - 1:
-            r_l2, r_linf = balance_residual(
-                snapshots[i - 1], s, snapshots[i + 1], dt_s
-            )
-        else:
-            r_l2 = r_linf = 0.0
-        reports.append(
-            BalanceReport(
-                t=float(s.t),
-                residual_l2=r_l2,
-                residual_linf=r_linf,
-                dIdt_fd=didt,
-                rhs_eq16=rhs16,
-                boundary_flux=flux,
-                rhs_eq15=-flux + rhs16,
-            )
-        )
-    return reports
+    out = diagnose(_stack(snapshots), subvolume)
+    keys = ("t", "residual13_l2", "residual13_linf", "dIdt_fd", "rhs_eq16",
+            "boundary_flux", "rhs_eq15")
+    return [BalanceReport(*map(float, row)) for row in zip(*(out[k] for k in keys))]
 
 
 def sign_witness(
@@ -327,13 +470,6 @@ def sign_witness(
     endpoints (one-sided differencing there flips signs spuriously at extrema
     of I).  Fraction is 1.0 when no sample is eligible.
     """
-    n_eligible = 0
-    n_agree = 0
-    for rep in reports[1:-1]:
-        if abs(rep.dIdt_fd) < deadband:
-            continue
-        n_eligible += 1
-        if np.sign(rep.dIdt_fd) == np.sign(rep.rhs_eq16):
-            n_agree += 1
-    fraction = 1.0 if n_eligible == 0 else n_agree / n_eligible
-    return SignWitness(fraction=fraction, n_eligible=n_eligible, n_agree=n_agree)
+    return _sign_witness(
+        [r.dIdt_fd for r in reports], [r.rhs_eq16 for r in reports], deadband
+    )

@@ -54,7 +54,6 @@ class Grid1D:
         ik = 1j * self.k.copy()
         ik[self.n // 2] = 0.0
         self._ik = ik
-        self.periodic = True
 
     @property
     def k_max(self) -> float:
@@ -106,26 +105,17 @@ def integrate(f: _Field) -> float:
 
 
 def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Spectral d/dx along the last axis, so a (T, n) stack is one batched FFT."""
     return np.fft.ifft(grid._ik * np.fft.fft(values))
 
 
-def _central2_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * grid.dx)
+def derivative(f: _Field) -> _Field:
+    """Spectral derivative of a periodic field.
 
-
-def derivative(f: _Field, scheme: str = "spectral") -> _Field:
-    """Spatial derivative of a periodic field.
-
-    scheme "spectral": exact for trigonometric polynomials below Nyquist,
-    with the Nyquist mode of the derivative set to zero.
-    scheme "central2": second-order centered difference with periodic wrap.
+    Exact for trigonometric polynomials below Nyquist, with the Nyquist mode
+    of the derivative set to zero.
     """
-    if scheme == "spectral":
-        d = _spectral_derivative(f.values, f.grid)
-        if isinstance(f, RealField):
-            return RealField(f.grid, d.real)
-        return ComplexField(f.grid, d)
-    if scheme == "central2":
-        d = _central2_derivative(f.values, f.grid)
-        return type(f)(f.grid, d)
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+    d = _spectral_derivative(f.values, f.grid)
+    if isinstance(f, RealField):
+        return RealField(f.grid, d.real)
+    return ComplexField(f.grid, d)

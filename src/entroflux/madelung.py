@@ -19,14 +19,13 @@ DEFAULT_REG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DensityFields:
-    """Madelung snapshot of one wavefunction: rho, j, v (and optional phase)."""
+    """Madelung snapshot of one wavefunction: rho, j, v."""
 
     t: float
     rho: RealField
     current: RealField
     velocity: RealField
     floored_points: int
-    phase: RealField | None = None
 
 
 def density(wf: WaveFunction) -> RealField:
@@ -36,9 +35,25 @@ def density(wf: WaveFunction) -> RealField:
 
 def current(wf: WaveFunction) -> RealField:
     """Probability current j = (hbar/m) Im(psi* dpsi/dx), spectral derivative."""
-    dpsi = derivative(wf.psi, "spectral").values
-    j = (wf.params.hbar / wf.params.mass) * np.imag(np.conj(wf.psi.values) * dpsi)
-    return RealField(wf.grid, j)
+    return RealField(wf.grid, madelung_arrays(wf)[1])
+
+
+def madelung_arrays(
+    wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """rho, j and v = j/rho (0 where rho < reg_floor) from one FFT pair.
+
+    Returns the three arrays and the count of floored points.
+    """
+    if not reg_floor > 0.0:
+        raise ValueError(f"reg_floor must be positive, got {reg_floor}")
+    psi = wf.psi.values
+    rho = np.abs(psi) ** 2
+    j = (wf.params.hbar / wf.params.mass) * np.imag(np.conj(psi) * derivative(wf.psi).values)
+    mask = rho >= reg_floor
+    v = np.zeros_like(rho)
+    v[mask] = j[mask] / rho[mask]
+    return rho, j, v, int(np.count_nonzero(~mask))
 
 
 def velocity(
@@ -48,14 +63,8 @@ def velocity(
 
     Returns the field and the count of floored points.
     """
-    if not reg_floor > 0.0:
-        raise ValueError(f"reg_floor must be positive, got {reg_floor}")
-    rho = density(wf).values
-    j = current(wf).values
-    mask = rho >= reg_floor
-    v = np.zeros_like(rho)
-    v[mask] = j[mask] / rho[mask]
-    return RealField(wf.grid, v), int(np.count_nonzero(~mask))
+    _, _, v, floored = madelung_arrays(wf, reg_floor)
+    return RealField(wf.grid, v), floored
 
 
 def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
@@ -91,18 +100,13 @@ def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Real
     return RealField(wf.grid, out)
 
 
-def fields(
-    wf: WaveFunction,
-    reg_floor: float = DEFAULT_REG_FLOOR,
-    with_phase: bool = False,
-) -> DensityFields:
+def fields(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> DensityFields:
     """Assemble all Madelung fields of one snapshot."""
-    v, floored = velocity(wf, reg_floor)
+    rho, j, v, floored = madelung_arrays(wf, reg_floor)
     return DensityFields(
         t=wf.t,
-        rho=density(wf),
-        current=current(wf),
-        velocity=v,
+        rho=RealField(wf.grid, rho),
+        current=RealField(wf.grid, j),
+        velocity=RealField(wf.grid, v),
         floored_points=floored,
-        phase=phase_unwrap(wf, reg_floor) if with_phase else None,
     )

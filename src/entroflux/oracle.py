@@ -14,30 +14,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import Snapshot, info_field
-from .grid import Grid1D, PhysicalParams, RealField
-from .madelung import DEFAULT_REG_FLOOR, DensityFields
+from .entropy import Series, Snapshot
+from .grid import Grid1D, PhysicalParams
+from .madelung import DEFAULT_REG_FLOOR
 
 
 def _normal_density(x: np.ndarray, center: float, sigma2: float) -> np.ndarray:
     return np.exp(-((x - center) ** 2) / (2.0 * sigma2)) / np.sqrt(2.0 * np.pi * sigma2)
 
 
-def _snapshot(grid, t, rho, v, reg_floor) -> Snapshot:
-    rho_f = RealField(grid, rho)
-    den = DensityFields(
-        t=float(t),
-        rho=rho_f,
-        current=RealField(grid, rho * v),
-        velocity=RealField(grid, v),
-        floored_points=0,
-        phase=None,
-    )
-    return Snapshot(den=den, info=info_field(rho_f, t, reg_floor))
+class _Oracle:
+    """Closed-form rho and v at time t, stored as rows of a Series."""
+
+    def record(self, series: Series, i: int, t: float) -> None:
+        rho, v = self.density_velocity(series.grid, t)
+        series.record(i, t, rho, rho * v, v)
+
+    def fields(
+        self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR
+    ) -> Snapshot:
+        series = Series.empty(grid, 1, reg_floor)
+        self.record(series, 0, t)
+        return series.snapshot(0)
 
 
 @dataclass(frozen=True)
-class GaussianOracle:
+class GaussianOracle(_Oracle):
     """Free Gaussian packet with initial width sigma0, center x0, wavenumber k0."""
 
     sigma0: float
@@ -67,19 +69,17 @@ class GaussianOracle:
     def entropy_rate(self, t: float) -> float:
         return self.dsigma2_dt(t) / (2.0 * self.sigma2(t))
 
-    def fields(
-        self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR
-    ) -> Snapshot:
+    def density_velocity(self, grid: Grid1D, t: float) -> tuple[np.ndarray, np.ndarray]:
         s2 = self.sigma2(t)
         xc = self.center(t)
         rho = _normal_density(grid.x, xc, s2)
         drift = self.params.hbar * self.k0 / self.params.mass
         v = drift + (grid.x - xc) * self.dsigma2_dt(t) / (2.0 * s2)
-        return _snapshot(grid, t, rho, v, reg_floor)
+        return rho, v
 
 
 @dataclass(frozen=True)
-class CoherentOracle:
+class CoherentOracle(_Oracle):
     """Harmonic-oscillator coherent state: rigidly transported Gaussian."""
 
     omega: float
@@ -102,9 +102,7 @@ class CoherentOracle:
     def entropy_rate(self, t: float = 0.0) -> float:
         return 0.0
 
-    def fields(
-        self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR
-    ) -> Snapshot:
+    def density_velocity(self, grid: Grid1D, t: float) -> tuple[np.ndarray, np.ndarray]:
         rho = _normal_density(grid.x, self.center(t), self.sigma2())
         v = np.full(grid.n, -self.amplitude * self.omega * np.sin(self.omega * t))
-        return _snapshot(grid, t, rho, v, reg_floor)
+        return rho, v

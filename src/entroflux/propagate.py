@@ -75,15 +75,7 @@ def init_gaussian(
     k0: float = 0.0,
 ) -> WaveFunction:
     """Normalized Gaussian packet (2 pi sigma0^2)^(-1/4) exp(-(x-x0)^2/4sigma0^2 + i k0 x)."""
-    if not sigma0 > 3.0 * grid.dx:
-        raise ValueError(
-            f"grid too coarse: sigma0 = {sigma0} must exceed 3*dx = {3.0 * grid.dx}"
-        )
-    if not 4.0 * sigma0 < 0.5 * grid.length:
-        raise ValueError(
-            f"packet too wide: 4*sigma0 = {4.0 * sigma0} must be below the "
-            f"domain half-width {0.5 * grid.length}"
-        )
+    check_width(grid, sigma0)
     x = grid.x
     psi = (2.0 * np.pi * sigma0**2) ** -0.25 * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x
@@ -92,12 +84,26 @@ def init_gaussian(
     return WaveFunction(grid=grid, params=params, psi=ComplexField(grid, psi), t=0.0)
 
 
+def check_width(grid: Grid1D, sigma0: float) -> None:
+    """Raise unless 3*dx < sigma0 and 4*sigma0 is below half the domain length."""
+    if not sigma0 > 3.0 * grid.dx:
+        raise ValueError(
+            f"grid too coarse: packet width {sigma0:.6g} must exceed "
+            f"3*dx = {3.0 * grid.dx:.6g}"
+        )
+    if not 4.0 * sigma0 < 0.5 * grid.length:
+        raise ValueError(
+            f"packet too wide: 4*width = {4.0 * sigma0:.6g} must be below the "
+            f"domain half-width {0.5 * grid.length:.6g}"
+        )
+
+
 def kinetic_phase(grid: Grid1D, params: PhysicalParams, dt: float) -> float:
     """Kinetic phase advance of the Nyquist mode per step, |dt| hbar k_max^2 / 2m."""
     return abs(dt) * params.hbar * grid.k_max**2 / (2.0 * params.mass)
 
 
-def _check_dt(grid: Grid1D, params: PhysicalParams, dt: float) -> None:
+def check_dt(grid: Grid1D, params: PhysicalParams, dt: float) -> None:
     if dt == 0.0:
         raise ValueError("time step must be nonzero")
     phase = kinetic_phase(grid, params, dt)
@@ -109,15 +115,7 @@ def _check_dt(grid: Grid1D, params: PhysicalParams, dt: float) -> None:
 
 def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     """One Strang split step.  Local error O(dt^3); norm preserved to roundoff."""
-    _check_dt(wf.grid, wf.params, dt)
-    hbar, m = wf.params.hbar, wf.params.mass
-    v = potential.values(wf.grid.x, mass=m)
-    exp_v_half = np.exp(-0.5j * v * dt / hbar)
-    exp_t = np.exp(-0.5j * hbar * wf.grid.k**2 * dt / m)
-    psi = exp_v_half * wf.psi.values
-    psi = np.fft.ifft(exp_t * np.fft.fft(psi))
-    psi = exp_v_half * psi
-    return replace(wf, psi=ComplexField(wf.grid, psi), t=wf.t + dt)
+    return evolve(wf, potential, dt, 1)
 
 
 def evolve(
@@ -128,29 +126,26 @@ def evolve(
     observer=None,
     stride: int = 1,
 ) -> WaveFunction:
-    """Apply `step` n_steps times; call observer(wf) after every `stride` steps.
+    """Apply n_steps Strang split steps; call observer(wf) after every `stride` steps.
 
-    Equivalent to chaining `step`, bit for bit; the split factors are merely
-    precomputed once.
+    Each step is a half potential kick, a kinetic step in Fourier space and
+    another half kick, with the factors computed once per call.
     """
     if n_steps == 0:
         return wf
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    _check_dt(wf.grid, wf.params, dt)
+    check_dt(wf.grid, wf.params, dt)
     hbar, m = wf.params.hbar, wf.params.mass
     v = potential.values(wf.grid.x, mass=m)
     exp_v_half = np.exp(-0.5j * v * dt / hbar)
     exp_t = np.exp(-0.5j * hbar * wf.grid.k**2 * dt / m)
     psi = wf.psi.values
     t0 = wf.t
-    out = wf
     for i in range(1, n_steps + 1):
         psi = exp_v_half * psi
         psi = np.fft.ifft(exp_t * np.fft.fft(psi))
         psi = exp_v_half * psi
         if observer is not None and i % stride == 0:
-            out = replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + i * dt)
-            observer(out)
-    out = replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + n_steps * dt)
-    return out
+            observer(replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + i * dt))
+    return replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + n_steps * dt)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .climit import SweepReport
 from .config import ConfigError, RunConfig
-from .entropy import Snapshot, entropy_rate_check, rate_identity_residual, sign_witness, take_snapshot
+from .entropy import Series, collect, diagnose, summarize
 from .oracle import CoherentOracle, GaussianOracle
-from .propagate import evolve, init_gaussian
+from .propagate import init_gaussian
 
 CSV_COLUMNS = [
     "t",
@@ -35,25 +35,12 @@ CSV_COLUMNS = [
 
 
 @dataclass(frozen=True)
-class RunRow:
-    t: float
-    norm: float
-    I: float
-    dIdt_fd: float
-    rhs_eq16: float
-    boundary_flux: float
-    rhs_eq15: float
-    residual13_l2: float
-    residual13_linf: float
-    residual9_l2: float
-    floored_points: int
-
-
-@dataclass(frozen=True)
 class RunReport:
-    rows: list
+    """The stacked samples of a run, its `diagnose` columns and its summary."""
+
+    series: Series
+    columns: dict
     summary: dict
-    snapshots: list
 
 
 def _fmt(x) -> str:
@@ -69,95 +56,28 @@ def _initial_state(cfg: RunConfig):
     return init_gaussian(cfg.grid, cfg.params, cfg.sigma0, x0=cfg.amplitude, k0=0.0)
 
 
-def _collect_snapshots(cfg: RunConfig) -> list:
-    wf = _initial_state(cfg)
-    snaps = [take_snapshot(wf, cfg.reg_floor)]
-    if cfg.n_steps > 0:
-        evolve(
-            wf,
-            cfg.potential,
-            cfg.dt,
-            cfg.n_steps,
-            observer=lambda w: snaps.append(take_snapshot(w, cfg.reg_floor)),
-            stride=cfg.observe_stride,
-        )
-    return snaps
-
-
-def _assemble(snaps: list, cfg: RunConfig) -> RunReport:
-    reports = entropy_rate_check(snaps, subvolume=cfg.subvolume)
-    full_reports = (
-        reports if cfg.subvolume is None else entropy_rate_check(snaps)
-    )
-    n = len(snaps)
-    rows = []
-    for i, (s, rep) in enumerate(zip(snaps, reports)):
-        if 0 < i < n - 1:
-            dt_s = snaps[1].t - snaps[0].t
-            r9_l2, _ = rate_identity_residual(
-                snaps[i - 1].den.rho,
-                s.den.rho,
-                snaps[i + 1].den.rho,
-                dt_s,
-                cfg.reg_floor,
-            )
-        else:
-            r9_l2 = 0.0
-        norm = float(cfg.grid.dx * s.den.rho.values.sum())
-        rows.append(
-            RunRow(
-                t=s.t,
-                norm=norm,
-                I=s.info.I,
-                dIdt_fd=rep.dIdt_fd,
-                rhs_eq16=rep.rhs_eq16,
-                boundary_flux=rep.boundary_flux,
-                rhs_eq15=rep.rhs_eq15,
-                residual13_l2=rep.residual_l2,
-                residual13_linf=rep.residual_linf,
-                residual9_l2=r9_l2,
-                floored_points=s.den.floored_points,
-            )
-        )
-
-    witness = sign_witness(full_reports)
-    norm_drift = max(abs(r.norm - 1.0) for r in rows)
-    interior_full = full_reports[1:-1]
-    if interior_full:
-        didt_scale = max(max(abs(r.dIdt_fd) for r in interior_full), 1e-300)
-        eq16_rel_err = (
-            max(abs(r.dIdt_fd - r.rhs_eq16) for r in interior_full) / didt_scale
-        )
-    else:
-        eq16_rel_err = 0.0
-
-    checks = {"norm": bool(norm_drift <= cfg.norm_tol)}
+def _assemble(series: Series, cfg: RunConfig) -> RunReport:
+    columns = diagnose(series, cfg.subvolume)
+    summary = summarize(columns)
+    checks = {"norm": bool(summary["norm_drift_max"] <= cfg.norm_tol)}
     if cfg.eq16_rel_tol is not None:
-        checks["eq16"] = bool(eq16_rel_err <= cfg.eq16_rel_tol)
-
-    summary = {
-        "final_t": rows[-1].t,
-        "final_norm": rows[-1].norm,
-        "norm_drift_max": norm_drift,
-        "I_initial": rows[0].I,
-        "I_final": rows[-1].I,
-        "delta_I": rows[-1].I - rows[0].I,
-        "max_residual13_l2": max(r.residual13_l2 for r in rows),
-        "max_residual13_linf": max(r.residual13_linf for r in rows),
-        "max_residual9_l2": max(r.residual9_l2 for r in rows),
-        "eq16_rel_err": eq16_rel_err,
-        "sign_witness_fraction": witness.fraction,
-        "sign_witness_eligible": witness.n_eligible,
-        "max_floored_points": max(r.floored_points for r in rows),
-        "subvolume": list(cfg.subvolume) if cfg.subvolume else None,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    return RunReport(rows=rows, summary=summary, snapshots=snaps)
+        checks["eq16"] = bool(summary["eq16_rel_err"] <= cfg.eq16_rel_tol)
+    summary["subvolume"] = list(cfg.subvolume) if cfg.subvolume else None
+    summary["checks"] = checks
+    summary["passed"] = all(checks.values())
+    return RunReport(series=series, columns=columns, summary=summary)
 
 
 def run_simulation(cfg: RunConfig) -> RunReport:
-    return _assemble(_collect_snapshots(cfg), cfg)
+    series = collect(
+        _initial_state(cfg),
+        cfg.potential,
+        cfg.dt,
+        cfg.n_steps,
+        cfg.observe_stride,
+        cfg.reg_floor,
+    )
+    return _assemble(series, cfg)
 
 
 def run_oracle(cfg: RunConfig) -> RunReport:
@@ -183,18 +103,17 @@ def run_oracle(cfg: RunConfig) -> RunReport:
         oracle = CoherentOracle(
             omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params
         )
-    n_samples = cfg.n_steps // cfg.observe_stride if cfg.n_steps > 0 else 0
-    snaps = [
-        oracle.fields(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor)
-        for i in range(n_samples + 1)
-    ]
-    return _assemble(snaps, cfg)
+    n_samples = cfg.n_steps // cfg.observe_stride
+    series = Series.empty(cfg.grid, n_samples + 1, cfg.reg_floor)
+    for i in range(n_samples + 1):
+        oracle.record(series, i, i * cfg.observe_stride * cfg.dt)
+    return _assemble(series, cfg)
 
 
-def write_series_csv(rows: list, path: Path) -> None:
+def write_series_csv(columns: dict, path: Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
+    for row in zip(*(columns[c] for c in CSV_COLUMNS)):
+        lines.append(",".join(_fmt(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -202,25 +121,14 @@ def write_summary_json(summary: dict, path: Path) -> None:
     Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def write_snapshots(snaps: list, out_dir: Path) -> None:
+def write_snapshots(series: Series, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, s in enumerate(snaps):
+    fields = (series.rho, series.current, series.velocity, series.rho_I)
+    for i in range(len(series.t)):
         lines = ["x,rho,current,velocity,rho_I"]
-        grid = s.den.rho.grid
-        for k in range(grid.n):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        grid.x[k],
-                        s.den.rho.values[k],
-                        s.den.current.values[k],
-                        s.den.velocity.values[k],
-                        s.info.rho_I.values[k],
-                    )
-                )
-            )
+        for point in zip(series.grid.x, *(f[i] for f in fields)):
+            lines.append(",".join(_fmt(v) for v in point))
         (out_dir / f"snapshot_{i:06d}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -256,16 +164,6 @@ BINNING_COLUMNS = ["bin_width", "binned", "binned_plus_log", "target", "defect",
 def write_binning_csv(rows: list, path: Path) -> None:
     lines = [",".join(BINNING_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.bin_width),
-                    _fmt(r.binned),
-                    _fmt(r.binned_plus_log),
-                    _fmt(r.target),
-                    _fmt(r.defect),
-                    "resolved" if r.resolved else "unresolved",
-                ]
-            )
-        )
+        cells = [_fmt(getattr(r, c)) for c in BINNING_COLUMNS[:-1]]
+        lines.append(",".join(cells + ["resolved" if r.resolved else "unresolved"]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -142,3 +142,21 @@ def test_binning_command(tmp_path):
     assert len(lines) == 4
     defects = [float(line.split(",")[4]) for line in lines[1:]]
     assert defects[0] > defects[1] > defects[2]
+
+
+@pytest.mark.parametrize(
+    "extra,line",
+    [
+        ("k0 = nan\n", 8),
+        ("x0 = 1e300\n", 8),
+        ("potential = gaussian_barrier\nbarrier_width = 1.0\nbarrier_height = inf\n", 10),
+        ("mass = inf\n", 8),
+    ],
+    ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf"],
+)
+def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
+    cfg = _write(tmp_path, "run.cfg", SIM_CONFIG + extra)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}:")
+    assert "Traceback" not in err

@@ -31,7 +31,7 @@ def test_sweep_matches_closed_form():
 
 def test_sweep_eq16_agreement_uniform_in_epsilon():
     spec = ef.SweepSpec(epsilons=(0.4, 0.1), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-    rep = ef.run_sweep(spec, max_workers=2)
+    rep = ef.run_sweep(spec)
     for row in rep.rows:
         assert row.eq16_rel_err < 1e-3
 
@@ -54,18 +54,22 @@ def test_sweep_continues_past_failed_row():
     assert rep.rows[1].error == ""
 
 
-def test_sweep_thread_env(monkeypatch):
-    monkeypatch.setenv(ef.climit.THREADS_ENV, "2")
+def test_sweep_row_without_centred_samples_fails():
+    spec = ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, n=256, n_samples=1)
+    row = ef.run_sweep(spec).rows[0]
+    assert "no centred difference" in row.error
+    assert np.isnan(row.eq16_rel_err)
+
+
+def test_sweep_runs_serially_only():
     spec = ef.SweepSpec(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-    rep = ef.run_sweep(spec)
-    assert len(rep.rows) == 2
-    monkeypatch.setenv(ef.climit.THREADS_ENV, "lots")
-    with pytest.raises(ValueError, match="ENTROFLUX_THREADS"):
-        ef.run_sweep(spec)
+    for workers in (0, 2, None):
+        with pytest.raises(ValueError, match="max_workers must be 1"):
+            ef.run_sweep(spec, max_workers=workers)
 
 
 def test_sweep_rows_sorted_descending():
     spec = ef.SweepSpec(epsilons=(0.4, 0.2, 0.1), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-    rep = ef.run_sweep(spec, max_workers=3)
+    rep = ef.run_sweep(spec)
     eps = [r.epsilon for r in rep.rows]
     assert eps == sorted(eps, reverse=True)

@@ -128,3 +128,18 @@ bin_widths = 0.4, 0.2, 0.1
     cfg = ef.parse_binning_config(text)
     assert cfg.bin_widths == (0.4, 0.2, 0.1)
     assert cfg.grid.n == 1024
+
+
+def test_truncating_time_grid_rejected():
+    # 50 steps of 5e-4 do not split into observations every 7 steps
+    text = MINIMAL.replace("t_final = 0.1", "t_final = 0.025") + "observe_stride = 7\n"
+    with pytest.raises(ef.ConfigError, match="line 8.*observe_stride"):
+        ef.parse_config(text)
+    # with the default stride of 10 the error names the t_final line
+    with pytest.raises(ef.ConfigError, match="line 7.*observe_stride"):
+        ef.parse_config(MINIMAL.replace("t_final = 0.1", "t_final = 0.0275"))
+    # 50.5 steps
+    with pytest.raises(ef.ConfigError, match="line 7.*whole number"):
+        ef.parse_config(MINIMAL.replace("t_final = 0.1", "t_final = 0.02525"))
+    text = MINIMAL.replace("t_final = 0.1", "t_final = 0.025") + "observe_stride = 5\n"
+    assert ef.parse_config(text).n_steps == 50

@@ -323,3 +323,102 @@ def test_sign_witness_detects_disagreement():
 def test_sign_witness_empty_eligible_is_one():
     reports = [_report(float(i), 1e-12, 1.0) for i in range(4)]
     assert ef.sign_witness(reports).fraction == 1.0
+
+
+# ---------- stacked series vs the per-instant API ----------
+
+STACKED_CONFIG = """\
+x_min = -16
+x_max = 16
+n = 512
+sigma0 = 1.0
+k0 = 0.5
+potential = harmonic
+potential_omega = 1.0
+dt = 1e-3
+t_final = 0.15
+observe_stride = 1
+"""
+
+
+def _run_csv(tmp_path, name, text):
+    import json
+    from entroflux.cli import main
+
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    series = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
+    return series, json.loads((out / "summary.json").read_text())
+
+
+def _reference_residuals(prev, mid, nxt, dt, reg_floor):
+    """Residuals of eq 13 and eq 9 at `mid`, one grid row at a time."""
+    g = mid.den.rho.grid
+    rho, v = mid.den.rho.values, mid.den.velocity.values
+    d_rho_i = (nxt.info.rho_I.values - prev.info.rho_I.values) / (2.0 * dt)
+    flux = (mid.info.rho_I.values - rho) * v
+    r13 = d_rho_i + ef.derivative(ef.RealField(g, flux)).values + v * ef.derivative(mid.den.rho).values
+    d_rho = (nxt.den.rho.values - prev.den.rho.values) / (2.0 * dt)
+    mask = rho >= reg_floor
+    r9 = np.zeros(g.n)
+    r9[mask] = d_rho_i[mask] + d_rho[mask] * np.log(rho[mask])
+    l2 = [float(np.sqrt(g.dx * np.sum(r * r))) for r in (r13, r9)]
+    return l2[0], float(np.max(np.abs(r13))), l2[1]
+
+
+def test_series_columns_match_per_instant_api_bitwise(tmp_path):
+    from entroflux.entropy import CHUNK_POINTS
+
+    sub = (-2.0, 2.5)
+    text = STACKED_CONFIG + f"subvolume_a = {sub[0]}\nsubvolume_b = {sub[1]}\n"
+    cols, summary = _run_csv(tmp_path, "sub", text)
+    cfg = ef.parse_config(text)
+    # more samples than one block of rows, so block seams are exercised
+    assert len(cols) > CHUNK_POINTS // cfg.grid.n + 2
+
+    wf0 = ef.init_gaussian(cfg.grid, cfg.params, cfg.sigma0, cfg.x0, cfg.k0)
+    snaps = [ef.take_snapshot(wf0, cfg.reg_floor)]
+    ef.evolve(wf0, cfg.potential, cfg.dt, cfg.n_steps, stride=1,
+              observer=lambda w: snaps.append(ef.take_snapshot(w, cfg.reg_floor)))
+    assert len(snaps) == len(cols)
+    dt = snaps[1].t - snaps[0].t
+    reports = ef.entropy_rate_check(snaps, subvolume=sub)
+    ia, ib = (int(round((a - cfg.grid.x_min) / cfg.grid.dx)) for a in sub)
+    xs = cfg.grid.x[ia : ib + 1]
+    for i, (s, rep) in enumerate(zip(snaps, reports)):
+        row = cols[i]
+        v = s.den.velocity.values
+        v_drho = v * ef.derivative(s.den.rho).values
+        assert row["rhs_eq16"] == -float(np.trapezoid(v_drho[ia : ib + 1], xs))
+        g = (s.info.rho_I.values - s.den.rho.values) * v
+        assert row["boundary_flux"] == g[ib] - g[ia]
+        assert row["t"] == s.t == rep.t
+        assert row["norm"] == float(cfg.grid.dx * s.den.rho.values.sum())
+        assert row["I"] == s.info.I
+        assert row["floored_points"] == s.den.floored_points
+        for col, attr in (("dIdt_fd", "dIdt_fd"), ("rhs_eq16", "rhs_eq16"),
+                          ("boundary_flux", "boundary_flux"), ("rhs_eq15", "rhs_eq15"),
+                          ("residual13_l2", "residual_l2"),
+                          ("residual13_linf", "residual_linf")):
+            assert row[col] == getattr(rep, attr), (i, col)
+        if 0 < i < len(snaps) - 1:
+            r13 = ef.balance_residual(snaps[i - 1], s, snaps[i + 1], dt)
+            r9 = ef.rate_identity_residual(
+                snaps[i - 1].den.rho, s.den.rho, snaps[i + 1].den.rho, dt, cfg.reg_floor
+            )
+            assert (row["residual13_l2"], row["residual13_linf"]) == r13, i
+            assert row["residual9_l2"] == r9[0], i
+            ref = _reference_residuals(snaps[i - 1], s, snaps[i + 1], dt, cfg.reg_floor)
+            assert (row["residual13_l2"], row["residual13_linf"], row["residual9_l2"]) == ref
+        else:
+            assert row["residual13_l2"] == row["residual9_l2"] == 0.0
+
+    # eq 16 agreement and the sign witness are full-domain values
+    _, full = _run_csv(tmp_path, "full", STACKED_CONFIG)
+    for key in ("eq16_rel_err", "sign_witness_fraction", "sign_witness_eligible"):
+        assert summary[key] == full[key], key
+    witness = ef.sign_witness(ef.entropy_rate_check(snaps))
+    assert summary["sign_witness_fraction"] == witness.fraction
+    assert summary["sign_witness_eligible"] == witness.n_eligible

@@ -43,9 +43,8 @@ def test_integrate_sin_squared():
 
 def test_derivative_constant_is_zero():
     g = ef.Grid1D(0.0, 1.0, 64)
-    for scheme in ("spectral", "central2"):
-        d = ef.derivative(ef.RealField(g, np.full(64, 3.7)), scheme)
-        assert np.max(np.abs(d.values)) < 1e-13
+    d = ef.derivative(ef.RealField(g, np.full(64, 3.7)))
+    assert np.max(np.abs(d.values)) < 1e-13
 
 
 def test_spectral_derivative_sin():
@@ -53,24 +52,6 @@ def test_spectral_derivative_sin():
     d = ef.derivative(ef.RealField(g, np.sin(2.0 * np.pi * g.x)))
     exact = 2.0 * np.pi * np.cos(2.0 * np.pi * g.x)
     assert np.max(np.abs(d.values - exact)) < 1e-12
-
-
-def test_central2_derivative_error_bound():
-    # Taylor bound (2 pi)^3 dx^2 / 6 ~ 0.0101 at n=64
-    g = ef.Grid1D(0.0, 1.0, 64)
-    d = ef.derivative(ef.RealField(g, np.sin(2.0 * np.pi * g.x)), "central2")
-    exact = 2.0 * np.pi * np.cos(2.0 * np.pi * g.x)
-    assert np.max(np.abs(d.values - exact)) < 0.013
-
-
-def test_central2_second_order_convergence():
-    errs = []
-    for n in (64, 128, 256):
-        g = ef.Grid1D(0.0, 1.0, n)
-        d = ef.derivative(ef.RealField(g, np.sin(2.0 * np.pi * g.x)), "central2")
-        errs.append(np.max(np.abs(d.values - 2.0 * np.pi * np.cos(2.0 * np.pi * g.x))))
-    assert errs[0] / errs[1] >= 3.5
-    assert errs[1] / errs[2] >= 3.5
 
 
 def _random_periodic(grid, seed, n_modes=8):
@@ -111,8 +92,3 @@ def test_complex_derivative():
     d = ef.derivative(f)
     assert np.max(np.abs(d.values - 1j * k * f.values)) < 1e-11
 
-
-def test_unknown_scheme_rejected():
-    g = ef.Grid1D(0.0, 1.0, 64)
-    with pytest.raises(ValueError, match="scheme"):
-        ef.derivative(ef.RealField(g, np.ones(64)), "upwind")

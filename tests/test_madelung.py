@@ -183,8 +183,7 @@ def test_phase_unwrap_disconnected_support_rejected():
 def test_fields_bundle():
     g = ef.Grid1D(-20.0, 20.0, 1024)
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0, k0=2.0)
-    den = ef.fields(wf, with_phase=True)
+    den = ef.fields(wf)
     assert den.t == 0.0
-    assert den.phase is not None
     assert den.floored_points > 0
     assert ef.integrate(den.rho) == pytest.approx(1.0, abs=1e-8)
