@@ -12,6 +12,7 @@ from .config import (
 from .entropy import (
     BalanceReport,
     BinRow,
+    DensityFields,
     InfoDensityField,
     SignWitness,
     Snapshot,
@@ -33,14 +34,7 @@ from .grid import (
     derivative,
     integrate,
 )
-from .madelung import (
-    DensityFields,
-    current,
-    density,
-    fields,
-    phase_unwrap,
-    velocity,
-)
+from .madelung import density, phase_unwrap
 from .oracle import CoherentOracle, GaussianOracle
 from .propagate import (
     Potential,

@@ -12,11 +12,8 @@ failure.  Outputs are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .climit import run_sweep
 from .config import (
@@ -27,6 +24,7 @@ from .config import (
 )
 from .entropy import binning_limit_study
 from .grid import RealField
+from .oracle import _normal_density
 from .report import (
     run_oracle,
     run_simulation,
@@ -75,9 +73,7 @@ def _cmd_sweep(args) -> int:
         "n_rows": len(report.rows),
         "n_failed": sum(1 for r in report.rows if r.error),
     }
-    (out / "sweep_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    write_summary_json(summary, out / "sweep_summary.json")
     if not args.quiet:
         print(
             f"sweep: {len(report.rows)} rows, fitted exponent = {report.exponent:.4g}"
@@ -87,13 +83,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_binning(args) -> int:
     cfg = parse_binning_config(_read_config(args.config))
-    x = cfg.grid.x
-    rho = np.exp(-((x - cfg.x0) ** 2) / (2.0 * cfg.sigma0**2)) / np.sqrt(
-        2.0 * np.pi * cfg.sigma0**2
-    )
-    rows = binning_limit_study(
-        RealField(cfg.grid, rho), cfg.bin_widths, cfg.reg_floor
-    )
+    rho = RealField(cfg.grid, _normal_density(cfg.grid.x, cfg.x0, cfg.sigma0**2))
+    rows = binning_limit_study(rho, cfg.bin_widths, cfg.reg_floor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_binning_csv(rows, out / "binning.csv")

@@ -9,14 +9,32 @@ dt ~ 1/hbar.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import collect, diagnose, summarize
-from .grid import Grid1D, PhysicalParams
+from .grid import Grid1D, PhysicalParams, check_positive, check_size
 from .oracle import GaussianOracle
-from .propagate import Potential, init_gaussian
+from .propagate import Potential, check_wavenumber, check_width, init_gaussian
+
+
+class SpecError(ValueError):
+    """An invalid SweepSpec; `keys` names the fields at fault, the likeliest first."""
+
+    def __init__(self, message: str, keys: tuple):
+        super().__init__(message)
+        self.keys = keys
+
+
+@contextmanager
+def _about(*keys: str):
+    """Report a ValueError raised by the enclosed checks as a SpecError on keys."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecError(str(exc), keys) from exc
 
 
 @dataclass(frozen=True)
@@ -36,17 +54,27 @@ class SweepSpec:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) == 0:
-            raise ValueError("epsilons must be nonempty")
-        if any(not e > 0.0 for e in eps):
-            raise ValueError("epsilons must be positive")
-        if any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
-            raise ValueError("epsilons must be strictly descending")
         object.__setattr__(self, "epsilons", eps)
-        if not self.t_c > 0.0:
-            raise ValueError(f"t_c must be positive, got {self.t_c}")
-        if not self.L_c > 0.0:
-            raise ValueError(f"L_c must be positive, got {self.L_c}")
+        with _about("epsilons"):
+            if len(eps) == 0:
+                raise ValueError("epsilons must be nonempty")
+            if any(not e > 0.0 for e in eps):
+                raise ValueError("epsilons must be positive")
+            if any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
+                raise ValueError("epsilons must be strictly descending")
+        for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples", "reg_floor"):
+            with _about(key):
+                check_positive(key, getattr(self, key))
+        with _about("n"):
+            check_size(self.n)
+        with _about("x_max", "x_min"):
+            grid = Grid1D(self.x_min, self.x_max, self.n)
+        with _about("L_c", "n", "x_max", "x_min"):
+            check_width(grid, self.L_c)
+        with _about("x0", "x_min", "x_max"):
+            grid.check_inside("x0", self.x0)
+        with _about("k0"):
+            check_wavenumber(grid, self.L_c, self.k0)
 
     def hbar_for(self, eps: float) -> float:
         return eps * self.mass * self.L_c**2 / self.t_c
@@ -79,8 +107,10 @@ def _run_one(spec: SweepSpec, eps: float) -> SweepRow:
     # hold the per-step kinetic phase fixed across the sweep: dt ~ 1/hbar
     dt = spec.dt_ref * spec.epsilons[0] / eps
     n_steps = max(1, int(round(spec.t_c / dt)))
-    dt = spec.t_c / n_steps
+    # whole strides, so the last sample is at t_c
     stride = max(1, int(round(n_steps / spec.n_samples)))
+    n_steps = stride * max(1, int(round(n_steps / stride)))
+    dt = spec.t_c / n_steps
     oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
     expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
     common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .climit import SweepSpec
-from .grid import Grid1D, PhysicalParams
-from .propagate import Potential, check_dt, check_width
+from .climit import SpecError, SweepSpec
+from .entropy import _subvolume_indices, bin_size, check_normalized
+from .grid import Grid1D, PhysicalParams, RealField, check_positive, check_size
+from .oracle import _normal_density
+from .propagate import Potential, check_dt, check_wavenumber, check_width
 
 
 class ConfigError(ValueError):
@@ -110,6 +112,26 @@ class _Entries:
             raise ConfigError(f"missing required key {key!r}")
         return self.get(key)
 
+    def positive(self, key: str, default=None):
+        """The value of key (required if there is no default), checked positive."""
+        value = self.require(key) if default is None else self.get(key, default)
+        with _at_line(self.line(key)):
+            check_positive(key, value)
+        return value
+
+    def grid(self) -> Grid1D:
+        n = self.require("n")
+        x_min, x_max = self.require("x_min"), self.require("x_max")
+        with _at_line(self.line("n")):
+            check_size(n)
+        with _at_line(self.line("x_max")):
+            return Grid1D(x_min, x_max, n)
+
+    def check_inside(self, grid: Grid1D, key: str) -> None:
+        if self.has(key):
+            with _at_line(self.line(key)):
+                grid.check_inside(key, self.get(key))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -165,15 +187,10 @@ _RUN_SCHEMA = {
 
 def parse_config(text: str) -> RunConfig:
     e = _Entries(text, _RUN_SCHEMA)
+    grid = e.grid()
 
-    n = e.require("n")
-    with _at_line(e.line("n")):
-        grid = Grid1D(e.require("x_min"), e.require("x_max"), n)
-
-    hbar = e.get("hbar", 1.0)
-    mass = e.get("mass", 1.0)
-    with _at_line(e.line("hbar") or e.line("mass")):
-        params = PhysicalParams(hbar=hbar, mass=mass)
+    hbar, mass = e.positive("hbar", 1.0), e.positive("mass", 1.0)
+    params = PhysicalParams(hbar=hbar, mass=mass)
 
     initial = e.get("initial", "gaussian")
     if initial not in ("gaussian", "coherent"):
@@ -182,24 +199,20 @@ def parse_config(text: str) -> RunConfig:
             e.line("initial"),
         )
     for key in ("x0", "amplitude"):
-        if e.has(key) and not grid.x_min <= e.get(key) < grid.x_max:
-            raise ConfigError(
-                f"{key} = {e.get(key)} lies outside the grid [{grid.x_min}, {grid.x_max})",
-                e.line(key),
-            )
+        e.check_inside(grid, key)
     omega = amplitude = None
     if initial == "gaussian":
         sigma0 = e.require("sigma0")
         width_line = e.line("sigma0")
     else:
-        omega = e.require("omega")
+        omega = e.positive("omega")
         amplitude = e.require("amplitude")
-        if not omega > 0.0:
-            raise ConfigError(f"omega must be positive, got {omega}", e.line("omega"))
         sigma0 = float(np.sqrt(hbar / (2.0 * mass * omega)))
         width_line = e.line("omega")
     with _at_line(width_line):
         check_width(grid, sigma0)
+    with _at_line(e.line("k0")):
+        check_wavenumber(grid, sigma0, e.get("k0", 0.0))
 
     pot_kind = e.get("potential", "free")
     with _at_line(e.line("potential")):
@@ -222,9 +235,7 @@ def parse_config(text: str) -> RunConfig:
                 e.line("potential"),
             )
 
-    dt = e.require("dt")
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}", e.line("dt"))
+    dt = e.positive("dt")
     with _at_line(e.line("dt")):
         check_dt(grid, params, dt)
 
@@ -245,11 +256,7 @@ def parse_config(text: str) -> RunConfig:
             f"{n_steps} steps",
             e.line("observe_stride") or e.line("t_final"),
         )
-    reg_floor = e.get("reg_floor", 1e-12)
-    if not reg_floor > 0.0:
-        raise ConfigError(
-            f"reg_floor must be positive, got {reg_floor}", e.line("reg_floor")
-        )
+    reg_floor = e.positive("reg_floor", 1e-12)
 
     subvolume = None
     if e.has("subvolume_a") or e.has("subvolume_b"):
@@ -258,14 +265,9 @@ def parse_config(text: str) -> RunConfig:
                 "subvolume_a and subvolume_b must be given together",
                 e.line("subvolume_a") or e.line("subvolume_b"),
             )
-        a, b = e.get("subvolume_a"), e.get("subvolume_b")
-        if not (grid.x_min <= a < b <= grid.x_max - grid.dx):
-            raise ConfigError(
-                f"subvolume [{a}, {b}] must lie inside [{grid.x_min}, "
-                f"{grid.x_max - grid.dx}] with a < b",
-                e.line("subvolume_a"),
-            )
-        subvolume = (a, b)
+        subvolume = (e.get("subvolume_a"), e.get("subvolume_b"))
+        with _at_line(e.line("subvolume_a")):
+            _subvolume_indices(grid, subvolume)
 
     return RunConfig(
         grid=grid,
@@ -307,21 +309,13 @@ _SWEEP_SCHEMA = {
 
 def parse_sweep_config(text: str) -> SweepSpec:
     e = _Entries(text, _SWEEP_SCHEMA)
-    with _at_line(e.line("epsilons")):
-        return SweepSpec(
-            epsilons=e.require("epsilons"),
-            t_c=e.require("t_c"),
-            L_c=e.require("L_c"),
-            x_min=e.get("x_min", -20.0),
-            x_max=e.get("x_max", 20.0),
-            n=e.get("n", 1024),
-            mass=e.get("mass", 1.0),
-            x0=e.get("x0", 0.0),
-            k0=e.get("k0", 0.0),
-            dt_ref=e.get("dt_ref", 2e-3),
-            n_samples=e.get("n_samples", 100),
-            reg_floor=e.get("reg_floor", 1e-12),
-        )
+    for key in ("epsilons", "t_c", "L_c"):
+        e.require(key)
+    try:
+        return SweepSpec(**{key: e.get(key) for key in e.raw})
+    except SpecError as exc:
+        line = next((e.line(key) for key in exc.keys if e.has(key)), None)
+        raise ConfigError(str(exc), line) from exc
 
 
 @dataclass(frozen=True)
@@ -346,21 +340,20 @@ _BINNING_SCHEMA = {
 
 def parse_binning_config(text: str) -> BinningConfig:
     e = _Entries(text, _BINNING_SCHEMA)
-    with _at_line(e.line("n")):
-        grid = Grid1D(e.require("x_min"), e.require("x_max"), e.require("n"))
-    sigma0 = e.require("sigma0")
-    if not sigma0 > 0.0:
-        raise ConfigError(f"sigma0 must be positive, got {sigma0}", e.line("sigma0"))
+    grid = e.grid()
+    sigma0 = e.positive("sigma0")
+    e.check_inside(grid, "x0")
+    x0 = e.get("x0", 0.0)
     bin_widths = e.require("bin_widths")
-    for dq in bin_widths:
-        if not dq > 0.0:
-            raise ConfigError(
-                f"bin widths must be positive, got {dq}", e.line("bin_widths")
-            )
+    with _at_line(e.line("bin_widths")):
+        for dq in bin_widths:
+            bin_size(grid, dq)
+    with _at_line(e.line("sigma0")):
+        check_normalized(RealField(grid, _normal_density(grid.x, x0, sigma0**2)))
     return BinningConfig(
         grid=grid,
         sigma0=sigma0,
-        x0=e.get("x0", 0.0),
+        x0=x0,
         bin_widths=bin_widths,
-        reg_floor=e.get("reg_floor", 1e-12),
+        reg_floor=e.positive("reg_floor", 1e-12),
     )

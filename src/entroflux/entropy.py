@@ -26,12 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, RealField, _spectral_derivative, integrate
-from .madelung import DEFAULT_REG_FLOOR, DensityFields, madelung_arrays
+from .grid import Grid1D, RealField, _spectral_derivative, check_positive, integrate
+from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
 from .propagate import Potential, WaveFunction, evolve
 
 # Grid points per block of rows in `diagnose`; bounds its FFT temporaries.
 CHUNK_POINTS = 1 << 15
+
+
+@dataclass(frozen=True)
+class DensityFields:
+    """Madelung fields of one wavefunction: rho, j, v."""
+
+    t: float
+    rho: RealField
+    current: RealField
+    velocity: RealField
+    floored_points: int
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,15 @@ def info_density(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> RealFi
     return RealField(rho.grid, _info_density(rho.values, reg_floor))
 
 
-def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
-    """I = int -rho (ln rho - 1) dx for a normalized density."""
+def check_normalized(rho: RealField) -> None:
     norm = integrate(rho)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"density not normalized: integral = {norm!r}")
+
+
+def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
+    """I = int -rho (ln rho - 1) dx for a normalized density."""
+    check_normalized(rho)
     return integrate(info_density(rho, reg_floor))
 
 
@@ -187,9 +202,26 @@ def collect(
 
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
+    """The Madelung fields (`.den`) and information density (`.info`) of wf."""
     series = Series.empty(wf.grid, 1, reg_floor)
     series.observe(0, wf)
     return series.snapshot(0)
+
+
+def bin_size(grid: Grid1D, bin_width: float) -> int:
+    """Grid points per bin; raises unless bins of bin_width tile the grid."""
+    ratio = bin_width / grid.dx
+    per_bin = int(round(ratio))
+    if per_bin < 1 or abs(ratio - per_bin) > 1e-9 * ratio:
+        raise ValueError(
+            f"bin_width {bin_width} is not a positive integer multiple of dx = {grid.dx}"
+        )
+    if grid.n % per_bin != 0:
+        raise ValueError(
+            f"bins of width {bin_width} do not tile the domain "
+            f"(n = {grid.n}, samples per bin = {per_bin})"
+        )
+    return per_bin
 
 
 def binned_entropy(rho: RealField, bin_width: float) -> float:
@@ -199,17 +231,7 @@ def binned_entropy(rho: RealField, bin_width: float) -> float:
     the domain with bin_width an integer multiple of dx.
     """
     grid = rho.grid
-    ratio = bin_width / grid.dx
-    per_bin = int(round(ratio))
-    if per_bin < 1 or abs(ratio - per_bin) > 1e-9 * ratio:
-        raise ValueError(
-            f"bin_width {bin_width} is not an integer multiple of dx = {grid.dx}"
-        )
-    if grid.n % per_bin != 0:
-        raise ValueError(
-            f"bins of width {bin_width} do not tile the domain "
-            f"(n = {grid.n}, samples per bin = {per_bin})"
-        )
+    per_bin = bin_size(grid, bin_width)
     p = grid.dx * rho.values.reshape(grid.n // per_bin, per_bin).sum(axis=1)
     pos = p[p > 0.0]
     return float(-np.sum(pos * np.log(pos)))
@@ -253,7 +275,10 @@ def _subvolume_indices(grid: Grid1D, subvolume) -> tuple[int, int]:
     ia = int(round((a - grid.x_min) / grid.dx))
     ib = int(round((b - grid.x_min) / grid.dx))
     if not (0 <= ia < ib <= grid.n - 1):
-        raise ValueError(f"subvolume [{a}, {b}] outside grid domain")
+        raise ValueError(
+            f"subvolume [{a}, {b}] must lie inside [{grid.x_min}, {grid.x_max - grid.dx}] "
+            f"and span at least one grid step dx = {grid.dx}"
+        )
     return ia, ib
 
 
@@ -317,8 +342,8 @@ def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
     grid, n_rows = series.grid, len(series.t)
     if dt is None:
         dt = _sample_spacing(series.t)
-    elif not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    else:
+        check_positive("dt", dt)
     names = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
              "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
     out = {name: np.zeros(n_rows) for name in names}

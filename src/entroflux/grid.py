@@ -12,6 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants in natural units."""
@@ -20,14 +25,14 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        check_positive("hbar", self.hbar)
+        check_positive("mass", self.mass)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def check_size(n: int) -> None:
+    """Raise unless n is a power of two >= 16."""
+    if n < 16 or int(n) & (int(n) - 1):
+        raise ValueError(f"n must be a power of two >= 16, got {n}")
 
 
 class Grid1D:
@@ -38,8 +43,7 @@ class Grid1D:
     """
 
     def __init__(self, x_min: float, x_max: float, n: int):
-        if not _is_power_of_two(int(n)) or n < 16:
-            raise ValueError(f"n must be a power of two >= 16, got {n}")
+        check_size(n)
         if not x_max > x_min:
             raise ValueError(f"x_max must exceed x_min, got [{x_min}, {x_max})")
         self.x_min = float(x_min)
@@ -59,6 +63,12 @@ class Grid1D:
     def k_max(self) -> float:
         """Magnitude of the Nyquist wavenumber, pi/dx."""
         return np.pi / self.dx
+
+    def check_inside(self, name: str, value: float) -> None:
+        if not self.x_min <= value < self.x_max:
+            raise ValueError(
+                f"{name} = {value} lies outside the grid [{self.x_min}, {self.x_max})"
+            )
 
     def matches(self, other: "Grid1D") -> bool:
         return (

@@ -7,25 +7,12 @@ unwrapped phase is retained as a cross-check only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import RealField, derivative
+from .grid import RealField, _spectral_derivative, check_positive
 from .propagate import WaveFunction
 
 DEFAULT_REG_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DensityFields:
-    """Madelung snapshot of one wavefunction: rho, j, v."""
-
-    t: float
-    rho: RealField
-    current: RealField
-    velocity: RealField
-    floored_points: int
 
 
 def density(wf: WaveFunction) -> RealField:
@@ -33,38 +20,24 @@ def density(wf: WaveFunction) -> RealField:
     return RealField(wf.grid, np.abs(wf.psi.values) ** 2)
 
 
-def current(wf: WaveFunction) -> RealField:
-    """Probability current j = (hbar/m) Im(psi* dpsi/dx), spectral derivative."""
-    return RealField(wf.grid, madelung_arrays(wf)[1])
-
-
 def madelung_arrays(
     wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """rho, j and v = j/rho (0 where rho < reg_floor) from one FFT pair.
+    """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho from one FFT pair.
 
-    Returns the three arrays and the count of floored points.
+    The one computation of these fields; `entropy.take_snapshot` bundles them.
+    v is 0 where rho < reg_floor; the count of those floored points is returned last.
     """
-    if not reg_floor > 0.0:
-        raise ValueError(f"reg_floor must be positive, got {reg_floor}")
+    check_positive("reg_floor", reg_floor)
     psi = wf.psi.values
     rho = np.abs(psi) ** 2
-    j = (wf.params.hbar / wf.params.mass) * np.imag(np.conj(psi) * derivative(wf.psi).values)
+    j = (wf.params.hbar / wf.params.mass) * np.imag(
+        np.conj(psi) * _spectral_derivative(psi, wf.grid)
+    )
     mask = rho >= reg_floor
     v = np.zeros_like(rho)
     v[mask] = j[mask] / rho[mask]
     return rho, j, v, int(np.count_nonzero(~mask))
-
-
-def velocity(
-    wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR
-) -> tuple[RealField, int]:
-    """Bohmian velocity v = j/rho where rho >= reg_floor, 0 elsewhere.
-
-    Returns the field and the count of floored points.
-    """
-    _, _, v, floored = madelung_arrays(wf, reg_floor)
-    return RealField(wf.grid, v), floored
 
 
 def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
@@ -99,14 +72,3 @@ def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Real
     out[block] = s
     return RealField(wf.grid, out)
 
-
-def fields(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> DensityFields:
-    """Assemble all Madelung fields of one snapshot."""
-    rho, j, v, floored = madelung_arrays(wf, reg_floor)
-    return DensityFields(
-        t=wf.t,
-        rho=RealField(wf.grid, rho),
-        current=RealField(wf.grid, j),
-        velocity=RealField(wf.grid, v),
-        floored_points=floored,
-    )

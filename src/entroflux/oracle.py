@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import Series, Snapshot
-from .grid import Grid1D, PhysicalParams
+from .grid import Grid1D, PhysicalParams, check_positive
 from .madelung import DEFAULT_REG_FLOOR
 
 
@@ -48,8 +48,7 @@ class GaussianOracle(_Oracle):
     params: PhysicalParams = field(default_factory=PhysicalParams)
 
     def __post_init__(self):
-        if not self.sigma0 > 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        check_positive("sigma0", self.sigma0)
 
     def sigma2(self, t: float) -> float:
         h, m = self.params.hbar, self.params.mass
@@ -87,8 +86,7 @@ class CoherentOracle(_Oracle):
     params: PhysicalParams = field(default_factory=PhysicalParams)
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        check_positive("omega", self.omega)
 
     def sigma2(self) -> float:
         return self.params.hbar / (2.0 * self.params.mass * self.omega)

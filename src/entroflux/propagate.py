@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ComplexField, Grid1D, PhysicalParams, integrate
+from .grid import ComplexField, Grid1D, PhysicalParams, check_positive
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,12 @@ class Potential:
 
     @staticmethod
     def harmonic(omega: float, x0: float = 0.0) -> "Potential":
-        if not omega > 0.0:
-            raise ValueError(f"omega must be positive, got {omega}")
+        check_positive("omega", omega)
         return Potential(kind="harmonic", omega=omega, x0=x0)
 
     @staticmethod
     def gaussian_barrier(height: float, width: float, center: float = 0.0) -> "Potential":
-        if not width > 0.0:
-            raise ValueError(f"barrier width must be positive, got {width}")
+        check_positive("barrier width", width)
         return Potential(kind="gaussian_barrier", height=height, width=width, center=center)
 
     def values(self, x: np.ndarray, mass: float = 1.0) -> np.ndarray:
@@ -76,6 +74,7 @@ def init_gaussian(
 ) -> WaveFunction:
     """Normalized Gaussian packet (2 pi sigma0^2)^(-1/4) exp(-(x-x0)^2/4sigma0^2 + i k0 x)."""
     check_width(grid, sigma0)
+    check_wavenumber(grid, sigma0, k0)
     x = grid.x
     psi = (2.0 * np.pi * sigma0**2) ** -0.25 * np.exp(
         -((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x
@@ -96,6 +95,15 @@ def check_width(grid: Grid1D, sigma0: float) -> None:
             f"packet too wide: 4*width = {4.0 * sigma0:.6g} must be below the "
             f"domain half-width {0.5 * grid.length:.6g}"
         )
+
+
+def check_wavenumber(grid: Grid1D, sigma0: float, k0: float) -> None:
+    """Raise unless |k0| + 3/sigma0 < k_max: the packet's momentum density, of
+    standard deviation 1/(2 sigma0), fits on the grid to six deviations."""
+    top = abs(k0) + 3.0 / sigma0
+    if not top < grid.k_max:
+        raise ValueError(f"k0 = {k0} is not resolved: |k0| + 3/sigma0 = {top:.6g} "
+                         f"must be below the grid's k_max = pi/dx = {grid.k_max:.6g}")
 
 
 def kinetic_phase(grid: Grid1D, params: PhysicalParams, dt: float) -> float:

@@ -8,14 +8,14 @@ no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .climit import SweepReport
+from .climit import SweepReport, SweepRow
 from .config import ConfigError, RunConfig
-from .entropy import Series, collect, diagnose, summarize
+from .entropy import BinRow, Series, collect, diagnose, summarize
 from .oracle import CoherentOracle, GaussianOracle
 from .propagate import init_gaussian
 
@@ -41,12 +41,6 @@ class RunReport:
     series: Series
     columns: dict
     summary: dict
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
 
 
 def _initial_state(cfg: RunConfig):
@@ -95,10 +89,11 @@ def run_oracle(cfg: RunConfig) -> RunReport:
             sigma0=cfg.sigma0, x0=cfg.x0, k0=cfg.k0, params=cfg.params
         )
     else:
-        if cfg.potential.kind != "harmonic" or cfg.potential.omega != cfg.omega:
+        pot = cfg.potential
+        if pot.kind != "harmonic" or pot.omega != cfg.omega or pot.x0 != 0.0:
             raise ConfigError(
                 "oracle for a coherent state requires potential = harmonic "
-                "with potential_omega = omega"
+                "with potential_omega = omega and potential_center = 0"
             )
         oracle = CoherentOracle(
             omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params
@@ -110,60 +105,53 @@ def run_oracle(cfg: RunConfig) -> RunReport:
     return _assemble(series, cfg)
 
 
-def write_series_csv(columns: dict, path: Path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in zip(*(columns[c] for c in CSV_COLUMNS)):
-        lines.append(",".join(_fmt(x) for x in row))
+def write_table(path: Path, header, columns) -> None:
+    """Write equal-length columns as CSV under a header line.
+
+    Each column is formatted by its dtype: integers %d, strings %s, anything
+    else %.17g, so a float keeps every bit of its value.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join({"i": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g") for c in columns)
+    lines = [",".join(header)]
+    lines += map(fmt.__mod__, zip(*(c.tolist() for c in columns)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_series_csv(columns: dict, path: Path) -> None:
+    write_table(path, CSV_COLUMNS, [columns[c] for c in CSV_COLUMNS])
 
 
 def write_summary_json(summary: dict, path: Path) -> None:
     Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
+SNAPSHOT_COLUMNS = ["x", "rho", "current", "velocity", "rho_I"]
+
+
 def write_snapshots(series: Series, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fields = (series.rho, series.current, series.velocity, series.rho_I)
     for i in range(len(series.t)):
-        lines = ["x,rho,current,velocity,rho_I"]
-        for point in zip(series.grid.x, *(f[i] for f in fields)):
-            lines.append(",".join(_fmt(v) for v in point))
-        (out_dir / f"snapshot_{i:06d}.csv").write_text("\n".join(lines) + "\n")
+        columns = (series.grid.x, series.rho[i], series.current[i], series.velocity[i],
+                   series.rho_I[i])
+        write_table(out_dir / f"snapshot_{i:06d}.csv", SNAPSHOT_COLUMNS, columns)
 
 
-SWEEP_COLUMNS = [
-    "epsilon",
-    "hbar",
-    "dt",
-    "n_steps",
-    "delta_I",
-    "delta_I_expected",
-    "residual13_l2_max",
-    "eq16_rel_err",
-    "sign_fraction",
-    "error",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def write_sweep_csv(report: SweepReport, path: Path) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in report.rows:
-        cells = []
-        for c in SWEEP_COLUMNS:
-            v = getattr(r, c)
-            # keep the error string CSV-safe
-            cells.append(v.replace(",", ";") if c == "error" else _fmt(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    *columns, errors = zip(*map(astuple, report.rows))
+    # keep the error string CSV-safe
+    errors = [e.replace(",", ";") for e in errors]
+    write_table(path, SWEEP_COLUMNS, [*columns, errors])
 
 
-BINNING_COLUMNS = ["bin_width", "binned", "binned_plus_log", "target", "defect", "resolved"]
+BINNING_COLUMNS = [f.name for f in fields(BinRow)]
 
 
 def write_binning_csv(rows: list, path: Path) -> None:
-    lines = [",".join(BINNING_COLUMNS)]
-    for r in rows:
-        cells = [_fmt(getattr(r, c)) for c in BINNING_COLUMNS[:-1]]
-        lines.append(",".join(cells + ["resolved" if r.resolved else "unresolved"]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    *columns, resolved = zip(*map(astuple, rows))
+    write_table(path, BINNING_COLUMNS,
+                [*columns, np.where(resolved, "resolved", "unresolved")])

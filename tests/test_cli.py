@@ -151,8 +151,12 @@ def test_binning_command(tmp_path):
         ("x0 = 1e300\n", 8),
         ("potential = gaussian_barrier\nbarrier_width = 1.0\nbarrier_height = inf\n", 10),
         ("mass = inf\n", 8),
+        ("k0 = 1e5\n", 8),  # n = 512 on [-20, 20) resolves |k| below pi/dx ~ 40
+        ("subvolume_a = 0.0\nsubvolume_b = 0.01\n", 8),  # narrower than dx
+        ("hbar = 1\nmass = -1\n", 9),
     ],
-    ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf"],
+    ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
+         "subvolume_below_dx", "mass_negative"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
     cfg = _write(tmp_path, "run.cfg", SIM_CONFIG + extra)
@@ -160,3 +164,45 @@ def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, l
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}:")
     assert "Traceback" not in err
+
+
+SWEEP_BASE = "epsilons = 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
+BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths = 0.4, 0.2, 0.1\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,line,message",
+    [
+        ("sweep", SWEEP_BASE + "n = 100\n", 4, "power of two"),
+        ("sweep", SWEEP_BASE + "x_min = 5\nx_max = 1\n", 5, "x_max must exceed x_min"),
+        ("sweep", SWEEP_BASE + "mass = -1\n", 4, "mass must be positive"),
+        ("sweep", SWEEP_BASE + "n_samples = 0\n", 4, "n_samples must be positive"),
+        ("sweep", SWEEP_BASE + "dt_ref = 0\n", 4, "dt_ref must be positive"),
+        ("sweep", SWEEP_BASE + "x0 = 1e300\n", 4, "x0 = 1e+300 lies outside the grid"),
+        ("sweep", SWEEP_BASE + "reg_floor = -1\n", 4, "reg_floor must be positive"),
+        ("binning", BINNING_BASE.replace("0.4, 0.2, 0.1", "0.4, 0.3"), 5, "do not tile"),
+        ("binning", BINNING_BASE + "x0 = 40\n", 6, "x0 = 40.0 lies outside the grid"),
+        ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 3"), 4, "not normalized"),
+        ("sweep", SWEEP_BASE + "k0 = 1e5\n", 4, "k0 = 100000.0 is not resolved"),
+    ],
+    ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
+         "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
+         "sweep_k0"],
+)
+def test_sweep_and_binning_config_errors_name_their_line(
+    tmp_path, capsys, command, text, line, message
+):
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_oracle_rejects_off_centre_harmonic_well(tmp_path, capsys):
+    # the closed-form coherent state oscillates about x = 0
+    cfg = _write(tmp_path, "run.cfg", COHERENT_CONFIG + "potential_center = 3\n")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "potential_center = 0" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import entroflux as ef
+from entroflux.climit import SpecError
 
 
 def test_sweep_spec_validation():
@@ -73,3 +74,23 @@ def test_sweep_rows_sorted_descending():
     rep = ef.run_sweep(spec)
     eps = [r.epsilon for r in rep.rows]
     assert eps == sorted(eps, reverse=True)
+
+
+def test_sweep_ends_at_t_c():
+    # 1234 steps do not split into strides of 12: the steps are rounded to
+    # 1236 = 103 strides, so the last sample lies at t_c
+    spec = ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, n=256, dt_ref=2.0 / 1234)
+    row = ef.run_sweep(spec).rows[0]
+    assert row.error == ""
+    assert row.n_steps == 1236
+    assert row.dt * row.n_steps == pytest.approx(2.0, rel=1e-15)
+    assert abs(row.delta_I / row.delta_I_expected - 1.0) < 1e-9
+
+
+def test_sweep_spec_errors_name_their_field():
+    with pytest.raises(SpecError, match="n must be a power of two") as info:
+        ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, n=100)
+    assert info.value.keys[0] == "n"
+    with pytest.raises(SpecError, match="not resolved") as info:
+        ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, k0=1e5)
+    assert info.value.keys[0] == "k0"

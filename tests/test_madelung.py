@@ -33,14 +33,14 @@ def test_density_normalized():
 def test_current_real_wavefunction_vanishes():
     g = ef.Grid1D(-20.0, 20.0, 1024)
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0, k0=0.0)
-    assert np.max(np.abs(ef.current(wf).values)) < 1e-12
+    assert np.max(np.abs(ef.take_snapshot(wf).den.current.values)) < 1e-12
 
 
 def test_current_plane_wave():
     g = ef.Grid1D(0.0, 4.0, 64)
     wf, k = plane_wave(g, PARAMS, mode=2)
     expected = PARAMS.hbar * k / (PARAMS.mass * g.length)
-    assert np.max(np.abs(ef.current(wf).values - expected)) < 1e-13
+    assert np.max(np.abs(ef.take_snapshot(wf).den.current.values - expected)) < 1e-13
 
 
 def test_current_moving_gaussian_proportional_to_density():
@@ -48,14 +48,15 @@ def test_current_moving_gaussian_proportional_to_density():
     k0 = 2.0
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0, k0=k0)
     rho = ef.density(wf).values
-    j = ef.current(wf).values
+    j = ef.take_snapshot(wf).den.current.values
     assert np.max(np.abs(j - (PARAMS.hbar * k0 / PARAMS.mass) * rho)) < 1e-10
 
 
 def test_velocity_plane_wave():
     g = ef.Grid1D(0.0, 4.0, 64)
     wf, k = plane_wave(g, PARAMS, mode=2)
-    v, floored = ef.velocity(wf)
+    den = ef.take_snapshot(wf).den
+    v, floored = den.velocity, den.floored_points
     assert floored == 0
     assert np.max(np.abs(v.values - PARAMS.hbar * k / PARAMS.mass)) < 1e-12
 
@@ -67,7 +68,7 @@ def test_velocity_spread_gaussian():
     wf = ef.evolve(
         ef.init_gaussian(g, PARAMS, sigma0=1.0), ef.Potential.free(), 5e-4, 4000
     )
-    v, _ = ef.velocity(wf)
+    v = ef.take_snapshot(wf).den.velocity
     i = np.argmin(np.abs(g.x - np.sqrt(2.0)))
     expected = g.x[i] * 0.5 / 2.0
     assert v.values[i] == pytest.approx(expected, abs=1e-8)
@@ -78,7 +79,7 @@ def test_velocity_stationary_state():
     psi = np.pi**-0.25 * np.exp(-0.5 * g.x**2)
     psi /= np.sqrt(g.dx * np.sum(psi**2))
     wf = ef.WaveFunction(g, PARAMS, ef.ComplexField(g, psi.astype(complex)))
-    v, _ = ef.velocity(wf)
+    v = ef.take_snapshot(wf).den.velocity
     # away from the far tails, where j/rho amplifies FFT roundoff
     bulk = np.abs(psi) ** 2 > 1e-9
     assert np.max(np.abs(v.values[bulk])) < 1e-10
@@ -87,7 +88,8 @@ def test_velocity_stationary_state():
 def test_velocity_floor_reported():
     g = ef.Grid1D(-20.0, 20.0, 1024)
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0)
-    v, floored = ef.velocity(wf, reg_floor=1e-12)
+    den = ef.take_snapshot(wf, reg_floor=1e-12).den
+    v, floored = den.velocity, den.floored_points
     assert floored > 0
     tail = ef.density(wf).values < 1e-12
     assert np.all(v.values[tail] == 0.0)
@@ -102,8 +104,8 @@ def test_velocity_galilean_boost():
     boosted = dataclasses.replace(
         wf, psi=ef.ComplexField(g, wf.psi.values * np.exp(1j * k0 * g.x))
     )
-    v0, _ = ef.velocity(wf)
-    v1, _ = ef.velocity(boosted)
+    v0 = ef.take_snapshot(wf).den.velocity
+    v1 = ef.take_snapshot(boosted).den.velocity
     bulk = ef.density(wf).values > 1e-6
     shift = PARAMS.hbar * k0 / PARAMS.mass
     assert np.max(np.abs(v1.values[bulk] - v0.values[bulk] - shift)) < 1e-10
@@ -117,7 +119,7 @@ def test_current_equals_rho_times_velocity():
         5e-4,
         500,
     )
-    den = ef.fields(wf)
+    den = ef.take_snapshot(wf).den
     rho, j, v = den.rho.values, den.current.values, den.velocity.values
     mask = rho > 1e-12
     rel = np.abs(j[mask] - rho[mask] * v[mask]) / np.abs(j[mask]).max()
@@ -133,7 +135,7 @@ def test_log_gradient_identity_matches_velocity():
     psi = wf.psi.values
     dpsi = ef.derivative(wf.psi).values
     log_grad_v = (PARAMS.hbar / PARAMS.mass) * np.imag(dpsi / psi)
-    v, _ = ef.velocity(wf)
+    v = ef.take_snapshot(wf).den.velocity
     mask = ef.density(wf).values > 1e-9
     scale = np.max(np.abs(v.values[mask]))
     assert np.max(np.abs(log_grad_v[mask] - v.values[mask])) / scale < 1e-8
@@ -162,7 +164,7 @@ def test_phase_unwrap_gradient_matches_velocity():
         ef.init_gaussian(g, PARAMS, sigma0=1.0), ef.Potential.free(), 5e-4, 4000
     )
     s = ef.phase_unwrap(wf, reg_floor=1e-12).values
-    v, _ = ef.velocity(wf)
+    v = ef.take_snapshot(wf).den.velocity
     bulk = ef.density(wf).values > 1e-9
     ds = np.gradient(s, g.dx)
     scale = np.max(np.abs(v.values[bulk]))
@@ -183,7 +185,7 @@ def test_phase_unwrap_disconnected_support_rejected():
 def test_fields_bundle():
     g = ef.Grid1D(-20.0, 20.0, 1024)
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0, k0=2.0)
-    den = ef.fields(wf)
+    den = ef.take_snapshot(wf).den
     assert den.t == 0.0
     assert den.floored_points > 0
     assert ef.integrate(den.rho) == pytest.approx(1.0, abs=1e-8)

@@ -133,7 +133,7 @@ def test_discrete_continuity_second_order():
         wf = ef.evolve(wf0, pot, dt, int(round(0.2 / dt)))
         prev = ef.density(wf).values
         wf = ef.step(wf, pot, dt)
-        j = ef.current(wf)
+        j = ef.take_snapshot(wf).den.current
         wf = ef.step(wf, pot, dt)
         nxt = ef.density(wf).values
         r = (nxt - prev) / (2 * dt) + ef.derivative(j).values
