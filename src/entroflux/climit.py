@@ -17,7 +17,7 @@ import numpy as np
 from .entropy import collect, diagnose, summarize
 from .grid import Grid1D, PhysicalParams, check_positive, check_size
 from .oracle import GaussianOracle
-from .propagate import Potential, check_wavenumber, check_width, init_gaussian
+from .propagate import Potential, check_dt, check_wavenumber, check_width, init_gaussian
 
 
 class SpecError(ValueError):
@@ -75,9 +75,27 @@ class SweepSpec:
             grid.check_inside("x0", self.x0)
         with _about("k0"):
             check_wavenumber(grid, self.L_c, self.k0)
+        with _about("dt_ref"):
+            for e in eps:
+                hbar, dt, _, _ = self.time_grid(e)
+                check_dt(grid, PhysicalParams(hbar=hbar, mass=self.mass), dt)
 
     def hbar_for(self, eps: float) -> float:
         return eps * self.mass * self.L_c**2 / self.t_c
+
+    def time_grid(self, eps: float) -> tuple[float, float, int, int]:
+        """hbar, dt, n_steps and stride of the row at eps.
+
+        dt scales as 1/hbar, which holds the per-step kinetic phase fixed
+        across the sweep; the steps are whole strides, so the last sample is
+        at t_c.
+        """
+        hbar = self.hbar_for(eps)
+        dt = self.dt_ref * self.epsilons[0] / eps
+        n_steps = max(1, int(round(self.t_c / dt)))
+        stride = max(1, int(round(n_steps / self.n_samples)))
+        n_steps = stride * max(1, int(round(n_steps / stride)))
+        return hbar, self.t_c / n_steps, n_steps, stride
 
 
 @dataclass(frozen=True)
@@ -101,16 +119,9 @@ class SweepReport:
 
 
 def _run_one(spec: SweepSpec, eps: float) -> SweepRow:
-    hbar = spec.hbar_for(eps)
+    hbar, dt, n_steps, stride = spec.time_grid(eps)
     params = PhysicalParams(hbar=hbar, mass=spec.mass)
     grid = Grid1D(spec.x_min, spec.x_max, spec.n)
-    # hold the per-step kinetic phase fixed across the sweep: dt ~ 1/hbar
-    dt = spec.dt_ref * spec.epsilons[0] / eps
-    n_steps = max(1, int(round(spec.t_c / dt)))
-    # whole strides, so the last sample is at t_c
-    stride = max(1, int(round(n_steps / spec.n_samples)))
-    n_steps = stride * max(1, int(round(n_steps / stride)))
-    dt = spec.t_c / n_steps
     oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
     expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
     common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)

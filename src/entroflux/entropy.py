@@ -21,16 +21,18 @@ computes every check from slices of it.  The per-instant functions
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, RealField, _spectral_derivative, check_positive, integrate
+from .grid import (
+    Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive, integrate,
+)
 from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
-from .propagate import Potential, WaveFunction, evolve
+from .propagate import Potential, WaveFunction, check_norms, split_steps
 
-# Grid points per block of rows in `diagnose`; bounds its FFT temporaries.
+# Grid points per block of rows in `collect` and `diagnose`; bounds their FFT
+# temporaries.
 CHUNK_POINTS = 1 << 15
 
 
@@ -167,8 +169,23 @@ class Series:
 
     def observe(self, i: int, wf: WaveFunction) -> None:
         """Store the Madelung fields of wf as row i."""
-        rho, j, v, floored = madelung_arrays(wf, self.reg_floor)
-        self.record(i, wf.t, rho, j, v, floored)
+        self.t[i] = wf.t
+        self.observe_rows(i, wf.psi.values[np.newaxis], wf.params)
+
+    def observe_rows(self, lo: int, psi: np.ndarray, params: PhysicalParams) -> None:
+        """Store the fields of the (B, n) psi stack as rows lo..lo+B-1 (t is not set).
+
+        Each row must pass the checks a `WaveFunction` gets: a finite psi and a
+        norm within 1e-8 of 1, taken from its rho.
+        """
+        hi = lo + len(psi)
+        rho, j, v, floored = madelung_arrays(psi, self.grid, params, self.reg_floor)
+        check_norms(self.grid.dx * rho.sum(axis=1))
+        self.rho[lo:hi] = rho
+        self.current[lo:hi] = j
+        self.velocity[lo:hi] = v
+        self.rho_I[lo:hi] = _info_density(rho, self.reg_floor)
+        self.floored_points[lo:hi] = floored
 
     def snapshot(self, i: int) -> Snapshot:
         """Row i as a Snapshot whose fields are views of this series."""
@@ -192,12 +209,26 @@ def collect(
     stride: int,
     reg_floor: float = DEFAULT_REG_FLOOR,
 ) -> Series:
-    """Evolve wf by n_steps; stack its fields at the start and every `stride` steps."""
+    """Evolve wf by n_steps; stack its fields at the start and every `stride` steps.
+
+    The observed states are copied into a block of up to CHUNK_POINTS grid
+    points, and each full block (and the last, partial one) goes through
+    `Series.observe_rows` at once.
+    """
     series = Series.empty(wf.grid, n_steps // stride + 1, reg_floor)
-    series.observe(0, wf)
-    rows = itertools.count(1)
-    evolve(wf, potential, dt, n_steps, stride=stride,
-           observer=lambda w: series.observe(next(rows), w))
+    last = len(series.t) - 1
+    block = np.empty((min(last + 1, max(1, CHUNK_POINTS // wf.grid.n)), wf.grid.n), complex)
+
+    def on_row(i: int, psi: np.ndarray) -> None:
+        row = i // stride
+        k = row % len(block)
+        series.t[row] = wf.t + i * dt
+        block[k] = psi
+        if k == len(block) - 1 or row == last:
+            series.observe_rows(row - k, block[: k + 1], wf.params)
+
+    on_row(0, wf.psi.values)
+    split_steps(wf, potential, dt, n_steps, on_row, stride)
     return series
 
 

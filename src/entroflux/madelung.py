@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import RealField, _spectral_derivative, check_positive
+from .grid import Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive
 from .propagate import WaveFunction
 
 DEFAULT_REG_FLOOR = 1e-12
@@ -21,23 +21,30 @@ def density(wf: WaveFunction) -> RealField:
 
 
 def madelung_arrays(
-    wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho from one FFT pair.
+    psi: np.ndarray,
+    grid: Grid1D,
+    params: PhysicalParams,
+    reg_floor: float = DEFAULT_REG_FLOOR,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho of a (B, n) psi stack.
 
-    The one computation of these fields; `entropy.take_snapshot` bundles them.
-    v is 0 where rho < reg_floor; the count of those floored points is returned last.
+    The one computation of these fields: one batched FFT pair along the grid
+    axis, and each row's values are those of the row taken alone.  v is 0
+    where rho < reg_floor; the per-row counts of those floored points are
+    returned last.
     """
     check_positive("reg_floor", reg_floor)
-    psi = wf.psi.values
     rho = np.abs(psi) ** 2
-    j = (wf.params.hbar / wf.params.mass) * np.imag(
-        np.conj(psi) * _spectral_derivative(psi, wf.grid)
+    # np.multiply keeps the operand order fixed: numpy may swap the operands
+    # of `a * temporary` on large arrays, and the complex product's last bit
+    # depends on that order.
+    j = (params.hbar / params.mass) * np.imag(
+        np.multiply(np.conj(psi), _spectral_derivative(psi, grid))
     )
     mask = rho >= reg_floor
     v = np.zeros_like(rho)
-    v[mask] = j[mask] / rho[mask]
-    return rho, j, v, int(np.count_nonzero(~mask))
+    np.divide(j, rho, out=v, where=mask)
+    return rho, j, v, np.count_nonzero(~mask, axis=-1)
 
 
 def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:

@@ -58,11 +58,24 @@ class WaveFunction:
     t: float = 0.0
 
     def __post_init__(self):
-        if abs(self.norm() - 1.0) > 1e-8:
-            raise ValueError(f"wavefunction not normalized: norm = {self.norm()!r}")
+        check_norms(self.norm())
 
     def norm(self) -> float:
         return float(self.grid.dx * np.sum(np.abs(self.psi.values) ** 2))
+
+
+def check_norms(norms) -> None:
+    """Raise unless every norm is finite and within 1e-8 of 1.
+
+    A non-finite norm means a non-finite psi, which `ComplexField` rejects with
+    the same message; the norm check is the one `WaveFunction` runs.
+    """
+    norms = np.atleast_1d(norms)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("non-finite field")
+    off = np.abs(norms - 1.0) > 1e-8
+    if np.any(off):
+        raise ValueError(f"wavefunction not normalized: norm = {float(norms[off][0])!r}")
 
 
 def init_gaussian(
@@ -126,21 +139,23 @@ def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     return evolve(wf, potential, dt, 1)
 
 
-def evolve(
+def split_steps(
     wf: WaveFunction,
     potential: Potential,
     dt: float,
     n_steps: int,
-    observer=None,
+    on_row=None,
     stride: int = 1,
-) -> WaveFunction:
-    """Apply n_steps Strang split steps; call observer(wf) after every `stride` steps.
+) -> np.ndarray:
+    """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
-    another half kick, with the factors computed once per call.
+    another half kick, with the factors computed once per call.  on_row(i, psi)
+    is called after every `stride`-th step i with the state at t = wf.t + i*dt;
+    the loop never writes to an array it has passed out.
     """
     if n_steps == 0:
-        return wf
+        return wf.psi.values
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     check_dt(wf.grid, wf.params, dt)
@@ -149,11 +164,29 @@ def evolve(
     exp_v_half = np.exp(-0.5j * v * dt / hbar)
     exp_t = np.exp(-0.5j * hbar * wf.grid.k**2 * dt / m)
     psi = wf.psi.values
-    t0 = wf.t
     for i in range(1, n_steps + 1):
         psi = exp_v_half * psi
         psi = np.fft.ifft(exp_t * np.fft.fft(psi))
         psi = exp_v_half * psi
-        if observer is not None and i % stride == 0:
-            observer(replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + i * dt))
-    return replace(wf, psi=ComplexField(wf.grid, psi), t=t0 + n_steps * dt)
+        if on_row is not None and i % stride == 0:
+            on_row(i, psi)
+    return psi
+
+
+def evolve(
+    wf: WaveFunction,
+    potential: Potential,
+    dt: float,
+    n_steps: int,
+    observer=None,
+    stride: int = 1,
+) -> WaveFunction:
+    """Apply n_steps Strang split steps; call observer(wf) after every `stride` steps."""
+    if n_steps == 0:
+        return wf
+
+    def state(i: int, psi: np.ndarray) -> WaveFunction:
+        return replace(wf, psi=ComplexField(wf.grid, psi), t=wf.t + i * dt)
+
+    on_row = None if observer is None else (lambda i, psi: observer(state(i, psi)))
+    return state(n_steps, split_steps(wf, potential, dt, n_steps, on_row, stride))

@@ -8,6 +8,7 @@ no timestamps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -123,7 +124,11 @@ def write_series_csv(columns: dict, path: Path) -> None:
 
 
 def write_summary_json(summary: dict, path: Path) -> None:
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    """Write summary as strict JSON: a nan or infinite value is written as null."""
+    strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in summary.items()}
+    text = json.dumps(strict, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 SNAPSHOT_COLUMNS = ["x", "rho", "current", "velocity", "rho_I"]

@@ -130,6 +130,26 @@ def test_sweep_command(tmp_path):
     assert abs(summary["exponent"] - 2.0) < 0.1
 
 
+def test_sweep_summary_is_strict_json_with_one_good_row(tmp_path):
+    # fast packet on a narrow domain: the larger epsilon overruns the seam,
+    # which leaves one row and no exponent to fit
+    cfg = _write(
+        tmp_path,
+        "sweep.cfg",
+        "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\nx_max = 14\n"
+        "n = 512\nk0 = 5\ndt_ref = 1e-3\n",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    text = (out / "sweep_summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary == {"exponent": None, "n_failed": 1, "n_rows": 2}
+
+
 def test_binning_command(tmp_path):
     cfg = _write(
         tmp_path,
@@ -184,10 +204,12 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("binning", BINNING_BASE + "x0 = 40\n", 6, "x0 = 40.0 lies outside the grid"),
         ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 3"), 4, "not normalized"),
         ("sweep", SWEEP_BASE + "k0 = 1e5\n", 4, "k0 = 100000.0 is not resolved"),
+        # hbar = 0.2, dt = 1 on dx = 40/1024: kinetic phase 647 per step
+        ("sweep", SWEEP_BASE + "dt_ref = 1\n", 4, "time step too large"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
-         "sweep_k0"],
+         "sweep_k0", "sweep_dt_ref_phase"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message

@@ -422,3 +422,56 @@ def test_series_columns_match_per_instant_api_bitwise(tmp_path):
     witness = ef.sign_witness(ef.entropy_rate_check(snaps))
     assert summary["sign_witness_fraction"] == witness.fraction
     assert summary["sign_witness_eligible"] == witness.n_eligible
+
+
+# ---------- collect's blocks vs the per-instant API ----------
+
+def test_collect_blocks_match_take_snapshot_bitwise():
+    from entroflux.entropy import CHUNK_POINTS, collect
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    pot = ef.Potential.gaussian_barrier(2.0, 0.5, 1.5)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
+    stride, reg_floor = 3, 1e-8
+    height = CHUNK_POINTS // grid.n
+    n_steps = stride * (height + 6)  # a full block and a partial last one
+    series = collect(wf0, pot, 1e-3, n_steps, stride, reg_floor)
+
+    snaps = [ef.take_snapshot(wf0, reg_floor)]
+    ef.evolve(wf0, pot, 1e-3, n_steps, stride=stride,
+              observer=lambda w: snaps.append(ef.take_snapshot(w, reg_floor)))
+    assert len(series.t) == len(snaps) == height + 7
+    for i, s in enumerate(snaps):
+        assert series.t[i] == s.t, i
+        assert np.array_equal(series.rho[i], s.den.rho.values), i
+        assert np.array_equal(series.current[i], s.den.current.values), i
+        assert np.array_equal(series.velocity[i], s.den.velocity.values), i
+        assert np.array_equal(series.rho_I[i], s.info.rho_I.values), i
+        assert series.floored_points[i] == s.den.floored_points, i
+    assert series.floored_points.min() > 0
+
+
+def _normalized_rows(grid, n_rows):
+    x0 = np.linspace(-2.0, 2.0, n_rows)[:, None]
+    psi = np.exp(-((grid.x - x0) ** 2) / 4.0 + 1j * grid.x).astype(complex)
+    return psi / np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("defect", ["nan", "norm"])
+def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
+    from entroflux.entropy import Series
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    psi = _normalized_rows(grid, 3)
+    if defect == "nan":
+        psi[1, 100] = np.nan
+    else:
+        psi[1] *= np.sqrt(1.0 + 1e-7)
+    with pytest.raises(ValueError) as per_state:
+        ef.WaveFunction(grid, PARAMS, ef.ComplexField(grid, psi[1]))
+    series = Series.empty(grid, 3)
+    with pytest.raises(ValueError) as block:
+        series.observe_rows(0, psi, PARAMS)
+    assert str(block.value) == str(per_state.value)
+    assert str(block.value).startswith(
+        "non-finite field" if defect == "nan" else "wavefunction not normalized")

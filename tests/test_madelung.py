@@ -189,3 +189,22 @@ def test_fields_bundle():
     assert den.t == 0.0
     assert den.floored_points > 0
     assert ef.integrate(den.rho) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_madelung_arrays_row_equals_row_of_large_stack():
+    # numpy may reorder the operands of a product with a temporary once the
+    # arrays reach 256 KiB, and a complex product's last bit depends on that
+    # order: a 1-row stack must still give every row of a 512 KiB stack
+    from entroflux.madelung import madelung_arrays
+
+    grid = ef.Grid1D(-20.0, 20.0, 1024)
+    rng = np.random.default_rng(7)
+    x0 = np.linspace(-3.0, 3.0, 32)[:, None]
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (32, grid.n)))
+    psi = np.exp(-((grid.x - x0) ** 2) / 4.0) * (1.0 + 0.1 * phase)
+    assert psi.nbytes >= 256 * 1024
+    stacked = madelung_arrays(psi, grid, PARAMS, 1e-10)
+    for i in range(len(psi)):
+        row = madelung_arrays(psi[i : i + 1], grid, PARAMS, 1e-10)
+        for whole, alone in zip(stacked, row):
+            assert np.array_equal(whole[i : i + 1], alone), i
