@@ -9,32 +9,15 @@ dt ~ 1/hbar.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import collect, diagnose, summarize
-from .grid import Grid1D, PhysicalParams, check_positive, check_size
+# SpecError is re-exported: an invalid SweepSpec raises it
+from .grid import Grid1D, PhysicalParams, SpecError, about, positive, step_count
 from .oracle import GaussianOracle
 from .propagate import Potential, check_dt, check_wavenumber, check_width, init_gaussian
-
-
-class SpecError(ValueError):
-    """An invalid SweepSpec; `keys` names the fields at fault, the likeliest first."""
-
-    def __init__(self, message: str, keys: tuple):
-        super().__init__(message)
-        self.keys = keys
-
-
-@contextmanager
-def _about(*keys: str):
-    """Report a ValueError raised by the enclosed checks as a SpecError on keys."""
-    try:
-        yield
-    except ValueError as exc:
-        raise SpecError(str(exc), keys) from exc
 
 
 @dataclass(frozen=True)
@@ -55,27 +38,23 @@ class SweepSpec:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
-        with _about("epsilons"):
+        with about("epsilons"):
             if len(eps) == 0:
                 raise ValueError("epsilons must be nonempty")
             if any(not e > 0.0 for e in eps):
                 raise ValueError("epsilons must be positive")
             if any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
                 raise ValueError("epsilons must be strictly descending")
-        for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples", "reg_floor"):
-            with _about(key):
-                check_positive(key, getattr(self, key))
-        with _about("n"):
-            check_size(self.n)
-        with _about("x_max", "x_min"):
-            grid = Grid1D(self.x_min, self.x_max, self.n)
-        with _about("L_c", "n", "x_max", "x_min"):
+        positive(**{key: getattr(self, key)
+                    for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples", "reg_floor")})
+        grid = Grid1D(self.x_min, self.x_max, self.n)
+        with about("L_c", "n", "x_max", "x_min"):
             check_width(grid, self.L_c)
-        with _about("x0", "x_min", "x_max"):
+        with about("x0", "x_min", "x_max"):
             grid.check_inside("x0", self.x0)
-        with _about("k0"):
+        with about("k0"):
             check_wavenumber(grid, self.L_c, self.k0)
-        with _about("dt_ref"):
+        with about("dt_ref"):
             for e in eps:
                 hbar, dt, _, _ = self.time_grid(e)
                 check_dt(grid, PhysicalParams(hbar=hbar, mass=self.mass), dt)
@@ -92,7 +71,7 @@ class SweepSpec:
         """
         hbar = self.hbar_for(eps)
         dt = self.dt_ref * self.epsilons[0] / eps
-        n_steps = max(1, int(round(self.t_c / dt)))
+        n_steps = max(1, step_count(self.t_c / dt))
         stride = max(1, int(round(n_steps / self.n_samples)))
         n_steps = stride * max(1, int(round(n_steps / stride)))
         return hbar, self.t_c / n_steps, n_steps, stride

@@ -1,19 +1,22 @@
-"""Flat key = value run configuration with line-precise validation errors.
+"""Flat key = value configs for `simulate`/`oracle`, `sweep` and `binning`.
 
-Format: UTF-8 text, one `key = value` per line, `#` starts a comment, blank
-lines ignored.  Unknown keys, type mismatches, and violated physical bounds
-are all reported with the offending line number.
+All three share one grammar and one parser, `_parse`: UTF-8 text, one
+`key = value` per line, `#` starts a comment, blank lines are ignored.  A
+malformed line, a duplicate or unknown key, or a value that does not convert
+(numbers must be finite; bools are true/yes/1 or false/no/0) is reported at
+its line.  A missing required key is reported without a line.  Each config's
+builder then checks the values; a failed check is a `SpecError` naming the
+keys at fault and is reported at the line of the first of them the text sets.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .climit import SpecError, SweepSpec
+from .climit import SweepSpec
 from .entropy import _subvolume_indices, bin_size, check_normalized
-from .grid import Grid1D, PhysicalParams, RealField, check_positive, check_size
+from .grid import Grid1D, PhysicalParams, RealField, SpecError, about, positive, step_count
 from .oracle import _normal_density
 from .propagate import Potential, check_dt, check_wavenumber, check_width
 
@@ -24,17 +27,6 @@ class ConfigError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-@contextmanager
-def _at_line(line: int | None):
-    """Report a ValueError raised by the enclosed checks as a ConfigError at line."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), line) from exc
 
 
 def _tokenize(text: str) -> dict:
@@ -85,52 +77,36 @@ def _convert(kind: str, value: str, key: str, line: int):
     raise AssertionError(f"unknown schema kind {kind}")
 
 
-class _Entries:
-    """Typed access to tokenized entries against a fixed schema."""
+def _parse(text: str, schema: dict, build):
+    """build(**values) for the keys of schema, a map key -> (kind, default).
 
-    def __init__(self, text: str, schema: dict):
-        self.schema = schema
-        self.raw = _tokenize(text)
-        for key, (_, line) in self.raw.items():
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r}", line)
+    A key the text does not set takes its default; a default of MISSING makes
+    it required.  A SpecError from build is reported at the line of the first
+    key it names that the text sets.
+    """
+    raw = _tokenize(text)
+    for key, (_, line) in raw.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r}", line)
+    values = {key: _convert(schema[key][0], value, key, line)
+              for key, (value, line) in raw.items()}
+    for key, (_, default) in schema.items():
+        if key not in values:
+            if default is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+            values[key] = default
+    try:
+        return build(**values)
+    except SpecError as exc:
+        line = next((raw[key][1] for key in exc.keys if key in raw), None)
+        raise ConfigError(str(exc), line) from exc
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
 
-    def line(self, key: str) -> int | None:
-        return self.raw[key][1] if key in self.raw else None
-
-    def get(self, key: str, default=None):
-        if key not in self.raw:
-            return default
-        value, line = self.raw[key]
-        return _convert(self.schema[key], value, key, line)
-
-    def require(self, key: str):
-        if key not in self.raw:
-            raise ConfigError(f"missing required key {key!r}")
-        return self.get(key)
-
-    def positive(self, key: str, default=None):
-        """The value of key (required if there is no default), checked positive."""
-        value = self.require(key) if default is None else self.get(key, default)
-        with _at_line(self.line(key)):
-            check_positive(key, value)
-        return value
-
-    def grid(self) -> Grid1D:
-        n = self.require("n")
-        x_min, x_max = self.require("x_min"), self.require("x_max")
-        with _at_line(self.line("n")):
-            check_size(n)
-        with _at_line(self.line("x_max")):
-            return Grid1D(x_min, x_max, n)
-
-    def check_inside(self, grid: Grid1D, key: str) -> None:
-        if self.has(key):
-            with _at_line(self.line(key)):
-                grid.check_inside(key, self.get(key))
+def _required(**values) -> None:
+    """Raise on the first of the keys (optional in the schema) left unset."""
+    for key, value in values.items():
+        if value is None:
+            raise SpecError(f"missing required key {key!r}", (key,))
 
 
 @dataclass(frozen=True)
@@ -145,7 +121,6 @@ class RunConfig:
     amplitude: float | None
     potential: Potential
     dt: float
-    t_final: float
     n_steps: int
     observe_stride: int
     reg_floor: float
@@ -156,117 +131,101 @@ class RunConfig:
 
 
 _RUN_SCHEMA = {
-    "x_min": "float",
-    "x_max": "float",
-    "n": "int",
-    "hbar": "float",
-    "mass": "float",
-    "initial": "str",
-    "sigma0": "float",
-    "x0": "float",
-    "k0": "float",
-    "omega": "float",
-    "amplitude": "float",
-    "potential": "str",
-    "potential_omega": "float",
-    "potential_center": "float",
-    "barrier_height": "float",
-    "barrier_width": "float",
-    "barrier_center": "float",
-    "dt": "float",
-    "t_final": "float",
-    "observe_stride": "int",
-    "reg_floor": "float",
-    "subvolume_a": "float",
-    "subvolume_b": "float",
-    "save_snapshots": "bool",
-    "norm_tol": "float",
-    "eq16_rel_tol": "float",
+    "x_min": ("float", MISSING),
+    "x_max": ("float", MISSING),
+    "n": ("int", MISSING),
+    "hbar": ("float", 1.0),
+    "mass": ("float", 1.0),
+    "initial": ("str", "gaussian"),
+    "sigma0": ("float", None),
+    "x0": ("float", None),
+    "k0": ("float", 0.0),
+    "omega": ("float", None),
+    "amplitude": ("float", None),
+    "potential": ("str", "free"),
+    "potential_omega": ("float", None),
+    "potential_center": ("float", 0.0),
+    "barrier_height": ("float", None),
+    "barrier_width": ("float", None),
+    "barrier_center": ("float", 0.0),
+    "dt": ("float", MISSING),
+    "t_final": ("float", MISSING),
+    "observe_stride": ("int", 10),
+    "reg_floor": ("float", 1e-12),
+    "subvolume_a": ("float", None),
+    "subvolume_b": ("float", None),
+    "save_snapshots": ("bool", False),
+    "norm_tol": ("float", 1e-8),
+    "eq16_rel_tol": ("float", None),
 }
 
 
-def parse_config(text: str) -> RunConfig:
-    e = _Entries(text, _RUN_SCHEMA)
-    grid = e.grid()
-
-    hbar, mass = e.positive("hbar", 1.0), e.positive("mass", 1.0)
+def _run_config(
+    *, x_min, x_max, n, hbar, mass, initial, sigma0, x0, k0, omega, amplitude,
+    potential, potential_omega, potential_center, barrier_height, barrier_width,
+    barrier_center, dt, t_final, observe_stride, reg_floor, subvolume_a,
+    subvolume_b, save_snapshots, norm_tol, eq16_rel_tol,
+) -> RunConfig:
+    grid = Grid1D(x_min, x_max, n)
+    positive(hbar=hbar, mass=mass)
     params = PhysicalParams(hbar=hbar, mass=mass)
 
-    initial = e.get("initial", "gaussian")
     if initial not in ("gaussian", "coherent"):
-        raise ConfigError(
-            f"initial must be 'gaussian' or 'coherent', got {initial!r}",
-            e.line("initial"),
-        )
-    for key in ("x0", "amplitude"):
-        e.check_inside(grid, key)
-    omega = amplitude = None
+        raise SpecError(f"initial must be 'gaussian' or 'coherent', got {initial!r}",
+                        ("initial",))
+    for key, value in (("x0", x0), ("amplitude", amplitude)):
+        if value is not None:
+            with about(key):
+                grid.check_inside(key, value)
     if initial == "gaussian":
-        sigma0 = e.require("sigma0")
-        width_line = e.line("sigma0")
+        _required(sigma0=sigma0)
+        width_key = "sigma0"
     else:
-        omega = e.positive("omega")
-        amplitude = e.require("amplitude")
-        sigma0 = float(np.sqrt(hbar / (2.0 * mass * omega)))
-        width_line = e.line("omega")
-    with _at_line(width_line):
+        _required(omega=omega, amplitude=amplitude)
+        positive(omega=omega)
+        with about("omega"):
+            sigma0 = float(np.sqrt(hbar / (2.0 * mass * omega)))
+        width_key = "omega"
+    with about(width_key):
         check_width(grid, sigma0)
-    with _at_line(e.line("k0")):
-        check_wavenumber(grid, sigma0, e.get("k0", 0.0))
+    with about("k0"):
+        check_wavenumber(grid, sigma0, k0)
 
-    pot_kind = e.get("potential", "free")
-    with _at_line(e.line("potential")):
-        if pot_kind == "free":
-            potential = Potential.free()
-        elif pot_kind == "harmonic":
-            potential = Potential.harmonic(
-                e.require("potential_omega"), e.get("potential_center", 0.0)
-            )
-        elif pot_kind == "gaussian_barrier":
-            potential = Potential.gaussian_barrier(
-                e.require("barrier_height"),
-                e.require("barrier_width"),
-                e.get("barrier_center", 0.0),
-            )
-        else:
-            raise ConfigError(
-                f"potential must be free, harmonic, or gaussian_barrier, "
-                f"got {pot_kind!r}",
-                e.line("potential"),
-            )
+    if potential == "free":
+        pot = Potential.free()
+    elif potential == "harmonic":
+        _required(potential_omega=potential_omega)
+        with about("potential_omega"):
+            pot = Potential.harmonic(potential_omega, potential_center)
+    elif potential == "gaussian_barrier":
+        _required(barrier_height=barrier_height, barrier_width=barrier_width)
+        with about("barrier_width"):
+            pot = Potential.gaussian_barrier(barrier_height, barrier_width, barrier_center)
+    else:
+        raise SpecError(f"potential must be free, harmonic, or gaussian_barrier, "
+                        f"got {potential!r}", ("potential",))
 
-    dt = e.positive("dt")
-    with _at_line(e.line("dt")):
-        check_dt(grid, params, dt)
-
-    t_final = e.require("t_final")
+    positive(dt=dt)
     if t_final < 0.0:
-        raise ConfigError(f"t_final must be >= 0, got {t_final}", e.line("t_final"))
-    n_steps = int(round(t_final / dt))
+        raise SpecError(f"t_final must be >= 0, got {t_final}", ("t_final",))
+    with about("dt"):
+        check_dt(grid, params, dt)
+        n_steps = step_count(t_final / dt)
     if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
-        raise ConfigError(
-            f"t_final = {t_final} is not a whole number of steps dt = {dt}",
-            e.line("t_final"),
-        )
-
-    observe_stride = e.get("observe_stride", 10)
+        raise SpecError(f"t_final = {t_final} is not a whole number of steps dt = {dt}",
+                        ("t_final",))
     if observe_stride < 1 or n_steps % observe_stride:
-        raise ConfigError(
-            f"observe_stride = {observe_stride} must be >= 1 and divide the "
-            f"{n_steps} steps",
-            e.line("observe_stride") or e.line("t_final"),
-        )
-    reg_floor = e.positive("reg_floor", 1e-12)
+        raise SpecError(f"observe_stride = {observe_stride} must be >= 1 and divide the "
+                        f"{n_steps} steps", ("observe_stride", "t_final"))
+    positive(reg_floor=reg_floor)
 
     subvolume = None
-    if e.has("subvolume_a") or e.has("subvolume_b"):
-        if not (e.has("subvolume_a") and e.has("subvolume_b")):
-            raise ConfigError(
-                "subvolume_a and subvolume_b must be given together",
-                e.line("subvolume_a") or e.line("subvolume_b"),
-            )
-        subvolume = (e.get("subvolume_a"), e.get("subvolume_b"))
-        with _at_line(e.line("subvolume_a")):
+    if (subvolume_a, subvolume_b) != (None, None):
+        if None in (subvolume_a, subvolume_b):
+            raise SpecError("subvolume_a and subvolume_b must be given together",
+                            ("subvolume_a", "subvolume_b"))
+        subvolume = (subvolume_a, subvolume_b)
+        with about("subvolume_a"):
             _subvolume_indices(grid, subvolume)
 
     return RunConfig(
@@ -274,48 +233,35 @@ def parse_config(text: str) -> RunConfig:
         params=params,
         initial_kind=initial,
         sigma0=sigma0,
-        x0=e.get("x0", 0.0),
-        k0=e.get("k0", 0.0),
+        x0=0.0 if x0 is None else x0,
+        k0=k0,
         omega=omega,
         amplitude=amplitude,
-        potential=potential,
+        potential=pot,
         dt=dt,
-        t_final=t_final,
         n_steps=n_steps,
         observe_stride=observe_stride,
         reg_floor=reg_floor,
         subvolume=subvolume,
-        save_snapshots=e.get("save_snapshots", False),
-        norm_tol=e.get("norm_tol", 1e-8),
-        eq16_rel_tol=e.get("eq16_rel_tol", None),
+        save_snapshots=save_snapshots,
+        norm_tol=norm_tol,
+        eq16_rel_tol=eq16_rel_tol,
     )
 
 
+def parse_config(text: str) -> RunConfig:
+    return _parse(text, _RUN_SCHEMA, _run_config)
+
+
+# SweepSpec's fields are the sweep config's keys, with their types and defaults
 _SWEEP_SCHEMA = {
-    "epsilons": "float_list",
-    "t_c": "float",
-    "L_c": "float",
-    "x_min": "float",
-    "x_max": "float",
-    "n": "int",
-    "mass": "float",
-    "x0": "float",
-    "k0": "float",
-    "dt_ref": "float",
-    "n_samples": "int",
-    "reg_floor": "float",
+    f.name: ({"tuple": "float_list"}.get(f.type, f.type), f.default)
+    for f in fields(SweepSpec)
 }
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
-    e = _Entries(text, _SWEEP_SCHEMA)
-    for key in ("epsilons", "t_c", "L_c"):
-        e.require(key)
-    try:
-        return SweepSpec(**{key: e.get(key) for key in e.raw})
-    except SpecError as exc:
-        line = next((e.line(key) for key in exc.keys if e.has(key)), None)
-        raise ConfigError(str(exc), line) from exc
+    return _parse(text, _SWEEP_SCHEMA, SweepSpec)
 
 
 @dataclass(frozen=True)
@@ -328,32 +274,29 @@ class BinningConfig:
 
 
 _BINNING_SCHEMA = {
-    "x_min": "float",
-    "x_max": "float",
-    "n": "int",
-    "sigma0": "float",
-    "x0": "float",
-    "bin_widths": "float_list",
-    "reg_floor": "float",
+    "x_min": ("float", MISSING),
+    "x_max": ("float", MISSING),
+    "n": ("int", MISSING),
+    "sigma0": ("float", MISSING),
+    "x0": ("float", 0.0),
+    "bin_widths": ("float_list", MISSING),
+    "reg_floor": ("float", 1e-12),
 }
 
 
-def parse_binning_config(text: str) -> BinningConfig:
-    e = _Entries(text, _BINNING_SCHEMA)
-    grid = e.grid()
-    sigma0 = e.positive("sigma0")
-    e.check_inside(grid, "x0")
-    x0 = e.get("x0", 0.0)
-    bin_widths = e.require("bin_widths")
-    with _at_line(e.line("bin_widths")):
+def _binning_config(*, x_min, x_max, n, sigma0, x0, bin_widths, reg_floor) -> BinningConfig:
+    grid = Grid1D(x_min, x_max, n)
+    positive(sigma0=sigma0)
+    with about("x0", "x_min", "x_max"):
+        grid.check_inside("x0", x0)
+    with about("bin_widths"):
         for dq in bin_widths:
             bin_size(grid, dq)
-    with _at_line(e.line("sigma0")):
+    with about("sigma0"):
         check_normalized(RealField(grid, _normal_density(grid.x, x0, sigma0**2)))
-    return BinningConfig(
-        grid=grid,
-        sigma0=sigma0,
-        x0=x0,
-        bin_widths=bin_widths,
-        reg_floor=e.positive("reg_floor", 1e-12),
-    )
+    positive(reg_floor=reg_floor)
+    return BinningConfig(grid, sigma0, x0, bin_widths, reg_floor)
+
+
+def parse_binning_config(text: str) -> BinningConfig:
+    return _parse(text, _BINNING_SCHEMA, _binning_config)

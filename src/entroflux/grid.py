@@ -1,4 +1,5 @@
-"""Uniform periodic 1-D grid, field containers, quadrature, and derivatives.
+"""Uniform periodic 1-D grid, field containers, quadrature, and derivatives,
+and the input checks that report which input is at fault (`SpecError`).
 
 All fields live on a ``Grid1D``: n equally spaced samples x_k = x_min + k*dx
 with the right endpoint excluded (periodic wrap).  Quadrature is the periodic
@@ -7,14 +8,54 @@ is spectrally accurate for smooth periodic fields.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 
+class SpecError(ValueError):
+    """An invalid input; `keys` names the inputs at fault, the likeliest first."""
+
+    def __init__(self, message: str, keys: tuple):
+        super().__init__(message)
+        self.keys = keys
+
+
+@contextmanager
+def about(*keys: str):
+    """Report a check failed in the enclosed block as a SpecError on keys.
+
+    A ValueError, or an overflow or division by zero the inputs cause, is
+    re-raised on keys; a SpecError keeps the keys it names.
+    """
+    try:
+        yield
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(str(exc), keys) from exc
+    except ArithmeticError as exc:
+        raise SpecError(f"{keys[0]} is out of range: {exc}", keys) from exc
+
+
 def check_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def positive(**values) -> None:
+    """check_positive each value, reported as a SpecError on its own key."""
+    for key, value in values.items():
+        with about(key):
+            check_positive(key, value)
+
+
+def step_count(steps: float) -> int:
+    """steps rounded to an int; raises unless it is finite and below 2**63."""
+    if not abs(steps) < 2.0**63:
+        raise ValueError(f"time step too small: {steps:.6g} steps, must be below 2**63")
+    return int(round(steps))
 
 
 @dataclass(frozen=True)
@@ -29,23 +70,19 @@ class PhysicalParams:
         check_positive("mass", self.mass)
 
 
-def check_size(n: int) -> None:
-    """Raise unless n is a power of two >= 16."""
-    if n < 16 or int(n) & (int(n) - 1):
-        raise ValueError(f"n must be a power of two >= 16, got {n}")
-
-
 class Grid1D:
     """Uniform periodic grid on [x_min, x_max) with n samples.
 
     n must be a power of two (>= 16) so the FFT-based machinery has a
-    well-defined Nyquist mode.
+    well-defined Nyquist mode.  A bad n or range raises a SpecError on its key.
     """
 
     def __init__(self, x_min: float, x_max: float, n: int):
-        check_size(n)
+        if n < 16 or int(n) & (int(n) - 1):
+            raise SpecError(f"n must be a power of two >= 16, got {n}", ("n",))
         if not x_max > x_min:
-            raise ValueError(f"x_max must exceed x_min, got [{x_min}, {x_max})")
+            raise SpecError(f"x_max must exceed x_min, got [{x_min}, {x_max})",
+                            ("x_max", "x_min"))
         self.x_min = float(x_min)
         self.x_max = float(x_max)
         self.n = int(n)

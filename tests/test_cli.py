@@ -174,12 +174,20 @@ def test_binning_command(tmp_path):
         ("k0 = 1e5\n", 8),  # n = 512 on [-20, 20) resolves |k| below pi/dx ~ 40
         ("subvolume_a = 0.0\nsubvolume_b = 0.01\n", 8),  # narrower than dx
         ("hbar = 1\nmass = -1\n", 9),
+        # a pair replaces a line of SIM_CONFIG in place of adding one:
+        # t_final / dt overflows to inf, or is 2e299 steps
+        (("dt = 1e-3", "dt = 1e-320"), 5),
+        (("dt = 1e-3", "dt = 1e-300"), 5),
+        (("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
+          "dt = 1e-300\nt_final = 0.2\nobserve_stride = 1"), 5),
     ],
     ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
-         "subvolume_below_dx", "mass_negative"],
+         "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
+         "dt_too_many_rows"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
-    cfg = _write(tmp_path, "run.cfg", SIM_CONFIG + extra)
+    text = SIM_CONFIG.replace(*extra) if isinstance(extra, tuple) else SIM_CONFIG + extra
+    cfg = _write(tmp_path, "run.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}:")
@@ -206,10 +214,13 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE + "k0 = 1e5\n", 4, "k0 = 100000.0 is not resolved"),
         # hbar = 0.2, dt = 1 on dx = 40/1024: kinetic phase 647 per step
         ("sweep", SWEEP_BASE + "dt_ref = 1\n", 4, "time step too large"),
+        # t_c / dt overflows to inf, or is about 1e300 steps
+        ("sweep", SWEEP_BASE + "dt_ref = 1e-320\n", 4, "time step too small"),
+        ("sweep", SWEEP_BASE + "dt_ref = 1e-300\n", 4, "time step too small"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
-         "sweep_k0", "sweep_dt_ref_phase"],
+         "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message

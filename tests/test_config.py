@@ -54,10 +54,29 @@ def test_duplicate_key_rejected():
         ef.parse_config(MINIMAL + "sigma0 = 2.0\n")
 
 
-def test_missing_required_key():
-    text = MINIMAL.replace("sigma0 = 1.0\n", "")
-    with pytest.raises(ef.ConfigError, match="sigma0"):
+COHERENT = MINIMAL.replace("sigma0 = 1.0", "initial = coherent\nomega = 1.0\namplitude = 2.0")
+
+
+@pytest.mark.parametrize(
+    "text,match,line",
+    [
+        (MINIMAL.replace("sigma0 = 1.0\n", ""), "missing required key 'sigma0'", None),
+        (COHERENT.replace("omega = 1.0\n", ""), "missing required key 'omega'", None),
+        (COHERENT.replace("amplitude = 2.0\n", ""), "missing required key 'amplitude'", None),
+        (MINIMAL + "potential = harmonic\n", "missing required key 'potential_omega'", None),
+        (MINIMAL + "potential = gaussian_barrier\nbarrier_width = 1.0\n",
+         "missing required key 'barrier_height'", None),
+        (MINIMAL + "potential = gaussian_barrier\nbarrier_height = 0.5\n",
+         "missing required key 'barrier_width'", None),
+        (MINIMAL + "subvolume_b = 2\n", "together", 8),
+    ],
+    ids=["sigma0", "omega", "amplitude", "potential_omega", "barrier_height",
+         "barrier_width", "subvolume_a"],
+)
+def test_missing_required_key(text, match, line):
+    with pytest.raises(ef.ConfigError, match=match) as info:
         ef.parse_config(text)
+    assert info.value.line == line
 
 
 def test_coarse_grid_rejected():
