@@ -45,16 +45,18 @@ def _read_config(path: str) -> str:
 
 def _cmd_run(args, analytic: bool) -> int:
     cfg = parse_config(_read_config(args.config))
-    report = run_oracle(cfg) if analytic else run_simulation(cfg)
     out = Path(args.out)
+    on_block = None
+    if cfg.save_snapshots:
+        def on_block(first, rows):
+            write_snapshots(rows, out / "snapshots", first)
+    report = (run_oracle if analytic else run_simulation)(cfg, on_block)
     out.mkdir(parents=True, exist_ok=True)
     write_series_csv(report.columns, out / "series.csv")
     write_summary_json(report.summary, out / "summary.json")
-    if cfg.save_snapshots:
-        write_snapshots(report.series, out / "snapshots")
     if not args.quiet:
         print(
-            f"{'oracle' if analytic else 'simulate'}: {len(report.series.t)} rows, "
+            f"{'oracle' if analytic else 'simulate'}: {len(report.columns['t'])} rows, "
             f"I = {report.summary['I_final']:.6g}, "
             f"delta_I = {report.summary['delta_I']:.6g}, "
             f"checks {'passed' if report.summary['passed'] else 'FAILED'}"

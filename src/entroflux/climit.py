@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import collect, diagnose, summarize
+from .entropy import Diagnostics, collect, summarize
 # SpecError is re-exported: an invalid SweepSpec raises it
-from .grid import Grid1D, PhysicalParams, SpecError, about, positive, step_count
+from .grid import (
+    Grid1D, PhysicalParams, SpecError, about, check_rows, check_work, positive, step_count,
+)
 from .oracle import GaussianOracle
 from .propagate import Potential, check_dt, check_wavenumber, check_width, init_gaussian
 
@@ -55,9 +57,13 @@ class SweepSpec:
         with about("k0"):
             check_wavenumber(grid, self.L_c, self.k0)
         with about("dt_ref"):
-            for e in eps:
-                hbar, dt, _, _ = self.time_grid(e)
+            rows = [self.time_grid(e) for e in eps]
+            for hbar, dt, n_steps, _ in rows:
                 check_dt(grid, PhysicalParams(hbar=hbar, mass=self.mass), dt)
+                check_work(n_steps, self.n)
+        with about("n_samples"):
+            for _, _, n_steps, stride in rows:
+                check_rows(n_steps // stride + 1)
 
     def hbar_for(self, eps: float) -> float:
         return eps * self.mass * self.L_c**2 / self.t_c
@@ -106,13 +112,15 @@ def _run_one(spec: SweepSpec, eps: float) -> SweepRow:
     common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)
     try:
         wf = init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
-        series = collect(wf, Potential.free(), dt, n_steps, stride, spec.reg_floor)
-        if len(series.t) < 3:
-            raise ValueError(f"{len(series.t)} samples leave no centred difference")
-        seam = max(series.rho[-1, 0], series.rho[-1, -1])
+        n_rows = n_steps // stride + 1
+        if n_rows < 3:
+            raise ValueError(f"{n_rows} samples leave no centred difference")
+        stream = Diagnostics(grid, n_rows, spec.reg_floor)
+        collect(wf, Potential.free(), dt, n_steps, stride, stream)
+        seam = max(stream.last_rho[0], stream.last_rho[-1])
         if seam > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
-        summary = summarize(diagnose(series))
+        summary = summarize(stream.columns())
     except ValueError as exc:
         nan = float("nan")
         return SweepRow(**common, delta_I=nan, residual13_l2_max=nan,

@@ -16,7 +16,10 @@ import numpy as np
 
 from .climit import SweepSpec
 from .entropy import _subvolume_indices, bin_size, check_normalized
-from .grid import Grid1D, PhysicalParams, RealField, SpecError, about, positive, step_count
+from .grid import (
+    Grid1D, PhysicalParams, RealField, SpecError, about, check_rows, check_work, positive,
+    step_count,
+)
 from .oracle import _normal_density
 from .propagate import Potential, check_dt, check_wavenumber, check_width
 
@@ -211,12 +214,15 @@ def _run_config(
     with about("dt"):
         check_dt(grid, params, dt)
         n_steps = step_count(t_final / dt)
+        check_work(n_steps, grid.n)
     if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
         raise SpecError(f"t_final = {t_final} is not a whole number of steps dt = {dt}",
                         ("t_final",))
     if observe_stride < 1 or n_steps % observe_stride:
         raise SpecError(f"observe_stride = {observe_stride} must be >= 1 and divide the "
                         f"{n_steps} steps", ("observe_stride", "t_final"))
+    with about("observe_stride"):
+        check_rows(n_steps // observe_stride + 1)
     positive(reg_floor=reg_floor)
 
     subvolume = None
@@ -227,6 +233,9 @@ def _run_config(
         subvolume = (subvolume_a, subvolume_b)
         with about("subvolume_a"):
             _subvolume_indices(grid, subvolume)
+    positive(norm_tol=norm_tol)
+    if eq16_rel_tol is not None:
+        positive(eq16_rel_tol=eq16_rel_tol)
 
     return RunConfig(
         grid=grid,

@@ -14,10 +14,16 @@ Diagnostics (all residuals should vanish to discretization order):
   integral form    dI/dt = -[(rho_I - rho) v]_boundary - int v d(rho)/dx
 with the boundary term vanishing on the full periodic domain.
 
-A run stacks its samples in one `Series` of (T, n) arrays, and `diagnose`
-computes every check from slices of it.  The per-instant functions
+A run streams its samples through one consumer, `Diagnostics`, in blocks of
+at most CHUNK_POINTS grid points.  Each block's rows get their per-row columns
+and, with the two rows before the block carried along as a halo, the centred
+residuals of every row whose neighbours have arrived; an optional hook sees
+the block (to write snapshot files), and then the block's buffers take the
+next rows.  So a run holds O(CHUNK_POINTS) field values plus O(T) scalar
+columns.  `diagnose` feeds a stored `Series` of (T, n) arrays through the same
+consumer, so each column has one implementation; the per-instant functions
 (`take_snapshot`, `balance_residual`, `rate_identity_residual`,
-`entropy_rate_check`, `sign_witness`) pass small stacks through the same code.
+`entropy_rate_check`, `sign_witness`) pass small stacks through it.
 """
 from __future__ import annotations
 
@@ -34,6 +40,20 @@ from .propagate import Potential, WaveFunction, check_norms, split_steps
 # Grid points per block of rows in `collect` and `diagnose`; bounds their FFT
 # temporaries.
 CHUNK_POINTS = 1 << 15
+
+
+def _keep_temporaries_on_heap(nbytes: int) -> None:
+    """Allocate and free nbytes at once, untouched, so it costs no page faults.
+
+    glibc's malloc serves a request above its mmap threshold (128 KiB at
+    start) with a fresh mapping and unmaps it on free, so a temporary that
+    large faults every page in anew each time it is made: a block's
+    temporaries, or the scratch array pocketfft allocates in every transform
+    at n >= 8192.  Freeing one mapped chunk raises that threshold to the
+    chunk's size, and the heap's trim threshold to twice that, for the rest
+    of the process.  Other allocators are not affected.
+    """
+    np.empty(nbytes, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -132,12 +152,17 @@ def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
     return integrate(info_density(rho, reg_floor))
 
 
+_ROW_FIELDS = ("t", "rho", "current", "velocity", "rho_I", "floored_points")
+
+
 @dataclass(frozen=True)
 class Series:
     """Observed samples stacked along axis 0: row i holds the fields at t[i].
 
     rho, current, velocity and rho_I are (T, n) arrays; t and floored_points
     have one entry per row.  rho_I uses reg_floor, as does the rate identity.
+    A run's block of rows (`Diagnostics.block`) and the small stacks of the
+    per-instant functions are Series; a run never stacks all its rows.
     """
 
     grid: Grid1D
@@ -187,6 +212,11 @@ class Series:
         self.rho_I[lo:hi] = _info_density(rho, self.reg_floor)
         self.floored_points[lo:hi] = floored
 
+    def rows(self, lo: int, hi: int) -> "Series":
+        """Rows lo..hi-1 as a Series of views of this one."""
+        return Series(self.grid, self.reg_floor, *(
+            getattr(self, name)[lo:hi] for name in _ROW_FIELDS))
+
     def snapshot(self, i: int) -> Snapshot:
         """Row i as a Snapshot whose fields are views of this series."""
         grid, t = self.grid, float(self.t[i])
@@ -199,37 +229,6 @@ class Series:
             floored_points=int(self.floored_points[i]),
         )
         return Snapshot(den=den, info=InfoDensityField(rho_I=rho_i, I=integrate(rho_i), t=t))
-
-
-def collect(
-    wf: WaveFunction,
-    potential: Potential,
-    dt: float,
-    n_steps: int,
-    stride: int,
-    reg_floor: float = DEFAULT_REG_FLOOR,
-) -> Series:
-    """Evolve wf by n_steps; stack its fields at the start and every `stride` steps.
-
-    The observed states are copied into a block of up to CHUNK_POINTS grid
-    points, and each full block (and the last, partial one) goes through
-    `Series.observe_rows` at once.
-    """
-    series = Series.empty(wf.grid, n_steps // stride + 1, reg_floor)
-    last = len(series.t) - 1
-    block = np.empty((min(last + 1, max(1, CHUNK_POINTS // wf.grid.n)), wf.grid.n), complex)
-
-    def on_row(i: int, psi: np.ndarray) -> None:
-        row = i // stride
-        k = row % len(block)
-        series.t[row] = wf.t + i * dt
-        block[k] = psi
-        if k == len(block) - 1 or row == last:
-            series.observe_rows(row - k, block[: k + 1], wf.params)
-
-    on_row(0, wf.psi.values)
-    split_steps(wf, potential, dt, n_steps, on_row, stride)
-    return series
 
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
@@ -337,21 +336,150 @@ def _l2(dx: float, r: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * np.sum(r * r, axis=1))
 
 
-def _residuals(series: Series, a: int, b: int, dt: float, v_drho: np.ndarray, out: dict) -> None:
-    """Local balance law and rate identity at the interior rows a..b-1."""
-    grid = series.grid
-    rho, v, rho_I = series.rho[a:b], series.velocity[a:b], series.rho_I[a:b]
-    d_rho_I = (series.rho_I[a + 1 : b + 1] - series.rho_I[a - 1 : b - 1]) / (2.0 * dt)
-    div_flux = _spectral_derivative((rho_I - rho) * v, grid).real
-    r13 = d_rho_I + div_flux + v_drho
-    out["residual13_l2"][a:b] = _l2(grid.dx, r13)
-    out["residual13_linf"][a:b] = np.max(np.abs(r13), axis=1)
-    d_rho = (series.rho[a + 1 : b + 1] - series.rho[a - 1 : b - 1]) / (2.0 * dt)
-    mask = rho >= series.reg_floor
-    r9 = np.zeros_like(rho)
-    r9[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
-    out["residual9_l2"][a:b] = _l2(grid.dx, r9)
-    out["residual9_linf"][a:b] = np.max(np.abs(r9), axis=1)
+_COLUMNS = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
+            "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
+
+
+class Diagnostics:
+    """The `diagnose` columns of a series of rows that arrive a block at a time.
+
+    A producer writes the next rows, in time order, into `block` (a Series of
+    at most CHUNK_POINTS // n rows) and hands them over with `push(count)`.
+    Each push computes the per-row columns of those rows, and the centred
+    residuals of every row whose two neighbours have arrived: the last two
+    rows pushed stay behind as a halo just ahead of the block, so a residual
+    never depends on where a block ends.  Then on_block(first_row, rows) sees
+    the pushed rows as a Series of views, and the block is reused.  The block,
+    its halo and their temporaries are all the field memory a run holds;
+    only the scalar columns grow with n_rows.
+
+    See `diagnose` for the columns, the subvolume and dt.
+    """
+
+    def __init__(
+        self,
+        grid: Grid1D,
+        n_rows: int,
+        reg_floor: float = DEFAULT_REG_FLOOR,
+        subvolume=None,
+        dt: float | None = None,
+        on_block=None,
+    ):
+        if dt is not None:
+            check_positive("dt", dt)
+        _keep_temporaries_on_heap(4 * 16 * max(CHUNK_POINTS, grid.n))  # 4 complex blocks
+        self.dt = dt
+        self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
+        self.on_block = on_block
+        height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
+        # rows 0 and 1 of the window are the halo, rows 2.. the block
+        self.window = Series.empty(grid, height + 2, reg_floor)
+        self.v_drho = np.empty((height + 2, grid.n))
+        self.block = self.window.rows(2, height + 2)
+        self.t = np.zeros(n_rows)
+        self.floored_points = np.zeros(n_rows, dtype=int)
+        self.i_sub = np.zeros(n_rows)
+        self.out = {name: np.zeros(n_rows) for name in _COLUMNS}
+        self.n_pushed = 0
+
+    @property
+    def last_rho(self) -> np.ndarray:
+        """The density of the last row pushed."""
+        return self.window.rho[1]
+
+    def push(self, count: int) -> None:
+        """Take the first `count` rows of `block` as the next rows of the series."""
+        lo, hi = self.n_pushed, self.n_pushed + count
+        if not 0 < count <= len(self.block.t) or hi > len(self.t):
+            raise ValueError(f"cannot push {count} rows after {lo} of {len(self.t)}")
+        w, grid, out = self.window, self.window.grid, self.out
+        rows = slice(2, 2 + count)
+        rho, v, rho_I = w.rho[rows], w.velocity[rows], w.rho_I[rows]
+        v_drho = np.multiply(v, _spectral_derivative(rho, grid).real, out=self.v_drho[rows])
+        self.t[lo:hi] = w.t[rows]
+        self.floored_points[lo:hi] = w.floored_points[rows]
+        out["norm"][lo:hi] = grid.dx * rho.sum(axis=1)
+        out["I"][lo:hi] = grid.dx * rho_I.sum(axis=1)
+        out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
+        if self.subvolume is not None:
+            ia, ib = self.subvolume
+            xs = grid.x[ia : ib + 1]
+            self.i_sub[lo:hi] = np.trapezoid(rho_I[:, ia : ib + 1], xs, axis=1)
+            out["rhs_eq16"][lo:hi] = -np.trapezoid(v_drho[:, ia : ib + 1], xs, axis=1)
+            g = (rho_I[:, [ia, ib]] - rho[:, [ia, ib]]) * v[:, [ia, ib]]
+            out["boundary_flux"][lo:hi] = g[:, 1] - g[:, 0]
+        # rows lo-1 .. hi-2 now have both neighbours; row 0 never does
+        first = max(lo - 1, 1)
+        if first < hi - 1:
+            self._residuals(first - lo + 2, hi - 1 - lo + 2, first)
+        if self.on_block is not None:
+            self.on_block(lo, w.rows(2, 2 + count))
+        for a in (w.rho, w.rho_I, w.velocity, self.v_drho):
+            a[:2] = a[count : count + 2]
+        self.n_pushed = hi
+
+    def _residuals(self, a: int, b: int, first: int) -> None:
+        """Local balance law and rate identity at window rows a..b-1 (series rows first..)."""
+        w, grid = self.window, self.window.grid
+        dt = self.dt if self.dt is not None else float(self.t[1] - self.t[0])
+        rho, v, rho_I = w.rho[a:b], w.velocity[a:b], w.rho_I[a:b]
+        d_rho_I = (w.rho_I[a + 1 : b + 1] - w.rho_I[a - 1 : b - 1]) / (2.0 * dt)
+        div_flux = _spectral_derivative((rho_I - rho) * v, grid).real
+        r13 = d_rho_I + div_flux + self.v_drho[a:b]
+        rows = slice(first, first + b - a)
+        self.out["residual13_l2"][rows] = _l2(grid.dx, r13)
+        self.out["residual13_linf"][rows] = np.max(np.abs(r13), axis=1)
+        d_rho = (w.rho[a + 1 : b + 1] - w.rho[a - 1 : b - 1]) / (2.0 * dt)
+        mask = rho >= w.reg_floor
+        r9 = np.zeros_like(rho)
+        r9[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
+        self.out["residual9_l2"][rows] = _l2(grid.dx, r9)
+        self.out["residual9_linf"][rows] = np.max(np.abs(r9), axis=1)
+
+    def columns(self) -> dict:
+        """The columns of `diagnose`, once every row has been pushed."""
+        if self.n_pushed != len(self.t):
+            raise ValueError(f"only {self.n_pushed} of {len(self.t)} rows pushed")
+        dt = _sample_spacing(self.t) if self.dt is None else self.dt
+        out = dict(self.out, t=self.t, floored_points=self.floored_points)
+        out["dIdt_full"] = _rate(out["I"], dt)
+        if self.subvolume is None:
+            out["dIdt_fd"] = out["dIdt_full"]
+            out["rhs_eq16"] = out["rhs_eq16_full"]
+        else:
+            out["dIdt_fd"] = _rate(self.i_sub, dt)
+        out["rhs_eq15"] = -out["boundary_flux"] + out["rhs_eq16"]
+        return out
+
+
+def collect(
+    wf: WaveFunction,
+    potential: Potential,
+    dt: float,
+    n_steps: int,
+    stride: int,
+    stream: Diagnostics,
+) -> None:
+    """Evolve wf by n_steps; push its fields at the start and every `stride` steps.
+
+    The observed states are copied into a stack as high as `stream.block`, and
+    each full stack (and the last, partial one) goes through
+    `Series.observe_rows` at once, straight into the block, before the push.
+    """
+    block, last = stream.block, n_steps // stride
+    psi = np.empty((len(block.t), wf.grid.n), complex)
+
+    def on_row(i: int, values: np.ndarray) -> None:
+        row = i // stride
+        k = row % len(psi)
+        block.t[k] = wf.t + i * dt
+        psi[k] = values
+        if k == len(psi) - 1 or row == last:
+            block.observe_rows(0, psi[: k + 1], wf.params)
+            stream.push(k + 1)
+
+    on_row(0, wf.psi.values)
+    split_steps(wf, potential, dt, n_steps, on_row, stride)
 
 
 def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
@@ -367,46 +495,17 @@ def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
     is one-sided at the two ends, where the residuals have no centred stencil
     and read zero.
 
-    Rows are taken CHUNK_POINTS grid points at a time; the centred time
-    differences read one row on either side straight from the series' arrays.
+    The series is fed through a `Diagnostics` a block of rows at a time, as a
+    run's rows are.
     """
-    grid, n_rows = series.grid, len(series.t)
-    if dt is None:
-        dt = _sample_spacing(series.t)
-    else:
-        check_positive("dt", dt)
-    names = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
-             "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
-    out = {name: np.zeros(n_rows) for name in names}
-    out.update(t=series.t, floored_points=series.floored_points)
-    i_sub = np.zeros(n_rows)
-    if subvolume is not None:
-        ia, ib = _subvolume_indices(grid, subvolume)
-        xs = grid.x[ia : ib + 1]
-    step = max(1, CHUNK_POINTS // grid.n)
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        rho, v, rho_I = series.rho[lo:hi], series.velocity[lo:hi], series.rho_I[lo:hi]
-        v_drho = v * _spectral_derivative(rho, grid).real
-        out["norm"][lo:hi] = grid.dx * rho.sum(axis=1)
-        out["I"][lo:hi] = grid.dx * rho_I.sum(axis=1)
-        out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
-        if subvolume is not None:
-            i_sub[lo:hi] = np.trapezoid(rho_I[:, ia : ib + 1], xs, axis=1)
-            out["rhs_eq16"][lo:hi] = -np.trapezoid(v_drho[:, ia : ib + 1], xs, axis=1)
-            g = (rho_I[:, [ia, ib]] - rho[:, [ia, ib]]) * v[:, [ia, ib]]
-            out["boundary_flux"][lo:hi] = g[:, 1] - g[:, 0]
-        a, b = max(lo, 1), min(hi, n_rows - 1)
-        if a < b:
-            _residuals(series, a, b, dt, v_drho[a - lo : b - lo], out)
-    out["dIdt_full"] = _rate(out["I"], dt)
-    if subvolume is None:
-        out["dIdt_fd"] = out["dIdt_full"]
-        out["rhs_eq16"] = out["rhs_eq16_full"]
-    else:
-        out["dIdt_fd"] = _rate(i_sub, dt)
-    out["rhs_eq15"] = -out["boundary_flux"] + out["rhs_eq16"]
-    return out
+    stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume, dt)
+    height = len(stream.block.t)
+    for lo in range(0, len(series.t), height):
+        rows = series.rows(lo, lo + height)
+        for name in _ROW_FIELDS:
+            getattr(stream.block, name)[: len(rows.t)] = getattr(rows, name)
+        stream.push(len(rows.t))
+    return stream.columns()
 
 
 def _sign_witness(didt, rhs16, deadband: float = 1e-8) -> SignWitness:

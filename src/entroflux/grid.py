@@ -58,6 +58,27 @@ def step_count(steps: float) -> int:
     return int(round(steps))
 
 
+# The most work a run may take, in split steps times grid points: about half an
+# hour of steps at n = 1024 or n = 16384 on one core of a 2-core Xeon.
+MAX_WORK = 2**36
+# The most rows a run may observe: its O(rows) scalar columns then stay under
+# about 2 GB.
+MAX_ROWS = 2**24
+
+
+def check_work(n_steps: int, n: int) -> None:
+    """Raise unless n_steps steps on n grid points stay within MAX_WORK."""
+    if n_steps * n > MAX_WORK:
+        raise ValueError(f"time step too small: {n_steps} steps on {n} grid points exceed "
+                         f"the work ceiling of 2**36 point-steps")
+
+
+def check_rows(n_rows: int) -> None:
+    """Raise unless n_rows observed rows stay within MAX_ROWS."""
+    if n_rows > MAX_ROWS:
+        raise ValueError(f"too many observed rows: {n_rows} exceed the ceiling of 2**24")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants in natural units."""

@@ -150,9 +150,19 @@ def split_steps(
     """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
-    another half kick, with the factors computed once per call.  on_row(i, psi)
-    is called after every `stride`-th step i with the state at t = wf.t + i*dt;
-    the loop never writes to an array it has passed out.
+    another half kick, with the factors computed once per call.  The loop
+    allocates no array: psi lives in buffer `a`, its transform in buffer `b`,
+    and every product and transform writes into one of them (`out=`).
+    on_row(i, psi) is called after every `stride`-th step i with a copy of the
+    state at t = wf.t + i*dt, so the loop never writes to an array it has
+    passed out.
+
+    The complex product's last bit depends on the order of its operands, and
+    numpy evaluates the expression `exp_t * np.fft.fft(psi)` as
+    `fft(psi) * exp_t` once the transform's temporary reaches 256 KiB (it
+    reuses the temporary and swaps the operands).  The kinetic product keeps
+    the order that expression has at this grid size, so the states are those
+    of the expression loop bit for bit.
     """
     if n_steps == 0:
         return wf.psi.values
@@ -163,13 +173,17 @@ def split_steps(
     v = potential.values(wf.grid.x, mass=m)
     exp_v_half = np.exp(-0.5j * v * dt / hbar)
     exp_t = np.exp(-0.5j * hbar * wf.grid.k**2 * dt / m)
+    a, b = np.empty_like(wf.psi.values), np.empty_like(wf.psi.values)
+    kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
     psi = wf.psi.values
     for i in range(1, n_steps + 1):
-        psi = exp_v_half * psi
-        psi = np.fft.ifft(exp_t * np.fft.fft(psi))
-        psi = exp_v_half * psi
+        np.multiply(exp_v_half, psi, out=a)
+        np.fft.fft(a, out=b)
+        np.multiply(*kinetic, out=b)
+        np.fft.ifft(b, out=a)
+        psi = np.multiply(exp_v_half, a, out=a)
         if on_row is not None and i % stride == 0:
-            on_row(i, psi)
+            on_row(i, psi.copy())
     return psi
 
 

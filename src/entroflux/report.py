@@ -1,9 +1,10 @@
 """Run orchestration and deterministic file outputs.
 
 A run produces a time series of diagnostic rows (series.csv), a summary with
-tolerance checks (summary.json), and optional per-sample field dumps.  All
-output is byte-deterministic: fixed column order, 17-significant-digit floats,
-no timestamps.
+tolerance checks (summary.json), and optional per-sample field dumps, which are
+written a block of rows at a time while the run goes on.  All output is
+byte-deterministic: fixed column order, 17-significant-digit floats, no
+timestamps.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .climit import SweepReport, SweepRow
 from .config import ConfigError, RunConfig
-from .entropy import BinRow, Series, collect, diagnose, summarize
+from .entropy import BinRow, Diagnostics, Series, collect, summarize
 from .oracle import CoherentOracle, GaussianOracle
 from .propagate import init_gaussian
 
@@ -37,9 +38,8 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class RunReport:
-    """The stacked samples of a run, its `diagnose` columns and its summary."""
+    """The `diagnose` columns of a run and its summary."""
 
-    series: Series
     columns: dict
     summary: dict
 
@@ -51,8 +51,13 @@ def _initial_state(cfg: RunConfig):
     return init_gaussian(cfg.grid, cfg.params, cfg.sigma0, x0=cfg.amplitude, k0=0.0)
 
 
-def _assemble(series: Series, cfg: RunConfig) -> RunReport:
-    columns = diagnose(series, cfg.subvolume)
+def _stream(cfg: RunConfig, on_block) -> Diagnostics:
+    n_rows = cfg.n_steps // cfg.observe_stride + 1
+    return Diagnostics(cfg.grid, n_rows, cfg.reg_floor, cfg.subvolume, on_block=on_block)
+
+
+def _assemble(stream: Diagnostics, cfg: RunConfig) -> RunReport:
+    columns = stream.columns()
     summary = summarize(columns)
     checks = {"norm": bool(summary["norm_drift_max"] <= cfg.norm_tol)}
     if cfg.eq16_rel_tol is not None:
@@ -60,22 +65,19 @@ def _assemble(series: Series, cfg: RunConfig) -> RunReport:
     summary["subvolume"] = list(cfg.subvolume) if cfg.subvolume else None
     summary["checks"] = checks
     summary["passed"] = all(checks.values())
-    return RunReport(series=series, columns=columns, summary=summary)
+    return RunReport(columns=columns, summary=summary)
 
 
-def run_simulation(cfg: RunConfig) -> RunReport:
-    series = collect(
-        _initial_state(cfg),
-        cfg.potential,
-        cfg.dt,
-        cfg.n_steps,
-        cfg.observe_stride,
-        cfg.reg_floor,
-    )
-    return _assemble(series, cfg)
+def run_simulation(cfg: RunConfig, on_block=None) -> RunReport:
+    """Simulate the configured run; on_block(first_row, rows) sees each block
+    of observed rows (a `Series` of views) before it is reused."""
+    stream = _stream(cfg, on_block)
+    collect(_initial_state(cfg), cfg.potential, cfg.dt, cfg.n_steps, cfg.observe_stride,
+            stream)
+    return _assemble(stream, cfg)
 
 
-def run_oracle(cfg: RunConfig) -> RunReport:
+def run_oracle(cfg: RunConfig, on_block=None) -> RunReport:
     """Emit the analytic-field series for the configured scenario.
 
     Only scenarios with a closed form are accepted: a gaussian initial state
@@ -99,11 +101,14 @@ def run_oracle(cfg: RunConfig) -> RunReport:
         oracle = CoherentOracle(
             omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params
         )
-    n_samples = cfg.n_steps // cfg.observe_stride
-    series = Series.empty(cfg.grid, n_samples + 1, cfg.reg_floor)
-    for i in range(n_samples + 1):
-        oracle.record(series, i, i * cfg.observe_stride * cfg.dt)
-    return _assemble(series, cfg)
+    stream = _stream(cfg, on_block)
+    block, last = stream.block, len(stream.t) - 1
+    for i in range(last + 1):
+        k = i % len(block.t)
+        oracle.record(block, k, i * cfg.observe_stride * cfg.dt)
+        if k == len(block.t) - 1 or i == last:
+            stream.push(k + 1)
+    return _assemble(stream, cfg)
 
 
 def write_table(path: Path, header, columns) -> None:
@@ -134,13 +139,14 @@ def write_summary_json(summary: dict, path: Path) -> None:
 SNAPSHOT_COLUMNS = ["x", "rho", "current", "velocity", "rho_I"]
 
 
-def write_snapshots(series: Series, out_dir: Path) -> None:
+def write_snapshots(series: Series, out_dir: Path, first: int = 0) -> None:
+    """Write row i of series as out_dir/snapshot_{first + i:06d}.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(len(series.t)):
         columns = (series.grid.x, series.rho[i], series.current[i], series.velocity[i],
                    series.rho_I[i])
-        write_table(out_dir / f"snapshot_{i:06d}.csv", SNAPSHOT_COLUMNS, columns)
+        write_table(out_dir / f"snapshot_{first + i:06d}.csv", SNAPSHOT_COLUMNS, columns)
 
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]

@@ -180,10 +180,19 @@ def test_binning_command(tmp_path):
         (("dt = 1e-3", "dt = 1e-300"), 5),
         (("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
           "dt = 1e-300\nt_final = 0.2\nobserve_stride = 1"), 5),
+        # 1e16 steps on 512 points: over the work ceiling of 2**36 point-steps
+        (("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
+          "dt = 1e-17\nt_final = 0.1\nobserve_stride = 1"), 5),
+        # 2**25 steps on 512 points is within the work ceiling, but 2**25 + 1
+        # rows exceed the row ceiling of 2**24
+        (("t_final = 0.2\nobserve_stride = 20", "t_final = 33554.432\nobserve_stride = 1"), 7),
+        ("norm_tol = -1\n", 8),
+        ("eq16_rel_tol = -5\n", 8),
     ],
     ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
          "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
-         "dt_too_many_rows"],
+         "dt_too_many_rows", "dt_over_work_ceiling", "stride_over_row_ceiling",
+         "norm_tol_negative", "eq16_rel_tol_negative"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
     text = SIM_CONFIG.replace(*extra) if isinstance(extra, tuple) else SIM_CONFIG + extra
@@ -217,10 +226,16 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         # t_c / dt overflows to inf, or is about 1e300 steps
         ("sweep", SWEEP_BASE + "dt_ref = 1e-320\n", 4, "time step too small"),
         ("sweep", SWEEP_BASE + "dt_ref = 1e-300\n", 4, "time step too small"),
+        # 1e15 steps of the first row on 1024 points
+        ("sweep", SWEEP_BASE + "dt_ref = 1e-15\n", 4, "work ceiling"),
+        # 2e7 steps within the work ceiling, observed at every step
+        ("sweep", SWEEP_BASE + "dt_ref = 1e-7\nn_samples = 100000000\n", 5,
+         "too many observed rows"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
-         "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps"],
+         "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
+         "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message

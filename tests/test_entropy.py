@@ -424,10 +424,141 @@ def test_series_columns_match_per_instant_api_bitwise(tmp_path):
     assert summary["sign_witness_eligible"] == witness.n_eligible
 
 
+# ---------- streamed blocks and snapshot files vs the per-instant API ----------
+
+SEAM_GRIDS = {
+    # blocks of 64 rows; 151 rows end in a partial block
+    512: "x_min = -16\nx_max = 16\nn = 512\ndt = 1e-3\nt_final = 0.15\n",
+    # blocks of 2 rows; 7 rows end in a partial block
+    16384: "x_min = -160\nx_max = 160\nn = 16384\ndt = 1e-4\nt_final = 6e-4\n",
+}
+SEAM_SCENARIOS = {
+    "simulate": "sigma0 = 1.0\nk0 = 0.5\npotential = gaussian_barrier\n"
+                "barrier_height = 2.0\nbarrier_width = 0.5\nbarrier_center = 1.0\n",
+    "oracle": "initial = coherent\nomega = 1.0\namplitude = 1.0\npotential = harmonic\n"
+              "potential_omega = 1.0\n",
+}
+
+
+def _snapshot_bytes(s) -> bytes:
+    columns = (s.den.rho.grid.x, s.den.rho.values, s.den.current.values,
+               s.den.velocity.values, s.info.rho_I.values)
+    lines = ["x,rho,current,velocity,rho_I"]
+    lines += [",".join("%.17g" % float(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", sorted(SEAM_GRIDS))
+@pytest.mark.parametrize("command", sorted(SEAM_SCENARIOS))
+def test_streamed_rows_and_snapshots_match_per_instant_api_bitwise(tmp_path, command, n):
+    from entroflux.cli import main
+    from entroflux.entropy import CHUNK_POINTS
+
+    sub = (-2.0, 2.5)
+    text = (SEAM_GRIDS[n] + SEAM_SCENARIOS[command] + "observe_stride = 1\n"
+            f"subvolume_a = {sub[0]}\nsubvolume_b = {sub[1]}\nsave_snapshots = true\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    cols = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
+    cfg = ef.parse_config(text)
+    height = CHUNK_POINTS // n
+    assert len(cols) > height and len(cols) % height != 0
+
+    if command == "simulate":
+        wf0 = ef.init_gaussian(cfg.grid, cfg.params, cfg.sigma0, cfg.x0, cfg.k0)
+        snaps = [ef.take_snapshot(wf0, cfg.reg_floor)]
+        ef.evolve(wf0, cfg.potential, cfg.dt, cfg.n_steps, stride=1,
+                  observer=lambda w: snaps.append(ef.take_snapshot(w, cfg.reg_floor)))
+    else:
+        orc = ef.CoherentOracle(omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params)
+        snaps = [orc.fields(cfg.grid, i * cfg.dt, cfg.reg_floor) for i in range(len(cols))]
+    assert len(snaps) == len(cols)
+    files = sorted((out / "snapshots").glob("snapshot_*.csv"))
+    assert [f.name for f in files] == [f"snapshot_{i:06d}.csv" for i in range(len(snaps))]
+
+    grid, dt = cfg.grid, snaps[1].t - snaps[0].t
+    ia, ib = (int(round((a - grid.x_min) / grid.dx)) for a in sub)
+    xs = grid.x[ia : ib + 1]
+    i_sub = [float(np.trapezoid(s.info.rho_I.values[ia : ib + 1], xs)) for s in snaps]
+    last = len(snaps) - 1
+    for i, (s, f) in enumerate(zip(snaps, files)):
+        row = cols[i]
+        assert f.read_bytes() == _snapshot_bytes(s), i
+        rho, v = s.den.rho.values, s.den.velocity.values
+        v_drho = v * ef.derivative(s.den.rho).values
+        g = (s.info.rho_I.values - rho) * v
+        assert row["t"] == s.t
+        assert row["norm"] == float(grid.dx * rho.sum())
+        assert row["I"] == s.info.I
+        assert row["floored_points"] == s.den.floored_points
+        assert row["rhs_eq16"] == -float(np.trapezoid(v_drho[ia : ib + 1], xs)), i
+        assert row["boundary_flux"] == g[ib] - g[ia], i
+        assert row["rhs_eq15"] == -row["boundary_flux"] + row["rhs_eq16"], i
+        if 0 < i < last:
+            assert row["dIdt_fd"] == (i_sub[i + 1] - i_sub[i - 1]) / (2.0 * dt), i
+            ref = _reference_residuals(snaps[i - 1], s, snaps[i + 1], dt, cfg.reg_floor)
+            assert (row["residual13_l2"], row["residual13_linf"], row["residual9_l2"]) == ref, i
+        else:
+            j = 1 if i == 0 else last
+            assert row["dIdt_fd"] == (i_sub[j] - i_sub[j - 1]) / dt, i
+            assert row["residual13_l2"] == row["residual9_l2"] == 0.0
+
+
+# ---------- memory ----------
+
+MEMORY_CONFIG = """\
+x_min = -20
+x_max = 20
+n = 256
+sigma0 = 1.0
+dt = 1e-3
+observe_stride = 1
+subvolume_a = -2
+subvolume_b = 2
+"""
+
+
+@pytest.mark.parametrize("run", ["run_simulation", "run_oracle"])
+def test_run_holds_no_field_per_row(run):
+    # four float (T, n) arrays would take 25 MB more at T = 4001 than at 1001
+    import tracemalloc
+
+    import entroflux.report as report
+
+    peaks = []
+    for t_final in (1.0, 4.0):
+        cfg = ef.parse_config(MEMORY_CONFIG + f"t_final = {t_final}\n")
+        tracemalloc.start()
+        try:
+            getattr(report, run)(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
 # ---------- collect's blocks vs the per-instant API ----------
 
+def _collected(wf, potential, dt, n_steps, stride, reg_floor):
+    """The rows collect pushes, stacked into one Series from copies of its blocks."""
+    from entroflux.entropy import Diagnostics, Series, collect
+
+    names = ("t", "rho", "current", "velocity", "rho_I", "floored_points")
+    blocks = []
+
+    def keep(first, rows):
+        assert first == sum(len(b[0]) for b in blocks)
+        blocks.append([getattr(rows, name).copy() for name in names])
+
+    stream = Diagnostics(wf.grid, n_steps // stride + 1, reg_floor, on_block=keep)
+    collect(wf, potential, dt, n_steps, stride, stream)
+    return Series(wf.grid, reg_floor, *map(np.concatenate, zip(*blocks)))
+
+
 def test_collect_blocks_match_take_snapshot_bitwise():
-    from entroflux.entropy import CHUNK_POINTS, collect
+    from entroflux.entropy import CHUNK_POINTS
 
     grid = ef.Grid1D(-16.0, 16.0, 512)
     pot = ef.Potential.gaussian_barrier(2.0, 0.5, 1.5)
@@ -435,7 +566,7 @@ def test_collect_blocks_match_take_snapshot_bitwise():
     stride, reg_floor = 3, 1e-8
     height = CHUNK_POINTS // grid.n
     n_steps = stride * (height + 6)  # a full block and a partial last one
-    series = collect(wf0, pot, 1e-3, n_steps, stride, reg_floor)
+    series = _collected(wf0, pot, 1e-3, n_steps, stride, reg_floor)
 
     snaps = [ef.take_snapshot(wf0, reg_floor)]
     ef.evolve(wf0, pot, 1e-3, n_steps, stride=stride,

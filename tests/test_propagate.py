@@ -139,3 +139,40 @@ def test_discrete_continuity_second_order():
         r = (nxt - prev) / (2 * dt) + ef.derivative(j).values
         resids.append(np.sqrt(g.dx * np.sum(r**2)))
     assert resids[0] / resids[1] >= 3.5
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_split_steps_matches_expression_loop_bitwise(n):
+    # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up
+    # (n = 16384), and the complex product's last bit depends on the order
+    from entroflux.propagate import split_steps
+
+    grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
+    pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
+    dt, n_steps, stride = 1e-4, 7, 2
+
+    exp_v_half = np.exp(-0.5j * pot.values(grid.x) * dt / PARAMS.hbar)
+    exp_t = np.exp(-0.5j * PARAMS.hbar * grid.k**2 * dt / PARAMS.mass)
+    psi, expected = wf.psi.values, {}
+    for i in range(1, n_steps + 1):
+        psi = exp_v_half * psi
+        psi = np.fft.ifft(exp_t * np.fft.fft(psi))
+        psi = exp_v_half * psi
+        expected[i] = psi
+
+    handed = []
+    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append((i, p, p.copy())),
+                        stride)
+    assert np.array_equal(final, expected[n_steps])
+    assert [i for i, _, _ in handed] == [2, 4, 6]
+    for i, given, copy in handed:
+        # equal to the expression loop, and never written after it was handed out
+        assert np.array_equal(given, expected[i]), i
+        assert np.array_equal(given, copy), i
+        assert not np.shares_memory(given, final), i
+
+    states = []
+    out = ef.evolve(wf, pot, dt, n_steps, observer=states.append, stride=stride)
+    assert np.array_equal(out.psi.values, expected[n_steps])
+    assert not any(w.psi.values.flags.writeable for w in (*states, out))

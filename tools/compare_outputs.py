@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Check that this checkout's CLI writes the same outputs as a parent revision's.
+
+    python3 tools/compare_outputs.py PARENT_REV
+
+Exports PARENT_REV with `git archive` into a temporary directory and runs the
+`entroflux` CLI of both trees, one process per run, on the same configs: the
+four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
+configs below, which reach block seams, snapshot files, a failing sweep row
+and the binning study.  Each pair of runs must agree in exit code, stdout and
+every output file, byte for byte.  Prints one line per difference and exits 1
+if there is any, 0 otherwise.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS, make  # noqa: E402
+
+COHERENT = ("x_min = -20\nx_max = 20\nn = 512\ninitial = coherent\nomega = 1.0\n"
+            "amplitude = 1.0\npotential = harmonic\npotential_omega = 1.0\n")
+FIXED = {
+    # at n = 512 a block holds 64 rows: 151 and 134 rows end in a partial block
+    "simulate_snapshots": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                           "k0 = 0.5\npotential = harmonic\npotential_omega = 1.0\n"
+                           "dt = 1e-3\nt_final = 0.15\nobserve_stride = 1\n"
+                           "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
+    "oracle_snapshots": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
+                         "observe_stride = 1\nsave_snapshots = true\n"),
+    # at n = 16384 a block holds 2 rows; 101 rows
+    "barrier_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
+                      "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
+                      "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.01\nobserve_stride = 1\n"
+                      "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # the larger epsilon's packet reaches the seam, so its row fails
+    "sweep_failing_row": ("sweep", "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\n"
+                          "x_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
+    "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
+                "bin_widths = 0.4, 0.2, 0.1\n"),
+}
+
+
+def configs() -> dict:
+    cases = {f"{name}_seed{seed}": (make(name, seed).command, make(name, seed).config)
+             for name in WORKLOADS for seed in (1, 2, 3)}
+    return {**cases, **FIXED}
+
+
+def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, str, dict]:
+    """Exit code, stdout and {relative path: bytes} of one CLI run of tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-m", "entroflux.cli", command, "--config", str(config),
+            "--out", str(out)]
+    proc = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return proc.returncode, proc.stdout, files
+
+
+def compare(name: str, parent: tuple, child: tuple) -> list[str]:
+    (code_a, out_a, files_a), (code_b, out_b, files_b) = parent, child
+    diffs = [f"{name}: exit code {code_a} -> {code_b}"] if code_a != code_b else []
+    if out_a != out_b:
+        diffs.append(f"{name}: stdout {out_a.strip()!r} -> {out_b.strip()!r}")
+    for path in sorted(files_a.keys() | files_b.keys()):
+        if files_a.get(path) != files_b.get(path):
+            state = "missing" if path not in files_b else (
+                "new" if path not in files_a else "differs")
+            diffs.append(f"{name}: {path} {state}")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        parent = tmp / "parent"
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0]],
+                                 capture_output=True, check=True).stdout
+        (tmp / "parent.tar").write_bytes(archive)
+        with tarfile.open(tmp / "parent.tar") as tar:
+            tar.extractall(parent, filter="data")
+        diffs, cases = [], configs()
+        for name, (command, text) in cases.items():
+            config = tmp / f"{name}.cfg"
+            config.write_text(text, encoding="utf-8")
+            results = [run(tree, command, config, tmp / f"{name}.{label}")
+                       for tree, label in ((parent, "parent"), (ROOT, "child"))]
+            diffs += compare(name, *results)
+    for line in diffs:
+        print(line)
+    print(f"{len(cases)} configs, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
