@@ -395,7 +395,7 @@ class Diagnostics:
         w, grid, out = self.window, self.window.grid, self.out
         rows = slice(2, 2 + count)
         rho, v, rho_I = w.rho[rows], w.velocity[rows], w.rho_I[rows]
-        v_drho = np.multiply(v, _spectral_derivative(rho, grid).real, out=self.v_drho[rows])
+        v_drho = np.multiply(v, _spectral_derivative(rho, grid), out=self.v_drho[rows])
         self.t[lo:hi] = w.t[rows]
         self.floored_points[lo:hi] = w.floored_points[rows]
         out["norm"][lo:hi] = grid.dx * rho.sum(axis=1)
@@ -424,7 +424,7 @@ class Diagnostics:
         dt = self.dt if self.dt is not None else float(self.t[1] - self.t[0])
         rho, v, rho_I = w.rho[a:b], w.velocity[a:b], w.rho_I[a:b]
         d_rho_I = (w.rho_I[a + 1 : b + 1] - w.rho_I[a - 1 : b - 1]) / (2.0 * dt)
-        div_flux = _spectral_derivative((rho_I - rho) * v, grid).real
+        div_flux = _spectral_derivative((rho_I - rho) * v, grid)
         r13 = d_rho_I + div_flux + self.v_drho[a:b]
         rows = slice(first, first + b - a)
         self.out["residual13_l2"][rows] = _l2(grid.dx, r13)

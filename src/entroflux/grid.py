@@ -4,7 +4,9 @@ and the input checks that report which input is at fault (`SpecError`).
 All fields live on a ``Grid1D``: n equally spaced samples x_k = x_min + k*dx
 with the right endpoint excluded (periodic wrap).  Quadrature is the periodic
 rectangle rule, which coincides with the trapezoid rule on periodic data and
-is spectrally accurate for smooth periodic fields.
+is spectrally accurate for smooth periodic fields.  Derivatives are spectral:
+a real field goes through a real-input FFT pair (rfft/irfft), a complex one
+through the complex pair.
 """
 from __future__ import annotations
 
@@ -116,6 +118,10 @@ class Grid1D:
         ik = 1j * self.k.copy()
         ik[self.n // 2] = 0.0
         self._ik = ik
+        # The same multiplier on the n//2 + 1 non-negative frequencies of rfft.
+        ik_r = 2j * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        ik_r[-1] = 0.0
+        self._ik_r = ik_r
 
     @property
     def k_max(self) -> float:
@@ -173,17 +179,22 @@ def integrate(f: _Field) -> float:
 
 
 def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Spectral d/dx along the last axis, so a (T, n) stack is one batched FFT."""
-    return np.fft.ifft(grid._ik * np.fft.fft(values))
+    """Spectral d/dx along the last axis, so a (T, n) stack is one batched FFT.
+
+    Real values take a real-input FFT pair and give a real array; complex
+    values take the complex pair.
+    """
+    if np.iscomplexobj(values):
+        return np.fft.ifft(grid._ik * np.fft.fft(values))
+    # np.multiply keeps the operand order fixed, as in madelung_arrays.
+    return np.fft.irfft(np.multiply(grid._ik_r, np.fft.rfft(values)), grid.n)
 
 
 def derivative(f: _Field) -> _Field:
     """Spectral derivative of a periodic field.
 
     Exact for trigonometric polynomials below Nyquist, with the Nyquist mode
-    of the derivative set to zero.
+    of the derivative set to zero.  A RealField goes through a real-input FFT
+    pair and gives a RealField; a ComplexField gives a ComplexField.
     """
-    d = _spectral_derivative(f.values, f.grid)
-    if isinstance(f, RealField):
-        return RealField(f.grid, d.real)
-    return ComplexField(f.grid, d)
+    return type(f)(f.grid, _spectral_derivative(f.values, f.grid))

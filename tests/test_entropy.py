@@ -582,6 +582,24 @@ def test_collect_blocks_match_take_snapshot_bitwise():
     assert series.floored_points.min() > 0
 
 
+def test_diagnose_runs_no_complex_fft(monkeypatch):
+    # every derivative the balance laws take is of a real field (rho and the
+    # flux), so each goes through a real-input FFT pair
+    from entroflux.entropy import diagnose
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
+    series = _collected(wf0, ef.Potential.free(), 1e-3, 80, 1, 1e-8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT in the diagnostics")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    columns = diagnose(series, subvolume=(-2.0, 2.0))
+    assert np.max(columns["residual13_l2"]) > 0.0
+
+
 def _normalized_rows(grid, n_rows):
     x0 = np.linspace(-2.0, 2.0, n_rows)[:, None]
     psi = np.exp(-((grid.x - x0) ** 2) / 4.0 + 1j * grid.x).astype(complex)

@@ -92,3 +92,39 @@ def test_complex_derivative():
     d = ef.derivative(f)
     assert np.max(np.abs(d.values - 1j * k * f.values)) < 1e-11
 
+
+@pytest.mark.parametrize("n", [16, 1024, 16384])
+def test_real_derivative_matches_complex_path(n):
+    from entroflux.grid import _spectral_derivative
+
+    g = ef.Grid1D(-20.0, 20.0, n)
+    # white noise: content in every mode up to and including Nyquist
+    f = np.random.default_rng(n).standard_normal((3, n))
+    reference = np.fft.ifft(g._ik * np.fft.fft(f)).real
+    d = _spectral_derivative(f, g)
+    assert d.dtype == np.float64
+    assert np.max(np.abs(d - reference)) <= 1e-14 * np.max(np.abs(reference))
+    nyquist = ef.derivative(ef.RealField(g, np.cos(np.pi * g.x / g.dx)))
+    assert nyquist.values.dtype == np.float64
+    assert np.max(np.abs(nyquist.values)) <= 1e-14 * g.k_max
+    # irfft drops the imaginary part of the Nyquist bin, so a nonzero Nyquist
+    # multiplier would not show in any derivative: pin the multiplier itself
+    # to the complex one's non-negative half, whose Nyquist entry is zero
+    assert np.array_equal(g._ik_r, g._ik[: n // 2 + 1])
+
+
+@pytest.mark.parametrize("rows, n", [(32, 1024), (2, 16384)])
+def test_real_derivative_row_equals_row_of_large_stack(rows, n):
+    # the rfft of these stacks is just over 256 KiB, where numpy may reorder
+    # the operands of a product with a temporary: each row must still get the
+    # bits it gets alone
+    from entroflux.grid import _spectral_derivative
+
+    g = ef.Grid1D(-20.0, 20.0, n)
+    x0 = np.linspace(-3.0, 3.0, rows)[:, None]
+    noise = np.random.default_rng(rows).standard_normal((rows, n))
+    f = np.exp(-((g.x - x0) ** 2) / 4.0) * (1.0 + 0.1 * noise)
+    assert 16 * rows * (n // 2 + 1) > 256 * 1024
+    stacked = _spectral_derivative(f, g)
+    for i in range(rows):
+        assert np.array_equal(stacked[i], _spectral_derivative(f[i], g)), i

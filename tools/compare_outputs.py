@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout's CLI writes the same outputs as a parent revision's.
 
-    python3 tools/compare_outputs.py PARENT_REV
+    python3 tools/compare_outputs.py PARENT_REV [--tolerance TOL]
 
 Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
@@ -10,9 +10,19 @@ configs below, which reach block seams, snapshot files, a failing sweep row
 and the binning study.  Each pair of runs must agree in exit code, stdout and
 every output file, byte for byte.  Prints one line per difference and exits 1
 if there is any, 0 otherwise.
+
+With --tolerance TOL, a CSV or JSON file that differs byte-wise still agrees
+if it has the same columns (CSV) or keys (JSON), the same non-numeric values,
+and every numeric column or key differs by at most TOL * max(1, max|column|).
+The largest |difference| of each changed column is printed either way.
 """
 from __future__ import annotations
 
+import argparse
+import csv
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -64,27 +74,110 @@ def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, str, di
     return proc.returncode, proc.stdout, files
 
 
-def compare(name: str, parent: tuple, child: tuple) -> list[str]:
+def _number(value):
+    """value as a float if it is a number (not a bool) or a numeric CSV cell, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _columns(path: str, data: bytes) -> dict:
+    """{column or key: list of values} of a CSV (header first) or JSON file."""
+    text = data.decode("utf-8")
+    if path.endswith(".json"):
+        flat = {}
+
+        def walk(key, value):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(f"{key}.{k}" if key else k, v)
+            elif isinstance(value, list):
+                for i, v in enumerate(value):
+                    walk(f"{key}[{i}]", v)
+            else:
+                flat[key] = [value]
+
+        walk("", json.loads(text))
+        return flat
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("ragged rows")
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def numeric_diff(path: str, a: bytes, b: bytes, tolerance: float) -> list[tuple]:
+    """(column, max |difference|, allowed) of each changed column of a CSV or JSON file.
+
+    Raises ValueError if the files differ other than in numeric values.
+    """
+    cols_a, cols_b = _columns(path, a), _columns(path, b)
+    if list(cols_a) != list(cols_b):
+        raise ValueError("columns or keys differ")
+    changed = []
+    for name, values_a in cols_a.items():
+        values_b = cols_b[name]
+        if values_a == values_b:
+            continue
+        if len(values_a) != len(values_b):
+            raise ValueError(f"{name}: {len(values_a)} -> {len(values_b)} rows")
+        nums = [_number(v) for v in values_a + values_b]
+        deltas = []
+        for va, vb, x, y in zip(values_a, values_b, nums, nums[len(values_a):]):
+            if va == vb:
+                continue
+            if x is None or y is None:
+                raise ValueError(f"{name}: {va!r} -> {vb!r}")
+            deltas.append(abs(x - y))
+        largest = math.nan if any(map(math.isnan, deltas)) else max(deltas)
+        scale = max([1.0] + [abs(x) for x in nums if x is not None and math.isfinite(x)])
+        changed.append((name, largest, tolerance * scale))
+    return changed
+
+
+def compare(name: str, parent: tuple, child: tuple, tolerance: float | None = None) -> list[str]:
+    """Difference lines of one config; with a tolerance, changed columns are printed here."""
     (code_a, out_a, files_a), (code_b, out_b, files_b) = parent, child
     diffs = [f"{name}: exit code {code_a} -> {code_b}"] if code_a != code_b else []
     if out_a != out_b:
         diffs.append(f"{name}: stdout {out_a.strip()!r} -> {out_b.strip()!r}")
     for path in sorted(files_a.keys() | files_b.keys()):
-        if files_a.get(path) != files_b.get(path):
-            state = "missing" if path not in files_b else (
-                "new" if path not in files_a else "differs")
-            diffs.append(f"{name}: {path} {state}")
+        if files_a.get(path) == files_b.get(path):
+            continue
+        if path not in files_b or path not in files_a:
+            diffs.append(f"{name}: {path} {'missing' if path not in files_b else 'new'}")
+            continue
+        if tolerance is None or not path.endswith((".csv", ".json")):
+            diffs.append(f"{name}: {path} differs")
+            continue
+        try:
+            changed = numeric_diff(path, files_a[path], files_b[path], tolerance)
+        except ValueError as exc:
+            diffs.append(f"{name}: {path} differs: {exc}")
+            continue
+        for column, largest, allowed in changed:
+            line = f"{name}: {path} {column} max|diff| {largest:.3g} (allowed {allowed:.3g})"
+            if not largest <= allowed:
+                diffs.append(line)
+            else:
+                print(line)
     return diffs
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("parent_rev")
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="compare differing CSV and JSON files per numeric column")
+    args = parser.parse_args(argv)
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        parser.error("--tolerance must be >= 0")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0]],
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent_rev],
                                  capture_output=True, check=True).stdout
         (tmp / "parent.tar").write_bytes(archive)
         with tarfile.open(tmp / "parent.tar") as tar:
@@ -95,7 +188,7 @@ def main(argv: list[str]) -> int:
             config.write_text(text, encoding="utf-8")
             results = [run(tree, command, config, tmp / f"{name}.{label}")
                        for tree, label in ((parent, "parent"), (ROOT, "child"))]
-            diffs += compare(name, *results)
+            diffs += compare(name, *results, args.tolerance)
     for line in diffs:
         print(line)
     print(f"{len(cases)} configs, {len(diffs)} differences")
