@@ -21,7 +21,7 @@ from .grid import (
     step_count,
 )
 from .oracle import _normal_density
-from .propagate import Potential, check_dt, check_wavenumber, check_width
+from .propagate import Potential, check_dt, check_potential, check_wavenumber, check_width
 
 
 class ConfigError(ValueError):
@@ -215,6 +215,8 @@ def _run_config(
         check_dt(grid, params, dt)
         n_steps = step_count(t_final / dt)
         check_work(n_steps, grid.n)
+    with about("potential"):
+        check_potential(grid, params, pot, dt)
     if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
         raise SpecError(f"t_final = {t_final} is not a whole number of steps dt = {dt}",
                         ("t_final",))
@@ -236,6 +238,10 @@ def _run_config(
     positive(norm_tol=norm_tol)
     if eq16_rel_tol is not None:
         positive(eq16_rel_tol=eq16_rel_tol)
+        n_rows = n_steps // observe_stride + 1
+        if n_rows < 3:
+            raise SpecError(f"eq16_rel_tol checks the interior rows, but {n_rows} observed "
+                            f"rows leave no centred difference", ("eq16_rel_tol",))
 
     return RunConfig(
         grid=grid,

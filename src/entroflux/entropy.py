@@ -14,15 +14,15 @@ Diagnostics (all residuals should vanish to discretization order):
   integral form    dI/dt = -[(rho_I - rho) v]_boundary - int v d(rho)/dx
 with the boundary term vanishing on the full periodic domain.
 
-A run streams its samples through one consumer, `Diagnostics`, in blocks of
-at most CHUNK_POINTS grid points.  Each block's rows get their per-row columns
-and, with the two rows before the block carried along as a halo, the centred
-residuals of every row whose neighbours have arrived; an optional hook sees
-the block (to write snapshot files), and then the block's buffers take the
-next rows.  So a run holds O(CHUNK_POINTS) field values plus O(T) scalar
-columns.  `diagnose` feeds a stored `Series` of (T, n) arrays through the same
-consumer, so each column has one implementation; the per-instant functions
-(`take_snapshot`, `balance_residual`, `rate_identity_residual`,
+A run hands its samples to one consumer, `Diagnostics`, which takes them in
+blocks of at most CHUNK_POINTS grid points.  Each block's rows get their
+per-row columns and, with the two rows before the block carried along as a
+halo, the centred residuals of every row whose neighbours have arrived; an
+optional hook sees the block (to write snapshot files), and then the block's
+buffers take the next rows.  So a run holds O(CHUNK_POINTS) field values plus
+O(T) scalar columns.  `diagnose` adds a stored `Series` of (T, n) arrays to
+the same consumer, so each column has one implementation; the per-instant
+functions (`take_snapshot`, `balance_residual`, `rate_identity_residual`,
 `entropy_rate_check`, `sign_witness`) pass small stacks through it.
 """
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .grid import (
 from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
 from .propagate import Potential, WaveFunction, check_norms, split_steps
 
-# Grid points per block of rows in `collect` and `diagnose`; bounds their FFT
-# temporaries.
+# Grid points per block of rows in a `Diagnostics`; bounds its FFT temporaries.
 CHUNK_POINTS = 1 << 15
 
 
@@ -161,7 +160,7 @@ class Series:
 
     rho, current, velocity and rho_I are (T, n) arrays; t and floored_points
     have one entry per row.  rho_I uses reg_floor, as does the rate identity.
-    A run's block of rows (`Diagnostics.block`) and the small stacks of the
+    A run's block of rows (in `Diagnostics`) and the small stacks of the
     per-instant functions are Series; a run never stacks all its rows.
     """
 
@@ -183,34 +182,16 @@ class Series:
             np.zeros(n_rows, dtype=int),
         )
 
-    def record(self, i: int, t: float, rho, current, velocity, floored_points=0):
-        """Store the fields of row i; its rho_I follows from rho."""
-        self.t[i] = t
-        self.rho[i] = rho
-        self.current[i] = current
-        self.velocity[i] = velocity
-        self.rho_I[i] = _info_density(self.rho[i], self.reg_floor)
-        self.floored_points[i] = floored_points
-
-    def observe(self, i: int, wf: WaveFunction) -> None:
-        """Store the Madelung fields of wf as row i."""
-        self.t[i] = wf.t
-        self.observe_rows(i, wf.psi.values[np.newaxis], wf.params)
-
-    def observe_rows(self, lo: int, psi: np.ndarray, params: PhysicalParams) -> None:
-        """Store the fields of the (B, n) psi stack as rows lo..lo+B-1 (t is not set).
-
-        Each row must pass the checks a `WaveFunction` gets: a finite psi and a
-        norm within 1e-8 of 1, taken from its rho.
-        """
-        hi = lo + len(psi)
-        rho, j, v, floored = madelung_arrays(psi, self.grid, params, self.reg_floor)
-        check_norms(self.grid.dx * rho.sum(axis=1))
-        self.rho[lo:hi] = rho
-        self.current[lo:hi] = j
-        self.velocity[lo:hi] = v
-        self.rho_I[lo:hi] = _info_density(rho, self.reg_floor)
-        self.floored_points[lo:hi] = floored
+    @classmethod
+    def of(cls, grid: Grid1D, t, rho, current, velocity, floored_points=0,
+           reg_floor: float = DEFAULT_REG_FLOOR, rho_I=None) -> "Series":
+        """Rows of the (T, n) fields at the T times t; rho_I follows from rho
+        unless given, and one floored_points count may stand for every row."""
+        t, rho = np.asarray(t, dtype=float), np.asarray(rho, dtype=float)
+        rho_I = _info_density(rho, reg_floor) if rho_I is None else np.asarray(rho_I, float)
+        return cls(grid, reg_floor, t, rho, np.asarray(current, dtype=float),
+                   np.asarray(velocity, dtype=float), rho_I,
+                   np.broadcast_to(floored_points, t.shape).astype(int))
 
     def rows(self, lo: int, hi: int) -> "Series":
         """Rows lo..hi-1 as a Series of views of this one."""
@@ -233,9 +214,8 @@ class Series:
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
     """The Madelung fields (`.den`) and information density (`.info`) of wf."""
-    series = Series.empty(wf.grid, 1, reg_floor)
-    series.observe(0, wf)
-    return series.snapshot(0)
+    fields = madelung_arrays(wf.psi.values[np.newaxis], wf.grid, wf.params, reg_floor)
+    return Series.of(wf.grid, [wf.t], *fields, reg_floor).snapshot(0)
 
 
 def bin_size(grid: Grid1D, bin_width: float) -> int:
@@ -341,17 +321,17 @@ _COLUMNS = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
 
 
 class Diagnostics:
-    """The `diagnose` columns of a series of rows that arrive a block at a time.
+    """The `diagnose` columns of a series of rows that arrive in time order.
 
-    A producer writes the next rows, in time order, into `block` (a Series of
-    at most CHUNK_POINTS // n rows) and hands them over with `push(count)`.
-    Each push computes the per-row columns of those rows, and the centred
-    residuals of every row whose two neighbours have arrived: the last two
-    rows pushed stay behind as a halo just ahead of the block, so a residual
-    never depends on where a block ends.  Then on_block(first_row, rows) sees
-    the pushed rows as a Series of views, and the block is reused.  The block,
-    its halo and their temporaries are all the field memory a run holds;
-    only the scalar columns grow with n_rows.
+    A producer hands over the next row as a state, `add_state(t, psi, params)`,
+    or the next rows as a Series, `add(rows)`, into a block of at most
+    CHUNK_POINTS // n rows.  A block that is full or holds the last row gets
+    its per-row columns, and the centred residuals of every row whose two
+    neighbours have arrived: the last two rows stay behind as a halo just
+    ahead of the block, so a residual never depends on where a block ends.
+    Then on_block(first_row, rows) sees the block's rows as a Series of views,
+    and the block is reused.  The block, its halo and their temporaries are
+    all the field memory a run holds; only the scalar columns grow with n_rows.
 
     See `diagnose` for the columns, the subvolume and dt.
     """
@@ -371,27 +351,73 @@ class Diagnostics:
         self.dt = dt
         self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
         self.on_block = on_block
-        height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
+        self.height = height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
         # rows 0 and 1 of the window are the halo, rows 2.. the block
         self.window = Series.empty(grid, height + 2, reg_floor)
         self.v_drho = np.empty((height + 2, grid.n))
-        self.block = self.window.rows(2, height + 2)
         self.t = np.zeros(n_rows)
         self.floored_points = np.zeros(n_rows, dtype=int)
         self.i_sub = np.zeros(n_rows)
         self.out = {name: np.zeros(n_rows) for name in _COLUMNS}
-        self.n_pushed = 0
+        self.psi = None  # the states of `add_state`, made by the first: `add` needs none
+        self.n_done = 0  # rows whose block has been computed
+        self.n_held = 0  # rows in the block, not yet computed
 
     @property
     def last_rho(self) -> np.ndarray:
-        """The density of the last row pushed."""
+        """The density of the last row computed."""
         return self.window.rho[1]
 
-    def push(self, count: int) -> None:
-        """Take the first `count` rows of `block` as the next rows of the series."""
-        lo, hi = self.n_pushed, self.n_pushed + count
-        if not 0 < count <= len(self.block.t) or hi > len(self.t):
-            raise ValueError(f"cannot push {count} rows after {lo} of {len(self.t)}")
+    def _next(self, count: int) -> int:
+        """The block row the next row goes to; raises unless count more rows fit."""
+        if self.n_done + self.n_held + count > len(self.t):
+            raise ValueError(f"cannot add {count} rows after "
+                             f"{self.n_done + self.n_held} of {len(self.t)}")
+        return self.n_held
+
+    def add_state(self, t: float, psi: np.ndarray, params: PhysicalParams) -> None:
+        """Take the state psi at time t as the next row; psi must pass the
+        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1)."""
+        k = self._next(1)
+        if self.psi is None:
+            self.psi = np.empty((self.height, self.window.grid.n), complex)
+        self.window.t[2 + k] = t
+        self.psi[k] = psi
+        if self._hold(1):
+            self._observe(params)
+            self._compute()
+
+    def add(self, rows: Series) -> None:
+        """Take the rows of a Series on this grid as the next rows."""
+        self._next(len(rows.t))
+        while len(rows.t):
+            k = self.n_held
+            count = min(len(rows.t), self.height - k)
+            for name in _ROW_FIELDS:
+                getattr(self.window, name)[2 + k : 2 + k + count] = getattr(rows, name)[:count]
+            rows = rows.rows(count, len(rows.t))
+            if self._hold(count):
+                self._compute()
+
+    def _hold(self, count: int) -> bool:
+        """Hold count more rows; True once the block is full or holds the last row."""
+        self.n_held += count
+        return self.n_held == self.height or self.n_done + self.n_held == len(self.t)
+
+    def _observe(self, params: PhysicalParams) -> None:
+        """The Madelung fields of the held states, into the block; a method of its
+        own, so its temporaries are freed before the block pass makes its own."""
+        w, k, held = self.window, self.n_held, slice(2, 2 + self.n_held)
+        rho, j, v, floored = madelung_arrays(self.psi[:k], w.grid, params, w.reg_floor)
+        check_norms(w.grid.dx * rho.sum(axis=1))
+        w.rho[held], w.current[held], w.velocity[held] = rho, j, v
+        w.rho_I[held] = _info_density(rho, w.reg_floor)
+        w.floored_points[held] = floored
+
+    def _compute(self) -> None:
+        """The columns of the held rows; then the block takes the next rows."""
+        count = self.n_held
+        lo, hi = self.n_done, self.n_done + count
         w, grid, out = self.window, self.window.grid, self.out
         rows = slice(2, 2 + count)
         rho, v, rho_I = w.rho[rows], w.velocity[rows], w.rho_I[rows]
@@ -416,7 +442,7 @@ class Diagnostics:
             self.on_block(lo, w.rows(2, 2 + count))
         for a in (w.rho, w.rho_I, w.velocity, self.v_drho):
             a[:2] = a[count : count + 2]
-        self.n_pushed = hi
+        self.n_done, self.n_held = hi, 0
 
     def _residuals(self, a: int, b: int, first: int) -> None:
         """Local balance law and rate identity at window rows a..b-1 (series rows first..)."""
@@ -437,9 +463,9 @@ class Diagnostics:
         self.out["residual9_linf"][rows] = np.max(np.abs(r9), axis=1)
 
     def columns(self) -> dict:
-        """The columns of `diagnose`, once every row has been pushed."""
-        if self.n_pushed != len(self.t):
-            raise ValueError(f"only {self.n_pushed} of {len(self.t)} rows pushed")
+        """The columns of `diagnose`, once every row has been added."""
+        if self.n_done != len(self.t):
+            raise ValueError(f"only {self.n_done + self.n_held} of {len(self.t)} rows added")
         dt = _sample_spacing(self.t) if self.dt is None else self.dt
         out = dict(self.out, t=self.t, floored_points=self.floored_points)
         out["dIdt_full"] = _rate(out["I"], dt)
@@ -460,23 +486,10 @@ def collect(
     stride: int,
     stream: Diagnostics,
 ) -> None:
-    """Evolve wf by n_steps; push its fields at the start and every `stride` steps.
-
-    The observed states are copied into a stack as high as `stream.block`, and
-    each full stack (and the last, partial one) goes through
-    `Series.observe_rows` at once, straight into the block, before the push.
-    """
-    block, last = stream.block, n_steps // stride
-    psi = np.empty((len(block.t), wf.grid.n), complex)
-
-    def on_row(i: int, values: np.ndarray) -> None:
-        row = i // stride
-        k = row % len(psi)
-        block.t[k] = wf.t + i * dt
-        psi[k] = values
-        if k == len(psi) - 1 or row == last:
-            block.observe_rows(0, psi[: k + 1], wf.params)
-            stream.push(k + 1)
+    """Evolve wf by n_steps; add its state to stream at the start and every
+    `stride` steps (`Diagnostics.add_state`)."""
+    def on_row(i: int, psi: np.ndarray) -> None:
+        stream.add_state(wf.t + i * dt, psi, wf.params)
 
     on_row(0, wf.psi.values)
     split_steps(wf, potential, dt, n_steps, on_row, stride)
@@ -495,16 +508,11 @@ def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
     is one-sided at the two ends, where the residuals have no centred stencil
     and read zero.
 
-    The series is fed through a `Diagnostics` a block of rows at a time, as a
-    run's rows are.
+    The series goes through a `Diagnostics` a block of rows at a time, as a
+    run's rows do.
     """
     stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume, dt)
-    height = len(stream.block.t)
-    for lo in range(0, len(series.t), height):
-        rows = series.rows(lo, lo + height)
-        for name in _ROW_FIELDS:
-            getattr(stream.block, name)[: len(rows.t)] = getattr(rows, name)
-        stream.push(len(rows.t))
+    stream.add(series)
     return stream.columns()
 
 
@@ -554,16 +562,10 @@ def _stack(snapshots: list, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
     for s in snapshots:
         if not s.den.rho.grid.matches(grid):
             raise ValueError("mismatched grids")
-    return Series(
-        grid,
-        reg_floor,
-        np.array([s.t for s in snapshots], dtype=float),
-        np.array([s.den.rho.values for s in snapshots]),
-        np.array([s.den.current.values for s in snapshots]),
-        np.array([s.den.velocity.values for s in snapshots]),
-        np.array([s.info.rho_I.values for s in snapshots]),
-        np.array([s.den.floored_points for s in snapshots]),
-    )
+    t, rho, current, velocity, floored, rho_I = map(np.array, zip(*(
+        (s.t, s.den.rho.values, s.den.current.values, s.den.velocity.values,
+         s.den.floored_points, s.info.rho_I.values) for s in snapshots)))
+    return Series.of(grid, t, rho, current, velocity, floored, reg_floor, rho_I)
 
 
 def rate_identity_residual(
@@ -581,10 +583,9 @@ def rate_identity_residual(
     grid = rho_mid.grid
     if not (grid.matches(rho_prev.grid) and grid.matches(rho_next.grid)):
         raise ValueError("mismatched grids")
-    series = Series.empty(grid, 3, reg_floor)
-    for i, rho in enumerate((rho_prev, rho_mid, rho_next)):
-        series.record(i, 0.0, rho.values, 0.0, 0.0)
-    out = diagnose(series, dt=dt)
+    rho = np.array([r.values for r in (rho_prev, rho_mid, rho_next)])
+    zeros = np.zeros_like(rho)
+    out = diagnose(Series.of(grid, np.zeros(3), rho, zeros, zeros, 0, reg_floor), dt=dt)
     return float(out["residual9_l2"][1]), float(out["residual9_linf"][1])
 
 

@@ -24,18 +24,18 @@ def _normal_density(x: np.ndarray, center: float, sigma2: float) -> np.ndarray:
 
 
 class _Oracle:
-    """Closed-form rho and v at time t, stored as rows of a Series."""
+    """Closed-form rho and v at time t."""
 
-    def record(self, series: Series, i: int, t: float) -> None:
-        rho, v = self.density_velocity(series.grid, t)
-        series.record(i, t, rho, rho * v, v)
+    def row(self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
+        """The fields at time t as a one-row Series."""
+        rho, v = self.density_velocity(grid, t)
+        return Series.of(grid, [t], rho[np.newaxis], (rho * v)[np.newaxis], v[np.newaxis], 0,
+                         reg_floor)
 
     def fields(
         self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR
     ) -> Snapshot:
-        series = Series.empty(grid, 1, reg_floor)
-        self.record(series, 0, t)
-        return series.snapshot(0)
+        return self.row(grid, t, reg_floor).snapshot(0)
 
 
 @dataclass(frozen=True)

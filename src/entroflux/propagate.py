@@ -134,6 +134,21 @@ def check_dt(grid: Grid1D, params: PhysicalParams, dt: float) -> None:
         )
 
 
+def check_potential(grid: Grid1D, params: PhysicalParams, potential: Potential,
+                    dt: float) -> None:
+    """Raise unless the potential's phase per step, V(x)*dt/hbar, is finite on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            phase = potential.values(grid.x, mass=params.mass)
+        except OverflowError:  # a parameter's square in `Potential.values`
+            phase = np.array([np.inf])
+        phase *= dt
+        phase /= params.hbar
+        if not np.isfinite(phase).all():
+            raise ValueError("V(x)*dt/hbar, the potential's phase per step, overflows on "
+                             "the grid")
+
+
 def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     """One Strang split step.  Local error O(dt^3); norm preserved to roundoff."""
     return evolve(wf, potential, dt, 1)
@@ -169,6 +184,7 @@ def split_steps(
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     check_dt(wf.grid, wf.params, dt)
+    check_potential(wf.grid, wf.params, potential, dt)
     hbar, m = wf.params.hbar, wf.params.mass
     v = potential.values(wf.grid.x, mass=m)
     exp_v_half = np.exp(-0.5j * v * dt / hbar)

@@ -69,8 +69,9 @@ def _assemble(stream: Diagnostics, cfg: RunConfig) -> RunReport:
 
 
 def run_simulation(cfg: RunConfig, on_block=None) -> RunReport:
-    """Simulate the configured run; on_block(first_row, rows) sees each block
-    of observed rows (a `Series` of views) before it is reused."""
+    """Simulate the configured run, adding each observed state to a `Diagnostics`;
+    on_block(first_row, rows) sees each block of rows (a `Series` of views)
+    before it is reused."""
     stream = _stream(cfg, on_block)
     collect(_initial_state(cfg), cfg.potential, cfg.dt, cfg.n_steps, cfg.observe_stride,
             stream)
@@ -102,12 +103,8 @@ def run_oracle(cfg: RunConfig, on_block=None) -> RunReport:
             omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params
         )
     stream = _stream(cfg, on_block)
-    block, last = stream.block, len(stream.t) - 1
-    for i in range(last + 1):
-        k = i % len(block.t)
-        oracle.record(block, k, i * cfg.observe_stride * cfg.dt)
-        if k == len(block.t) - 1 or i == last:
-            stream.push(k + 1)
+    for i in range(len(stream.t)):
+        stream.add(oracle.row(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor))
     return _assemble(stream, cfg)
 
 

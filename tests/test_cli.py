@@ -188,11 +188,19 @@ def test_binning_command(tmp_path):
         (("t_final = 0.2\nobserve_stride = 20", "t_final = 33554.432\nobserve_stride = 1"), 7),
         ("norm_tol = -1\n", 8),
         ("eq16_rel_tol = -5\n", 8),
+        # V(x)*dt/hbar overflows: omega**2 in Python floats, or V*dt/hbar itself
+        ("potential = harmonic\npotential_omega = 1e200\n", 8),
+        ("hbar = 1e-10\npotential = gaussian_barrier\nbarrier_height = 1e305\n"
+         "barrier_width = 1\n", 9),
+        # 2 rows have no interior row for the eq 16 check
+        (("t_final = 0.2\nobserve_stride = 20",
+          "t_final = 0.001\nobserve_stride = 1\neq16_rel_tol = 1e-12"), 8),
     ],
     ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
          "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
          "dt_too_many_rows", "dt_over_work_ceiling", "stride_over_row_ceiling",
-         "norm_tol_negative", "eq16_rel_tol_negative"],
+         "norm_tol_negative", "eq16_rel_tol_negative", "harmonic_overflow",
+         "barrier_phase_overflow", "eq16_rel_tol_two_rows"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
     text = SIM_CONFIG.replace(*extra) if isinstance(extra, tuple) else SIM_CONFIG + extra

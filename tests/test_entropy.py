@@ -582,6 +582,56 @@ def test_collect_blocks_match_take_snapshot_bitwise():
     assert series.floored_points.min() > 0
 
 
+def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
+    from entroflux.entropy import CHUNK_POINTS, Diagnostics
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
+    series = _collected(wf0, ef.Potential.gaussian_barrier(2.0, 0.5, 1.5), 1e-3, 150, 1, 1e-8)
+    n_rows, height = len(series.t), CHUNK_POINTS // grid.n
+    assert n_rows == 151 and height == 64
+    chunkings = {
+        "all at once": [n_rows],
+        "one at a time": [1] * n_rows,
+        "uneven": [1, 2, 0, height + 3, 5, height - 7, n_rows - 2 * height - 4],
+    }
+    results = {}
+    for name, sizes in chunkings.items():
+        assert sum(sizes) == n_rows, name
+        firsts = []
+        stream = Diagnostics(grid, n_rows, series.reg_floor, (-2.0, 2.5),
+                             on_block=lambda first, rows: firsts.append(first))
+        lo = 0
+        for size in sizes:
+            stream.add(series.rows(lo, lo + size))
+            lo += size
+        results[name] = stream.columns(), firsts
+        # no row past n_rows, as rows or as a state
+        with pytest.raises(ValueError):
+            stream.add(series.rows(0, 1))
+        with pytest.raises(ValueError):
+            stream.add_state(1.0, wf0.psi.values, PARAMS)
+
+    reference, firsts = results["all at once"]
+    assert firsts == [0, height, 2 * height]
+    for name, (columns, name_firsts) in results.items():
+        assert name_firsts == firsts, name
+        assert columns.keys() == reference.keys(), name
+        for key, column in columns.items():
+            assert np.array_equal(column, reference[key]), (name, key)
+
+    stream = Diagnostics(grid, n_rows - 1, series.reg_floor)
+    with pytest.raises(ValueError):
+        stream.add(series)  # one row too many, refused before any is taken
+    for lo, hi in ((0, height), (height, height + 1)):
+        stream.add(series.rows(lo, hi))
+        # the rows so far are computed (a full block), then held in the next
+        with pytest.raises(ValueError):
+            stream.columns()
+    with pytest.raises(ValueError):
+        stream.add(series.rows(height + 1, n_rows))  # counts the held row too
+
+
 def test_diagnose_runs_no_complex_fft(monkeypatch):
     # every derivative the balance laws take is of a real field (rho and the
     # flux), so each goes through a real-input FFT pair
@@ -608,7 +658,7 @@ def _normalized_rows(grid, n_rows):
 
 @pytest.mark.parametrize("defect", ["nan", "norm"])
 def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
-    from entroflux.entropy import Series
+    from entroflux.entropy import Diagnostics
 
     grid = ef.Grid1D(-20.0, 20.0, 256)
     psi = _normalized_rows(grid, 3)
@@ -618,9 +668,10 @@ def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
         psi[1] *= np.sqrt(1.0 + 1e-7)
     with pytest.raises(ValueError) as per_state:
         ef.WaveFunction(grid, PARAMS, ef.ComplexField(grid, psi[1]))
-    series = Series.empty(grid, 3)
+    stream = Diagnostics(grid, 3)
     with pytest.raises(ValueError) as block:
-        series.observe_rows(0, psi, PARAMS)
+        for i, row in enumerate(psi):
+            stream.add_state(1e-3 * i, row, PARAMS)
     assert str(block.value) == str(per_state.value)
     assert str(block.value).startswith(
         "non-finite field" if defect == "nan" else "wavefunction not normalized")

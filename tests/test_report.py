@@ -46,13 +46,14 @@ def test_write_table_header_only_for_no_rows(tmp_path):
 def test_write_snapshots_matches_per_value_reference(tmp_path):
     grid = ef.Grid1D(-2.0, 2.0, 16)
     rng = np.random.default_rng(7)
-    series = Series.empty(grid, 3)
+    rows = []
     for i in range(3):
         rho = rng.random(grid.n) ** 3
         rho[:3] = (0.0, 1e-300, 1e-13)  # zero, tiny and floored densities
         current = rng.normal(size=grid.n)
         current[0] = -0.0
-        series.record(i, 0.1 * i, rho, current, current / np.maximum(rho, 1e-12))
+        rows.append((0.1 * i, rho, current, current / np.maximum(rho, 1e-12)))
+    series = Series.of(grid, *map(np.array, zip(*rows)))
     write_snapshots(series, tmp_path)
     files = sorted(tmp_path.glob("snapshot_*.csv"))
     assert [f.name for f in files] == [f"snapshot_{i:06d}.csv" for i in range(3)]

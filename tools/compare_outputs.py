@@ -44,6 +44,11 @@ FIXED = {
                            "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
     "oracle_snapshots": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
+    # the flush edges: a run of one row, and 64 rows that fill one block exactly
+    "simulate_one_row": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                         "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
+    "oracle_one_block": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.063\n"
+                         "observe_stride = 1\nsave_snapshots = true\n"),
     # at n = 16384 a block holds 2 rows; 101 rows
     "barrier_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
                       "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
