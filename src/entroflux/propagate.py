@@ -154,6 +154,22 @@ def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     return evolve(wf, potential, dt, 1)
 
 
+def step_factors(grid: Grid1D, params: PhysicalParams, potential: Potential,
+                 dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of a Strang step of dt: the half kick exp(-i V dt / 2 hbar)
+    on the grid and the kinetic step exp(-i hbar k^2 dt / 2m) on its wavenumbers.
+
+    `split_steps` applies these arrays and nothing else, so two runs from one
+    state on one grid whose factors are equal byte for byte make the same
+    states.
+    """
+    hbar, m = params.hbar, params.mass
+    v = potential.values(grid.x, mass=m)
+    exp_v_half = np.exp(-0.5j * v * dt / hbar)
+    exp_t = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
+    return exp_v_half, exp_t
+
+
 def split_steps(
     wf: WaveFunction,
     potential: Potential,
@@ -165,9 +181,10 @@ def split_steps(
     """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
-    another half kick, with the factors computed once per call.  The loop
-    allocates no array: psi lives in buffer `a`, its transform in buffer `b`,
-    and every product and transform writes into one of them (`out=`).
+    another half kick, with the factors of `step_factors` computed once per
+    call.  The loop allocates no array: psi lives in buffer `a`, its
+    transform in buffer `b`, and every product and transform writes into one
+    of them (`out=`).
     on_row(i, psi) is called after every `stride`-th step i with a copy of the
     state at t = wf.t + i*dt, so the loop never writes to an array it has
     passed out.
@@ -185,10 +202,7 @@ def split_steps(
         raise ValueError(f"stride must be >= 1, got {stride}")
     check_dt(wf.grid, wf.params, dt)
     check_potential(wf.grid, wf.params, potential, dt)
-    hbar, m = wf.params.hbar, wf.params.mass
-    v = potential.values(wf.grid.x, mass=m)
-    exp_v_half = np.exp(-0.5j * v * dt / hbar)
-    exp_t = np.exp(-0.5j * hbar * wf.grid.k**2 * dt / m)
+    exp_v_half, exp_t = step_factors(wf.grid, wf.params, potential, dt)
     a, b = np.empty_like(wf.psi.values), np.empty_like(wf.psi.values)
     kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
     psi = wf.psi.values

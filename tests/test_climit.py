@@ -1,8 +1,13 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 import entroflux as ef
+from entroflux import climit
 from entroflux.climit import SpecError
+from entroflux.propagate import split_steps, step_factors
 
 
 def test_sweep_spec_validation():
@@ -94,3 +99,156 @@ def test_sweep_spec_errors_name_their_field():
     with pytest.raises(SpecError, match="not resolved") as info:
         ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, k0=1e5)
     assert info.value.keys[0] == "k0"
+
+
+# ---------- rows with equal step factors share one trajectory ----------
+
+ACCEPTANCE = dict(epsilons=(0.4, 0.2, 0.1, 0.05), t_c=2.0, L_c=1.0, dt_ref=2e-3)
+# 0.8, 0.4 and 0.2 share their factors; 0.5 runs alone
+TWO_GROUPS = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
+# a fast packet on a narrow domain: rows of one group reach the seam
+SHARED_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
+                      x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
+ONE_SAMPLE = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=1)
+# 8, 4 and 1 steps: the one-step row has two samples and fails alone
+ONE_STEP_ROW = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
+
+
+def _row_alone(spec, eps):
+    """The row at eps run by itself: its own free run and Diagnostics, through collect."""
+    from entroflux.entropy import Diagnostics, collect, summarize
+    from entroflux.oracle import GaussianOracle
+
+    hbar, dt, n_steps, stride = spec.time_grid(eps)
+    params = ef.PhysicalParams(hbar=hbar, mass=spec.mass)
+    grid = ef.Grid1D(spec.x_min, spec.x_max, spec.n)
+    oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
+    expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
+    common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)
+    try:
+        wf = ef.init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
+        n_rows = n_steps // stride + 1
+        if n_rows < 3:
+            raise ValueError(f"{n_rows} samples leave no centred difference")
+        stream = Diagnostics(grid, n_rows, spec.reg_floor)
+        collect(wf, ef.Potential.free(), dt, n_steps, stride, stream)
+        seam = max(stream.last_rho[0], stream.last_rho[-1])
+        if seam > 1e-20:
+            raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
+        summary = summarize(stream.columns())
+    except ValueError as exc:
+        nan = float("nan")
+        return ef.SweepRow(**common, delta_I=nan, residual13_l2_max=nan,
+                           eq16_rel_err=nan, sign_fraction=nan, error=str(exc))
+    return ef.SweepRow(
+        **common,
+        delta_I=summary["delta_I"],
+        residual13_l2_max=summary["max_residual13_l2"],
+        eq16_rel_err=summary["eq16_rel_err"],
+        sign_fraction=summary["sign_witness_fraction"],
+    )
+
+
+def _bits(row):
+    """Every field of a SweepRow: the error string, and the bytes of each number."""
+    return [v if isinstance(v, str) else np.float64(v).tobytes()
+            for v in dataclasses.astuple(row)]
+
+
+def _count_steps(monkeypatch):
+    """Record the n_steps of every split_steps call the sweep makes."""
+    calls = []
+
+    def counting(wf, potential, dt, n_steps, on_row=None, stride=1):
+        calls.append(n_steps)
+        return split_steps(wf, potential, dt, n_steps, on_row, stride)
+
+    monkeypatch.setattr(climit, "split_steps", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, TWO_GROUPS, SHARED_FAILING, ONE_SAMPLE,
+                                    ONE_STEP_ROW])
+def test_shared_rows_match_rows_run_alone(kwargs):
+    spec = ef.SweepSpec(**kwargs)
+    rows = ef.run_sweep(spec).rows
+    alone = [_row_alone(spec, eps) for eps in spec.epsilons]
+    assert [_bits(r) for r in rows] == [_bits(r) for r in alone]
+
+
+def test_shared_rows_fail_one_by_one():
+    # the failures the comparison above must reach: a row of a shared group
+    # fails the seam check while the others finish, and a row too short for
+    # a centred difference fails while its group runs
+    rows = ef.run_sweep(ef.SweepSpec(**SHARED_FAILING)).rows
+    assert [r.error != "" for r in rows] == [True, True, False]
+    assert "domain boundary" in rows[1].error
+    rows = ef.run_sweep(ef.SweepSpec(**ONE_STEP_ROW)).rows
+    assert [r.error for r in rows[:2]] == ["", ""]
+    assert rows[2].error == "2 samples leave no centred difference"
+
+
+def test_shared_rows_run_the_longest_rows_steps_once(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    rows = ef.run_sweep(ef.SweepSpec(**ACCEPTANCE)).rows
+    assert sum(r.n_steps for r in rows) == 1875
+    assert calls == [1000]
+    calls.clear()
+    rows = ef.run_sweep(ef.SweepSpec(**TWO_GROUPS)).rows
+    assert sorted(calls) == sorted([rows[0].n_steps, rows[1].n_steps])
+    calls.clear()
+    ef.run_sweep(ef.SweepSpec(**ONE_SAMPLE))
+    assert calls == []
+
+
+def test_rows_whose_factors_differ_in_one_bit_run_apart(monkeypatch):
+    class Nudged(ef.SweepSpec):
+        def hbar_for(self, eps):
+            hbar = super().hbar_for(eps)
+            return np.nextafter(hbar, 1.0) if eps == self.epsilons[-1] else hbar
+
+    spec = Nudged(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, dt_ref=2e-3)
+    grid = ef.Grid1D(spec.x_min, spec.x_max, spec.n)
+    factors = []
+    for eps in spec.epsilons:
+        hbar, dt, _, _ = spec.time_grid(eps)
+        factors.append(step_factors(grid, ef.PhysicalParams(hbar=hbar), ef.Potential.free(), dt))
+    assert [f.tobytes() for f in factors[0]] != [f.tobytes() for f in factors[1]]
+    calls = _count_steps(monkeypatch)
+    rows = ef.run_sweep(spec).rows
+    assert calls == [r.n_steps for r in rows]
+
+
+def test_group_consumers_share_one_block_budget(monkeypatch):
+    from entroflux.entropy import CHUNK_POINTS, Diagnostics
+
+    made = weakref.WeakSet()
+
+    class Recording(Diagnostics):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.add(self)
+
+    heights, live = [], []
+
+    def stepping(wf, potential, dt, n_steps, on_row=None, stride=1):
+        heights.append([d.height for d in made])
+
+        def watched(i, psi):
+            live[-1].append(len(made))
+            on_row(i, psi)
+
+        live.append([])
+        return split_steps(wf, potential, dt, n_steps, watched, stride)
+
+    monkeypatch.setattr(climit, "Diagnostics", Recording)
+    monkeypatch.setattr(climit, "split_steps", stepping)
+    spec = ef.SweepSpec(**TWO_GROUPS)
+    ef.run_sweep(spec)
+    assert sorted(map(len, heights)) == [1, 3]
+    for group in heights:
+        assert sum(group) <= CHUNK_POINTS // spec.n
+    # a row's consumer is freed once its last state has arrived
+    shared = live[[len(h) for h in heights].index(3)]
+    assert shared[0] == 3 and shared[-1] == 1
+    assert shared == sorted(shared, reverse=True)

@@ -6,10 +6,10 @@
 Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
-configs below, which reach block seams, snapshot files, a failing sweep row
-and the binning study.  Each pair of runs must agree in exit code, stdout and
-every output file, byte for byte.  Prints one line per difference and exits 1
-if there is any, 0 otherwise.
+configs below, which reach block seams, snapshot files, failing sweep rows,
+sweep rows that share a trajectory and the binning study.  Each pair of runs
+must agree in exit code, stdout and every output file, byte for byte.  Prints
+one line per difference and exits 1 if there is any, 0 otherwise.
 
 With --tolerance TOL, a CSV or JSON file that differs byte-wise still agrees
 if it has the same columns (CSV) or keys (JSON), the same non-numeric values,
@@ -57,6 +57,12 @@ FIXED = {
     # the larger epsilon's packet reaches the seam, so its row fails
     "sweep_failing_row": ("sweep", "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\n"
                           "x_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
+    # rows that share one trajectory: the 1.6 and 0.8 rows reach the seam
+    "sweep_shared_failing": ("sweep", "epsilons = 1.6, 0.8, 0.4\nt_c = 2.0\nL_c = 1.0\n"
+                             "x_min = -14\nx_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
+    # 0.8, 0.4 and 0.2 share one trajectory; 0.5 runs alone
+    "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
+                         "dt_ref = 2e-3\n"),
     "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
                 "bin_widths = 0.4, 0.2, 0.1\n"),
 }
