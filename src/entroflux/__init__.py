@@ -7,6 +7,7 @@ from .config import (
     RunConfig,
     parse_binning_config,
     parse_config,
+    parse_oracle_config,
     parse_sweep_config,
 )
 from .entropy import (

@@ -20,6 +20,7 @@ from .config import (
     ConfigError,
     parse_binning_config,
     parse_config,
+    parse_oracle_config,
     parse_sweep_config,
 )
 from .entropy import binning_limit_study
@@ -44,7 +45,8 @@ def _read_config(path: str) -> str:
 
 
 def _cmd_run(args, analytic: bool) -> int:
-    cfg = parse_config(_read_config(args.config))
+    parse = parse_oracle_config if analytic else parse_config
+    cfg = parse(_read_config(args.config))
     out = Path(args.out)
     on_block = None
     if cfg.save_snapshots:

@@ -7,6 +7,8 @@ malformed line, a duplicate or unknown key, or a value that does not convert
 its line.  A missing required key is reported without a line.  Each config's
 builder then checks the values; a failed check is a `SpecError` naming the
 keys at fault and is reported at the line of the first of them the text sets.
+`oracle` reads the `simulate` schema; its builder also requires a scenario with
+a closed form (`oracle.closed_form`).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .grid import (
     Grid1D, PhysicalParams, RealField, SpecError, about, check_rows, check_work, positive,
     step_count,
 )
-from .oracle import _normal_density
+from .oracle import _normal_density, closed_form
 from .propagate import Potential, check_dt, check_potential, check_wavenumber, check_width
 
 
@@ -176,6 +178,13 @@ def _run_config(
     if initial not in ("gaussian", "coherent"):
         raise SpecError(f"initial must be 'gaussian' or 'coherent', got {initial!r}",
                         ("initial",))
+    if initial == "coherent":
+        # the coherent packet is derived from omega and amplitude alone
+        for key, is_set in (("sigma0", sigma0 is not None), ("x0", x0 is not None),
+                            ("k0", k0 != 0.0)):
+            if is_set:
+                raise SpecError(f"{key} does not apply to initial = coherent: the packet is "
+                                f"the ground state of omega, at rest at x = amplitude", (key,))
     for key, value in (("x0", x0), ("amplitude", amplitude)):
         if value is not None:
             with about(key):
@@ -266,6 +275,17 @@ def _run_config(
 
 def parse_config(text: str) -> RunConfig:
     return _parse(text, _RUN_SCHEMA, _run_config)
+
+
+def _oracle_config(**values) -> RunConfig:
+    cfg = _run_config(**values)
+    closed_form(cfg)
+    return cfg
+
+
+def parse_oracle_config(text: str) -> RunConfig:
+    """parse_config for `oracle`: the scenario must also have a closed form."""
+    return _parse(text, _RUN_SCHEMA, _oracle_config)
 
 
 # SweepSpec's fields are the sweep config's keys, with their types and defaults

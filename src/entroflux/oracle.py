@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import Series, Snapshot
-from .grid import Grid1D, PhysicalParams, check_positive
+from .grid import Grid1D, PhysicalParams, SpecError, check_positive
 from .madelung import DEFAULT_REG_FLOOR
 
 
@@ -104,3 +104,29 @@ class CoherentOracle(_Oracle):
         rho = _normal_density(grid.x, self.center(t), self.sigma2())
         v = np.full(grid.n, -self.amplitude * self.omega * np.sin(self.omega * t))
         return rho, v
+
+
+def closed_form(cfg) -> _Oracle:
+    """The closed-form oracle of a run config's scenario.
+
+    Two scenarios have one: a gaussian initial state under the free potential,
+    and a coherent state under its own harmonic well (potential_omega = omega,
+    potential_center = 0).  Any other raises a SpecError naming the key at
+    fault, or `initial` where that key keeps its default.
+    """
+    pot = cfg.potential
+    if cfg.initial_kind == "gaussian":
+        if pot.kind != "free":
+            raise SpecError("oracle for a gaussian initial state requires potential = free",
+                            ("potential",))
+        return GaussianOracle(sigma0=cfg.sigma0, x0=cfg.x0, k0=cfg.k0, params=cfg.params)
+    if pot.kind != "harmonic":
+        raise SpecError("oracle for a coherent state requires potential = harmonic",
+                        ("potential", "initial"))
+    if pot.omega != cfg.omega:
+        raise SpecError(f"oracle for a coherent state requires potential_omega = omega "
+                        f"= {cfg.omega}, got {pot.omega}", ("potential_omega", "omega"))
+    if pot.x0 != 0.0:
+        raise SpecError(f"oracle for a coherent state requires potential_center = 0, "
+                        f"got {pot.x0}", ("potential_center",))
+    return CoherentOracle(omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params)

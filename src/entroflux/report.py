@@ -18,7 +18,8 @@ import numpy as np
 from .climit import SweepReport, SweepRow
 from .config import ConfigError, RunConfig
 from .entropy import BinRow, Diagnostics, Series, collect, summarize
-from .oracle import CoherentOracle, GaussianOracle
+from .grid import SpecError
+from .oracle import closed_form
 from .propagate import init_gaussian
 
 CSV_COLUMNS = [
@@ -81,44 +82,54 @@ def run_simulation(cfg: RunConfig, on_block=None) -> RunReport:
 def run_oracle(cfg: RunConfig, on_block=None) -> RunReport:
     """Emit the analytic-field series for the configured scenario.
 
-    Only scenarios with a closed form are accepted: a gaussian initial state
-    under the free potential, or a coherent state under its harmonic well.
+    Only scenarios with a closed form are accepted (`oracle.closed_form`); a
+    config from `parse_oracle_config` always has one.
     """
-    if cfg.initial_kind == "gaussian":
-        if cfg.potential.kind != "free":
-            raise ConfigError(
-                "oracle for a gaussian initial state requires potential = free"
-            )
-        oracle = GaussianOracle(
-            sigma0=cfg.sigma0, x0=cfg.x0, k0=cfg.k0, params=cfg.params
-        )
-    else:
-        pot = cfg.potential
-        if pot.kind != "harmonic" or pot.omega != cfg.omega or pot.x0 != 0.0:
-            raise ConfigError(
-                "oracle for a coherent state requires potential = harmonic "
-                "with potential_omega = omega and potential_center = 0"
-            )
-        oracle = CoherentOracle(
-            omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params
-        )
+    try:
+        oracle = closed_form(cfg)
+    except SpecError as exc:
+        raise ConfigError(str(exc)) from exc
     stream = _stream(cfg, on_block)
     for i in range(len(stream.t)):
         stream.add(oracle.row(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor))
     return _assemble(stream, cfg)
 
 
+TABLE_CHUNK_ROWS = 1024  # rows formatted by one `%` operation
+
+
+def _row_format(columns) -> str:
+    """The row format of columns: integers %d, strings %s, anything else %.17g."""
+    return ",".join({"i": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g") for c in columns)
+
+
+def text_column(values) -> np.ndarray:
+    """values formatted as `write_table` formats them, as a text column: a column
+    shared by many tables (a grid) is then formatted once."""
+    values = np.asarray(values)
+    fmt = _row_format([values])
+    return np.array([fmt % v for v in values.tolist()])
+
+
 def write_table(path: Path, header, columns) -> None:
     """Write equal-length columns as CSV under a header line.
 
     Each column is formatted by its dtype: integers %d, strings %s, anything
-    else %.17g, so a float keeps every bit of its value.
+    else %.17g, so a float keeps every bit of its value.  The rows are
+    formatted TABLE_CHUNK_ROWS at a time, by one `%` of the row format repeated
+    over the chunk's values taken row by row.
     """
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join({"i": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g") for c in columns)
-    lines = [",".join(header)]
-    lines += map(fmt.__mod__, zip(*(c.tolist() for c in columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = _row_format(columns) + "\n"
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n_rows, TABLE_CHUNK_ROWS):
+            chunk = min(TABLE_CHUNK_ROWS, n_rows - start)
+            values = [None] * (chunk * len(columns))
+            for j, c in enumerate(columns):
+                values[j::len(columns)] = c[start:start + chunk].tolist()
+            f.write(row * chunk % tuple(values))
 
 
 def write_series_csv(columns: dict, path: Path) -> None:
@@ -140,8 +151,9 @@ def write_snapshots(series: Series, out_dir: Path, first: int = 0) -> None:
     """Write row i of series as out_dir/snapshot_{first + i:06d}.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    x = text_column(series.grid.x)
     for i in range(len(series.t)):
-        columns = (series.grid.x, series.rho[i], series.current[i], series.velocity[i],
+        columns = (x, series.rho[i], series.current[i], series.velocity[i],
                    series.rho_I[i])
         write_table(out_dir / f"snapshot_{first + i:06d}.csv", SNAPSHOT_COLUMNS, columns)
 

@@ -103,6 +103,10 @@ def test_oracle_rejects_unsupported_scenario(tmp_path, capsys):
     text = SIM_CONFIG + "potential = harmonic\npotential_omega = 1.0\n"
     cfg = _write(tmp_path, "run.cfg", text)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    # the free oracle has no harmonic well: the error is at the potential line
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 8: oracle for a gaussian initial state")
+    assert not (tmp_path / "o").exists()
 
 
 def test_snapshots_written_on_request(tmp_path):

@@ -162,3 +162,49 @@ def test_truncating_time_grid_rejected():
         ef.parse_config(MINIMAL.replace("t_final = 0.1", "t_final = 0.02525"))
     text = MINIMAL.replace("t_final = 0.1", "t_final = 0.025") + "observe_stride = 5\n"
     assert ef.parse_config(text).n_steps == 50
+
+
+@pytest.mark.parametrize("entry", ["x0 = 5", "k0 = 3", "k0 = -0.5", "x0 = 0", "sigma0 = 2"])
+def test_coherent_packet_rejects_sigma0_x0_and_k0(entry):
+    # the packet comes from omega and amplitude alone: these keys would be ignored
+    text = COHERENT + "potential = harmonic\npotential_omega = 1.0\n" + entry + "\n"
+    key = entry.split()[0]
+    with pytest.raises(ef.ConfigError, match=f"line 12: {key} does not apply") as info:
+        ef.parse_config(text)
+    assert info.value.line == 12
+
+
+def test_coherent_packet_allows_zero_k0():
+    cfg = ef.parse_config(COHERENT + "k0 = 0\n")
+    assert (cfg.k0, cfg.x0) == (0.0, 0.0)
+
+
+HARMONIC = "potential = harmonic\npotential_omega = 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text,match,line",
+    [
+        (MINIMAL + HARMONIC, "gaussian initial state requires potential = free", 8),
+        # the potential keeps its default, free: the error names the initial line
+        (COHERENT, "coherent state requires potential = harmonic", 5),
+        (COHERENT + "potential = gaussian_barrier\nbarrier_height = 1\nbarrier_width = 1\n",
+         "coherent state requires potential = harmonic", 10),
+        (COHERENT + "potential = harmonic\npotential_omega = 2\n",
+         "requires potential_omega = omega = 1.0, got 2.0", 11),
+        (COHERENT + "potential_center = 3\n" + HARMONIC,
+         "requires potential_center = 0, got 3.0", 10),
+    ],
+    ids=["gaussian_harmonic", "coherent_free", "coherent_barrier", "coherent_omega",
+         "coherent_center"],
+)
+def test_oracle_without_closed_form_is_error_at_its_line(text, match, line):
+    ef.parse_config(text)  # simulate runs it
+    with pytest.raises(ef.ConfigError, match=match) as info:
+        ef.parse_oracle_config(text)
+    assert info.value.line == line
+
+
+def test_oracle_config_parses_closed_form_scenarios():
+    for text in (MINIMAL, MINIMAL + "k0 = 1\nx0 = -2\n", COHERENT + HARMONIC):
+        assert repr(ef.parse_oracle_config(text)) == repr(ef.parse_config(text))

@@ -1,5 +1,5 @@
-"""Property test of the three config parsers: any text built from a parser's
-keys either parses or raises ConfigError, never any other exception."""
+"""Property test of the config parsers: any text built from a parser's keys
+either parses or raises ConfigError, never any other exception."""
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import entroflux as ef
 from entroflux.config import _BINNING_SCHEMA, _RUN_SCHEMA, _SWEEP_SCHEMA
+from entroflux.oracle import closed_form
 
 # None drops the key; the rest are edge values, then ordinary ones of each kind
 VALUES = (
@@ -19,6 +20,9 @@ VALUES = (
 
 RUN_BASE = {"x_min": "-20", "x_max": "20", "n": "512", "sigma0": "1", "dt": "1e-3",
             "t_final": "0.1"}
+COHERENT_BASE = {"x_min": "-20", "x_max": "20", "n": "512", "initial": "coherent",
+                 "omega": "1", "amplitude": "1", "potential": "harmonic",
+                 "potential_omega": "1", "dt": "1e-3", "t_final": "0.1"}
 SWEEP_BASE = {"epsilons": "0.4, 0.2", "t_c": "2", "L_c": "1"}
 BINNING_BASE = {"x_min": "-12.8", "x_max": "12.8", "n": "1024", "sigma0": "1",
                 "bin_widths": "0.4, 0.2"}
@@ -55,6 +59,24 @@ FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None
 @example("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1\ndt = 1e-320\nt_final = 0.1\n")
 def test_run_config_fuzz(text):
     _parses_or_config_error(ef.parse_config, text)
+
+
+@FUZZ
+@given(config_text(_RUN_SCHEMA, COHERENT_BASE))
+@example("x_min = -20\nx_max = 20\nn = 512\ninitial = coherent\nomega = 1\namplitude = 1\n"
+         "dt = 1e-3\nt_final = 0.1\n")
+def test_oracle_config_fuzz(text):
+    try:
+        cfg = ef.parse_oracle_config(text)
+    except ef.ConfigError as exc:
+        # a scenario simulate accepts but oracle cannot is refused at a line
+        try:
+            ef.parse_config(text)
+        except ef.ConfigError:
+            return
+        assert exc.line is not None, exc
+    else:
+        closed_form(cfg)  # the oracle run finds its closed form
 
 
 @FUZZ

@@ -6,8 +6,8 @@
 Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
-configs below, which reach block seams, snapshot files, failing sweep rows,
-sweep rows that share a trajectory and the binning study.  Each pair of runs
+configs below, which reach block seams, table chunk seams, snapshot files,
+failing sweep rows, sweep rows that share a trajectory and the binning study.  Each pair of runs
 must agree in exit code, stdout and every output file, byte for byte.  Prints
 one line per difference and exits 1 if there is any, 0 otherwise.
 
@@ -49,6 +49,9 @@ FIXED = {
                          "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
     "oracle_one_block": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.063\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
+    # 2501 rows of series.csv: two full chunks of report.TABLE_CHUNK_ROWS and a partial one
+    "simulate_n64_stride1": ("simulate", "x_min = -8\nx_max = 8\nn = 64\nsigma0 = 1.0\n"
+                             "k0 = 0.5\ndt = 1e-3\nt_final = 2.5\nobserve_stride = 1\n"),
     # at n = 16384 a block holds 2 rows; 101 rows
     "barrier_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
                       "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
