@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from .entropy import CHUNK_POINTS, Diagnostics, summarize
+from .entropy import CHUNK_POINTS, Diagnostics, check_reg_floor, summarize
 # SpecError is re-exported: an invalid SweepSpec raises it
 from .grid import (
     Grid1D, PhysicalParams, SpecError, about, check_rows, check_work, positive, step_count,
@@ -59,8 +59,10 @@ class SweepSpec:
             if any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
                 raise ValueError("epsilons must be strictly descending")
         positive(**{key: getattr(self, key)
-                    for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples", "reg_floor")})
+                    for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples")})
         grid = Grid1D(self.x_min, self.x_max, self.n)
+        with about("reg_floor"):
+            check_reg_floor(grid, self.reg_floor)
         with about("L_c", "n", "x_max", "x_min"):
             check_width(grid, self.L_c)
         with about("x0", "x_min", "x_max"):

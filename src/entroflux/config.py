@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .climit import SweepSpec
-from .entropy import _subvolume_indices, bin_size, check_normalized
+from .entropy import _subvolume_indices, bin_size, check_normalized, check_reg_floor
 from .grid import (
     Grid1D, PhysicalParams, RealField, SpecError, about, check_rows, check_work, positive,
     step_count,
@@ -234,7 +234,8 @@ def _run_config(
                         f"{n_steps} steps", ("observe_stride", "t_final"))
     with about("observe_stride"):
         check_rows(n_steps // observe_stride + 1)
-    positive(reg_floor=reg_floor)
+    with about("reg_floor"):
+        check_reg_floor(grid, reg_floor)
 
     subvolume = None
     if (subvolume_a, subvolume_b) != (None, None):
@@ -329,7 +330,8 @@ def _binning_config(*, x_min, x_max, n, sigma0, x0, bin_widths, reg_floor) -> Bi
             bin_size(grid, dq)
     with about("sigma0"):
         check_normalized(RealField(grid, _normal_density(grid.x, x0, sigma0**2)))
-    positive(reg_floor=reg_floor)
+    with about("reg_floor"):
+        check_reg_floor(grid, reg_floor)
     return BinningConfig(grid, sigma0, x0, bin_widths, reg_floor)
 
 

@@ -139,10 +139,25 @@ def info_density(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> RealFi
     return RealField(rho.grid, _info_density(rho.values, reg_floor))
 
 
+# How far a density's integral may stray from 1.
+MASS_TOL = 1e-6
+
+
 def check_normalized(rho: RealField) -> None:
     norm = integrate(rho)
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > MASS_TOL:
         raise ValueError(f"density not normalized: integral = {norm!r}")
+
+
+def check_reg_floor(grid: Grid1D, reg_floor: float) -> None:
+    """Raise unless reg_floor is positive and the mass it may set aside, up to
+    reg_floor * (x_max - x_min), is below check_normalized's bound."""
+    check_positive("reg_floor", reg_floor)
+    mass = reg_floor * grid.length
+    if not mass < MASS_TOL:
+        raise ValueError(f"reg_floor = {reg_floor} is too large: the points it floors may "
+                         f"hold reg_floor * (x_max - x_min) = {mass:.6g} of the mass, "
+                         f"which must be below {MASS_TOL:g}")
 
 
 def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
@@ -312,6 +327,17 @@ def _rate(i_series: np.ndarray, dt: float) -> np.ndarray:
     return rate
 
 
+def _rate_identity(rho: np.ndarray, d_rho: np.ndarray, d_rho_I: np.ndarray,
+                   reg_floor: float) -> np.ndarray:
+    """The rate identity's residual d(rho_I)/dt + d(rho)/dt ln rho where
+    rho >= reg_floor, and +0.0 where rho is floored."""
+    mask = rho >= reg_floor
+    r9 = np.zeros_like(rho)
+    np.log(rho, out=r9, where=mask)
+    np.multiply(d_rho, r9, out=r9, where=mask)
+    return np.add(d_rho_I, r9, out=r9, where=mask)
+
+
 def _l2(dx: float, r: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * np.sum(r * r, axis=1))
 
@@ -459,9 +485,7 @@ class Diagnostics:
         self.out["residual13_l2"][rows] = _l2(grid.dx, r13)
         self.out["residual13_linf"][rows] = np.max(np.abs(r13), axis=1)
         d_rho = (w.rho[a + 1 : b + 1] - w.rho[a - 1 : b - 1]) / (2.0 * dt)
-        mask = rho >= w.reg_floor
-        r9 = np.zeros_like(rho)
-        r9[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
+        r9 = _rate_identity(rho, d_rho, d_rho_I, w.reg_floor)
         self.out["residual9_l2"][rows] = _l2(grid.dx, r9)
         self.out["residual9_linf"][rows] = np.max(np.abs(r9), axis=1)
 

@@ -7,6 +7,13 @@ rectangle rule, which coincides with the trapezoid rule on periodic data and
 is spectrally accurate for smooth periodic fields.  Derivatives are spectral:
 a real field goes through a real-input FFT pair (rfft/irfft), a complex one
 through the complex pair.
+
+The transforms (`fft`, `ifft`, `rfft`, `irfft`) call the pocketfft gufuncs of
+`numpy.fft._pocketfft_umath`, the kernels behind `np.fft`, directly: they give
+np.fft's results bit for bit along the last axis without its per-call Python
+wrapper, which costs about 5 us a call against about 21 us for a complex
+transform at n = 1024 (2-core Xeon, numpy 2.4.6).  The module is private to
+numpy, so it is imported here, and a numpy without it fails at import.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 
 class SpecError(ValueError):
@@ -178,6 +186,37 @@ def integrate(f: _Field) -> float:
     return float(f.grid.dx * f.values.sum())
 
 
+# The transforms along the last axis.  Each passes the normalisation factor
+# np.fft passes (1 forward, 1/n inverse) and, unless given one, allocates its
+# output, whose length the gufunc cannot infer.
+_LAST = [(-1,), (), (-1,)]
+
+
+def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.fft(a, out=out)."""
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _pocketfft.fft(a, 1, axes=_LAST, out=out)
+
+
+def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.ifft(a, out=out)."""
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _pocketfft.ifft(a, 1 / a.shape[-1], axes=_LAST, out=out)
+
+
+def rfft(a: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(a) of a real a whose last axis has even length, as a grid's has."""
+    shape = a.shape[:-1] + (a.shape[-1] // 2 + 1,)
+    return _pocketfft.rfft_n_even(a, 1, axes=_LAST, out=np.empty(shape, complex))
+
+
+def irfft(a: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfft(a, n): the n real values whose rfft is a."""
+    return _pocketfft.irfft(a, 1 / n, axes=_LAST, out=np.empty(a.shape[:-1] + (n,)))
+
+
 def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Spectral d/dx along the last axis, so a (T, n) stack is one batched FFT.
 
@@ -185,9 +224,12 @@ def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     values take the complex pair.
     """
     if np.iscomplexobj(values):
-        return np.fft.ifft(grid._ik * np.fft.fft(values))
+        # numpy may reuse fft's temporary for this product and swap its
+        # operands (see `split_steps`): the bits are this expression's, so it
+        # stays as written.
+        return ifft(grid._ik * fft(values))
     # np.multiply keeps the operand order fixed, as in madelung_arrays.
-    return np.fft.irfft(np.multiply(grid._ik_r, np.fft.rfft(values)), grid.n)
+    return irfft(np.multiply(grid._ik_r, rfft(values)), grid.n)
 
 
 def derivative(f: _Field) -> _Field:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ComplexField, Grid1D, PhysicalParams, check_positive
+from .grid import ComplexField, Grid1D, PhysicalParams, check_positive, fft, ifft
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ def step_factors(grid: Grid1D, params: PhysicalParams, potential: Potential,
     """The factors of a Strang step of dt: the half kick exp(-i V dt / 2 hbar)
     on the grid and the kinetic step exp(-i hbar k^2 dt / 2m) on its wavenumbers.
 
-    `split_steps` applies these arrays and nothing else, so two runs from one
-    state on one grid whose factors are equal byte for byte make the same
-    states.
+    `split_steps` applies these arrays and nothing else (a half kick equal to
+    1 everywhere it skips), so two runs from one state on one grid whose
+    factors are equal byte for byte make the same states.
     """
     hbar, m = params.hbar, params.mass
     v = potential.values(grid.x, mass=m)
@@ -182,15 +182,16 @@ def split_steps(
 
     Each step is a half potential kick, a kinetic step in Fourier space and
     another half kick, with the factors of `step_factors` computed once per
-    call.  The loop allocates no array: psi lives in buffer `a`, its
-    transform in buffer `b`, and every product and transform writes into one
-    of them (`out=`).
+    call.  A half kick equal to 1 everywhere, as a free potential's is, is
+    not applied: multiplying by it changes no nonzero value.  The loop
+    allocates no array: psi lives in buffer `a`, its transform in buffer `b`,
+    and every product and transform writes into one of them (`out=`).
     on_row(i, psi) is called after every `stride`-th step i with a copy of the
     state at t = wf.t + i*dt, so the loop never writes to an array it has
     passed out.
 
     The complex product's last bit depends on the order of its operands, and
-    numpy evaluates the expression `exp_t * np.fft.fft(psi)` as
+    numpy evaluates the expression `exp_t * fft(psi)` as
     `fft(psi) * exp_t` once the transform's temporary reaches 256 KiB (it
     reuses the temporary and swaps the operands).  The kinetic product keeps
     the order that expression has at this grid size, so the states are those
@@ -203,15 +204,18 @@ def split_steps(
     check_dt(wf.grid, wf.params, dt)
     check_potential(wf.grid, wf.params, potential, dt)
     exp_v_half, exp_t = step_factors(wf.grid, wf.params, potential, dt)
+    kick = not (exp_v_half == 1).all()
     a, b = np.empty_like(wf.psi.values), np.empty_like(wf.psi.values)
     kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
     psi = wf.psi.values
     for i in range(1, n_steps + 1):
-        np.multiply(exp_v_half, psi, out=a)
-        np.fft.fft(a, out=b)
+        if kick:
+            psi = np.multiply(exp_v_half, psi, out=a)
+        fft(psi, out=b)
         np.multiply(*kinetic, out=b)
-        np.fft.ifft(b, out=a)
-        psi = np.multiply(exp_v_half, a, out=a)
+        psi = ifft(b, out=a)
+        if kick:
+            np.multiply(exp_v_half, psi, out=psi)
         if on_row is not None and i % stride == 0:
             on_row(i, psi.copy())
     return psi

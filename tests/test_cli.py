@@ -260,6 +260,34 @@ def test_sweep_and_binning_config_errors_name_their_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,text,line",
+    [
+        # on 40 length units a floor of 1e-3 may set aside 0.04 of the mass
+        ("simulate", SIM_CONFIG + "reg_floor = 1e-3\n", 8),
+        ("oracle", COHERENT_CONFIG + "reg_floor = 1e-3\n", 12),
+        ("sweep", SWEEP_BASE + "reg_floor = 1\n", 4),
+        ("binning", BINNING_BASE + "reg_floor = 1e-3\n", 6),
+        # 2.5e-8 * 40 reaches the bound of 1e-6 itself
+        ("simulate", SIM_CONFIG + "reg_floor = 2.5e-8\n", 8),
+    ],
+    ids=["simulate", "oracle", "sweep", "binning", "simulate_at_bound"],
+)
+def test_reg_floor_holding_mass_is_config_error(tmp_path, capsys, command, text, line):
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: reg_floor = ")
+    assert "must be below 1e-06" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reg_floor_below_mass_bound_runs(tmp_path):
+    # 2.4e-8 * 40 = 9.6e-7 of the mass at most
+    cfg = _write(tmp_path, "run.cfg", SIM_CONFIG + "reg_floor = 2.4e-8\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_oracle_rejects_off_centre_harmonic_well(tmp_path, capsys):
     # the closed-form coherent state oscillates about x = 0
     cfg = _write(tmp_path, "run.cfg", COHERENT_CONFIG + "potential_center = 3\n")

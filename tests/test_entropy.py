@@ -635,6 +635,7 @@ def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
 def test_diagnose_runs_no_complex_fft(monkeypatch):
     # every derivative the balance laws take is of a real field (rho and the
     # flux), so each goes through a real-input FFT pair
+    from entroflux import grid as grid_module
     from entroflux.entropy import diagnose
 
     grid = ef.Grid1D(-16.0, 16.0, 512)
@@ -644,8 +645,8 @@ def test_diagnose_runs_no_complex_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT in the diagnostics")
 
-    monkeypatch.setattr(np.fft, "fft", refuse)
-    monkeypatch.setattr(np.fft, "ifft", refuse)
+    monkeypatch.setattr(grid_module, "fft", refuse)
+    monkeypatch.setattr(grid_module, "ifft", refuse)
     columns = diagnose(series, subvolume=(-2.0, 2.0))
     assert np.max(columns["residual13_l2"]) > 0.0
 
@@ -675,3 +676,35 @@ def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
     assert str(block.value) == str(per_state.value)
     assert str(block.value).startswith(
         "non-finite field" if defect == "nan" else "wavefunction not normalized")
+
+
+def test_residual9_equals_boolean_indexing_reference_bitwise():
+    # the rate identity is computed with where= on the points at or above the
+    # floor: it must give the bits of a boolean-indexing pass, and +0.0 on
+    # every floored point
+    from entroflux.entropy import Diagnostics, _rate_identity
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
+    reg_floor, dt = 1e-8, 1e-3
+    series = _collected(wf0, ef.Potential.gaussian_barrier(2.0, 0.5, 1.5), dt, 40, 1,
+                        reg_floor)
+    assert series.floored_points.min() > 0
+    rho = series.rho[1:-1]
+    d_rho_I = (series.rho_I[2:] - series.rho_I[:-2]) / (2.0 * dt)
+    d_rho = (series.rho[2:] - series.rho[:-2]) / (2.0 * dt)
+    mask = rho >= reg_floor
+    reference = np.zeros_like(rho)
+    reference[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
+
+    r9 = _rate_identity(rho, d_rho, d_rho_I, reg_floor)
+    assert r9.tobytes() == reference.tobytes()
+    assert not np.signbit(r9[~mask]).any() and not r9[~mask].any()
+
+    stream = Diagnostics(grid, len(series.t), reg_floor, dt=dt)
+    stream.add(series)
+    columns = stream.columns()
+    l2 = np.sqrt(grid.dx * np.sum(reference * reference, axis=1))
+    assert columns["residual9_l2"][1:-1].tobytes() == l2.tobytes()
+    linf = np.max(np.abs(reference), axis=1)
+    assert columns["residual9_linf"][1:-1].tobytes() == linf.tobytes()

@@ -128,3 +128,48 @@ def test_real_derivative_row_equals_row_of_large_stack(rows, n):
     stacked = _spectral_derivative(f, g)
     for i in range(rows):
         assert np.array_equal(stacked[i], _spectral_derivative(f[i], g)), i
+
+
+@pytest.mark.parametrize("n", [16, 1024, 16384])
+@pytest.mark.parametrize("shape", ["1d", "stack"])
+def test_fft_helpers_equal_numpy_bytewise(n, shape):
+    # the helpers call numpy's private pocketfft gufuncs: they must give
+    # np.fft's bytes, with its normalisation and along the last axis of a
+    # (B, n) stack whose B differs from n
+    from entroflux import grid
+
+    dims = (n,) if shape == "1d" else (3, n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(dims)
+    z = x + 1j * rng.standard_normal(dims)
+    half = z[..., : n // 2 + 1].copy()
+    for a in (x, z, half):
+        a.setflags(write=False)
+    pairs = [
+        (grid.fft(z), np.fft.fft(z)),
+        (grid.ifft(z), np.fft.ifft(z)),
+        (grid.rfft(x), np.fft.rfft(x)),
+        (grid.irfft(half, n), np.fft.irfft(half, n)),
+    ]
+    for transform, reference in ((grid.fft, np.fft.fft), (grid.ifft, np.fft.ifft)):
+        out = np.empty_like(z)
+        assert transform(z, out=out) is out
+        pairs.append((out, reference(z)))
+    for i, (got, want) in enumerate(pairs):
+        assert got.dtype == want.dtype and got.shape == want.shape, i
+        assert got.tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_complex_derivative_equals_numpy_expression_bytewise(n):
+    # on both sides of 256 KiB, where numpy starts to reuse the temporary of
+    # `grid._ik * fft(values)` for the product
+    from entroflux.grid import _spectral_derivative
+
+    g = ef.Grid1D(-20.0, 20.0, n)
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    reference = np.fft.ifft(g._ik * np.fft.fft(z))
+    assert _spectral_derivative(z, g).tobytes() == reference.tobytes()
+    assert _spectral_derivative(z[0], g).tobytes() == np.fft.ifft(
+        g._ik * np.fft.fft(z[0])).tobytes()

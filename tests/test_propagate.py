@@ -176,3 +176,40 @@ def test_split_steps_matches_expression_loop_bitwise(n):
     out = ef.evolve(wf, pot, dt, n_steps, observer=states.append, stride=stride)
     assert np.array_equal(out.psi.values, expected[n_steps])
     assert not any(w.psi.values.flags.writeable for w in (*states, out))
+
+
+def _kicked_states(wf, pot, dt, n_steps):
+    """Each state of n_steps Strang steps that apply both half kicks, with np.fft."""
+    from entroflux.propagate import step_factors
+
+    exp_v_half, exp_t = step_factors(wf.grid, wf.params, pot, dt)
+    psi, states = wf.psi.values, []
+    for _ in range(n_steps):
+        psi = exp_v_half * np.fft.ifft(exp_t * np.fft.fft(exp_v_half * psi))
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("pot, sigma0, k0", [
+    # exact zeros in every initial state; the two narrow packets' underflowed
+    # tails hold signed zeros (-0.0), which a kick could flip
+    (ef.Potential.free(), 1.0, 0.0),
+    (ef.Potential.free(), 0.2, 40.0),
+    (ef.Potential.free(), 0.15, 60.0),
+    # a kick that is not 1 must be applied
+    (ef.Potential.harmonic(1.0), 1.0, 5.0),
+], ids=["free_wide", "free_narrow", "free_narrowest", "harmonic"])
+def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
+    # split_steps skips a half kick equal to 1 everywhere; its states must
+    # still be those of the loop that applies it, to the sign of every zero
+    from entroflux.propagate import split_steps
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=sigma0, k0=k0)
+    dt, n_steps = 1e-4, 200
+    expected = _kicked_states(wf, pot, dt, n_steps)
+    handed = []
+    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append(p))
+    assert final.tobytes() == expected[-1].tobytes()
+    assert len(handed) == n_steps
+    for i, (got, want) in enumerate(zip(handed, expected)):
+        assert got.tobytes() == want.tobytes(), i + 1

@@ -7,7 +7,8 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
-failing sweep rows, sweep rows that share a trajectory and the binning study.  Each pair of runs
+failing sweep rows, sweep rows that share a trajectory, signed zeros in a
+free run's states and the binning study.  Each pair of runs
 must agree in exit code, stdout and every output file, byte for byte.  Prints
 one line per difference and exits 1 if there is any, 0 otherwise.
 
@@ -66,6 +67,11 @@ FIXED = {
     # 0.8, 0.4 and 0.2 share one trajectory; 0.5 runs alone
     "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
                          "dt_ref = 2e-3\n"),
+    # row 0's current column holds 105 cells of -0: the tails of exp underflow to
+    # signed zeros, which a skipped identity kick must not flip
+    "narrow_signed_zeros": ("simulate", "x_min = -20\nx_max = 20\nn = 1024\nsigma0 = 0.2\n"
+                            "k0 = 40\ndt = 1e-4\nt_final = 0.02\nobserve_stride = 1\n"
+                            "save_snapshots = true\n"),
     "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
                 "bin_widths = 0.4, 0.2, 0.1\n"),
 }
