@@ -6,8 +6,9 @@ Subcommands:
   sweep     classical-limit sweep, writes sweep.csv + sweep_summary.json
   binning   bin-width convergence study, writes binning.csv
 
-Exit codes: 0 all configured checks pass, 1 usage/config error, 2 tolerance
-failure.  Outputs are byte-identical across reruns of the same config.
+Exit codes: 0 all configured checks pass, 1 usage/config error or an output
+directory that cannot be made, 2 tolerance failure.  Outputs are
+byte-identical across reruns of the same config.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from .config import (
     parse_sweep_config,
 )
 from .entropy import binning_limit_study
-from .grid import RealField
-from .oracle import _normal_density
 from .report import (
     run_oracle,
     run_simulation,
@@ -37,23 +36,44 @@ from .report import (
 )
 
 
+class OutputError(Exception):
+    """The output directory cannot be made."""
+
+
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as the config's lines are
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8", line)
+
+
+def _out_dir(path: str) -> Path:
+    """The output directory path, made (with its parents) if it does not exist."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot make output directory {path}: {exc}")
+    return out
 
 
 def _cmd_run(args, analytic: bool) -> int:
     parse = parse_oracle_config if analytic else parse_config
     cfg = parse(_read_config(args.config))
-    out = Path(args.out)
+    out = _out_dir(args.out)
     on_block = None
     if cfg.save_snapshots:
+        snapshots = _out_dir(out / "snapshots")
+
         def on_block(first, rows):
-            write_snapshots(rows, out / "snapshots", first)
+            write_snapshots(rows, snapshots, first)
     report = (run_oracle if analytic else run_simulation)(cfg, on_block)
-    out.mkdir(parents=True, exist_ok=True)
     write_series_csv(report.columns, out / "series.csv")
     write_summary_json(report.summary, out / "summary.json")
     if not args.quiet:
@@ -68,9 +88,8 @@ def _cmd_run(args, analytic: bool) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_config(_read_config(args.config))
+    out = _out_dir(args.out)
     report = run_sweep(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(report, out / "sweep.csv")
     summary = {
         "exponent": report.exponent,
@@ -87,10 +106,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_binning(args) -> int:
     cfg = parse_binning_config(_read_config(args.config))
-    rho = RealField(cfg.grid, _normal_density(cfg.grid.x, cfg.x0, cfg.sigma0**2))
-    rows = binning_limit_study(rho, cfg.bin_widths, cfg.reg_floor)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    rows = binning_limit_study(cfg.rho, cfg.bin_widths, cfg.reg_floor)
     write_binning_csv(rows, out / "binning.csv")
     if not args.quiet:
         for r in rows:
@@ -123,6 +140,9 @@ def main(argv=None) -> int:
         return _cmd_binning(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,15 +4,17 @@ All three share one grammar and one parser, `_parse`: UTF-8 text, one
 `key = value` per line, `#` starts a comment, blank lines are ignored.  A
 malformed line, a duplicate or unknown key, or a value that does not convert
 (numbers must be finite; bools are true/yes/1 or false/no/0) is reported at
-its line.  A missing required key is reported without a line.  Each config's
-builder then checks the values; a failed check is a `SpecError` naming the
-keys at fault and is reported at the line of the first of them the text sets.
+its line.  A missing required key is reported without a line.  A config's
+keys, with their kinds and defaults, are its builder's parameters (`_schema`).
+The builder checks the values; a failed check is a `SpecError` naming the keys
+at fault and is reported at the line of the first of them the text sets.
 `oracle` reads the `simulate` schema; its builder also requires a scenario with
 a closed form (`oracle.closed_form`).
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+import inspect
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -82,6 +84,21 @@ def _convert(kind: str, value: str, key: str, line: int):
     raise AssertionError(f"unknown schema kind {kind}")
 
 
+def _schema(build) -> dict:
+    """The schema of build's parameters: key -> (kind, default).
+
+    The kind is the parameter's annotation, with `float | None` a float the
+    text may leave unset and `tuple` a float_list; a parameter without a
+    default is a required key.
+    """
+    schema = {}
+    for p in inspect.signature(build).parameters.values():
+        kind = p.annotation.removesuffix(" | None")
+        schema[p.name] = ({"tuple": "float_list"}.get(kind, kind),
+                          MISSING if p.default is p.empty else p.default)
+    return schema
+
+
 def _parse(text: str, schema: dict, build):
     """build(**values) for the keys of schema, a map key -> (kind, default).
 
@@ -120,10 +137,9 @@ class RunConfig:
     params: PhysicalParams
     initial_kind: str  # gaussian | coherent
     sigma0: float      # effective initial width (derived for coherent)
-    x0: float
+    x0: float          # the packet's centre: amplitude for a coherent packet
     k0: float
     omega: float | None
-    amplitude: float | None
     potential: Potential
     dt: float
     n_steps: int
@@ -135,41 +151,16 @@ class RunConfig:
     eq16_rel_tol: float | None
 
 
-_RUN_SCHEMA = {
-    "x_min": ("float", MISSING),
-    "x_max": ("float", MISSING),
-    "n": ("int", MISSING),
-    "hbar": ("float", 1.0),
-    "mass": ("float", 1.0),
-    "initial": ("str", "gaussian"),
-    "sigma0": ("float", None),
-    "x0": ("float", None),
-    "k0": ("float", 0.0),
-    "omega": ("float", None),
-    "amplitude": ("float", None),
-    "potential": ("str", "free"),
-    "potential_omega": ("float", None),
-    "potential_center": ("float", 0.0),
-    "barrier_height": ("float", None),
-    "barrier_width": ("float", None),
-    "barrier_center": ("float", 0.0),
-    "dt": ("float", MISSING),
-    "t_final": ("float", MISSING),
-    "observe_stride": ("int", 10),
-    "reg_floor": ("float", 1e-12),
-    "subvolume_a": ("float", None),
-    "subvolume_b": ("float", None),
-    "save_snapshots": ("bool", False),
-    "norm_tol": ("float", 1e-8),
-    "eq16_rel_tol": ("float", None),
-}
-
-
 def _run_config(
-    *, x_min, x_max, n, hbar, mass, initial, sigma0, x0, k0, omega, amplitude,
-    potential, potential_omega, potential_center, barrier_height, barrier_width,
-    barrier_center, dt, t_final, observe_stride, reg_floor, subvolume_a,
-    subvolume_b, save_snapshots, norm_tol, eq16_rel_tol,
+    *, x_min: float, x_max: float, n: int, hbar: float = 1.0, mass: float = 1.0,
+    initial: str = "gaussian", sigma0: float | None = None, x0: float | None = None,
+    k0: float = 0.0, omega: float | None = None, amplitude: float | None = None,
+    potential: str = "free", potential_omega: float | None = None,
+    potential_center: float = 0.0, barrier_height: float | None = None,
+    barrier_width: float | None = None, barrier_center: float = 0.0,
+    dt: float, t_final: float, observe_stride: int = 10, reg_floor: float = 1e-12,
+    subvolume_a: float | None = None, subvolume_b: float | None = None,
+    save_snapshots: bool = False, norm_tol: float = 1e-8, eq16_rel_tol: float | None = None,
 ) -> RunConfig:
     grid = Grid1D(x_min, x_max, n)
     positive(hbar=hbar, mass=mass)
@@ -198,6 +189,8 @@ def _run_config(
         with about("omega"):
             sigma0 = float(np.sqrt(hbar / (2.0 * mass * omega)))
         width_key = "omega"
+        # the packet rests at x = amplitude; k0 is set, as a written -0 passed the check
+        x0, k0 = amplitude, 0.0
     with about(width_key):
         check_width(grid, sigma0)
     with about("k0"):
@@ -261,7 +254,6 @@ def _run_config(
         x0=0.0 if x0 is None else x0,
         k0=k0,
         omega=omega,
-        amplitude=amplitude,
         potential=pot,
         dt=dt,
         n_steps=n_steps,
@@ -272,6 +264,9 @@ def _run_config(
         norm_tol=norm_tol,
         eq16_rel_tol=eq16_rel_tol,
     )
+
+
+_RUN_SCHEMA = _schema(_run_config)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -289,11 +284,7 @@ def parse_oracle_config(text: str) -> RunConfig:
     return _parse(text, _RUN_SCHEMA, _oracle_config)
 
 
-# SweepSpec's fields are the sweep config's keys, with their types and defaults
-_SWEEP_SCHEMA = {
-    f.name: ({"tuple": "float_list"}.get(f.type, f.type), f.default)
-    for f in fields(SweepSpec)
-}
+_SWEEP_SCHEMA = _schema(SweepSpec)
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
@@ -303,24 +294,15 @@ def parse_sweep_config(text: str) -> SweepSpec:
 @dataclass(frozen=True)
 class BinningConfig:
     grid: Grid1D
-    sigma0: float
-    x0: float
+    rho: RealField  # the normal density of sigma0 about x0
     bin_widths: tuple
     reg_floor: float
 
 
-_BINNING_SCHEMA = {
-    "x_min": ("float", MISSING),
-    "x_max": ("float", MISSING),
-    "n": ("int", MISSING),
-    "sigma0": ("float", MISSING),
-    "x0": ("float", 0.0),
-    "bin_widths": ("float_list", MISSING),
-    "reg_floor": ("float", 1e-12),
-}
-
-
-def _binning_config(*, x_min, x_max, n, sigma0, x0, bin_widths, reg_floor) -> BinningConfig:
+def _binning_config(
+    *, x_min: float, x_max: float, n: int, sigma0: float, x0: float = 0.0,
+    bin_widths: tuple, reg_floor: float = 1e-12,
+) -> BinningConfig:
     grid = Grid1D(x_min, x_max, n)
     positive(sigma0=sigma0)
     with about("x0", "x_min", "x_max"):
@@ -329,10 +311,14 @@ def _binning_config(*, x_min, x_max, n, sigma0, x0, bin_widths, reg_floor) -> Bi
         for dq in bin_widths:
             bin_size(grid, dq)
     with about("sigma0"):
-        check_normalized(RealField(grid, _normal_density(grid.x, x0, sigma0**2)))
+        rho = RealField(grid, _normal_density(grid.x, x0, sigma0**2))
+        check_normalized(rho)
     with about("reg_floor"):
         check_reg_floor(grid, reg_floor)
-    return BinningConfig(grid, sigma0, x0, bin_widths, reg_floor)
+    return BinningConfig(grid, rho, bin_widths, reg_floor)
+
+
+_BINNING_SCHEMA = _schema(_binning_config)
 
 
 def parse_binning_config(text: str) -> BinningConfig:

@@ -27,7 +27,7 @@ functions (`take_snapshot`, `balance_residual`, `rate_identity_residual`,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -361,7 +361,7 @@ class Diagnostics:
     and the block is reused.  The block, its halo and their temporaries are
     all the field memory a run holds; only the scalar columns grow with n_rows.
 
-    See `diagnose` for the columns, the subvolume and dt.
+    See `diagnose` for the columns, the subvolume and the time step.
     """
 
     def __init__(
@@ -370,14 +370,10 @@ class Diagnostics:
         n_rows: int,
         reg_floor: float = DEFAULT_REG_FLOOR,
         subvolume=None,
-        dt: float | None = None,
         on_block=None,
         block_points: int = CHUNK_POINTS,
     ):
-        if dt is not None:
-            check_positive("dt", dt)
         _keep_temporaries_on_heap(4 * 16 * max(CHUNK_POINTS, grid.n))  # 4 complex blocks
-        self.dt = dt
         self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
         self.on_block = on_block
         self.height = height = max(1, min(n_rows, block_points // grid.n))
@@ -476,7 +472,7 @@ class Diagnostics:
     def _residuals(self, a: int, b: int, first: int) -> None:
         """Local balance law and rate identity at window rows a..b-1 (series rows first..)."""
         w, grid = self.window, self.window.grid
-        dt = self.dt if self.dt is not None else float(self.t[1] - self.t[0])
+        dt = float(self.t[1] - self.t[0])
         rho, v, rho_I = w.rho[a:b], w.velocity[a:b], w.rho_I[a:b]
         d_rho_I = (w.rho_I[a + 1 : b + 1] - w.rho_I[a - 1 : b - 1]) / (2.0 * dt)
         div_flux = _spectral_derivative((rho_I - rho) * v, grid)
@@ -493,7 +489,7 @@ class Diagnostics:
         """The columns of `diagnose`, once every row has been added."""
         if self.n_done != len(self.t):
             raise ValueError(f"only {self.n_done + self.n_held} of {len(self.t)} rows added")
-        dt = _sample_spacing(self.t) if self.dt is None else self.dt
+        dt = _sample_spacing(self.t)
         out = dict(self.out, t=self.t, floored_points=self.floored_points)
         out["dIdt_full"] = _rate(out["I"], dt)
         if self.subvolume is None:
@@ -522,7 +518,7 @@ def collect(
     split_steps(wf, potential, dt, n_steps, on_row, stride)
 
 
-def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
+def diagnose(series: Series, subvolume=None) -> dict:
     """Every per-row diagnostic of a series, as arrays with one entry per row.
 
     Keys: the series.csv columns (t, norm, I, dIdt_fd, rhs_eq16,
@@ -531,14 +527,14 @@ def diagnose(series: Series, subvolume=None, dt: float | None = None) -> dict:
     rhs_eq16_full.  With a subvolume [a, b] (snapped to grid points),
     dIdt_fd, rhs_eq16 and the boundary flux refer to it and its integrals use
     the trapezoid rule; on the full periodic domain the flux is zero and the
-    rectangle rule applies.  dt defaults to the (uniform) sample spacing.  dI/dt
-    is one-sided at the two ends, where the residuals have no centred stencil
-    and read zero.
+    rectangle rule applies.  The time step is always the rows' sample spacing,
+    which must be uniform.  dI/dt is one-sided at the two ends, where the
+    residuals have no centred stencil and read zero.
 
     The series goes through a `Diagnostics` a block of rows at a time, as a
     run's rows do.
     """
-    stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume, dt)
+    stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume)
     stream.add(series)
     return stream.columns()
 
@@ -610,9 +606,12 @@ def rate_identity_residual(
     grid = rho_mid.grid
     if not (grid.matches(rho_prev.grid) and grid.matches(rho_next.grid)):
         raise ValueError("mismatched grids")
+    check_positive("dt", dt)
     rho = np.array([r.values for r in (rho_prev, rho_mid, rho_next)])
     zeros = np.zeros_like(rho)
-    out = diagnose(Series.of(grid, np.zeros(3), rho, zeros, zeros, 0, reg_floor), dt=dt)
+    # diagnose takes the time step from the times: both spacings of -dt, 0, dt
+    # are dt exactly, for any finite dt
+    out = diagnose(Series.of(grid, np.array([-dt, 0.0, dt]), rho, zeros, zeros, 0, reg_floor))
     return float(out["residual9_l2"][1]), float(out["residual9_linf"][1])
 
 
@@ -623,9 +622,11 @@ def balance_residual(
 
     Time derivative by centered difference over dt, space derivatives spectral.
     Returns (L2, Linf); an exact identity for any wavefunction, so the result
-    is pure discretization error.
+    is pure discretization error.  The snapshots are taken to be at t-dt, t, t+dt,
+    whatever their own times.
     """
-    out = diagnose(_stack([prev, mid, nxt]), dt=dt)
+    check_positive("dt", dt)
+    out = diagnose(replace(_stack([prev, mid, nxt]), t=np.array([-dt, 0.0, dt])))
     return float(out["residual13_l2"][1]), float(out["residual13_linf"][1])
 
 

@@ -74,6 +74,8 @@ MAX_WORK = 2**36
 # The most rows a run may observe: its O(rows) scalar columns then stay under
 # about 2 GB.
 MAX_ROWS = 2**24
+# The most grid points: a run holds about 350 B per point, so about 1.5 GB.
+MAX_POINTS = 2**22
 
 
 def check_work(n_steps: int, n: int) -> None:
@@ -105,12 +107,15 @@ class Grid1D:
     """Uniform periodic grid on [x_min, x_max) with n samples.
 
     n must be a power of two (>= 16) so the FFT-based machinery has a
-    well-defined Nyquist mode.  A bad n or range raises a SpecError on its key.
+    well-defined Nyquist mode, and at most MAX_POINTS.  A bad n or range raises
+    a SpecError on its key before any array is made.
     """
 
     def __init__(self, x_min: float, x_max: float, n: int):
         if n < 16 or int(n) & (int(n) - 1):
             raise SpecError(f"n must be a power of two >= 16, got {n}", ("n",))
+        if n > MAX_POINTS:
+            raise SpecError(f"n = {n} exceeds the ceiling of 2**22 grid points", ("n",))
         if not x_max > x_min:
             raise SpecError(f"x_max must exceed x_min, got [{x_min}, {x_max})",
                             ("x_max", "x_min"))

@@ -129,4 +129,4 @@ def closed_form(cfg) -> _Oracle:
     if pot.x0 != 0.0:
         raise SpecError(f"oracle for a coherent state requires potential_center = 0, "
                         f"got {pot.x0}", ("potential_center",))
-    return CoherentOracle(omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params)
+    return CoherentOracle(omega=cfg.omega, amplitude=cfg.x0, params=cfg.params)

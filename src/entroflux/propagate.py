@@ -41,12 +41,17 @@ class Potential:
         return Potential(kind="gaussian_barrier", height=height, width=width, center=center)
 
     def values(self, x: np.ndarray, mass: float = 1.0) -> np.ndarray:
+        """V(x).  omega and width are squared in float64, so a square that
+        overflows is inf: a harmonic V is then inf (or nan at its centre), a
+        barrier's V its height everywhere."""
+        with np.errstate(over="ignore"):
+            omega2, width2 = np.float64(self.omega) ** 2, np.float64(self.width) ** 2
         if self.kind == "free":
             return np.zeros_like(x)
         if self.kind == "harmonic":
-            return 0.5 * mass * self.omega**2 * (x - self.x0) ** 2
+            return 0.5 * mass * omega2 * (x - self.x0) ** 2
         if self.kind == "gaussian_barrier":
-            return self.height * np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
+            return self.height * np.exp(-((x - self.center) ** 2) / (2.0 * width2))
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
 
@@ -138,10 +143,7 @@ def check_potential(grid: Grid1D, params: PhysicalParams, potential: Potential,
                     dt: float) -> None:
     """Raise unless the potential's phase per step, V(x)*dt/hbar, is finite on the grid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            phase = potential.values(grid.x, mass=params.mass)
-        except OverflowError:  # a parameter's square in `Potential.values`
-            phase = np.array([np.inf])
+        phase = potential.values(grid.x, mass=params.mass)
         phase *= dt
         phase /= params.hbar
         if not np.isfinite(phase).all():

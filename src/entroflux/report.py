@@ -45,13 +45,6 @@ class RunReport:
     summary: dict
 
 
-def _initial_state(cfg: RunConfig):
-    if cfg.initial_kind == "gaussian":
-        return init_gaussian(cfg.grid, cfg.params, cfg.sigma0, cfg.x0, cfg.k0)
-    # coherent: displaced ground state of the configured oscillator
-    return init_gaussian(cfg.grid, cfg.params, cfg.sigma0, x0=cfg.amplitude, k0=0.0)
-
-
 def _stream(cfg: RunConfig, on_block) -> Diagnostics:
     n_rows = cfg.n_steps // cfg.observe_stride + 1
     return Diagnostics(cfg.grid, n_rows, cfg.reg_floor, cfg.subvolume, on_block=on_block)
@@ -74,8 +67,8 @@ def run_simulation(cfg: RunConfig, on_block=None) -> RunReport:
     on_block(first_row, rows) sees each block of rows (a `Series` of views)
     before it is reused."""
     stream = _stream(cfg, on_block)
-    collect(_initial_state(cfg), cfg.potential, cfg.dt, cfg.n_steps, cfg.observe_stride,
-            stream)
+    wf = init_gaussian(cfg.grid, cfg.params, cfg.sigma0, cfg.x0, cfg.k0)
+    collect(wf, cfg.potential, cfg.dt, cfg.n_steps, cfg.observe_stride, stream)
     return _assemble(stream, cfg)
 
 

@@ -192,19 +192,24 @@ def test_binning_command(tmp_path):
         (("t_final = 0.2\nobserve_stride = 20", "t_final = 33554.432\nobserve_stride = 1"), 7),
         ("norm_tol = -1\n", 8),
         ("eq16_rel_tol = -5\n", 8),
-        # V(x)*dt/hbar overflows: omega**2 in Python floats, or V*dt/hbar itself
+        # V(x)*dt/hbar overflows: omega**2 overflows to inf, or V*dt/hbar itself
         ("potential = harmonic\npotential_omega = 1e200\n", 8),
+        ("potential = harmonic\npotential_omega = 1e160\n", 8),
         ("hbar = 1e-10\npotential = gaussian_barrier\nbarrier_height = 1e305\n"
          "barrier_width = 1\n", 9),
         # 2 rows have no interior row for the eq 16 check
         (("t_final = 0.2\nobserve_stride = 20",
           "t_final = 0.001\nobserve_stride = 1\neq16_rel_tol = 1e-12"), 8),
+        # over the ceiling of 2**22 grid points: refused before any array is made
+        (("n = 512", "n = 35184372088832"), 3),
+        (("n = 512", "n = 8388608"), 3),
     ],
     ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
          "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
          "dt_too_many_rows", "dt_over_work_ceiling", "stride_over_row_ceiling",
          "norm_tol_negative", "eq16_rel_tol_negative", "harmonic_overflow",
-         "barrier_phase_overflow", "eq16_rel_tol_two_rows"],
+         "harmonic_square_overflow", "barrier_phase_overflow", "eq16_rel_tol_two_rows",
+         "n_2_45", "n_over_point_ceiling"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
     text = SIM_CONFIG.replace(*extra) if isinstance(extra, tuple) else SIM_CONFIG + extra
@@ -243,11 +248,17 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         # 2e7 steps within the work ceiling, observed at every step
         ("sweep", SWEEP_BASE + "dt_ref = 1e-7\nn_samples = 100000000\n", 5,
          "too many observed rows"),
+        ("sweep", SWEEP_BASE + "n = 35184372088832\n", 4, "ceiling of 2**22 grid points"),
+        ("binning", BINNING_BASE.replace("n = 1024", "n = 35184372088832"), 3,
+         "ceiling of 2**22 grid points"),
+        ("oracle", COHERENT_CONFIG.replace("n = 512", "n = 35184372088832"), 3,
+         "ceiling of 2**22 grid points"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
-         "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling"],
+         "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling",
+         "sweep_n_2_45", "binning_n_2_45", "oracle_n_2_45"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message
@@ -294,3 +305,61 @@ def test_oracle_rejects_off_centre_harmonic_well(tmp_path, capsys):
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "potential_center = 0" in capsys.readouterr().err
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "sweep", "binning"])
+def test_config_not_utf8_is_config_error_at_its_line(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"x_min = -20\r\nx_max = 20\r\n# caf\xe9\r\nn = 512\r\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 3: byte 0xe9 of ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("simulate", SIM_CONFIG + "save_snapshots = true\n"),
+        ("oracle", COHERENT_CONFIG),
+        ("sweep", SWEEP_BASE),
+        ("binning", BINNING_BASE),
+    ],
+    ids=["simulate", "oracle", "sweep", "binning"],
+)
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_out_is_one_line_error_before_the_run(tmp_path, capsys, command, text, out):
+    cfg = _write(tmp_path, "run.cfg", text)
+    (tmp_path / "file").write_text("kept\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot make output directory {tmp_path / out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flat_barrier_runs_as_the_free_packet(tmp_path, capsys):
+    # width**2 overflows to inf: V is the barrier's height everywhere, a
+    # constant that only turns the phase
+    flat = _write(tmp_path, "flat.cfg", SIM_CONFIG + "potential = gaussian_barrier\n"
+                  "barrier_height = 3.0\nbarrier_width = 1e200\n")
+    free = _write(tmp_path, "free.cfg", SIM_CONFIG)
+    assert main(["simulate", "--config", flat, "--out", str(tmp_path / "flat"), "--quiet"]) == 0
+    assert main(["simulate", "--config", free, "--out", str(tmp_path / "free"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    series = [np.genfromtxt(tmp_path / name / "series.csv", delimiter=",", names=True)
+              for name in ("flat", "free")]
+    assert np.max(np.abs(series[0]["I"] - series[1]["I"])) <= 1e-12
+
+
+def test_snapshots_path_taken_by_a_file_is_one_line_error_before_the_run(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", SIM_CONFIG + "save_snapshots = true\n")
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "snapshots").write_text("kept\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot make output directory {tmp_path / 'o'}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["snapshots"]

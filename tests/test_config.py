@@ -1,6 +1,9 @@
+from dataclasses import MISSING
+
 import pytest
 
 import entroflux as ef
+from entroflux import config
 
 
 MINIMAL = """\
@@ -176,7 +179,7 @@ def test_coherent_packet_rejects_sigma0_x0_and_k0(entry):
 
 def test_coherent_packet_allows_zero_k0():
     cfg = ef.parse_config(COHERENT + "k0 = 0\n")
-    assert (cfg.k0, cfg.x0) == (0.0, 0.0)
+    assert (cfg.k0, cfg.x0) == (0.0, 2.0)
 
 
 HARMONIC = "potential = harmonic\npotential_omega = 1.0\n"
@@ -208,3 +211,67 @@ def test_oracle_without_closed_form_is_error_at_its_line(text, match, line):
 def test_oracle_config_parses_closed_form_scenarios():
     for text in (MINIMAL, MINIMAL + "k0 = 1\nx0 = -2\n", COHERENT + HARMONIC):
         assert repr(ef.parse_oracle_config(text)) == repr(ef.parse_config(text))
+
+
+# the schemas as they were written out by hand before they were derived from
+# the builders' signatures
+HAND_WRITTEN_SCHEMAS = {
+    "_RUN_SCHEMA": {
+        "x_min": ("float", MISSING),
+        "x_max": ("float", MISSING),
+        "n": ("int", MISSING),
+        "hbar": ("float", 1.0),
+        "mass": ("float", 1.0),
+        "initial": ("str", "gaussian"),
+        "sigma0": ("float", None),
+        "x0": ("float", None),
+        "k0": ("float", 0.0),
+        "omega": ("float", None),
+        "amplitude": ("float", None),
+        "potential": ("str", "free"),
+        "potential_omega": ("float", None),
+        "potential_center": ("float", 0.0),
+        "barrier_height": ("float", None),
+        "barrier_width": ("float", None),
+        "barrier_center": ("float", 0.0),
+        "dt": ("float", MISSING),
+        "t_final": ("float", MISSING),
+        "observe_stride": ("int", 10),
+        "reg_floor": ("float", 1e-12),
+        "subvolume_a": ("float", None),
+        "subvolume_b": ("float", None),
+        "save_snapshots": ("bool", False),
+        "norm_tol": ("float", 1e-8),
+        "eq16_rel_tol": ("float", None),
+    },
+    "_SWEEP_SCHEMA": {
+        "epsilons": ("float_list", MISSING),
+        "t_c": ("float", MISSING),
+        "L_c": ("float", MISSING),
+        "x_min": ("float", -20.0),
+        "x_max": ("float", 20.0),
+        "n": ("int", 1024),
+        "mass": ("float", 1.0),
+        "x0": ("float", 0.0),
+        "k0": ("float", 0.0),
+        "dt_ref": ("float", 2e-3),
+        "n_samples": ("int", 100),
+        "reg_floor": ("float", 1e-12),
+    },
+    "_BINNING_SCHEMA": {
+        "x_min": ("float", MISSING),
+        "x_max": ("float", MISSING),
+        "n": ("int", MISSING),
+        "sigma0": ("float", MISSING),
+        "x0": ("float", 0.0),
+        "bin_widths": ("float_list", MISSING),
+        "reg_floor": ("float", 1e-12),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN_SCHEMAS))
+def test_schema_derived_from_builder_matches_hand_written_one(name):
+    # key order included: of two missing required keys, the first is reported
+    derived = getattr(config, name)
+    assert list(derived.items()) == list(HAND_WRITTEN_SCHEMAS[name].items())

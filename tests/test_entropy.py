@@ -472,7 +472,7 @@ def test_streamed_rows_and_snapshots_match_per_instant_api_bitwise(tmp_path, com
         ef.evolve(wf0, cfg.potential, cfg.dt, cfg.n_steps, stride=1,
                   observer=lambda w: snaps.append(ef.take_snapshot(w, cfg.reg_floor)))
     else:
-        orc = ef.CoherentOracle(omega=cfg.omega, amplitude=cfg.amplitude, params=cfg.params)
+        orc = ef.CoherentOracle(omega=cfg.omega, amplitude=cfg.x0, params=cfg.params)
         snaps = [orc.fields(cfg.grid, i * cfg.dt, cfg.reg_floor) for i in range(len(cols))]
     assert len(snaps) == len(cols)
     files = sorted((out / "snapshots").glob("snapshot_*.csv"))
@@ -701,7 +701,7 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     assert r9.tobytes() == reference.tobytes()
     assert not np.signbit(r9[~mask]).any() and not r9[~mask].any()
 
-    stream = Diagnostics(grid, len(series.t), reg_floor, dt=dt)
+    stream = Diagnostics(grid, len(series.t), reg_floor)
     stream.add(series)
     columns = stream.columns()
     l2 = np.sqrt(grid.dx * np.sum(reference * reference, axis=1))

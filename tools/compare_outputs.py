@@ -8,9 +8,9 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
 failing sweep rows, sweep rows that share a trajectory, signed zeros in a
-free run's states and the binning study.  Each pair of runs
-must agree in exit code, stdout and every output file, byte for byte.  Prints
-one line per difference and exits 1 if there is any, 0 otherwise.
+free run's states, a simulated coherent packet and the binning study.  Each
+pair of runs must agree in exit code, stdout and every output file, byte for
+byte.  Prints one line per difference and exits 1 if there is any, 0 otherwise.
 
 With --tolerance TOL, a CSV or JSON file that differs byte-wise still agrees
 if it has the same columns (CSV) or keys (JSON), the same non-numeric values,
@@ -45,6 +45,9 @@ FIXED = {
                            "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
     "oracle_snapshots": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
+    # the coherent packet through the propagator: 134 rows end in a partial block
+    "simulate_coherent": ("simulate", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
+                          "observe_stride = 1\nsave_snapshots = true\n"),
     # the flush edges: a run of one row, and 64 rows that fill one block exactly
     "simulate_one_row": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
                          "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
