@@ -45,6 +45,6 @@ from .propagate import (
     kinetic_phase,
     step,
 )
-from .report import RunReport, run_oracle, run_simulation
+from .report import run_oracle, run_simulation
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Subcommands:
   binning   bin-width convergence study, writes binning.csv
 
 Exit codes: 0 all configured checks pass, 1 usage/config error or an output
-directory that cannot be made, 2 tolerance failure.  Outputs are
+file or directory that cannot be written, 2 tolerance failure.  Outputs are
 byte-identical across reruns of the same config.
 """
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .report import (
 )
 
 
-class OutputError(Exception):
-    """The output directory cannot be made."""
-
-
 def _read_config(path: str) -> str:
     try:
         data = Path(path).read_bytes()
@@ -59,7 +55,7 @@ def _out_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputError(f"cannot make output directory {path}: {exc}")
+        raise OSError(f"cannot make output directory {path}: {exc}")
     return out
 
 
@@ -73,17 +69,17 @@ def _cmd_run(args, analytic: bool) -> int:
 
         def on_block(first, rows):
             write_snapshots(rows, snapshots, first)
-    report = (run_oracle if analytic else run_simulation)(cfg, on_block)
-    write_series_csv(report.columns, out / "series.csv")
-    write_summary_json(report.summary, out / "summary.json")
+    columns, summary = (run_oracle if analytic else run_simulation)(cfg, on_block)
+    write_series_csv(columns, out / "series.csv")
+    write_summary_json(summary, out / "summary.json")
     if not args.quiet:
         print(
-            f"{'oracle' if analytic else 'simulate'}: {len(report.columns['t'])} rows, "
-            f"I = {report.summary['I_final']:.6g}, "
-            f"delta_I = {report.summary['delta_I']:.6g}, "
-            f"checks {'passed' if report.summary['passed'] else 'FAILED'}"
+            f"{'oracle' if analytic else 'simulate'}: {len(columns['t'])} rows, "
+            f"I = {summary['I_final']:.6g}, "
+            f"delta_I = {summary['delta_I']:.6g}, "
+            f"checks {'passed' if summary['passed'] else 'FAILED'}"
         )
-    return 0 if report.summary["passed"] else 2
+    return 0 if summary["passed"] else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -141,7 +137,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OutputError as exc:
+    except OSError as exc:  # the config was read: any file error is an output's
         print(f"output error: {exc}", file=sys.stderr)
         return 1
 

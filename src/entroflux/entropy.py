@@ -125,13 +125,14 @@ class BinRow:
 
 
 def _info_density(r: np.ndarray, reg_floor: float) -> np.ndarray:
+    """r (1 - ln r) where r >= reg_floor, and +0.0 where r is floored."""
     if np.any(r < 0.0):
         raise ValueError("negative density")
-    out = np.zeros_like(r)
     mask = r >= reg_floor
-    rm = r[mask]
-    out[mask] = -rm * (np.log(rm) - 1.0)
-    return out
+    out = np.zeros_like(r)
+    np.log(r, out=out, where=mask)
+    np.subtract(1.0, out, out=out, where=mask)
+    return np.multiply(r, out, out=out, where=mask)
 
 
 def info_density(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
@@ -539,9 +540,13 @@ def diagnose(series: Series, subvolume=None) -> dict:
     return stream.columns()
 
 
-def _sign_witness(didt, rhs16, deadband: float = 1e-8) -> SignWitness:
+# |dI/dt| below which a sample takes no part in the sign witness
+SIGN_DEADBAND = 1e-8
+
+
+def _sign_witness(didt, rhs16) -> SignWitness:
     didt, rhs16 = np.asarray(didt, float)[1:-1], np.asarray(rhs16, float)[1:-1]
-    eligible = ~(np.abs(didt) < deadband)
+    eligible = ~(np.abs(didt) < SIGN_DEADBAND)
     n_eligible = int(np.count_nonzero(eligible))
     n_agree = int(np.count_nonzero(eligible & (np.sign(didt) == np.sign(rhs16))))
     fraction = 1.0 if n_eligible == 0 else n_agree / n_eligible
@@ -579,7 +584,7 @@ def summarize(columns: dict) -> dict:
     }
 
 
-def _stack(snapshots: list, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
+def _stack(snapshots: list) -> Series:
     """Copy snapshots into a Series, keeping each one's own rho_I."""
     grid = snapshots[0].den.rho.grid
     for s in snapshots:
@@ -588,7 +593,17 @@ def _stack(snapshots: list, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
     t, rho, current, velocity, floored, rho_I = map(np.array, zip(*(
         (s.t, s.den.rho.values, s.den.current.values, s.den.velocity.values,
          s.den.floored_points, s.info.rho_I.values) for s in snapshots)))
-    return Series.of(grid, t, rho, current, velocity, floored, reg_floor, rho_I)
+    return Series.of(grid, t, rho, current, velocity, floored, DEFAULT_REG_FLOOR, rho_I)
+
+
+def _centred(rows: Series, dt: float, residual: str) -> tuple[float, float]:
+    """The (L2, Linf) columns of a `diagnose` residual at the middle of three
+    rows taken to be at t-dt, t, t+dt, whatever their own times."""
+    check_positive("dt", dt)
+    # diagnose takes the time step from the times: both spacings of -dt, 0, dt
+    # are dt exactly, for any finite dt
+    out = diagnose(replace(rows, t=np.array([-dt, 0.0, dt])))
+    return float(out[f"{residual}_l2"][1]), float(out[f"{residual}_linf"][1])
 
 
 def rate_identity_residual(
@@ -606,13 +621,10 @@ def rate_identity_residual(
     grid = rho_mid.grid
     if not (grid.matches(rho_prev.grid) and grid.matches(rho_next.grid)):
         raise ValueError("mismatched grids")
-    check_positive("dt", dt)
     rho = np.array([r.values for r in (rho_prev, rho_mid, rho_next)])
     zeros = np.zeros_like(rho)
-    # diagnose takes the time step from the times: both spacings of -dt, 0, dt
-    # are dt exactly, for any finite dt
-    out = diagnose(Series.of(grid, np.array([-dt, 0.0, dt]), rho, zeros, zeros, 0, reg_floor))
-    return float(out["residual9_l2"][1]), float(out["residual9_linf"][1])
+    rows = Series.of(grid, np.zeros(3), rho, zeros, zeros, 0, reg_floor)
+    return _centred(rows, dt, "residual9")
 
 
 def balance_residual(
@@ -625,9 +637,7 @@ def balance_residual(
     is pure discretization error.  The snapshots are taken to be at t-dt, t, t+dt,
     whatever their own times.
     """
-    check_positive("dt", dt)
-    out = diagnose(replace(_stack([prev, mid, nxt]), t=np.array([-dt, 0.0, dt])))
-    return float(out["residual13_l2"][1]), float(out["residual13_linf"][1])
+    return _centred(_stack([prev, mid, nxt]), dt, "residual13")
 
 
 def entropy_rate_check(
@@ -645,15 +655,11 @@ def entropy_rate_check(
     return [BalanceReport(*map(float, row)) for row in zip(*(out[k] for k in keys))]
 
 
-def sign_witness(
-    reports: list[BalanceReport], deadband: float = 1e-8
-) -> SignWitness:
+def sign_witness(reports: list[BalanceReport]) -> SignWitness:
     """Fraction of interior samples where sgn(dI/dt) matches sgn(-int v drho/dx).
 
-    Samples with |dI/dt| below the dead-band are excluded, as are the series
+    Samples with |dI/dt| below SIGN_DEADBAND are excluded, as are the series
     endpoints (one-sided differencing there flips signs spuriously at extrema
     of I).  Fraction is 1.0 when no sample is eligible.
     """
-    return _sign_witness(
-        [r.dIdt_fd for r in reports], [r.rhs_eq16 for r in reports], deadband
-    )
+    return _sign_witness([r.dIdt_fd for r in reports], [r.rhs_eq16 for r in reports])

@@ -184,10 +184,8 @@ class ComplexField(_Field):
     _dtype = complex
 
 
-def integrate(f: _Field) -> float:
+def integrate(f: RealField) -> float:
     """Periodic rectangle-rule integral dx * sum(f)."""
-    if isinstance(f, ComplexField):
-        return complex(f.grid.dx * f.values.sum())
     return float(f.grid.dx * f.values.sum())
 
 

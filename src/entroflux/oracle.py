@@ -24,7 +24,11 @@ def _normal_density(x: np.ndarray, center: float, sigma2: float) -> np.ndarray:
 
 
 class _Oracle:
-    """Closed-form rho and v at time t."""
+    """Closed-form rho and v at time t of a Gaussian packet of variance sigma2(t)."""
+
+    def entropy(self, t: float = 0.0) -> float:
+        """I of the density at time t: 1/2 ln(2 pi e sigma2(t)) + 1."""
+        return 0.5 * np.log(2.0 * np.pi * np.e * self.sigma2(t)) + 1.0
 
     def row(self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
         """The fields at time t as a one-row Series."""
@@ -62,9 +66,6 @@ class GaussianOracle(_Oracle):
     def center(self, t: float) -> float:
         return self.x0 + self.params.hbar * self.k0 * t / self.params.mass
 
-    def entropy(self, t: float) -> float:
-        return 0.5 * np.log(2.0 * np.pi * np.e * self.sigma2(t)) + 1.0
-
     def entropy_rate(self, t: float) -> float:
         return self.dsigma2_dt(t) / (2.0 * self.sigma2(t))
 
@@ -88,20 +89,17 @@ class CoherentOracle(_Oracle):
     def __post_init__(self):
         check_positive("omega", self.omega)
 
-    def sigma2(self) -> float:
+    def sigma2(self, t: float = 0.0) -> float:
         return self.params.hbar / (2.0 * self.params.mass * self.omega)
 
     def center(self, t: float) -> float:
         return self.amplitude * np.cos(self.omega * t)
 
-    def entropy(self, t: float = 0.0) -> float:
-        return 0.5 * np.log(2.0 * np.pi * np.e * self.sigma2()) + 1.0
-
     def entropy_rate(self, t: float = 0.0) -> float:
         return 0.0
 
     def density_velocity(self, grid: Grid1D, t: float) -> tuple[np.ndarray, np.ndarray]:
-        rho = _normal_density(grid.x, self.center(t), self.sigma2())
+        rho = _normal_density(grid.x, self.center(t), self.sigma2(t))
         v = np.full(grid.n, -self.amplitude * self.omega * np.sin(self.omega * t))
         return rho, v
 

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .climit import SweepReport, SweepRow
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .entropy import BinRow, Diagnostics, Series, collect, summarize
-from .grid import SpecError
 from .oracle import closed_form
 from .propagate import init_gaussian
 
@@ -37,20 +36,12 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """The `diagnose` columns of a run and its summary."""
-
-    columns: dict
-    summary: dict
-
-
 def _stream(cfg: RunConfig, on_block) -> Diagnostics:
     n_rows = cfg.n_steps // cfg.observe_stride + 1
     return Diagnostics(cfg.grid, n_rows, cfg.reg_floor, cfg.subvolume, on_block=on_block)
 
 
-def _assemble(stream: Diagnostics, cfg: RunConfig) -> RunReport:
+def _assemble(stream: Diagnostics, cfg: RunConfig) -> tuple[dict, dict]:
     columns = stream.columns()
     summary = summarize(columns)
     checks = {"norm": bool(summary["norm_drift_max"] <= cfg.norm_tol)}
@@ -59,29 +50,27 @@ def _assemble(stream: Diagnostics, cfg: RunConfig) -> RunReport:
     summary["subvolume"] = list(cfg.subvolume) if cfg.subvolume else None
     summary["checks"] = checks
     summary["passed"] = all(checks.values())
-    return RunReport(columns=columns, summary=summary)
+    return columns, summary
 
 
-def run_simulation(cfg: RunConfig, on_block=None) -> RunReport:
+def run_simulation(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
     """Simulate the configured run, adding each observed state to a `Diagnostics`;
     on_block(first_row, rows) sees each block of rows (a `Series` of views)
-    before it is reused."""
+    before it is reused.  Returns the `diagnose` columns and the summary."""
     stream = _stream(cfg, on_block)
     wf = init_gaussian(cfg.grid, cfg.params, cfg.sigma0, cfg.x0, cfg.k0)
     collect(wf, cfg.potential, cfg.dt, cfg.n_steps, cfg.observe_stride, stream)
     return _assemble(stream, cfg)
 
 
-def run_oracle(cfg: RunConfig, on_block=None) -> RunReport:
-    """Emit the analytic-field series for the configured scenario.
+def run_oracle(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
+    """Emit the analytic-field series for the configured scenario, as
+    `run_simulation` does.
 
-    Only scenarios with a closed form are accepted (`oracle.closed_form`); a
-    config from `parse_oracle_config` always has one.
+    The scenario must have a closed form (`oracle.closed_form` raises a
+    SpecError otherwise); a config from `parse_oracle_config` always has one.
     """
-    try:
-        oracle = closed_form(cfg)
-    except SpecError as exc:
-        raise ConfigError(str(exc)) from exc
+    oracle = closed_form(cfg)
     stream = _stream(cfg, on_block)
     for i in range(len(stream.t)):
         stream.add(oracle.row(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor))

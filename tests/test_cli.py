@@ -363,3 +363,40 @@ def test_snapshots_path_taken_by_a_file_is_one_line_error_before_the_run(tmp_pat
     assert err.startswith(f"output error: cannot make output directory {tmp_path / 'o'}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["snapshots"]
+
+
+@pytest.mark.parametrize(
+    "command,text,name",
+    [
+        ("simulate", SIM_CONFIG, "series.csv"),
+        ("oracle", COHERENT_CONFIG, "summary.json"),
+        ("sweep", SWEEP_BASE, "sweep.csv"),
+        ("binning", BINNING_BASE, "binning.csv"),
+    ],
+    ids=["simulate", "oracle", "sweep", "binning"],
+)
+def test_output_file_taken_by_a_directory_is_one_line_error(tmp_path, capsys, command,
+                                                            text, name):
+    cfg = _write(tmp_path, "run.cfg", text)
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(tmp_path / "o" / name) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_snapshot_file_taken_by_a_directory_stops_the_run_with_one_line(tmp_path, capsys):
+    # 201 rows in blocks of 64: the first block's sixth file fails, so the
+    # run stops partway; the files written before it stay
+    cfg = _write(tmp_path, "run.cfg", SIM_CONFIG.replace("observe_stride = 20",
+                                                         "observe_stride = 1")
+                 + "save_snapshots = true\n")
+    snapshots = tmp_path / "o" / "snapshots"
+    (snapshots / "snapshot_000005.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "snapshot_000005.csv" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in snapshots.iterdir()) == [
+        f"snapshot_{i:06d}.csv" for i in range(6)]
+    assert not (tmp_path / "o" / "series.csv").exists()

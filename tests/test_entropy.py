@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -708,3 +714,63 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     assert columns["residual9_l2"][1:-1].tobytes() == l2.tobytes()
     linf = np.max(np.abs(reference), axis=1)
     assert columns["residual9_linf"][1:-1].tobytes() == linf.tobytes()
+
+
+@pytest.mark.parametrize("reg_floor", [1e-12, 1e-8, 0.3])
+def test_info_density_equals_boolean_indexing_reference_bitwise(reg_floor):
+    # the floor is applied with where=: it must give the bits of a
+    # boolean-indexing pass, and +0.0 on every floored point
+    from entroflux.entropy import _info_density
+
+    rng = np.random.default_rng(7)
+    below = np.nextafter(reg_floor, 0.0)
+    edges = [0.0, 1e-300, 5e-324, reg_floor, below, np.nextafter(reg_floor, 1.0), 1.0, 3.5]
+    rho = np.concatenate([np.repeat(edges, 8), 10.0 ** rng.uniform(-320, 1, 6 * 1024 - 64)])
+    rho = rng.permutation(rho).reshape(6, 1024)
+    mask = rho >= reg_floor
+    reference = np.zeros_like(rho)
+    reference[mask] = -rho[mask] * (np.log(rho[mask]) - 1.0)
+
+    out = _info_density(rho, reg_floor)
+    assert out.tobytes() == reference.tobytes()
+    assert not np.signbit(out[~mask]).any() and not out[~mask].any()
+    assert mask.any() and (~mask).any()
+
+
+# ---------- glibc's mmap threshold ----------
+
+HEAP_RUNS = """\
+import resource, sys, tempfile
+from pathlib import Path
+from entroflux import cli, entropy
+
+if sys.argv[1] == "patched":
+    entropy._keep_temporaries_on_heap = lambda nbytes: None
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_text("x_min = -160\\nx_max = 160\\nn = 16384\\nsigma0 = 1.0\\nx0 = -2\\n"
+                   "k0 = 10\\npotential = gaussian_barrier\\nbarrier_height = 50\\n"
+                   "barrier_width = 0.5\\ndt = 1e-4\\nt_final = 0.02\\n"
+                   "observe_stride = 20\\n")
+    for i in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(["simulate", "--config", str(cfg), "--out", f"{tmp}/o{i}",
+                         "--quiet"]) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_warm_runs_keep_their_temporaries_on_the_heap():
+    # without the one large free in Diagnostics, glibc serves every block
+    # temporary and pocketfft scratch array from a fresh mapping, and each
+    # warm run faults thousands of pages in anew
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    faults = {}
+    for mode in ("as_is", "patched"):
+        out = subprocess.run([sys.executable, "-c", HEAP_RUNS, mode], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        faults[mode] = [int(line) for line in out.split()]
+    warm = {mode: float(np.median(runs[2:])) for mode, runs in faults.items()}
+    assert warm["as_is"] <= warm["patched"] / 4, faults

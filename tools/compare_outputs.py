@@ -8,7 +8,8 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
 failing sweep rows, sweep rows that share a trajectory, signed zeros in a
-free run's states, a simulated coherent packet and the binning study.  Each
+free run's states, a simulated coherent packet, the free packet's closed form
+and the binning study.  Each
 pair of runs must agree in exit code, stdout and every output file, byte for
 byte.  Prints one line per difference and exits 1 if there is any, 0 otherwise.
 
@@ -45,6 +46,10 @@ FIXED = {
                            "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
     "oracle_snapshots": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
+    # the free Gaussian's closed form, moving (k0 != 0): 151 rows end in a partial block
+    "oracle_free": ("oracle", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\nx0 = -1\n"
+                    "k0 = 2\ndt = 1e-3\nt_final = 0.15\nobserve_stride = 1\n"
+                    "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
     # the coherent packet through the propagator: 134 rows end in a partial block
     "simulate_coherent": ("simulate", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
                           "observe_stride = 1\nsave_snapshots = true\n"),
