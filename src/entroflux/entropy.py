@@ -516,7 +516,7 @@ def collect(
         stream.add_state(wf.t + i * dt, psi, wf.params)
 
     on_row(0, wf.psi.values)
-    split_steps(wf, potential, dt, n_steps, on_row, stride)
+    split_steps(wf, potential, dt, n_steps, on_row, range(stride, n_steps + 1, stride))
 
 
 def diagnose(series: Series, subvolume=None) -> dict:

@@ -4,7 +4,9 @@
 
 Second-order Strang splitting: half potential kick, full kinetic step in
 Fourier space, half potential kick.  Norm-exact by construction (every factor
-is unit-modulus and the FFT pair preserves the discrete 2-norm).
+is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
+has no kicks, so it stays in Fourier space between the states it observes
+(`split_steps`).
 """
 from __future__ import annotations
 
@@ -178,49 +180,74 @@ def split_steps(
     dt: float,
     n_steps: int,
     on_row=None,
-    stride: int = 1,
+    observe_at=(),
 ) -> np.ndarray:
     """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
     another half kick, with the factors of `step_factors` computed once per
-    call.  A half kick equal to 1 everywhere, as a free potential's is, is
-    not applied: multiplying by it changes no nonzero value.  The loop
-    allocates no array: psi lives in buffer `a`, its transform in buffer `b`,
-    and every product and transform writes into one of them (`out=`).
-    on_row(i, psi) is called after every `stride`-th step i with a copy of the
-    state at t = wf.t + i*dt, so the loop never writes to an array it has
-    passed out.
+    call.  If on_row is given, on_row(i, psi) is called after each step i of
+    observe_at, a strictly ascending iterable of steps in 1..n_steps, with a
+    fresh array holding the state at t = wf.t + i*dt, which the loop never
+    writes.
+
+    A half kick equal to 1 everywhere, as a free potential's is, leaves only
+    the kinetic step (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
+    1982): psi's transform is taken once, multiplied in place by the kinetic
+    factor at every step, and transformed back at each observed step and at
+    the end.  The kicked loop keeps psi in buffer `a` and its transform in
+    buffer `b`, and every product and transform writes into one of them
+    (`out=`), so it allocates an array only for a state it hands out or
+    returns.
 
     The complex product's last bit depends on the order of its operands, and
     numpy evaluates the expression `exp_t * fft(psi)` as
     `fft(psi) * exp_t` once the transform's temporary reaches 256 KiB (it
     reuses the temporary and swaps the operands).  The kinetic product keeps
-    the order that expression has at this grid size, so the states are those
-    of the expression loop bit for bit.
+    the order that expression has at this grid size, so the kicked loop's
+    states are those of the expression loop bit for bit.
     """
+    steps = np.fromiter(() if on_row is None else observe_at, dtype=np.int64)
+    if steps.size and not (1 <= steps[0] and steps[-1] <= n_steps
+                           and (np.diff(steps) > 0).all()):
+        raise ValueError(f"observation steps must ascend strictly within 1..{n_steps}")
     if n_steps == 0:
         return wf.psi.values
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     check_dt(wf.grid, wf.params, dt)
     check_potential(wf.grid, wf.params, potential, dt)
     exp_v_half, exp_t = step_factors(wf.grid, wf.params, potential, dt)
-    kick = not (exp_v_half == 1).all()
-    a, b = np.empty_like(wf.psi.values), np.empty_like(wf.psi.values)
+    b = np.empty_like(wf.psi.values)
     kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
-    psi = wf.psi.values
-    for i in range(1, n_steps + 1):
-        if kick:
-            psi = np.multiply(exp_v_half, psi, out=a)
-        fft(psi, out=b)
-        np.multiply(*kinetic, out=b)
-        psi = ifft(b, out=a)
-        if kick:
-            np.multiply(exp_v_half, psi, out=psi)
-        if on_row is not None and i % stride == 0:
-            on_row(i, psi.copy())
-    return psi
+    if (exp_v_half == 1).all():
+        fft(wf.psi.values, out=b)
+
+        def advance(count: int) -> None:
+            for _ in range(count):
+                np.multiply(*kinetic, out=b)
+
+        def state() -> np.ndarray:
+            return ifft(b)
+    else:
+        a, psi = np.empty_like(b), wf.psi.values
+
+        def advance(count: int) -> None:
+            nonlocal psi
+            for _ in range(count):
+                psi = np.multiply(exp_v_half, psi, out=a)
+                fft(psi, out=b)
+                np.multiply(*kinetic, out=b)
+                psi = ifft(b, out=a)
+                np.multiply(exp_v_half, psi, out=psi)
+
+        def state() -> np.ndarray:
+            return psi.copy()
+    done = 0
+    for i in map(int, steps):
+        advance(i - done)
+        done = i
+        on_row(i, state())
+    advance(n_steps - done)
+    return state()
 
 
 def evolve(
@@ -231,12 +258,21 @@ def evolve(
     observer=None,
     stride: int = 1,
 ) -> WaveFunction:
-    """Apply n_steps Strang split steps; call observer(wf) after every `stride` steps."""
+    """Apply n_steps Strang split steps (`split_steps`); call observer(wf)
+    after every `stride` steps.
+
+    A free run transforms its state once and steps in Fourier space, while
+    each `step` takes a transform pair, so free states match chained `step`
+    calls to roundoff, not bit for bit.  A kicked run's match them exactly.
+    """
     if n_steps == 0:
         return wf
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
 
     def state(i: int, psi: np.ndarray) -> WaveFunction:
         return replace(wf, psi=ComplexField(wf.grid, psi), t=wf.t + i * dt)
 
     on_row = None if observer is None else (lambda i, psi: observer(state(i, psi)))
-    return state(n_steps, split_steps(wf, potential, dt, n_steps, on_row, stride))
+    return state(n_steps, split_steps(wf, potential, dt, n_steps, on_row,
+                                      range(stride, n_steps + 1, stride)))

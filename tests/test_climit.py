@@ -159,9 +159,9 @@ def _count_steps(monkeypatch):
     """Record the n_steps of every split_steps call the sweep makes."""
     calls = []
 
-    def counting(wf, potential, dt, n_steps, on_row=None, stride=1):
+    def counting(wf, potential, dt, n_steps, on_row=None, observe_at=()):
         calls.append(n_steps)
-        return split_steps(wf, potential, dt, n_steps, on_row, stride)
+        return split_steps(wf, potential, dt, n_steps, on_row, observe_at)
 
     monkeypatch.setattr(climit, "split_steps", counting)
     return calls
@@ -231,7 +231,7 @@ def test_group_consumers_share_one_block_budget(monkeypatch):
 
     heights, live = [], []
 
-    def stepping(wf, potential, dt, n_steps, on_row=None, stride=1):
+    def stepping(wf, potential, dt, n_steps, on_row=None, observe_at=()):
         heights.append([d.height for d in made])
 
         def watched(i, psi):
@@ -239,7 +239,7 @@ def test_group_consumers_share_one_block_budget(monkeypatch):
             on_row(i, psi)
 
         live.append([])
-        return split_steps(wf, potential, dt, n_steps, watched, stride)
+        return split_steps(wf, potential, dt, n_steps, watched, observe_at)
 
     monkeypatch.setattr(climit, "Diagnostics", Recording)
     monkeypatch.setattr(climit, "split_steps", stepping)
@@ -252,3 +252,31 @@ def test_group_consumers_share_one_block_budget(monkeypatch):
     shared = live[[len(h) for h in heights].index(3)]
     assert shared[0] == 3 and shared[-1] == 1
     assert shared == sorted(shared, reverse=True)
+
+
+def test_shared_run_hands_out_only_the_states_its_rows_observe(monkeypatch):
+    # the halving sweep of the bench: 4000 steps, of which its six rows
+    # observe 400 (every 40th, 20th, 10th, 5th, 2nd and 1st up to their ends)
+    handed = []
+
+    def recording(wf, potential, dt, n_steps, on_row=None, observe_at=()):
+        def watched(i, psi):
+            handed.append((i, psi, psi.copy()))
+            on_row(i, psi)
+
+        return split_steps(wf, potential, dt, n_steps, watched, observe_at)
+
+    monkeypatch.setattr(climit, "split_steps", recording)
+    spec = ef.SweepSpec(epsilons=(0.8, 0.4, 0.2, 0.1, 0.05, 0.025), t_c=2.0, L_c=1.0,
+                        n=256, dt_ref=5e-4)
+    rows = ef.run_sweep(spec).rows
+    assert [r.error for r in rows] == [""] * 6
+    times = [spec.time_grid(eps) for eps in spec.epsilons]
+    assert [n_steps for _, _, n_steps, _ in times] == [4000, 2000, 1000, 500, 250, 125]
+    wanted = set().union(*(range(stride, n_steps + 1, stride) for *_, n_steps, stride in times))
+    assert [i for i, _, _ in handed] == sorted(wanted)
+    assert len(handed) == 400
+    # each state a fresh array of its own, never written after it was handed out
+    assert len({psi.ctypes.data for _, psi, _ in handed}) == 400
+    for i, psi, copy in handed:
+        assert psi.flags.owndata and psi.tobytes() == copy.tobytes(), i

@@ -87,6 +87,20 @@ def test_evolve_matches_chained_steps_bitwise():
     assert evolved.t == pytest.approx(chained.t, abs=1e-15)
 
 
+def test_free_evolve_matches_chained_steps():
+    # a free run transforms its state once and steps in Fourier space, while
+    # each chained step takes its own transform pair: the states agree to
+    # roundoff, not bit for bit
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
+    pot = ef.Potential.free()
+    chained = wf
+    for _ in range(200):
+        chained = ef.step(chained, pot, 1e-4)
+    evolved = ef.evolve(wf, pot, 1e-4, 200)
+    assert np.max(np.abs(evolved.psi.values - chained.psi.values)) < 1e-12
+    assert evolved.t == pytest.approx(chained.t, abs=1e-15)
+
+
 def test_evolve_zero_steps_returns_input():
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
     assert ef.evolve(wf, ef.Potential.free(), 1e-3, 0) is wf
@@ -163,7 +177,7 @@ def test_split_steps_matches_expression_loop_bitwise(n):
 
     handed = []
     final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append((i, p, p.copy())),
-                        stride)
+                        range(stride, n_steps + 1, stride))
     assert np.array_equal(final, expected[n_steps])
     assert [i for i, _, _ in handed] == [2, 4, 6]
     for i, given, copy in handed:
@@ -191,25 +205,95 @@ def _kicked_states(wf, pot, dt, n_steps):
 
 
 @pytest.mark.parametrize("pot, sigma0, k0", [
-    # exact zeros in every initial state; the two narrow packets' underflowed
-    # tails hold signed zeros (-0.0), which a kick could flip
-    (ef.Potential.free(), 1.0, 0.0),
-    (ef.Potential.free(), 0.2, 40.0),
-    (ef.Potential.free(), 0.15, 60.0),
     # a kick that is not 1 must be applied
     (ef.Potential.harmonic(1.0), 1.0, 5.0),
-], ids=["free_wide", "free_narrow", "free_narrowest", "harmonic"])
+], ids=["harmonic"])
 def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
-    # split_steps skips a half kick equal to 1 everywhere; its states must
-    # still be those of the loop that applies it, to the sign of every zero
+    # the states of a potential are those of the loop that applies both half kicks
     from entroflux.propagate import split_steps
 
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
     expected = _kicked_states(wf, pot, dt, n_steps)
     handed = []
-    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append(p))
+    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append(p),
+                        range(1, n_steps + 1))
     assert final.tobytes() == expected[-1].tobytes()
     assert len(handed) == n_steps
     for i, (got, want) in enumerate(zip(handed, expected)):
         assert got.tobytes() == want.tobytes(), i + 1
+
+
+def _fourier_states(wf, dt, n_steps):
+    """Each state of n_steps free Strang steps taken in Fourier space, with np.fft:
+    one transform, the kinetic factor once per step, an inverse transform per state."""
+    from entroflux.propagate import step_factors
+
+    _, exp_t = step_factors(wf.grid, wf.params, ef.Potential.free(), dt)
+    psi_hat, states = np.fft.fft(wf.psi.values), []
+    for _ in range(n_steps):
+        # the operand order of split_steps' kinetic product
+        psi_hat = psi_hat * exp_t if psi_hat.nbytes >= 256 * 1024 else exp_t * psi_hat
+        states.append(np.fft.ifft(psi_hat))
+    return states
+
+
+@pytest.mark.parametrize("n, sigma0, k0", [
+    # exact zeros in every initial state; the two narrow packets' underflowed
+    # tails hold signed zeros (-0.0), which a kick could flip
+    (1024, 1.0, 0.0),
+    (1024, 0.2, 40.0),
+    (1024, 0.15, 60.0),
+    # from 256 KiB up the kinetic product swaps its operands
+    (16384, 1.0, 5.0),
+], ids=["free_wide", "free_narrow", "free_narrowest", "free_16384"])
+def test_split_steps_equal_fourier_space_loop_bytewise(n, sigma0, k0):
+    # split_steps skips a half kick equal to 1 everywhere and keeps the free
+    # state's transform between steps; its states must be those of the
+    # Fourier-space loop, to the sign of every zero
+    from entroflux.propagate import split_steps
+
+    grid = ef.Grid1D(-20.0 * n / 1024, 20.0 * n / 1024, n)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=sigma0, k0=k0)
+    dt, n_steps = 1e-4, 200
+    expected = _fourier_states(wf, dt, n_steps)
+    handed = []
+    final = split_steps(wf, ef.Potential.free(), dt, n_steps, lambda i, p: handed.append(p),
+                        range(1, n_steps + 1))
+    assert final.tobytes() == expected[-1].tobytes()
+    assert len(handed) == n_steps
+    for i, (got, want) in enumerate(zip(handed, expected)):
+        assert got.tobytes() == want.tobytes(), i + 1
+
+
+@pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
+                         ids=["free", "harmonic"])
+def test_split_steps_observes_its_schedule_only(pot):
+    from entroflux.propagate import split_steps
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
+    schedule = [1, 2, 5, 13, 20]
+    handed = []
+    final = split_steps(wf, pot, 1e-4, 20, lambda i, p: handed.append((i, p, p.copy())),
+                        iter(schedule))
+    assert [i for i, _, _ in handed] == schedule
+    alone = {i: split_steps(wf, pot, 1e-4, i) for i in schedule}
+    for i, given, copy in handed:
+        # the state after step i, in a fresh array never written after it was handed out
+        assert given.tobytes() == alone[i].tobytes(), i
+        assert given.tobytes() == copy.tobytes(), i
+        assert given.flags.owndata and not np.shares_memory(given, final), i
+    assert len({p.ctypes.data for _, p, _ in handed}) == len(schedule)
+    assert final.tobytes() == alone[20].tobytes()
+
+
+@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [0, 3], [3, 21], [-1]],
+                         ids=["unsorted", "repeated", "step_0", "past_the_end", "negative"])
+def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
+    from entroflux.propagate import split_steps
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
+    handed = []
+    with pytest.raises(ValueError, match="ascend strictly within 1..20"):
+        split_steps(wf, ef.Potential.free(), 1e-4, 20, lambda i, p: handed.append(i), schedule)
+    assert handed == []

@@ -91,6 +91,14 @@ def configs() -> dict:
     return {**cases, **FIXED}
 
 
+def export(rev: str, dest: Path) -> None:
+    """Extract the files of git revision rev of this checkout into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, str, dict]:
     """Exit code, stdout and {relative path: bytes} of one CLI run of tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -205,11 +213,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent_rev],
-                                 capture_output=True, check=True).stdout
-        (tmp / "parent.tar").write_bytes(archive)
-        with tarfile.open(tmp / "parent.tar") as tar:
-            tar.extractall(parent, filter="data")
+        export(args.parent_rev, parent)
         diffs, cases = [], configs()
         for name, (command, text) in cases.items():
             config = tmp / f"{name}.cfg"
