@@ -14,8 +14,10 @@ shorter row's trajectory is a prefix of a longer one's.  Such rows share one
 run of the longest row's steps, which each row observes at its own times, so
 a sweep of halving epsilons costs the steps of its first row alone and every
 output keeps its bits.  A free step is one product in Fourier space
-(`split_steps`), and the run transforms back only the states some row
-observes: 400 of the 4000 steps of the halving sweep 0.8 ... 0.025.
+(`split_steps`), and the run hands out only the states some row observes, as
+their transforms: 401 of the 4001 states (step 0 included) of the halving
+sweep 0.8 ... 0.025.  Each row's consumer takes one batched inverse transform
+per block for the states and one for their derivatives.
 """
 from __future__ import annotations
 
@@ -132,9 +134,10 @@ def _run_group(spec: SweepSpec, grid: Grid1D, times: dict) -> dict:
     times maps each row's epsilon to its time grid (`SweepSpec.time_grid`).  The
     rows' step factors are equal byte for byte, so the state after step i of the
     longest row is the state each row would reach alone after its own step i.
-    The run observes the union of the rows' steps, and each row's `Diagnostics`
-    takes the state at the row's own t = i*dt and hbar, every `stride` steps up
-    to the row's n_steps; then the row is summarized and its consumer freed.
+    The run observes the union of the rows' steps, step 0 included, and each
+    row's `Diagnostics` takes the state's transform at the row's own t = i*dt
+    and hbar, every `stride` steps up to the row's n_steps; then the row is
+    summarized and its consumer freed.
     The live consumers split one CHUNK_POINTS block budget.
     A ValueError of one row fails that row only; one of the step loop fails
     the rows still running.
@@ -154,13 +157,13 @@ def _run_group(spec: SweepSpec, grid: Grid1D, times: dict) -> dict:
     params = {eps: PhysicalParams(hbar=times[eps][0], mass=spec.mass) for eps in streams}
     longest = max(streams, key=lambda eps: times[eps][2])
 
-    def on_row(i: int, psi: np.ndarray) -> None:
+    def on_row(i: int, psi, psi_hat) -> None:
         for eps, stream in list(streams.items()):
             _, dt, n_steps, stride = times[eps]
             if i % stride:
                 continue
             try:
-                stream.add_state(wf.t + i * dt, psi, params[eps])
+                stream.add_state(wf.t + i * dt, psi, params[eps], psi_hat)
                 if i < n_steps:
                     continue
                 outcomes[eps] = _finish(stream)
@@ -169,11 +172,9 @@ def _run_group(spec: SweepSpec, grid: Grid1D, times: dict) -> dict:
             del streams[eps]
 
     _, dt_longest, steps_longest, _ = times[longest]
-    observed = set().union(*(range(times[eps][3], times[eps][2] + 1, times[eps][3])
-                             for eps in streams))
+    observed = set().union(*(range(0, times[eps][2] + 1, times[eps][3]) for eps in streams))
     try:
         wf = init_gaussian(grid, params[longest], sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
-        on_row(0, wf.psi.values)
         split_steps(wf, Potential.free(), dt_longest, steps_longest, on_row, sorted(observed))
     except ValueError as exc:
         outcomes.update(dict.fromkeys(streams, str(exc)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
-    Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive, integrate,
+    Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive, ifft, integrate,
 )
 from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
 from .propagate import Potential, WaveFunction, check_norms, split_steps
@@ -351,7 +351,8 @@ class Diagnostics:
     """The `diagnose` columns of a series of rows that arrive in time order.
 
     A producer hands over the next row as a state, `add_state(t, psi, params)`,
-    or the next rows as a Series, `add(rows)`, into a block of at most
+    or as the state's transform, `add_state(t, None, params, psi_hat)`, or
+    the next rows as a Series, `add(rows)`, into a block of at most
     block_points // n rows, and of one row if n is larger (consumers that run
     side by side split the CHUNK_POINTS budget).  A block that is full or
     holds the last row gets its per-row columns, and the centred residuals of
@@ -385,7 +386,9 @@ class Diagnostics:
         self.floored_points = np.zeros(n_rows, dtype=int)
         self.i_sub = np.zeros(n_rows)
         self.out = {name: np.zeros(n_rows) for name in _COLUMNS}
-        self.psi = None  # the states of `add_state`, made by the first: `add` needs none
+        # the states or transforms of `add_state`, made by the first: `add` needs none
+        self.held = None
+        self.spectral = False  # whether the held rows are transforms
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
 
@@ -401,14 +404,21 @@ class Diagnostics:
                              f"{self.n_done + self.n_held} of {len(self.t)}")
         return self.n_held
 
-    def add_state(self, t: float, psi: np.ndarray, params: PhysicalParams) -> None:
-        """Take the state psi at time t as the next row; psi must pass the
-        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1)."""
+    def add_state(self, t: float, psi: np.ndarray | None, params: PhysicalParams,
+                  psi_hat: np.ndarray | None = None) -> None:
+        """Take the state at time t as the next row, given as psi or, with psi
+        None, as its transform psi_hat = fft(psi).  The state must pass the
+        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1), and a
+        block holds states or transforms, not both."""
         k = self._next(1)
-        if self.psi is None:
-            self.psi = np.empty((self.height, self.window.grid.n), complex)
+        spectral = psi is None
+        if k and spectral != self.spectral:
+            raise ValueError("a block holds states or their transforms, not both")
+        if self.held is None:
+            self.held = np.empty((self.height, self.window.grid.n), complex)
+        self.spectral = spectral
         self.window.t[2 + k] = t
-        self.psi[k] = psi
+        self.held[k] = psi_hat if spectral else psi
         if self._hold(1):
             self._observe(params)
             self._compute()
@@ -432,9 +442,19 @@ class Diagnostics:
 
     def _observe(self, params: PhysicalParams) -> None:
         """The Madelung fields of the held states, into the block; a method of its
-        own, so its temporaries are freed before the block pass makes its own."""
+        own, so its temporaries are freed before the block pass makes its own.
+
+        Held transforms take one batched inverse transform for the states and
+        one for their derivatives, ifft(ik psi_hat); held states take a
+        forward and an inverse transform for the derivatives."""
         w, k, held = self.window, self.n_held, slice(2, 2 + self.n_held)
-        rho, j, v, floored = madelung_arrays(self.psi[:k], w.grid, params, w.reg_floor)
+        psi, dpsi = self.held[:k], None
+        if self.spectral:
+            # the derivative first: the states then overwrite their transforms,
+            # so this makes no more complex blocks than a block of states does
+            dpsi = ifft(np.multiply(w.grid._ik, psi))
+            ifft(psi, out=psi)
+        rho, j, v, floored = madelung_arrays(psi, w.grid, params, w.reg_floor, dpsi)
         check_norms(w.grid.dx * rho.sum(axis=1))
         w.rho[held], w.current[held], w.velocity[held] = rho, j, v
         w.rho_I[held] = _info_density(rho, w.reg_floor)
@@ -511,12 +531,12 @@ def collect(
     stream: Diagnostics,
 ) -> None:
     """Evolve wf by n_steps; add its state to stream at the start and every
-    `stride` steps (`Diagnostics.add_state`)."""
-    def on_row(i: int, psi: np.ndarray) -> None:
-        stream.add_state(wf.t + i * dt, psi, wf.params)
+    `stride` steps (`Diagnostics.add_state`), as the state or, from a free
+    run, as its transform."""
+    def on_row(i: int, psi, psi_hat) -> None:
+        stream.add_state(wf.t + i * dt, psi, wf.params, psi_hat)
 
-    on_row(0, wf.psi.values)
-    split_steps(wf, potential, dt, n_steps, on_row, range(stride, n_steps + 1, stride))
+    split_steps(wf, potential, dt, n_steps, on_row, range(0, n_steps + 1, stride))
 
 
 def diagnose(series: Series, subvolume=None) -> dict:

@@ -25,22 +25,25 @@ def madelung_arrays(
     grid: Grid1D,
     params: PhysicalParams,
     reg_floor: float = DEFAULT_REG_FLOOR,
+    dpsi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho of a (B, n) psi stack.
 
-    The one computation of these fields: one batched FFT pair along the grid
-    axis, and each row's values are those of the row taken alone.  v is 0
-    where rho < reg_floor; the per-row counts of those floored points are
-    returned last.
+    The one computation of these fields.  dpsi/dx is dpsi if given (a state
+    held as its transform psi_hat gives it as ifft(ik psi_hat)), which is
+    overwritten, else one batched FFT pair along the grid axis; each row's
+    values are those of the row taken alone.  v is 0 where rho < reg_floor;
+    the per-row counts of those floored points are returned last.
     """
     check_positive("reg_floor", reg_floor)
     rho = np.abs(psi) ** 2
+    conj = np.conj(psi)
+    if dpsi is None:
+        dpsi = _spectral_derivative(psi, grid)
     # np.multiply keeps the operand order fixed: numpy may swap the operands
     # of `a * temporary` on large arrays, and the complex product's last bit
-    # depends on that order.
-    j = (params.hbar / params.mass) * np.imag(
-        np.multiply(np.conj(psi), _spectral_derivative(psi, grid))
-    )
+    # depends on that order.  The product takes the derivative's place.
+    j = (params.hbar / params.mass) * np.imag(np.multiply(conj, dpsi, out=dpsi))
     mask = rho >= reg_floor
     v = np.zeros_like(rho)
     np.divide(j, rho, out=v, where=mask)

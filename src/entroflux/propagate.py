@@ -5,8 +5,8 @@
 Second-order Strang splitting: half potential kick, full kinetic step in
 Fourier space, half potential kick.  Norm-exact by construction (every factor
 is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
-has no kicks, so it stays in Fourier space between the states it observes
-(`split_steps`).
+has no kicks, so it stays in Fourier space and hands each state it observes
+over as its transform (`split_steps`).
 """
 from __future__ import annotations
 
@@ -186,19 +186,21 @@ def split_steps(
 
     Each step is a half potential kick, a kinetic step in Fourier space and
     another half kick, with the factors of `step_factors` computed once per
-    call.  If on_row is given, on_row(i, psi) is called after each step i of
-    observe_at, a strictly ascending iterable of steps in 1..n_steps, with a
-    fresh array holding the state at t = wf.t + i*dt, which the loop never
-    writes.
+    call.  If on_row is given, on_row(i, psi, psi_hat) is called after each
+    step i of observe_at, a strictly ascending iterable of steps in
+    0..n_steps (0 is the initial state), with the state at t = wf.t + i*dt in
+    a fresh array the loop never writes: exactly one of psi and psi_hat is
+    that array and the other is None.  psi_hat = fft(psi) is handed over by a
+    free run, which holds the state in Fourier space; psi by a kicked run.
 
     A half kick equal to 1 everywhere, as a free potential's is, leaves only
     the kinetic step (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
     1982): psi's transform is taken once, multiplied in place by the kinetic
-    factor at every step, and transformed back at each observed step and at
-    the end.  The kicked loop keeps psi in buffer `a` and its transform in
-    buffer `b`, and every product and transform writes into one of them
-    (`out=`), so it allocates an array only for a state it hands out or
-    returns.
+    factor at every step, copied out at each observed step and transformed
+    back at the end.  The kicked loop keeps psi in buffer `a` and its
+    transform in buffer `b`, and every product and transform writes into one
+    of them (`out=`), so it allocates an array only for a state it hands out
+    or returns.
 
     The complex product's last bit depends on the order of its operands, and
     numpy evaluates the expression `exp_t * fft(psi)` as
@@ -208,11 +210,9 @@ def split_steps(
     states are those of the expression loop bit for bit.
     """
     steps = np.fromiter(() if on_row is None else observe_at, dtype=np.int64)
-    if steps.size and not (1 <= steps[0] and steps[-1] <= n_steps
+    if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
                            and (np.diff(steps) > 0).all()):
-        raise ValueError(f"observation steps must ascend strictly within 1..{n_steps}")
-    if n_steps == 0:
-        return wf.psi.values
+        raise ValueError(f"observation steps must ascend strictly within 0..{n_steps}")
     check_dt(wf.grid, wf.params, dt)
     check_potential(wf.grid, wf.params, potential, dt)
     exp_v_half, exp_t = step_factors(wf.grid, wf.params, potential, dt)
@@ -224,6 +224,9 @@ def split_steps(
         def advance(count: int) -> None:
             for _ in range(count):
                 np.multiply(*kinetic, out=b)
+
+        def observe(i: int) -> None:
+            on_row(i, None, b.copy())
 
         def state() -> np.ndarray:
             return ifft(b)
@@ -239,13 +242,16 @@ def split_steps(
                 psi = ifft(b, out=a)
                 np.multiply(exp_v_half, psi, out=psi)
 
+        def observe(i: int) -> None:
+            on_row(i, state(), None)
+
         def state() -> np.ndarray:
             return psi.copy()
     done = 0
     for i in map(int, steps):
         advance(i - done)
         done = i
-        on_row(i, state())
+        observe(i)
     advance(n_steps - done)
     return state()
 
@@ -264,6 +270,9 @@ def evolve(
     A free run transforms its state once and steps in Fourier space, while
     each `step` takes a transform pair, so free states match chained `step`
     calls to roundoff, not bit for bit.  A kicked run's match them exactly.
+    A free run hands over each observed state as its transform, which the
+    observer's state takes back with `ifft`: the call that makes the final
+    state, so both carry the bits of the Fourier-space loop.
     """
     if n_steps == 0:
         return wf
@@ -273,6 +282,9 @@ def evolve(
     def state(i: int, psi: np.ndarray) -> WaveFunction:
         return replace(wf, psi=ComplexField(wf.grid, psi), t=wf.t + i * dt)
 
-    on_row = None if observer is None else (lambda i, psi: observer(state(i, psi)))
-    return state(n_steps, split_steps(wf, potential, dt, n_steps, on_row,
+    def observe(i: int, psi, psi_hat) -> None:
+        observer(state(i, ifft(psi_hat) if psi is None else psi))
+
+    return state(n_steps, split_steps(wf, potential, dt, n_steps,
+                                      None if observer is None else observe,
                                       range(stride, n_steps + 1, stride)))

@@ -234,9 +234,9 @@ def test_group_consumers_share_one_block_budget(monkeypatch):
     def stepping(wf, potential, dt, n_steps, on_row=None, observe_at=()):
         heights.append([d.height for d in made])
 
-        def watched(i, psi):
+        def watched(i, psi, psi_hat):
             live[-1].append(len(made))
-            on_row(i, psi)
+            on_row(i, psi, psi_hat)
 
         live.append([])
         return split_steps(wf, potential, dt, n_steps, watched, observe_at)
@@ -256,14 +256,17 @@ def test_group_consumers_share_one_block_budget(monkeypatch):
 
 def test_shared_run_hands_out_only_the_states_its_rows_observe(monkeypatch):
     # the halving sweep of the bench: 4000 steps, of which its six rows
-    # observe 400 (every 40th, 20th, 10th, 5th, 2nd and 1st up to their ends)
-    handed = []
+    # observe 400 (every 40th, 20th, 10th, 5th, 2nd and 1st up to their
+    # ends) and the initial state, each as its transform
+    handed, runs = [], []
 
     def recording(wf, potential, dt, n_steps, on_row=None, observe_at=()):
-        def watched(i, psi):
-            handed.append((i, psi, psi.copy()))
-            on_row(i, psi)
+        def watched(i, psi, psi_hat):
+            assert psi is None, i
+            handed.append((i, psi_hat, psi_hat.copy()))
+            on_row(i, psi, psi_hat)
 
+        runs.append((wf, potential, dt))
         return split_steps(wf, potential, dt, n_steps, watched, observe_at)
 
     monkeypatch.setattr(climit, "split_steps", recording)
@@ -273,10 +276,15 @@ def test_shared_run_hands_out_only_the_states_its_rows_observe(monkeypatch):
     assert [r.error for r in rows] == [""] * 6
     times = [spec.time_grid(eps) for eps in spec.epsilons]
     assert [n_steps for _, _, n_steps, _ in times] == [4000, 2000, 1000, 500, 250, 125]
-    wanted = set().union(*(range(stride, n_steps + 1, stride) for *_, n_steps, stride in times))
+    wanted = set().union(*(range(0, n_steps + 1, stride) for *_, n_steps, stride in times))
     assert [i for i, _, _ in handed] == sorted(wanted)
-    assert len(handed) == 400
-    # each state a fresh array of its own, never written after it was handed out
-    assert len({psi.ctypes.data for _, psi, _ in handed}) == 400
-    for i, psi, copy in handed:
-        assert psi.flags.owndata and psi.tobytes() == copy.tobytes(), i
+    assert len(handed) == 401
+    # each transform a fresh array of its own, never written after it was handed out
+    assert len({psi_hat.ctypes.data for _, psi_hat, _ in handed}) == 401
+    for i, psi_hat, copy in handed:
+        assert psi_hat.flags.owndata and psi_hat.tobytes() == copy.tobytes(), i
+    # and its inverse transform is the state a run of that many steps returns
+    (wf, potential, dt), = runs
+    for i, psi_hat, _ in handed[:3] + handed[100:101] + handed[-1:]:
+        alone = split_steps(wf, potential, dt, i)
+        assert np.fft.ifft(psi_hat).tobytes() == alone.tobytes(), i

@@ -588,6 +588,52 @@ def test_collect_blocks_match_take_snapshot_bitwise():
     assert series.floored_points.min() > 0
 
 
+@pytest.mark.parametrize("n, half_width, dt, n_steps", [
+    (512, 16.0, 1e-3, 3 * 70),  # a full block of 64 rows and a partial one
+    (16384, 160.0, 1e-4, 3 * 5),  # blocks of 2 rows of 256 KiB each
+], ids=["n512", "n16384"])
+def test_free_collect_rows_match_take_snapshot(n, half_width, dt, n_steps):
+    # a free run hands each observed state over as its transform psi_hat: a
+    # block's states are one batched ifft of its transforms, the same bits as
+    # evolve's state, and dpsi/dx is a second one, ifft(ik psi_hat), which
+    # agrees with take_snapshot's FFT pair of the state to roundoff
+    grid = ef.Grid1D(-half_width, half_width, n)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
+    stride, reg_floor = 3, 1e-8
+    series = _collected(wf0, ef.Potential.free(), dt, n_steps, stride, reg_floor)
+
+    snaps = [ef.take_snapshot(wf0, reg_floor)]
+    ef.evolve(wf0, ef.Potential.free(), dt, n_steps, stride=stride,
+              observer=lambda w: snaps.append(ef.take_snapshot(w, reg_floor)))
+    assert len(series.t) == len(snaps) == n_steps // stride + 1
+    scale = max(np.max(np.abs(s.den.current.values)) for s in snaps)
+    assert scale > 0.5
+    for i, s in enumerate(snaps):
+        assert series.t[i] == s.t, i
+        if i:
+            assert series.rho[i].tobytes() == s.den.rho.values.tobytes(), i
+            assert series.rho_I[i].tobytes() == s.info.rho_I.values.tobytes(), i
+        else:
+            # row 0 is ifft(fft(psi0)), not psi0 itself
+            np.testing.assert_allclose(series.rho[0], s.den.rho.values, rtol=0, atol=1e-15)
+        # measured at most 8.1e-15 * scale
+        np.testing.assert_allclose(series.current[i], s.den.current.values,
+                                   rtol=0, atol=1e-13 * scale, err_msg=str(i))
+
+
+def test_diagnostics_refuses_a_block_of_states_and_transforms():
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    psi = _normalized_rows(grid, 2)
+    for first, second in (((psi[0], None), (None, np.fft.fft(psi[1]))),
+                          ((None, np.fft.fft(psi[0])), (psi[1], None))):
+        stream = Diagnostics(grid, 3)
+        stream.add_state(0.0, first[0], PARAMS, first[1])
+        with pytest.raises(ValueError, match="states or their transforms, not both"):
+            stream.add_state(1e-3, second[0], PARAMS, second[1])
+
+
 def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
     from entroflux.entropy import CHUNK_POINTS, Diagnostics
 

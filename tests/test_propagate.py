@@ -176,7 +176,7 @@ def test_split_steps_matches_expression_loop_bitwise(n):
         expected[i] = psi
 
     handed = []
-    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append((i, p, p.copy())),
+    final = split_steps(wf, pot, dt, n_steps, lambda i, p, _: handed.append((i, p, p.copy())),
                         range(stride, n_steps + 1, stride))
     assert np.array_equal(final, expected[n_steps])
     assert [i for i, _, _ in handed] == [2, 4, 6]
@@ -216,7 +216,7 @@ def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
     dt, n_steps = 1e-4, 200
     expected = _kicked_states(wf, pot, dt, n_steps)
     handed = []
-    final = split_steps(wf, pot, dt, n_steps, lambda i, p: handed.append(p),
+    final = split_steps(wf, pot, dt, n_steps, lambda i, p, _: handed.append(p),
                         range(1, n_steps + 1))
     assert final.tobytes() == expected[-1].tobytes()
     assert len(handed) == n_steps
@@ -224,18 +224,19 @@ def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
         assert got.tobytes() == want.tobytes(), i + 1
 
 
-def _fourier_states(wf, dt, n_steps):
-    """Each state of n_steps free Strang steps taken in Fourier space, with np.fft:
-    one transform, the kinetic factor once per step, an inverse transform per state."""
+def _fourier_transforms(wf, dt, n_steps):
+    """The transform of each state of n_steps free Strang steps taken in
+    Fourier space, with np.fft: one transform, then the kinetic factor once
+    per step.  np.fft.ifft of each is the state."""
     from entroflux.propagate import step_factors
 
     _, exp_t = step_factors(wf.grid, wf.params, ef.Potential.free(), dt)
-    psi_hat, states = np.fft.fft(wf.psi.values), []
+    psi_hat, transforms = np.fft.fft(wf.psi.values), []
     for _ in range(n_steps):
         # the operand order of split_steps' kinetic product
         psi_hat = psi_hat * exp_t if psi_hat.nbytes >= 256 * 1024 else exp_t * psi_hat
-        states.append(np.fft.ifft(psi_hat))
-    return states
+        transforms.append(psi_hat)
+    return transforms
 
 
 @pytest.mark.parametrize("n, sigma0, k0", [
@@ -249,18 +250,19 @@ def _fourier_states(wf, dt, n_steps):
 ], ids=["free_wide", "free_narrow", "free_narrowest", "free_16384"])
 def test_split_steps_equal_fourier_space_loop_bytewise(n, sigma0, k0):
     # split_steps skips a half kick equal to 1 everywhere and keeps the free
-    # state's transform between steps; its states must be those of the
-    # Fourier-space loop, to the sign of every zero
+    # state's transform between steps; the transforms it hands out and the
+    # state it returns must be those of the Fourier-space loop, to the sign of
+    # every zero
     from entroflux.propagate import split_steps
 
     grid = ef.Grid1D(-20.0 * n / 1024, 20.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
-    expected = _fourier_states(wf, dt, n_steps)
+    expected = _fourier_transforms(wf, dt, n_steps)
     handed = []
-    final = split_steps(wf, ef.Potential.free(), dt, n_steps, lambda i, p: handed.append(p),
-                        range(1, n_steps + 1))
-    assert final.tobytes() == expected[-1].tobytes()
+    final = split_steps(wf, ef.Potential.free(), dt, n_steps,
+                        lambda i, p, p_hat: handed.append(p_hat), range(1, n_steps + 1))
+    assert final.tobytes() == np.fft.ifft(expected[-1]).tobytes()
     assert len(handed) == n_steps
     for i, (got, want) in enumerate(zip(handed, expected)):
         assert got.tobytes() == want.tobytes(), i + 1
@@ -269,31 +271,57 @@ def test_split_steps_equal_fourier_space_loop_bytewise(n, sigma0, k0):
 @pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
                          ids=["free", "harmonic"])
 def test_split_steps_observes_its_schedule_only(pot):
+    # a free run hands out each state as its transform (psi None), a kicked
+    # run as the state (psi_hat None); step 0 is the initial state
     from entroflux.propagate import split_steps
 
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
-    schedule = [1, 2, 5, 13, 20]
+    schedule = [0, 1, 2, 5, 13, 20]
+    free = pot.kind == "free"
     handed = []
-    final = split_steps(wf, pot, 1e-4, 20, lambda i, p: handed.append((i, p, p.copy())),
-                        iter(schedule))
+
+    def on_row(i, psi, psi_hat):
+        assert (psi is None) == free and (psi_hat is None) != free, i
+        given = psi_hat if free else psi
+        handed.append((i, given, given.copy()))
+
+    final = split_steps(wf, pot, 1e-4, 20, on_row, iter(schedule))
     assert [i for i, _, _ in handed] == schedule
     alone = {i: split_steps(wf, pot, 1e-4, i) for i in schedule}
     for i, given, copy in handed:
-        # the state after step i, in a fresh array never written after it was handed out
-        assert given.tobytes() == alone[i].tobytes(), i
+        # the state after step i (through ifft from a transform), in a fresh
+        # array never written after it was handed out
+        state = np.fft.ifft(given) if free else given
+        assert state.tobytes() == alone[i].tobytes(), i
         assert given.tobytes() == copy.tobytes(), i
         assert given.flags.owndata and not np.shares_memory(given, final), i
+        assert not np.shares_memory(given, wf.psi.values), i
     assert len({p.ctypes.data for _, p, _ in handed}) == len(schedule)
     assert final.tobytes() == alone[20].tobytes()
 
 
-@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [0, 3], [3, 21], [-1]],
-                         ids=["unsorted", "repeated", "step_0", "past_the_end", "negative"])
+def test_split_steps_hands_out_step_0_of_an_empty_run():
+    from entroflux.propagate import split_steps
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
+    for pot in (ef.Potential.free(), ef.Potential.harmonic(1.0)):
+        handed = []
+        final = split_steps(wf, pot, 1e-4, 0, lambda *row: handed.append(row), [0])
+        assert [i for i, _, _ in handed] == [0], pot.kind
+        _, psi, psi_hat = handed[0]
+        state = np.fft.ifft(psi_hat) if psi is None else psi
+        assert state.tobytes() == final.tobytes(), pot.kind
+        np.testing.assert_allclose(state, wf.psi.values, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [3, 21], [-1]],
+                         ids=["unsorted", "repeated", "past_the_end", "negative"])
 def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
     from entroflux.propagate import split_steps
 
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
     handed = []
-    with pytest.raises(ValueError, match="ascend strictly within 1..20"):
-        split_steps(wf, ef.Potential.free(), 1e-4, 20, lambda i, p: handed.append(i), schedule)
+    with pytest.raises(ValueError, match="ascend strictly within 0..20"):
+        split_steps(wf, ef.Potential.free(), 1e-4, 20, lambda i, *_: handed.append(i),
+                    schedule)
     assert handed == []

@@ -7,8 +7,8 @@ For the free packets, the CLI of a tree runs `simulate` and `oracle` on the
 same config, one process per run, and the table holds max|simulate - oracle|
 of the series.csv columns I, dIdt_fd, rhs_eq16 and norm.  The configs are the
 `dense_diag` bench workload at seeds 1-3 and the free `FIXED` configs
-`oracle_free`, `narrow_signed_zeros` and `simulate_n64_stride1` of
-`compare_outputs.py`.
+`oracle_free`, `narrow_signed_zeros`, `simulate_n64_stride1` and
+`free_16384` of `compare_outputs.py`.
 
 For the sweeps (the `sweep_climit` workload at seeds 1-3 and the `FIXED`
 `sweep_two_groups`), it holds each row's |delta_I - delta_I of the oracle
@@ -56,7 +56,8 @@ def configs() -> tuple[dict, dict]:
     """{name: config text} of the free runs and of the sweeps."""
     runs = {f"dense_diag_seed{s}": make("dense_diag", s).config for s in (1, 2, 3)}
     runs.update({name: FIXED[name][1]
-                 for name in ("oracle_free", "narrow_signed_zeros", "simulate_n64_stride1")})
+                 for name in ("oracle_free", "narrow_signed_zeros", "simulate_n64_stride1",
+                              "free_16384")})
     sweeps = {f"sweep_climit_seed{s}": make("sweep_climit", s).config for s in (1, 2, 3)}
     sweeps["sweep_two_groups"] = FIXED["sweep_two_groups"][1]
     return runs, sweeps
