@@ -35,7 +35,7 @@ from .grid import (
     derivative,
     integrate,
 )
-from .madelung import density, phase_unwrap
+from .madelung import density
 from .oracle import CoherentOracle, GaussianOracle
 from .propagate import (
     Potential,

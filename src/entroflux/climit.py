@@ -7,17 +7,9 @@ closed form is delta_I = 0.5*ln(1 + eps^2/4), vanishing quadratically as
 eps -> 0.  The per-step kinetic phase is held eps-independent by scaling
 dt ~ 1/hbar.
 
-Since only hbar*dt enters a free step, the rows' step factors often come out
-equal byte for byte (as for epsilons a power of two apart, such as 0.4, 0.2,
-0.1), and rows with equal factors make the same states step by step: a
-shorter row's trajectory is a prefix of a longer one's.  Such rows share one
-run of the longest row's steps, which each row observes at its own times, so
-a sweep of halving epsilons costs the steps of its first row alone and every
-output keeps its bits.  A free step is one product in Fourier space
-(`split_steps`), and the run hands out only the states some row observes, as
-their transforms: 401 of the 4001 states (step 0 included) of the halving
-sweep 0.8 ... 0.025.  Each row's consumer takes one batched inverse transform
-per block for the states and one for their derivatives.
+Each row runs alone, as `simulate` does: its own packet, its own free run,
+which steps in Fourier space at one product per step (`split_steps`), and its
+own `Diagnostics` at the full block height, fed by `collect`.
 """
 from __future__ import annotations
 
@@ -25,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CHUNK_POINTS, Diagnostics, check_reg_floor, summarize
+from .entropy import Diagnostics, check_reg_floor, collect, summarize
 # SpecError is re-exported: an invalid SweepSpec raises it
 from .grid import (
     Grid1D, PhysicalParams, SpecError, about, check_rows, check_work, positive, step_count,
 )
 from .oracle import GaussianOracle
-from .propagate import (
-    Potential, check_dt, check_wavenumber, check_width, init_gaussian, split_steps, step_factors,
-)
+from .propagate import Potential, check_dt, check_wavenumber, check_width, init_gaussian
 
 
 @dataclass(frozen=True)
@@ -119,112 +109,58 @@ class SweepReport:
     exponent: float
 
 
-def _finish(stream: Diagnostics) -> dict:
-    """The summary of a row whose last state has arrived; raises if its packet
+def _summary(spec: SweepSpec, grid: Grid1D, params: PhysicalParams, dt: float,
+             n_steps: int, stride: int) -> dict:
+    """The summary of one row, run alone as `simulate` runs: its packet, its
+    `Diagnostics` and `collect`.  Raises ValueError if the row has too few
+    samples for a centred difference, if its run fails, or if its packet
     reached the periodic seam."""
+    n_rows = n_steps // stride + 1
+    if n_rows < 3:
+        raise ValueError(f"{n_rows} samples leave no centred difference")
+    wf = init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
+    stream = Diagnostics(grid, n_rows, spec.reg_floor)
+    collect(wf, Potential.free(), dt, n_steps, stride, stream)
     seam = max(stream.last_rho[0], stream.last_rho[-1])
     if seam > 1e-20:
         raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
     return summarize(stream.columns())
 
 
-def _run_group(spec: SweepSpec, grid: Grid1D, times: dict) -> dict:
-    """Run the rows of one group along one trajectory: {epsilon: summary or error}.
-
-    times maps each row's epsilon to its time grid (`SweepSpec.time_grid`).  The
-    rows' step factors are equal byte for byte, so the state after step i of the
-    longest row is the state each row would reach alone after its own step i.
-    The run observes the union of the rows' steps, step 0 included, and each
-    row's `Diagnostics` takes the state's transform at the row's own t = i*dt
-    and hbar, every `stride` steps up to the row's n_steps; then the row is
-    summarized and its consumer freed.
-    The live consumers split one CHUNK_POINTS block budget.
-    A ValueError of one row fails that row only; one of the step loop fails
-    the rows still running.
-    """
-    outcomes, sizes = {}, {}
-    for eps, (_, _, n_steps, stride) in times.items():
-        n_rows = n_steps // stride + 1
-        if n_rows < 3:
-            outcomes[eps] = f"{n_rows} samples leave no centred difference"
-        else:
-            sizes[eps] = n_rows
-    if not sizes:
-        return outcomes
-    block_points = CHUNK_POINTS // len(sizes)
-    streams = {eps: Diagnostics(grid, n_rows, spec.reg_floor, block_points=block_points)
-               for eps, n_rows in sizes.items()}
-    params = {eps: PhysicalParams(hbar=times[eps][0], mass=spec.mass) for eps in streams}
-    longest = max(streams, key=lambda eps: times[eps][2])
-
-    def on_row(i: int, psi, psi_hat) -> None:
-        for eps, stream in list(streams.items()):
-            _, dt, n_steps, stride = times[eps]
-            if i % stride:
-                continue
-            try:
-                stream.add_state(wf.t + i * dt, psi, params[eps], psi_hat)
-                if i < n_steps:
-                    continue
-                outcomes[eps] = _finish(stream)
-            except ValueError as exc:
-                outcomes[eps] = str(exc)
-            del streams[eps]
-
-    _, dt_longest, steps_longest, _ = times[longest]
-    observed = set().union(*(range(0, times[eps][2] + 1, times[eps][3]) for eps in streams))
-    try:
-        wf = init_gaussian(grid, params[longest], sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
-        split_steps(wf, Potential.free(), dt_longest, steps_longest, on_row, sorted(observed))
-    except ValueError as exc:
-        outcomes.update(dict.fromkeys(streams, str(exc)))
-    return outcomes
-
-
-def _row(spec: SweepSpec, eps: float, time_grid: tuple, outcome) -> SweepRow:
-    """The row at eps from its time grid and its summary or error message."""
-    hbar, dt, n_steps, _ = time_grid
+def _row(spec: SweepSpec, grid: Grid1D, eps: float) -> SweepRow:
+    """The row at eps, with its error message if it failed."""
+    hbar, dt, n_steps, stride = spec.time_grid(eps)
     params = PhysicalParams(hbar=hbar, mass=spec.mass)
     oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
     expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
     common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)
-    if isinstance(outcome, str):
+    try:
+        summary = _summary(spec, grid, params, dt, n_steps, stride)
+    except ValueError as exc:
         nan = float("nan")
         return SweepRow(**common, delta_I=nan, residual13_l2_max=nan,
-                        eq16_rel_err=nan, sign_fraction=nan, error=outcome)
+                        eq16_rel_err=nan, sign_fraction=nan, error=str(exc))
     return SweepRow(
         **common,
-        delta_I=outcome["delta_I"],
-        residual13_l2_max=outcome["max_residual13_l2"],
-        eq16_rel_err=outcome["eq16_rel_err"],
-        sign_fraction=outcome["sign_witness_fraction"],
+        delta_I=summary["delta_I"],
+        residual13_l2_max=summary["max_residual13_l2"],
+        eq16_rel_err=summary["eq16_rel_err"],
+        sign_fraction=summary["sign_witness_fraction"],
     )
 
 
 def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     """Run one free simulation per epsilon (descending) and fit delta_I ~ eps^p.
 
-    Rows whose step factors (`step_factors`) are equal byte for byte form a
-    group and share one trajectory: every row's states are a prefix of the
-    longest row's, so the group runs that row's steps once and each row
-    observes them (`_run_group`).  Sharing changes no bit: each row's values
-    are those it would have run alone.  Groups run one after another in the
-    calling thread; max_workers must be 1.  Failed rows carry an error
-    string and are excluded from the fit; the sweep continues past them.
+    Each row runs alone, one after another in the calling thread, through
+    the path `simulate` takes (`_summary`); max_workers must be 1.  Failed
+    rows carry an error string and are excluded from the fit; the sweep
+    continues past them.
     """
     if max_workers != 1:
         raise ValueError(f"the sweep runs serially: max_workers must be 1, got {max_workers}")
     grid = Grid1D(spec.x_min, spec.x_max, spec.n)
-    times = {eps: spec.time_grid(eps) for eps in spec.epsilons}
-    groups = {}
-    for eps, (hbar, dt, _, _) in times.items():
-        factors = step_factors(grid, PhysicalParams(hbar=hbar, mass=spec.mass),
-                               Potential.free(), dt)
-        groups.setdefault(b"".join(f.tobytes() for f in factors), {})[eps] = times[eps]
-    outcomes = {}
-    for group in groups.values():
-        outcomes.update(_run_group(spec, grid, group))
-    rows = [_row(spec, eps, times[eps], outcomes[eps]) for eps in spec.epsilons]
+    rows = [_row(spec, grid, eps) for eps in spec.epsilons]
     good = [r for r in rows if not r.error and r.delta_I > 0.0]
     if len(good) >= 2:
         exponent = float(

@@ -353,12 +353,11 @@ class Diagnostics:
     A producer hands over the next row as a state, `add_state(t, psi, params)`,
     or as the state's transform, `add_state(t, None, params, psi_hat)`, or
     the next rows as a Series, `add(rows)`, into a block of at most
-    block_points // n rows, and of one row if n is larger (consumers that run
-    side by side split the CHUNK_POINTS budget).  A block that is full or
-    holds the last row gets its per-row columns, and the centred residuals of
-    every row whose two neighbours have arrived: the last two rows stay behind
-    as a halo just ahead of the block, so a residual never depends on where a
-    block ends.
+    CHUNK_POINTS // n rows, and of one row if n is larger.  A block that is
+    full or holds the last row gets its per-row columns, and the centred
+    residuals of every row whose two neighbours have arrived: the last two
+    rows stay behind as a halo just ahead of the block, so a residual never
+    depends on where a block ends.
     Then on_block(first_row, rows) sees the block's rows as a Series of views,
     and the block is reused.  The block, its halo and their temporaries are
     all the field memory a run holds; only the scalar columns grow with n_rows.
@@ -373,12 +372,11 @@ class Diagnostics:
         reg_floor: float = DEFAULT_REG_FLOOR,
         subvolume=None,
         on_block=None,
-        block_points: int = CHUNK_POINTS,
     ):
         _keep_temporaries_on_heap(4 * 16 * max(CHUNK_POINTS, grid.n))  # 4 complex blocks
         self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
         self.on_block = on_block
-        self.height = height = max(1, min(n_rows, block_points // grid.n))
+        self.height = height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
         # rows 0 and 1 of the window are the halo, rows 2.. the block
         self.window = Series.empty(grid, height + 2, reg_floor)
         self.v_drho = np.empty((height + 2, grid.n))

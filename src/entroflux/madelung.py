@@ -1,9 +1,8 @@
-"""Hydrodynamic fields of the wavefunction: density, current, velocity, phase.
+"""Hydrodynamic fields of the wavefunction: density, current and velocity.
 
 The decomposition psi = sqrt(rho) exp(i S / hbar) gives a velocity field
 v = S'/m, which we evaluate as j/rho (with a density floor) to avoid
-branch-cut artifacts of the unwrapped phase in low-density regions.  The
-unwrapped phase is retained as a cross-check only.
+branch-cut artifacts of the unwrapped phase in low-density regions.
 """
 from __future__ import annotations
 
@@ -48,37 +47,3 @@ def madelung_arrays(
     v = np.zeros_like(rho)
     np.divide(j, rho, out=v, where=mask)
     return rho, j, v, np.count_nonzero(~mask, axis=-1)
-
-
-def phase_unwrap(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> RealField:
-    """Unwrapped phase S = hbar * arg(psi) on the connected support rho >= reg_floor.
-
-    S is continuous (no 2*pi*hbar jumps) on the support, fixed so that
-    S(density peak) lies in [0, 2*pi*hbar), and set to zero off support.
-    Raises if the support above the floor is disconnected (mod the wrap).
-    """
-    hbar = wf.params.hbar
-    rho = np.abs(wf.psi.values) ** 2
-    mask = rho >= reg_floor
-    if not mask.any():
-        raise ValueError("phase not unwrappable: no density above floor")
-    n = wf.grid.n
-    transitions = int(np.count_nonzero(mask != np.roll(mask, 1)))
-    if transitions > 2:
-        raise ValueError("phase not unwrappable: support above floor is disconnected")
-    if transitions == 0:
-        block = np.arange(n)
-    else:
-        # single connected run, possibly wrapping the seam
-        starts = np.flatnonzero(mask & ~np.roll(mask, 1))
-        start = int(starts[0])
-        count = int(np.count_nonzero(mask))
-        block = (start + np.arange(count)) % n
-    s = hbar * np.unwrap(np.angle(wf.psi.values[block]))
-    peak = int(np.argmax(rho[block]))
-    two_pi_h = 2.0 * np.pi * hbar
-    s -= two_pi_h * np.floor(s[peak] / two_pi_h)
-    out = np.zeros(n)
-    out[block] = s
-    return RealField(wf.grid, out)
-

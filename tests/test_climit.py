@@ -1,5 +1,4 @@
 import dataclasses
-import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ import pytest
 import entroflux as ef
 from entroflux import climit
 from entroflux.climit import SpecError
-from entroflux.propagate import split_steps, step_factors
+from entroflux import entropy
+from entroflux.propagate import split_steps
 
 
 def test_sweep_spec_validation():
@@ -101,12 +101,12 @@ def test_sweep_spec_errors_name_their_field():
     assert info.value.keys[0] == "k0"
 
 
-# ---------- rows with equal step factors share one trajectory ----------
+# ---------- each row runs alone, as simulate runs ----------
 
 ACCEPTANCE = dict(epsilons=(0.4, 0.2, 0.1, 0.05), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-# 0.8, 0.4 and 0.2 share their factors; 0.5 runs alone
+# 0.8, 0.4 and 0.2 have step factors equal byte for byte; 0.5 does not
 TWO_GROUPS = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-# a fast packet on a narrow domain: rows of one group reach the seam
+# a fast packet on a narrow domain: the two larger epsilons' rows reach the seam
 SHARED_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
                       x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
 ONE_SAMPLE = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=1)
@@ -155,18 +155,6 @@ def _bits(row):
             for v in dataclasses.astuple(row)]
 
 
-def _count_steps(monkeypatch):
-    """Record the n_steps of every split_steps call the sweep makes."""
-    calls = []
-
-    def counting(wf, potential, dt, n_steps, on_row=None, observe_at=()):
-        calls.append(n_steps)
-        return split_steps(wf, potential, dt, n_steps, on_row, observe_at)
-
-    monkeypatch.setattr(climit, "split_steps", counting)
-    return calls
-
-
 @pytest.mark.parametrize("kwargs", [ACCEPTANCE, TWO_GROUPS, SHARED_FAILING, ONE_SAMPLE,
                                     ONE_STEP_ROW])
 def test_shared_rows_match_rows_run_alone(kwargs):
@@ -177,9 +165,9 @@ def test_shared_rows_match_rows_run_alone(kwargs):
 
 
 def test_shared_rows_fail_one_by_one():
-    # the failures the comparison above must reach: a row of a shared group
-    # fails the seam check while the others finish, and a row too short for
-    # a centred difference fails while its group runs
+    # the failures the comparison above must reach: rows that reach the seam
+    # fail while the next finishes, and a row too short for a centred
+    # difference fails while the rows before it finish
     rows = ef.run_sweep(ef.SweepSpec(**SHARED_FAILING)).rows
     assert [r.error != "" for r in rows] == [True, True, False]
     assert "domain boundary" in rows[1].error
@@ -188,103 +176,48 @@ def test_shared_rows_fail_one_by_one():
     assert rows[2].error == "2 samples leave no centred difference"
 
 
-def test_shared_rows_run_the_longest_rows_steps_once(monkeypatch):
-    calls = _count_steps(monkeypatch)
-    rows = ef.run_sweep(ef.SweepSpec(**ACCEPTANCE)).rows
-    assert sum(r.n_steps for r in rows) == 1875
-    assert calls == [1000]
-    calls.clear()
-    rows = ef.run_sweep(ef.SweepSpec(**TWO_GROUPS)).rows
-    assert sorted(calls) == sorted([rows[0].n_steps, rows[1].n_steps])
-    calls.clear()
-    ef.run_sweep(ef.SweepSpec(**ONE_SAMPLE))
-    assert calls == []
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, ONE_STEP_ROW])
+def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
+    # one split_steps call of the row's own n_steps per row with a centred
+    # difference, into a Diagnostics whose blocks take the whole CHUNK_POINTS
+    steps, heights = [], []
 
+    def counting(wf, potential, dt, n_steps, on_row=None, observe_at=()):
+        steps.append(n_steps)
+        return split_steps(wf, potential, dt, n_steps, on_row, observe_at)
 
-def test_rows_whose_factors_differ_in_one_bit_run_apart(monkeypatch):
-    class Nudged(ef.SweepSpec):
-        def hbar_for(self, eps):
-            hbar = super().hbar_for(eps)
-            return np.nextafter(hbar, 1.0) if eps == self.epsilons[-1] else hbar
+    def recording(wf, potential, dt, n_steps, stride, stream):
+        heights.append(stream.height)
+        entropy.collect(wf, potential, dt, n_steps, stride, stream)
 
-    spec = Nudged(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, dt_ref=2e-3)
-    grid = ef.Grid1D(spec.x_min, spec.x_max, spec.n)
-    factors = []
-    for eps in spec.epsilons:
-        hbar, dt, _, _ = spec.time_grid(eps)
-        factors.append(step_factors(grid, ef.PhysicalParams(hbar=hbar), ef.Potential.free(), dt))
-    assert [f.tobytes() for f in factors[0]] != [f.tobytes() for f in factors[1]]
-    calls = _count_steps(monkeypatch)
-    rows = ef.run_sweep(spec).rows
-    assert calls == [r.n_steps for r in rows]
-
-
-def test_group_consumers_share_one_block_budget(monkeypatch):
-    from entroflux.entropy import CHUNK_POINTS, Diagnostics
-
-    made = weakref.WeakSet()
-
-    class Recording(Diagnostics):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.add(self)
-
-    heights, live = [], []
-
-    def stepping(wf, potential, dt, n_steps, on_row=None, observe_at=()):
-        heights.append([d.height for d in made])
-
-        def watched(i, psi, psi_hat):
-            live[-1].append(len(made))
-            on_row(i, psi, psi_hat)
-
-        live.append([])
-        return split_steps(wf, potential, dt, n_steps, watched, observe_at)
-
-    monkeypatch.setattr(climit, "Diagnostics", Recording)
-    monkeypatch.setattr(climit, "split_steps", stepping)
-    spec = ef.SweepSpec(**TWO_GROUPS)
+    monkeypatch.setattr(entropy, "split_steps", counting)
+    monkeypatch.setattr(climit, "collect", recording)
+    spec = ef.SweepSpec(**kwargs)
     ef.run_sweep(spec)
-    assert sorted(map(len, heights)) == [1, 3]
-    for group in heights:
-        assert sum(group) <= CHUNK_POINTS // spec.n
-    # a row's consumer is freed once its last state has arrived
-    shared = live[[len(h) for h in heights].index(3)]
-    assert shared[0] == 3 and shared[-1] == 1
-    assert shared == sorted(shared, reverse=True)
+    sampled = [(n_steps, n_steps // stride + 1)
+               for *_, n_steps, stride in map(spec.time_grid, spec.epsilons)
+               if n_steps // stride + 1 >= 3]
+    assert steps == [n_steps for n_steps, _ in sampled]
+    assert heights == [min(n_rows, entropy.CHUNK_POINTS // spec.n) for _, n_rows in sampled]
 
 
-def test_shared_run_hands_out_only_the_states_its_rows_observe(monkeypatch):
-    # the halving sweep of the bench: 4000 steps, of which its six rows
-    # observe 400 (every 40th, 20th, 10th, 5th, 2nd and 1st up to their
-    # ends) and the initial state, each as its transform
-    handed, runs = [], []
+def test_a_row_that_fails_mid_run_fails_alone(monkeypatch):
+    spec = ef.SweepSpec(**ACCEPTANCE)
+    clean = ef.run_sweep(spec).rows
 
-    def recording(wf, potential, dt, n_steps, on_row=None, observe_at=()):
+    def failing(wf, potential, dt, n_steps, on_row=None, observe_at=()):
         def watched(i, psi, psi_hat):
-            assert psi is None, i
-            handed.append((i, psi_hat, psi_hat.copy()))
+            if n_steps == 500 and i == 250:
+                raise ValueError("failed at step 250")
             on_row(i, psi, psi_hat)
 
-        runs.append((wf, potential, dt))
         return split_steps(wf, potential, dt, n_steps, watched, observe_at)
 
-    monkeypatch.setattr(climit, "split_steps", recording)
-    spec = ef.SweepSpec(epsilons=(0.8, 0.4, 0.2, 0.1, 0.05, 0.025), t_c=2.0, L_c=1.0,
-                        n=256, dt_ref=5e-4)
-    rows = ef.run_sweep(spec).rows
-    assert [r.error for r in rows] == [""] * 6
-    times = [spec.time_grid(eps) for eps in spec.epsilons]
-    assert [n_steps for _, _, n_steps, _ in times] == [4000, 2000, 1000, 500, 250, 125]
-    wanted = set().union(*(range(0, n_steps + 1, stride) for *_, n_steps, stride in times))
-    assert [i for i, _, _ in handed] == sorted(wanted)
-    assert len(handed) == 401
-    # each transform a fresh array of its own, never written after it was handed out
-    assert len({psi_hat.ctypes.data for _, psi_hat, _ in handed}) == 401
-    for i, psi_hat, copy in handed:
-        assert psi_hat.flags.owndata and psi_hat.tobytes() == copy.tobytes(), i
-    # and its inverse transform is the state a run of that many steps returns
-    (wf, potential, dt), = runs
-    for i, psi_hat, _ in handed[:3] + handed[100:101] + handed[-1:]:
-        alone = split_steps(wf, potential, dt, i)
-        assert np.fft.ifft(psi_hat).tobytes() == alone.tobytes(), i
+    monkeypatch.setattr(entropy, "split_steps", failing)
+    rep = ef.run_sweep(spec)
+    assert [r.n_steps for r in rep.rows] == [1000, 500, 250, 125]
+    assert [r.error for r in rep.rows] == ["", "failed at step 250", "", ""]
+    assert np.isnan(rep.rows[1].delta_I)
+    # the rows after the failed one finish, with the bits they have alone
+    assert [_bits(rep.rows[k]) for k in (0, 2, 3)] == [_bits(clean[k]) for k in (0, 2, 3)]
+    assert rep.exponent == pytest.approx(2.0, abs=0.1)

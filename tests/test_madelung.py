@@ -141,47 +141,6 @@ def test_log_gradient_identity_matches_velocity():
     assert np.max(np.abs(log_grad_v[mask] - v.values[mask])) / scale < 1e-8
 
 
-def test_phase_unwrap_plane_wave_linear():
-    g = ef.Grid1D(0.0, 4.0, 64)
-    wf, k = plane_wave(g, PARAMS, mode=3)
-    s = ef.phase_unwrap(wf).values
-    # S = hbar k x + const on the full periodic support
-    ds = np.diff(s)
-    assert np.max(np.abs(ds - PARAMS.hbar * k * g.dx)) < 1e-12
-
-
-def test_phase_unwrap_real_gaussian_constant():
-    g = ef.Grid1D(-20.0, 20.0, 1024)
-    wf = ef.init_gaussian(g, PARAMS, sigma0=1.0)
-    s = ef.phase_unwrap(wf)
-    support = ef.density(wf).values >= 1e-12
-    assert np.max(np.abs(s.values[support] - s.values[support][0])) < 1e-12
-
-
-def test_phase_unwrap_gradient_matches_velocity():
-    g = ef.Grid1D(-20.0, 20.0, 1024)
-    wf = ef.evolve(
-        ef.init_gaussian(g, PARAMS, sigma0=1.0), ef.Potential.free(), 5e-4, 4000
-    )
-    s = ef.phase_unwrap(wf, reg_floor=1e-12).values
-    v = ef.take_snapshot(wf).den.velocity
-    bulk = ef.density(wf).values > 1e-9
-    ds = np.gradient(s, g.dx)
-    scale = np.max(np.abs(v.values[bulk]))
-    # drop the support edges where np.gradient straddles the zeroed region
-    idx = np.flatnonzero(bulk)[2:-2]
-    assert np.max(np.abs(ds[idx] / PARAMS.mass - v.values[idx])) / scale < 1e-6
-
-
-def test_phase_unwrap_disconnected_support_rejected():
-    g = ef.Grid1D(-20.0, 20.0, 1024)
-    psi = np.exp(-((g.x - 8.0) ** 2)) + np.exp(-((g.x + 8.0) ** 2))
-    psi = psi / np.sqrt(g.dx * np.sum(psi**2))
-    wf = ef.WaveFunction(g, PARAMS, ef.ComplexField(g, psi.astype(complex)))
-    with pytest.raises(ValueError, match="phase not unwrappable"):
-        ef.phase_unwrap(wf)
-
-
 def test_fields_bundle():
     g = ef.Grid1D(-20.0, 20.0, 1024)
     wf = ef.init_gaussian(g, PARAMS, sigma0=1.0, k0=2.0)

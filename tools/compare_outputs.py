@@ -7,12 +7,12 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
-failing sweep rows, sweep rows that share a trajectory, signed zeros in a
-free run's states, a free run observed at every step at n = 16384, a
-simulated coherent packet, the free packet's closed form and the binning
-study.  Each
-pair of runs must agree in exit code, stdout and every output file, byte for
-byte.  Prints one line per difference and exits 1 if there is any, 0 otherwise.
+failing sweep rows, sweep rows whose step factors are equal byte for byte,
+signed zeros in a free run's states, a free run observed at every step at
+n = 16384, a simulated coherent packet, the free packet's closed form and
+the binning study.  Each pair of runs must agree in exit code, stdout and
+every output file, byte for byte.  Prints one line per difference and exits
+1 if there is any, 0 otherwise.
 
 With --tolerance TOL, a CSV or JSON file that differs byte-wise still agrees
 if it has the same columns (CSV) or keys (JSON), the same non-numeric values,
@@ -75,10 +75,12 @@ FIXED = {
     # the larger epsilon's packet reaches the seam, so its row fails
     "sweep_failing_row": ("sweep", "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\n"
                           "x_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
-    # rows that share one trajectory: the 1.6 and 0.8 rows reach the seam
+    # rows whose step factors are equal byte for byte: the 1.6 and 0.8 rows
+    # reach the seam
     "sweep_shared_failing": ("sweep", "epsilons = 1.6, 0.8, 0.4\nt_c = 2.0\nL_c = 1.0\n"
                              "x_min = -14\nx_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
-    # 0.8, 0.4 and 0.2 share one trajectory; 0.5 runs alone
+    # two sets of rows by step factors: 0.8, 0.4 and 0.2 have factors equal
+    # byte for byte, 0.5 factors of its own
     "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
                          "dt_ref = 2e-3\n"),
     # row 0's current column holds 105 cells of -0: the tails of exp underflow to
