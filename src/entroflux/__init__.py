@@ -1,10 +1,10 @@
 """1-D quantum wavepacket simulator with information-entropy balance diagnostics."""
 
-from .climit import SweepReport, SweepRow, SweepSpec, run_sweep
 from .config import (
     BinningConfig,
     ConfigError,
     RunConfig,
+    SweepSpec,
     parse_binning_config,
     parse_config,
     parse_oracle_config,
@@ -45,6 +45,6 @@ from .propagate import (
     kinetic_phase,
     step,
 )
-from .report import run_oracle, run_simulation
+from .report import SweepReport, SweepRow, run_oracle, run_simulation, run_sweep
 
 __version__ = "0.1.0"

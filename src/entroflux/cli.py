@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .climit import run_sweep
 from .config import (
     ConfigError,
     parse_binning_config,
@@ -28,6 +27,7 @@ from .entropy import binning_limit_study
 from .report import (
     run_oracle,
     run_simulation,
+    run_sweep,
     write_binning_csv,
     write_series_csv,
     write_snapshots,

@@ -9,16 +9,17 @@ keys, with their kinds and defaults, are its builder's parameters (`_schema`).
 The builder checks the values; a failed check is a `SpecError` naming the keys
 at fault and is reported at the line of the first of them the text sets.
 `oracle` reads the `simulate` schema; its builder also requires a scenario with
-a closed form (`oracle.closed_form`).
+a closed form (`oracle.closed_form`).  A `sweep` row is a `simulate` run: its
+`RunConfig` comes from `_run_config` (`SweepSpec.row_config`), and a failed
+row check names the sweep keys that set the value at fault.
 """
 from __future__ import annotations
 
 import inspect
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .climit import SweepSpec
 from .entropy import _subvolume_indices, bin_size, check_normalized, check_reg_floor
 from .grid import (
     Grid1D, PhysicalParams, RealField, SpecError, about, check_rows, check_work, positive,
@@ -282,6 +283,97 @@ def _oracle_config(**values) -> RunConfig:
 def parse_oracle_config(text: str) -> RunConfig:
     """parse_config for `oracle`: the scenario must also have a closed form."""
     return _parse(text, _RUN_SCHEMA, _oracle_config)
+
+
+# The sweep keys that set each run key of a sweep row; a run key not named
+# here is a sweep key of the same name.
+_ROW_KEYS = {
+    "sigma0": ("L_c", "n", "x_max", "x_min"),
+    "x0": ("x0", "x_min", "x_max"),
+    "dt": ("dt_ref",),
+    "t_final": ("dt_ref",),
+    "observe_stride": ("n_samples",),
+    "hbar": ("epsilons",),
+}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The classical-limit sweep over the dimensionless eps = hbar*t_c/(m*L_c^2).
+
+    eps is realized by scaling hbar with m, L_c (the initial packet width) and
+    t_c fixed, so grid and time-step economics stay put.  The sweep observable
+    is the entropy change over [0, t_c] of a free Gaussian packet; for that
+    scenario the closed form is delta_I = 0.5*ln(1 + eps^2/4), vanishing
+    quadratically as eps -> 0.  The per-step kinetic phase is held
+    eps-independent by scaling dt ~ 1/hbar.
+
+    Each row is the `simulate` run of its `row_config`.  The spec builds the
+    rows' configs when it is made, so a row is checked as `simulate` checks
+    a run; a failed check is a SpecError naming the sweep keys at fault.
+    """
+
+    epsilons: tuple
+    t_c: float
+    L_c: float
+    x_min: float = -20.0
+    x_max: float = 20.0
+    n: int = 1024
+    mass: float = 1.0
+    x0: float = 0.0
+    k0: float = 0.0
+    dt_ref: float = 2e-3
+    n_samples: int = 100
+    reg_floor: float = 1e-12
+    # the `row_config` of each epsilon, in order
+    row_configs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eps = tuple(float(e) for e in self.epsilons)
+        object.__setattr__(self, "epsilons", eps)
+        with about("epsilons"):
+            if len(eps) == 0:
+                raise ValueError("epsilons must be nonempty")
+            if any(not e > 0.0 for e in eps):
+                raise ValueError("epsilons must be positive")
+            if any(nxt >= prv for prv, nxt in zip(eps[:-1], eps[1:])):
+                raise ValueError("epsilons must be strictly descending")
+        positive(**{key: getattr(self, key)
+                    for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples")})
+        object.__setattr__(self, "row_configs", tuple(map(self.row_config, eps)))
+
+    def hbar_for(self, eps: float) -> float:
+        return eps * self.mass * self.L_c**2 / self.t_c
+
+    def time_grid(self, eps: float) -> tuple[float, float, int, int]:
+        """hbar, dt, n_steps and stride of the row at eps.
+
+        dt scales as 1/hbar, which holds the per-step kinetic phase fixed
+        across the sweep; the steps are whole strides, so the last sample is
+        at t_c.
+        """
+        with about("L_c"):  # L_c**2 may overflow
+            hbar = self.hbar_for(eps)
+        with about("dt_ref"):
+            dt = self.dt_ref * self.epsilons[0] / eps
+            n_steps = max(1, step_count(self.t_c / dt))
+        stride = max(1, int(round(n_steps / self.n_samples)))
+        n_steps = stride * max(1, int(round(n_steps / stride)))
+        return hbar, self.t_c / n_steps, n_steps, stride
+
+    def row_config(self, eps: float) -> RunConfig:
+        """The `simulate` config of the row at eps: the packet of width L_c,
+        run free to t_c on the row's `time_grid`."""
+        try:
+            hbar, dt, _, stride = self.time_grid(eps)
+            return _run_config(
+                x_min=self.x_min, x_max=self.x_max, n=self.n, hbar=hbar, mass=self.mass,
+                sigma0=self.L_c, x0=self.x0, k0=self.k0, dt=dt, t_final=self.t_c,
+                observe_stride=stride, reg_floor=self.reg_floor,
+            )
+        except SpecError as exc:
+            keys = tuple(k for key in exc.keys for k in _ROW_KEYS.get(key, (key,)))
+            raise SpecError(str(exc), keys) from exc
 
 
 _SWEEP_SCHEMA = _schema(SweepSpec)

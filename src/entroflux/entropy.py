@@ -390,11 +390,6 @@ class Diagnostics:
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
 
-    @property
-    def last_rho(self) -> np.ndarray:
-        """The density of the last row computed."""
-        return self.window.rho[1]
-
     def _next(self, count: int) -> int:
         """The block row the next row goes to; raises unless count more rows fit."""
         if self.n_done + self.n_held + count > len(self.t):

@@ -2,21 +2,22 @@
 
 A run produces a time series of diagnostic rows (series.csv), a summary with
 tolerance checks (summary.json), and optional per-sample field dumps, which are
-written a block of rows at a time while the run goes on.  All output is
-byte-deterministic: fixed column order, 17-significant-digit floats, no
-timestamps.
+written a block of rows at a time while the run goes on.  A sweep is one
+`run_simulation` per epsilon, of the `RunConfig` that `SweepSpec.row_config`
+builds for the row, and writes a line of each row's summary (sweep.csv).  All
+output is byte-deterministic: fixed column order, 17-significant-digit floats,
+no timestamps.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .climit import SweepReport, SweepRow
-from .config import RunConfig
+from .config import RunConfig, SweepSpec
 from .entropy import BinRow, Diagnostics, Series, collect, summarize
 from .oracle import closed_form
 from .propagate import init_gaussian
@@ -75,6 +76,84 @@ def run_oracle(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
     for i in range(len(stream.t)):
         stream.add(oracle.row(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor))
     return _assemble(stream, cfg)
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    epsilon: float
+    hbar: float
+    dt: float
+    n_steps: int
+    delta_I: float
+    delta_I_expected: float
+    residual13_l2_max: float
+    eq16_rel_err: float
+    sign_fraction: float
+    error: str = ""
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    rows: list
+    exponent: float
+
+
+def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
+    """The row at eps, the `run_simulation` of its config cfg, with its error
+    message if it failed: if it has too few samples for a centred difference,
+    if its run fails, or if its packet reached the periodic seam."""
+    oracle = closed_form(cfg)
+    common = dict(epsilon=eps, hbar=cfg.params.hbar, dt=cfg.dt, n_steps=cfg.n_steps,
+                  delta_I_expected=oracle.entropy(t_c) - oracle.entropy(0.0))
+    seam = [0.0]  # the density at the seam of the last row
+
+    def on_block(first, rows):
+        rho = rows.rho[-1]
+        seam[0] = max(rho[0], rho[-1])
+
+    try:
+        n_rows = cfg.n_steps // cfg.observe_stride + 1
+        if n_rows < 3:
+            raise ValueError(f"{n_rows} samples leave no centred difference")
+        _, summary = run_simulation(cfg, on_block)
+        if seam[0] > 1e-20:
+            raise ValueError(f"packet reached domain boundary (seam density {seam[0]:.3g})")
+    except ValueError as exc:
+        nan = float("nan")
+        return SweepRow(**common, delta_I=nan, residual13_l2_max=nan,
+                        eq16_rel_err=nan, sign_fraction=nan, error=str(exc))
+    return SweepRow(
+        **common,
+        delta_I=summary["delta_I"],
+        residual13_l2_max=summary["max_residual13_l2"],
+        eq16_rel_err=summary["eq16_rel_err"],
+        sign_fraction=summary["sign_witness_fraction"],
+    )
+
+
+def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
+    """Run one free simulation per epsilon (descending) and fit delta_I ~ eps^p.
+
+    Each row runs alone, one after another in the calling thread
+    (`_sweep_row`); max_workers must be 1.  Failed rows carry an error string
+    and are excluded from the fit; the sweep continues past them.
+    """
+    if max_workers != 1:
+        raise ValueError(f"the sweep runs serially: max_workers must be 1, got {max_workers}")
+    rows = [_sweep_row(eps, cfg, spec.t_c)
+            for eps, cfg in zip(spec.epsilons, spec.row_configs)]
+    good = [r for r in rows if not r.error and r.delta_I > 0.0]
+    if len(good) >= 2:
+        exponent = float(
+            np.polyfit(
+                np.log([r.epsilon for r in good]),
+                np.log([r.delta_I for r in good]),
+                1,
+            )[0]
+        )
+    else:
+        exponent = float("nan")
+    return SweepReport(rows=rows, exponent=exponent)
 
 
 TABLE_CHUNK_ROWS = 1024  # rows formatted by one `%` operation

@@ -249,6 +249,12 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE + "dt_ref = 1e-7\nn_samples = 100000000\n", 5,
          "too many observed rows"),
         ("sweep", SWEEP_BASE + "n = 35184372088832\n", 4, "ceiling of 2**22 grid points"),
+        # the packet of width L_c = 1 on 6 length units: reported at L_c, the first key
+        # of the width check the text sets
+        ("sweep", SWEEP_BASE + "x_min = -3\nx_max = 3\n", 3, "packet too wide"),
+        # x0 keeps its default, so the off-grid centre is reported at x_min
+        ("sweep", SWEEP_BASE + "x_min = 1\nx_max = 41\n", 4,
+         "x0 = 0.0 lies outside the grid"),
         ("binning", BINNING_BASE.replace("n = 1024", "n = 35184372088832"), 3,
          "ceiling of 2**22 grid points"),
         ("oracle", COHERENT_CONFIG.replace("n = 512", "n = 35184372088832"), 3,
@@ -258,7 +264,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
          "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling",
-         "sweep_n_2_45", "binning_n_2_45", "oracle_n_2_45"],
+         "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
+         "oracle_n_2_45"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message

@@ -1,12 +1,16 @@
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entroflux as ef
-from entroflux import climit
-from entroflux.climit import SpecError
-from entroflux import entropy
+from entroflux import entropy, report
+from entroflux.cli import main
+from entroflux.config import parse_config, parse_sweep_config
+from entroflux.grid import SpecError
 from entroflux.propagate import split_steps
 
 
@@ -104,18 +108,20 @@ def test_sweep_spec_errors_name_their_field():
 # ---------- each row runs alone, as simulate runs ----------
 
 ACCEPTANCE = dict(epsilons=(0.4, 0.2, 0.1, 0.05), t_c=2.0, L_c=1.0, dt_ref=2e-3)
-# 0.8, 0.4 and 0.2 have step factors equal byte for byte; 0.5 does not
-TWO_GROUPS = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
+# 0.8, 0.4 and 0.2 halve one another; 0.5 does not, so its dt is no
+# power-of-two multiple of the others'
+UNEVEN = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
 # a fast packet on a narrow domain: the two larger epsilons' rows reach the seam
-SHARED_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
-                      x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
+SEAM_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
+                    x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
 ONE_SAMPLE = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=1)
 # 8, 4 and 1 steps: the one-step row has two samples and fails alone
 ONE_STEP_ROW = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
 
 
 def _row_alone(spec, eps):
-    """The row at eps run by itself: its own free run and Diagnostics, through collect."""
+    """The row at eps run by itself: its own free run and Diagnostics, through
+    collect; the Diagnostics' on_block keeps the last row's density."""
     from entroflux.entropy import Diagnostics, collect, summarize
     from entroflux.oracle import GaussianOracle
 
@@ -130,9 +136,14 @@ def _row_alone(spec, eps):
         n_rows = n_steps // stride + 1
         if n_rows < 3:
             raise ValueError(f"{n_rows} samples leave no centred difference")
-        stream = Diagnostics(grid, n_rows, spec.reg_floor)
+        last = []
+
+        def on_block(first, rows):
+            last[:] = [rows.rho[-1].copy()]
+
+        stream = Diagnostics(grid, n_rows, spec.reg_floor, on_block=on_block)
         collect(wf, ef.Potential.free(), dt, n_steps, stride, stream)
-        seam = max(stream.last_rho[0], stream.last_rho[-1])
+        seam = max(last[0][0], last[0][-1])
         if seam > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
         summary = summarize(stream.columns())
@@ -155,20 +166,20 @@ def _bits(row):
             for v in dataclasses.astuple(row)]
 
 
-@pytest.mark.parametrize("kwargs", [ACCEPTANCE, TWO_GROUPS, SHARED_FAILING, ONE_SAMPLE,
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, ONE_SAMPLE,
                                     ONE_STEP_ROW])
-def test_shared_rows_match_rows_run_alone(kwargs):
+def test_sweep_rows_match_rows_run_alone(kwargs):
     spec = ef.SweepSpec(**kwargs)
     rows = ef.run_sweep(spec).rows
     alone = [_row_alone(spec, eps) for eps in spec.epsilons]
     assert [_bits(r) for r in rows] == [_bits(r) for r in alone]
 
 
-def test_shared_rows_fail_one_by_one():
+def test_failing_rows_fail_one_by_one():
     # the failures the comparison above must reach: rows that reach the seam
     # fail while the next finishes, and a row too short for a centred
     # difference fails while the rows before it finish
-    rows = ef.run_sweep(ef.SweepSpec(**SHARED_FAILING)).rows
+    rows = ef.run_sweep(ef.SweepSpec(**SEAM_FAILING)).rows
     assert [r.error != "" for r in rows] == [True, True, False]
     assert "domain boundary" in rows[1].error
     rows = ef.run_sweep(ef.SweepSpec(**ONE_STEP_ROW)).rows
@@ -191,7 +202,7 @@ def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
         entropy.collect(wf, potential, dt, n_steps, stride, stream)
 
     monkeypatch.setattr(entropy, "split_steps", counting)
-    monkeypatch.setattr(climit, "collect", recording)
+    monkeypatch.setattr(report, "collect", recording)
     spec = ef.SweepSpec(**kwargs)
     ef.run_sweep(spec)
     sampled = [(n_steps, n_steps // stride + 1)
@@ -221,3 +232,58 @@ def test_a_row_that_fails_mid_run_fails_alone(monkeypatch):
     # the rows after the failed one finish, with the bits they have alone
     assert [_bits(rep.rows[k]) for k in (0, 2, 3)] == [_bits(clean[k]) for k in (0, 2, 3)]
     assert rep.exponent == pytest.approx(2.0, abs=0.1)
+
+
+# ---------- a sweep row is exactly its simulate run ----------
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def compare_configs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.configs()
+
+
+def _simulate_text(spec, eps):
+    """The simulate config of the row at eps, written out by hand."""
+    hbar, dt, _, stride = spec.time_grid(eps)
+    return (f"x_min = {spec.x_min!r}\nx_max = {spec.x_max!r}\nn = {spec.n}\n"
+            f"hbar = {hbar!r}\nmass = {spec.mass!r}\nsigma0 = {spec.L_c!r}\n"
+            f"x0 = {spec.x0!r}\nk0 = {spec.k0!r}\ndt = {dt!r}\nt_final = {spec.t_c!r}\n"
+            f"observe_stride = {stride}\nreg_floor = {spec.reg_floor!r}\n")
+
+
+def _field_values(cfg):
+    grid = cfg.grid
+    return {f.name: (grid.x_min, grid.x_max, grid.n) if f.name == "grid"
+            else getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+
+
+@pytest.mark.parametrize("name", ["acceptance", "sweep_climit_seed1"])
+def test_each_sweep_row_is_its_simulate_run(tmp_path, compare_configs, name):
+    # ACCEPTANCE, and the bench's sweep at seed 1
+    text = ("epsilons = 0.4, 0.2, 0.1, 0.05\nt_c = 2.0\nL_c = 1.0\ndt_ref = 2e-3\n"
+            if name == "acceptance" else compare_configs[name][1])
+    spec = parse_sweep_config(text)
+    if name == "acceptance":
+        assert spec == ef.SweepSpec(**ACCEPTANCE)
+    (tmp_path / "sweep.cfg").write_text(text)
+    assert main(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out",
+                 str(tmp_path / "sweep"), "--quiet"]) == 0
+    header, *lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    columns = {"delta_I": "delta_I", "max_residual13_l2": "residual13_l2_max",
+               "eq16_rel_err": "eq16_rel_err", "sign_witness_fraction": "sign_fraction"}
+    for k, (eps, row) in enumerate(zip(spec.epsilons, rows)):
+        run_text = _simulate_text(spec, eps)
+        assert _field_values(parse_config(run_text)) == _field_values(spec.row_config(eps))
+        cfg, out = tmp_path / f"row{k}.cfg", tmp_path / f"row{k}"
+        cfg.write_text(run_text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key, column in columns.items():
+            assert (np.float64(summary[key]).tobytes()
+                    == np.float64(float(row[column])).tobytes()), (eps, key)

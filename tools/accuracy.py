@@ -43,8 +43,7 @@ from workloads import make
 sys.path.insert(0, str(ROOT / "src"))
 from entroflux.config import parse_sweep_config  # noqa: E402
 from entroflux.entropy import _info_density  # noqa: E402
-from entroflux.grid import Grid1D, PhysicalParams  # noqa: E402
-from entroflux.oracle import GaussianOracle  # noqa: E402
+from entroflux.oracle import closed_form  # noqa: E402
 
 COLUMNS = ("I", "dIdt_fd", "rhs_eq16", "norm")
 GROWTH, FLOOR = 0.10, 1e-14  # the rule: growth <= max(GROWTH * parent, FLOOR * scale)
@@ -93,14 +92,12 @@ def run_distances(tree: Path, name: str, text: str, tmp: Path) -> dict:
 def grid_delta_i(text: str) -> dict:
     """{epsilon: delta_I} of the oracle density sampled on each sweep row's grid."""
     spec = parse_sweep_config(text)
-    grid = Grid1D(spec.x_min, spec.x_max, spec.n)
     out = {}
     for eps in spec.epsilons:
-        hbar, dt, n_steps, _ = spec.time_grid(eps)
-        oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0,
-                                params=PhysicalParams(hbar=hbar, mass=spec.mass))
-        info = [grid.dx * _info_density(oracle.density_velocity(grid, t)[0], spec.reg_floor).sum()
-                for t in (0.0, n_steps * dt)]
+        cfg = spec.row_config(eps)
+        oracle, grid = closed_form(cfg), cfg.grid
+        info = [grid.dx * _info_density(oracle.density_velocity(grid, t)[0], cfg.reg_floor).sum()
+                for t in (0.0, cfg.n_steps * cfg.dt)]
         out[eps] = float(info[1] - info[0])
     return out
 

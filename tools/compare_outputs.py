@@ -7,10 +7,11 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
-failing sweep rows, sweep rows whose step factors are equal byte for byte,
-signed zeros in a free run's states, a free run observed at every step at
-n = 16384, a simulated coherent packet, the free packet's closed form and
-the binning study.  Each pair of runs must agree in exit code, stdout and
+failing sweep rows, sweep rows whose step factors are equal byte for byte, a
+sweep that sets every key of its rows' `simulate` configs, signed zeros in a
+free run's states, a free run observed at every step at n = 16384, a
+simulated coherent packet, the free packet's closed form and the binning
+study.  Each pair of runs must agree in exit code, stdout and
 every output file, byte for byte.  Prints one line per difference and exits
 1 if there is any, 0 otherwise.
 
@@ -83,6 +84,11 @@ FIXED = {
     # byte for byte, 0.5 factors of its own
     "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
                          "dt_ref = 2e-3\n"),
+    # every key a sweep row's `row_config` passes, off its default: the 0.05
+    # row takes one step, so its 2 samples leave no centred difference
+    "sweep_row_keys": ("sweep", "epsilons = 0.4, 0.2, 0.05\nt_c = 2.0\nL_c = 1.0\nn = 128\n"
+                       "mass = 1.5\nx0 = 0.5\nk0 = 0.25\ndt_ref = 0.25\nn_samples = 4\n"
+                       "reg_floor = 1e-14\n"),
     # row 0's current column holds 105 cells of -0: the tails of exp underflow to
     # signed zeros, which a skipped identity kick must not flip
     "narrow_signed_zeros": ("simulate", "x_min = -20\nx_max = 20\nn = 1024\nsigma0 = 0.2\n"
