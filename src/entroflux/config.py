@@ -286,14 +286,15 @@ def parse_oracle_config(text: str) -> RunConfig:
 
 
 # The sweep keys that set each run key of a sweep row; a run key not named
-# here is a sweep key of the same name.
+# here is a sweep key of the same name.  A row's step is dt_ref * eps_max /
+# eps, and its kinetic phase also scales with hbar = eps * mass * L_c**2 / t_c.
+_STEP_KEYS = ("dt_ref", "epsilons", "t_c", "L_c")
 _ROW_KEYS = {
     "sigma0": ("L_c", "n", "x_max", "x_min"),
     "x0": ("x0", "x_min", "x_max"),
-    "dt": ("dt_ref",),
-    "t_final": ("dt_ref",),
+    "dt": _STEP_KEYS,
+    "t_final": _STEP_KEYS,
     "observe_stride": ("n_samples",),
-    "hbar": ("epsilons",),
 }
 
 
@@ -352,9 +353,12 @@ class SweepSpec:
         across the sweep; the steps are whole strides, so the last sample is
         at t_c.
         """
-        with about("L_c"):  # L_c**2 may overflow
+        with about("L_c"):  # L_c**2 may overflow, or underflow to 0
             hbar = self.hbar_for(eps)
-        with about("dt_ref"):
+            if not hbar > 0.0:
+                raise ValueError(f"hbar = eps*mass*L_c**2/t_c must be positive, got {hbar} "
+                                 f"at eps = {eps}")
+        with about(*_STEP_KEYS):
             dt = self.dt_ref * self.epsilons[0] / eps
             n_steps = max(1, step_count(self.t_c / dt))
         stride = max(1, int(round(n_steps / self.n_samples)))

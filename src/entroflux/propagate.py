@@ -5,8 +5,9 @@
 Second-order Strang splitting: half potential kick, full kinetic step in
 Fourier space, half potential kick.  Norm-exact by construction (every factor
 is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
-has no kicks, so it stays in Fourier space and hands each state it observes
-over as its transform (`split_steps`).
+has no kicks, so it stays in Fourier space, reaches each step it needs by
+products of the kinetic factors of dt times powers of two, and hands each
+state it observes over as its transform (`split_steps`).
 """
 from __future__ import annotations
 
@@ -161,14 +162,17 @@ def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
 def step_factors(grid: Grid1D, params: PhysicalParams, potential: Potential,
                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The factors of a Strang step of dt: the half kick exp(-i V dt / 2 hbar)
-    on the grid and the kinetic step exp(-i hbar k^2 dt / 2m) on its wavenumbers,
-    which `split_steps` applies (a half kick equal to 1 everywhere it skips).
+    on the grid and the `kinetic_factor` of dt, which `split_steps` applies (a
+    half kick equal to 1 everywhere it skips).
     """
-    hbar, m = params.hbar, params.mass
-    v = potential.values(grid.x, mass=m)
-    exp_v_half = np.exp(-0.5j * v * dt / hbar)
-    exp_t = np.exp(-0.5j * hbar * grid.k**2 * dt / m)
-    return exp_v_half, exp_t
+    v = potential.values(grid.x, mass=params.mass)
+    exp_v_half = np.exp(-0.5j * v * dt / params.hbar)
+    return exp_v_half, kinetic_factor(grid, params, dt)
+
+
+def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float) -> np.ndarray:
+    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers."""
+    return np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
 
 
 def split_steps(
@@ -191,66 +195,89 @@ def split_steps(
     free run, which holds the state in Fourier space; psi by a kicked run.
 
     A half kick equal to 1 everywhere, as a free potential's is, leaves only
-    the kinetic step (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
-    1982): psi's transform is taken once, multiplied in place by the kinetic
-    factor at every step, copied out at each observed step and transformed
-    back at the end.  The kicked loop keeps psi in buffer `a` and its
-    transform in buffer `b`, and every product and transform writes into one
-    of them (`out=`), so it allocates an array only for a state it hands out
-    or returns.
+    the kinetic step, so i steps are one product by the kinetic factor of
+    i*dt (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  psi's
+    transform psi_hat_0 is taken once, and the transform at step i is
+    psi_hat_0 * F_b1 * F_b2 * ... over the set bits b1 > b2 > ... of i, where
+    F_b is the `kinetic_factor` of 2**b * dt, an exact multiple of dt
+    (exponentiation by squaring, Knuth, TAOCP Vol. 2, 4.6.3); each product
+    takes the state as its first operand and the factor as its second.  The loop keeps the partial product of the
+    bits at or above each bit level, in a buffer of that level, and reaching
+    step i recomputes only the levels below the highest bit in which i
+    differs from the step it reached last: one product per set bit there.
+    So the state at step i depends on i alone, a run observed at every step
+    takes one product per step, and a run observed nowhere takes one per set
+    bit of n_steps.  The run holds 2 * n_steps.bit_length() arrays of the
+    grid's size besides its state.
 
-    The complex product's last bit depends on the order of its operands, and
-    numpy evaluates the expression `exp_t * fft(psi)` as
-    `fft(psi) * exp_t` once the transform's temporary reaches 256 KiB (it
-    reuses the temporary and swaps the operands).  The kinetic product keeps
-    the order that expression has at this grid size, so the kicked loop's
-    states are those of the expression loop bit for bit.
+    The kicked loop keeps psi in buffer `a` and its transform in buffer `b`,
+    and every product and transform writes into one of them (`out=`), so it
+    allocates an array only for a state it hands out or returns.  The
+    complex product's last bit depends on the order of its operands, and
+    numpy evaluates the expression `exp_t * fft(psi)` as `fft(psi) * exp_t`
+    once the transform's temporary reaches 256 KiB (it reuses the temporary
+    and swaps the operands).  The kicked loop's kinetic product keeps the
+    order that expression has at this grid size, so its states are those of
+    the expression loop bit for bit.
     """
     steps = np.fromiter(() if on_row is None else observe_at, dtype=np.int64)
     if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
                            and (np.diff(steps) > 0).all()):
         raise ValueError(f"observation steps must ascend strictly within 0..{n_steps}")
-    check_dt(wf.grid, wf.params, dt)
-    check_potential(wf.grid, wf.params, potential, dt)
-    exp_v_half, exp_t = step_factors(wf.grid, wf.params, potential, dt)
+    grid, params = wf.grid, wf.params
+    check_dt(grid, params, dt)
+    check_potential(grid, params, potential, dt)
+    exp_v_half, exp_t = step_factors(grid, params, potential, dt)
     b = np.empty_like(wf.psi.values)
-    kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
+    done = 0
     if (exp_v_half == 1).all():
         fft(wf.psi.values, out=b)
-        x, y = kinetic
+        levels = int(n_steps).bit_length()
+        factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
+                             for level in range(1, levels)]
+        buffers = [np.empty_like(b) for _ in range(levels)]
+        # partial[j]: psi_hat_0 times the factors of the set bits >= j of step `done`
+        partial = [b] * (levels + 1)
 
-        def advance(count: int) -> None:
-            for _ in range(count):
-                np.multiply(x, y, b)  # a positional out skips keyword parsing
+        def reach(i: int) -> None:
+            nonlocal done
+            top = (i ^ done).bit_length()
+            psi_hat = partial[top]
+            for level in range(top - 1, -1, -1):
+                if i >> level & 1:
+                    # a positional out skips keyword parsing
+                    psi_hat = np.multiply(psi_hat, factors[level], buffers[level])
+                partial[level] = psi_hat
+            done = i
 
         def observe(i: int) -> None:
-            on_row(i, None, b.copy())
+            on_row(i, None, partial[0].copy())
 
         def state() -> np.ndarray:
-            return ifft(b)
+            return ifft(partial[0])
     else:
         a, psi = np.empty_like(b), wf.psi.values
+        kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
 
-        def advance(count: int) -> None:
-            nonlocal psi
-            for _ in range(count):
+        def reach(i: int) -> None:
+            nonlocal psi, done
+            for _ in range(i - done):
                 psi = np.multiply(exp_v_half, psi, out=a)
                 fft(psi, out=b)
                 np.multiply(*kinetic, out=b)
                 psi = ifft(b, out=a)
                 np.multiply(exp_v_half, psi, out=psi)
+            done = i
 
         def observe(i: int) -> None:
             on_row(i, state(), None)
 
         def state() -> np.ndarray:
             return psi.copy()
-    done = 0
     for i in map(int, steps):
-        advance(i - done)
-        done = i
+        reach(i)
         observe(i)
-    advance(n_steps - done)
+    reach(n_steps)
     return state()
 
 

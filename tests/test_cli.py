@@ -259,13 +259,20 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "ceiling of 2**22 grid points"),
         ("oracle", COHERENT_CONFIG.replace("n = 512", "n = 35184372088832"), 3,
          "ceiling of 2**22 grid points"),
+        # hbar = 0.5, dt = 2e-3: kinetic phase 3.23 per step; dt_ref keeps its
+        # default, so the step is reported at epsilons, the next key that sets it
+        ("sweep", "epsilons = 1\nt_c = 2\nL_c = 1\n", 1, "time step too large"),
+        # L_c**2 underflows to 0, or overflows: both reported at L_c
+        ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e-200"), 3,
+         "hbar = eps*mass*L_c**2/t_c must be positive, got 0.0"),
+        ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e300"), 3, "L_c is out of range"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
          "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
-         "oracle_n_2_45"],
+         "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow"],
 )
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message

@@ -224,19 +224,39 @@ def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
         assert got.tobytes() == want.tobytes(), i + 1
 
 
-def _fourier_transforms(wf, dt, n_steps):
-    """The transform of each state of n_steps free Strang steps taken in
-    Fourier space, with np.fft: one transform, then the kinetic factor once
-    per step.  np.fft.ifft of each is the state."""
+def _fourier_transforms(wf, dt, steps):
+    """{i: the transform of the state after i free Strang steps} for each i of
+    steps, with np.fft and no product shared between steps: fft(psi_0) times
+    the kinetic factor of 2**b * dt for each set bit b of i, highest first,
+    the state the first operand of each product.  np.fft.ifft of each is the
+    state."""
     from entroflux.propagate import step_factors
 
-    _, exp_t = step_factors(wf.grid, wf.params, ef.Potential.free(), dt)
-    psi_hat, transforms = np.fft.fft(wf.psi.values), []
-    for _ in range(n_steps):
-        # the operand order of split_steps' kinetic product
-        psi_hat = psi_hat * exp_t if psi_hat.nbytes >= 256 * 1024 else exp_t * psi_hat
-        transforms.append(psi_hat)
+    psi_hat_0, factors, transforms = np.fft.fft(wf.psi.values), {}, {}
+    for i in steps:
+        psi_hat = psi_hat_0
+        for b in reversed(range(i.bit_length())):
+            if i >> b & 1:
+                if b not in factors:
+                    factors[b] = step_factors(wf.grid, wf.params, ef.Potential.free(),
+                                              (1 << b) * dt)[1]
+                psi_hat = np.multiply(psi_hat, factors[b])
+        transforms[i] = psi_hat
     return transforms
+
+
+class _CountingNumpy:
+    """numpy, with a count of the np.multiply calls made through it."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.products += 1
+        return np.multiply(*args, **kwargs)
 
 
 @pytest.mark.parametrize("n, sigma0, k0", [
@@ -245,27 +265,57 @@ def _fourier_transforms(wf, dt, n_steps):
     (1024, 1.0, 0.0),
     (1024, 0.2, 40.0),
     (1024, 0.15, 60.0),
-    # from 256 KiB up the kinetic product swaps its operands
+    # 256 KiB states, from which the kicked loop swaps its product's operands
     (16384, 1.0, 5.0),
 ], ids=["free_wide", "free_narrow", "free_narrowest", "free_16384"])
-def test_split_steps_equal_fourier_space_loop_bytewise(n, sigma0, k0):
-    # split_steps skips a half kick equal to 1 everywhere and keeps the free
-    # state's transform between steps; the transforms it hands out and the
-    # state it returns must be those of the Fourier-space loop, to the sign of
-    # every zero
-    from entroflux.propagate import split_steps
+def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k0):
+    # split_steps skips a half kick equal to 1 everywhere and reaches each
+    # step by the kinetic factors of its set bits; the transforms it hands out
+    # and the state it returns must be those of the from-scratch products, to
+    # the sign of every zero, observed at every step or at every 7th (gaps
+    # that change several bits), with one product per step observed at every
+    # step
+    from entroflux import propagate
 
     grid = ef.Grid1D(-20.0 * n / 1024, 20.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
-    expected = _fourier_transforms(wf, dt, n_steps)
-    handed = []
-    final = split_steps(wf, ef.Potential.free(), dt, n_steps,
-                        lambda i, p, p_hat: handed.append(p_hat), range(1, n_steps + 1))
-    assert final.tobytes() == np.fft.ifft(expected[-1]).tobytes()
-    assert len(handed) == n_steps
-    for i, (got, want) in enumerate(zip(handed, expected)):
-        assert got.tobytes() == want.tobytes(), i + 1
+    expected = _fourier_transforms(wf, dt, range(n_steps + 1))
+    for schedule in (range(1, n_steps + 1), range(0, n_steps + 1, 7)):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(propagate, "np", counting)
+        handed = []
+        final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps,
+                                      lambda i, p, p_hat: handed.append((i, p_hat)),
+                                      schedule)
+        monkeypatch.undo()
+        assert final.tobytes() == np.fft.ifft(expected[n_steps]).tobytes()
+        assert [i for i, _ in handed] == list(schedule)
+        for i, got in handed:
+            assert got.tobytes() == expected[i].tobytes(), i
+        if schedule.step == 1:
+            assert counting.products == n_steps
+
+
+def test_a_bare_free_run_takes_one_product_per_set_bit(monkeypatch):
+    # 2**20 - 1 steps, all 20 bits set: 20 products, and the bits of the
+    # from-scratch composition; the packet spreads to a width of about 1.5
+    # and stays clear of the seam
+    from entroflux import propagate
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
+    dt, n_steps = 2e-6, 2**20 - 1
+    counting = _CountingNumpy()
+    monkeypatch.setattr(propagate, "np", counting)
+    final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps)
+    monkeypatch.undo()
+    assert counting.products == 20
+    expected = np.fft.ifft(_fourier_transforms(wf, dt, [n_steps])[n_steps])
+    assert final.tobytes() == expected.tobytes()
+    rho = np.abs(final) ** 2
+    assert max(rho[0], rho[-1]) < 1e-30
+    assert position_variance(ef.WaveFunction(GRID, PARAMS, ef.ComplexField(GRID, final))) \
+        == pytest.approx(1.0 + (n_steps * dt / 2.0) ** 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],

@@ -9,8 +9,8 @@ four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
 failing sweep rows, sweep rows whose step factors are equal byte for byte, a
 sweep that sets every key of its rows' `simulate` configs, signed zeros in a
-free run's states, a free run observed at every step at n = 16384, a
-simulated coherent packet, the free packet's closed form and the binning
+free run's states, a free run observed at every step at n = 16384, a free
+run observed at every 7th step, a simulated coherent packet, the free packet's closed form and the binning
 study.  Each pair of runs must agree in exit code, stdout and
 every output file, byte for byte.  Prints one line per difference and exits
 1 if there is any, 0 otherwise.
@@ -73,6 +73,11 @@ FIXED = {
     "free_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
                    "x0 = -2\nk0 = 10\ndt = 1e-4\nt_final = 0.005\nobserve_stride = 1\n"
                    "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # a free run observed at every 7th of 231 steps (0b11100111): each gap
+    # changes several bits of the step; 34 rows end in a partial block
+    "free_stride7": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                     "x0 = 1\nk0 = 1.5\ndt = 1e-3\nt_final = 0.231\nobserve_stride = 7\n"
+                     "save_snapshots = true\n"),
     # the larger epsilon's packet reaches the seam, so its row fails
     "sweep_failing_row": ("sweep", "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\n"
                           "x_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
