@@ -13,6 +13,8 @@ byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +36,19 @@ from .report import (
     write_summary_json,
     write_sweep_csv,
 )
+
+
+def _set_malloc_thresholds() -> bool:
+    """Keep a run's temporaries on glibc's heap, not mapped anew; whether both took."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, name or value
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    # 32 MiB is glibc's cap on its own dynamic M_MMAP_THRESHOLD (-3) on 64-bit, and 64 MiB
+    # the M_TRIM_THRESHOLD (-1) that its dynamic rule pairs with it: the most it would set.
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
 
 
 def _read_config(path: str) -> str:
@@ -115,6 +130,7 @@ def _cmd_binning(args) -> int:
 
 
 def main(argv=None) -> int:
+    _set_malloc_thresholds()
     parser = argparse.ArgumentParser(
         prog="entroflux",
         description="1-D wavepacket simulator with entropy balance diagnostics",

@@ -358,7 +358,7 @@ class SweepSpec:
             if not hbar > 0.0:
                 raise ValueError(f"hbar = eps*mass*L_c**2/t_c must be positive, got {hbar} "
                                  f"at eps = {eps}")
-        with about(*_STEP_KEYS):
+        with about("dt_ref", "t_c"):  # the first row's t_c / dt_ref steps are the most
             dt = self.dt_ref * self.epsilons[0] / eps
             n_steps = max(1, step_count(self.t_c / dt))
         stride = max(1, int(round(n_steps / self.n_samples)))

@@ -41,20 +41,6 @@ from .propagate import Potential, WaveFunction, check_norms, split_steps
 CHUNK_POINTS = 1 << 15
 
 
-def _keep_temporaries_on_heap(nbytes: int) -> None:
-    """Allocate and free nbytes at once, untouched, so it costs no page faults.
-
-    glibc's malloc serves a request above its mmap threshold (128 KiB at
-    start) with a fresh mapping and unmaps it on free, so a temporary that
-    large faults every page in anew each time it is made: a block's
-    temporaries, or the scratch array pocketfft allocates in every transform
-    at n >= 8192.  Freeing one mapped chunk raises that threshold to the
-    chunk's size, and the heap's trim threshold to twice that, for the rest
-    of the process.  Other allocators are not affected.
-    """
-    np.empty(nbytes, np.uint8)
-
-
 @dataclass(frozen=True)
 class DensityFields:
     """Madelung fields of one wavefunction: rho, j, v."""
@@ -373,7 +359,6 @@ class Diagnostics:
         subvolume=None,
         on_block=None,
     ):
-        _keep_temporaries_on_heap(4 * 16 * max(CHUNK_POINTS, grid.n))  # 4 complex blocks
         self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
         self.on_block = on_block
         self.height = height = max(1, min(n_rows, CHUNK_POINTS // grid.n))

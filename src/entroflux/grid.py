@@ -74,11 +74,10 @@ MAX_WORK = 2**36
 # The most rows a run may observe: its O(rows) scalar columns then stay under
 # about 2 GB.
 MAX_ROWS = 2**24
-# The most grid points: a run holds about 350 B per point, so about 1.5 GB.  A
-# free run also holds the kinetic factors and partial products of
-# `propagate.split_steps`, 2 * n_steps.bit_length() - 1 arrays of 16 B per
-# point: 432 B per point more at 2**14 - 1 steps (peak RSS at n = 2**16 and
-# 2**18), so at the 2**14 steps MAX_WORK allows here about 3.4 GB in all.
+# The most grid points: a run holds about 350 B per point, so about 1.5 GB.  A free
+# run also holds a factor and a buffer of `propagate.split_steps` per bit level its
+# reached steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak
+# RSS at n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
 MAX_POINTS = 2**22
 
 

@@ -201,14 +201,13 @@ def split_steps(
     psi_hat_0 * F_b1 * F_b2 * ... over the set bits b1 > b2 > ... of i, where
     F_b is the `kinetic_factor` of 2**b * dt, an exact multiple of dt
     (exponentiation by squaring, Knuth, TAOCP Vol. 2, 4.6.3); each product
-    takes the state as its first operand and the factor as its second.  The loop keeps the partial product of the
-    bits at or above each bit level, in a buffer of that level, and reaching
-    step i recomputes only the levels below the highest bit in which i
-    differs from the step it reached last: one product per set bit there.
-    So the state at step i depends on i alone, a run observed at every step
-    takes one product per step, and a run observed nowhere takes one per set
-    bit of n_steps.  The run holds 2 * n_steps.bit_length() arrays of the
-    grid's size besides its state.
+    takes the state as its first operand and the factor as its second.  Each
+    bit level that n_steps or an observed step sets holds F_b and a buffer for
+    the partial product of the bits at or above it, and reaching step i
+    recomputes only the levels below the highest bit in which i differs from
+    the step it reached last: one product per set bit there.  So the state at
+    step i depends on i alone, a run observed at every step takes one product
+    per step, and a run observed nowhere takes one per set bit of n_steps.
 
     The kicked loop keeps psi in buffer `a` and its transform in buffer `b`,
     and every product and transform writes into one of them (`out=`), so it
@@ -232,10 +231,11 @@ def split_steps(
     done = 0
     if (exp_v_half == 1).all():
         fft(wf.psi.values, out=b)
-        levels = int(n_steps).bit_length()
+        used = int(np.bitwise_or.reduce(steps, initial=n_steps))
+        levels = used.bit_length()
         factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
-                             for level in range(1, levels)]
-        buffers = [np.empty_like(b) for _ in range(levels)]
+                             if used >> level & 1 else None for level in range(1, levels)]
+        buffers = [np.empty_like(b) if used >> level & 1 else None for level in range(levels)]
         # partial[j]: psi_hat_0 times the factors of the set bits >= j of step `done`
         partial = [b] * (levels + 1)
 

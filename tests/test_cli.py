@@ -243,6 +243,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         # t_c / dt overflows to inf, or is about 1e300 steps
         ("sweep", SWEEP_BASE + "dt_ref = 1e-320\n", 4, "time step too small"),
         ("sweep", SWEEP_BASE + "dt_ref = 1e-300\n", 4, "time step too small"),
+        # the first row's t_c / dt_ref steps, with dt_ref at its default: at t_c
+        ("sweep", SWEEP_BASE.replace("t_c = 2.0", "t_c = 1e300"), 2, "time step too small"),
         # 1e15 steps of the first row on 1024 points
         ("sweep", SWEEP_BASE + "dt_ref = 1e-15\n", 4, "work ceiling"),
         # 2e7 steps within the work ceiling, observed at every step
@@ -270,6 +272,7 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
+         "sweep_t_c_too_many_steps",
          "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
          "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow"],
@@ -414,3 +417,22 @@ def test_snapshot_file_taken_by_a_directory_stops_the_run_with_one_line(tmp_path
     assert sorted(p.name for p in snapshots.iterdir()) == [
         f"snapshot_{i:06d}.csv" for i in range(6)]
     assert not (tmp_path / "o" / "series.csv").exists()
+
+
+@pytest.mark.parametrize("libc", ["no confstr", ValueError("unrecognized configuration name"),
+                                  None, ""], ids=["no_confstr", "unknown_name", "none", "musl"])
+def test_malloc_thresholds_stay_unset_without_glibc(monkeypatch, libc):
+    # away from glibc the allocator keeps its defaults: no libc is loaded
+    from entroflux import cli
+
+    def confstr(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    if libc == "no confstr":
+        monkeypatch.delattr(cli.os, "confstr")
+    else:
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", None)
+    assert cli._set_malloc_thresholds() is False

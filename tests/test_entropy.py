@@ -788,10 +788,11 @@ def test_info_density_equals_boolean_indexing_reference_bitwise(reg_floor):
 HEAP_RUNS = """\
 import resource, sys, tempfile
 from pathlib import Path
-from entroflux import cli, entropy
+from entroflux import cli
 
-if sys.argv[1] == "patched":
-    entropy._keep_temporaries_on_heap = lambda nbytes: None
+if sys.argv[1] == "unset":
+    cli._set_malloc_thresholds = lambda: False
+print(cli._set_malloc_thresholds())
 with tempfile.TemporaryDirectory() as tmp:
     cfg = Path(tmp) / "run.cfg"
     cfg.write_text(sys.argv[2])
@@ -814,16 +815,20 @@ HEAP_CONFIGS = {
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_warm_runs_keep_their_temporaries_on_the_heap():
-    # without the one large free in Diagnostics, glibc serves every block
-    # temporary and pocketfft scratch array from a fresh mapping, and each
-    # warm run faults thousands of pages in anew
+    # cli.main sets glibc's mmap and trim thresholds, and must report that both
+    # took.  Unset, glibc serves every block temporary and pocketfft scratch
+    # array from a fresh mapping, and each warm run (runs 3-6) faults thousands
+    # of pages in anew.  Each warm run with the thresholds set, and so their
+    # median, stays within a quarter of the unset warm median: a single run
+    # whose heap top was trimmed fails it too
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for name, config in HEAP_CONFIGS.items():
-        faults = {}
-        for mode in ("as_is", "patched"):
+        faults, taken = {}, {}
+        for mode in ("set", "unset"):
             out = subprocess.run([sys.executable, "-c", HEAP_RUNS, mode, config], env=env,
-                                 capture_output=True, text=True, check=True).stdout
-            faults[mode] = [int(line) for line in out.split()]
-        warm = {mode: float(np.median(runs[2:])) for mode, runs in faults.items()}
-        assert warm["as_is"] <= warm["patched"] / 4, (name, faults)
+                                 capture_output=True, text=True, check=True).stdout.split()
+            taken[mode], faults[mode] = out[0], [int(count) for count in out[1:]]
+        assert taken == {"set": "True", "unset": "False"}, name
+        assert max(faults["set"][2:]) <= float(np.median(faults["unset"][2:])) / 4, \
+            (name, faults)

@@ -318,6 +318,39 @@ def test_a_bare_free_run_takes_one_product_per_set_bit(monkeypatch):
         == pytest.approx(1.0 + (n_steps * dt / 2.0) ** 2, rel=1e-9)
 
 
+def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch):
+    # a bare run of 2**20 steps sets one bit: one product, and no factor but
+    # F_0 (made by step_factors) and F_20; a stride-8 schedule over 64 steps
+    # sets no bit below 3, so levels 1 and 2 take no factor
+    from entroflux import propagate
+
+    made, kinetic_factor = [], propagate.kinetic_factor
+
+    def counting_factor(grid, params, dt):
+        made.append(dt)
+        return kinetic_factor(grid, params, dt)
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
+    dt, n_steps, schedule = 2e-6, 2**20, range(0, 65, 8)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(propagate, "np", counting)
+    monkeypatch.setattr(propagate, "kinetic_factor", counting_factor)
+    final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps)
+    assert counting.products == 1 and made == [dt, n_steps * dt]
+    made.clear()
+    handed = []
+    propagate.split_steps(wf, ef.Potential.free(), dt, 64,
+                          lambda i, p, p_hat: handed.append((i, p_hat)), schedule)
+    assert made == [dt] + [(1 << b) * dt for b in range(3, 7)]
+    monkeypatch.undo()
+    expected = np.fft.ifft(_fourier_transforms(wf, dt, [n_steps])[n_steps])
+    assert final.tobytes() == expected.tobytes()
+    expected = _fourier_transforms(wf, dt, schedule)
+    assert [i for i, _ in handed] == list(schedule)
+    for i, got in handed:
+        assert got.tobytes() == expected[i].tobytes(), i
+
+
 @pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
                          ids=["free", "harmonic"])
 def test_split_steps_observes_its_schedule_only(pot):

@@ -1,32 +1,25 @@
 #!/usr/bin/env python3
 """Check that this checkout's CLI writes the same outputs as a parent revision's.
 
-    python3 tools/compare_outputs.py PARENT_REV [--tolerance TOL]
+    python3 tools/compare_outputs.py PARENT_REV
 
 Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, table chunk seams, snapshot files,
-failing sweep rows, sweep rows whose step factors are equal byte for byte, a
-sweep that sets every key of its rows' `simulate` configs, signed zeros in a
-free run's states, a free run observed at every step at n = 16384, a free
-run observed at every 7th step, a simulated coherent packet, the free packet's closed form and the binning
-study.  Each pair of runs must agree in exit code, stdout and
-every output file, byte for byte.  Prints one line per difference and exits
-1 if there is any, 0 otherwise.
-
-With --tolerance TOL, a CSV or JSON file that differs byte-wise still agrees
-if it has the same columns (CSV) or keys (JSON), the same non-numeric values,
-and every numeric column or key differs by at most TOL * max(1, max|column|).
-The largest |difference| of each changed column is printed either way.
+failing sweep rows before a good one, a sweep of four rows with different
+step counts and strides, a sweep that sets every key of its rows' `simulate`
+configs, signed zeros in a free run's states, a free run observed at every
+step at n = 16384, a free run observed at every 7th step, a simulated
+coherent packet, the free packet's closed form and the binning study.  Each
+pair of runs must agree in exit code, stdout and every output file, byte for
+byte.  Prints one line per difference and exits 1 if there is any, 0
+otherwise.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
-import math
 import os
 import subprocess
 import sys
@@ -81,12 +74,11 @@ FIXED = {
     # the larger epsilon's packet reaches the seam, so its row fails
     "sweep_failing_row": ("sweep", "epsilons = 2.0, 0.4\nt_c = 2.0\nL_c = 1.0\nx_min = -14\n"
                           "x_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
-    # rows whose step factors are equal byte for byte: the 1.6 and 0.8 rows
-    # reach the seam
+    # two failing rows before a good one: the 1.6 and 0.8 rows reach the seam
     "sweep_shared_failing": ("sweep", "epsilons = 1.6, 0.8, 0.4\nt_c = 2.0\nL_c = 1.0\n"
                              "x_min = -14\nx_max = 14\nn = 512\nk0 = 5\ndt_ref = 1e-3\n"),
-    # two sets of rows by step factors: 0.8, 0.4 and 0.2 have factors equal
-    # byte for byte, 0.5 factors of its own
+    # four rows of 1000, 624, 500 and 250 steps, observed every 10, 6, 5 and
+    # 2 steps
     "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
                          "dt_ref = 2e-3\n"),
     # every key a sweep row's `row_config` passes, off its default: the 0.05
@@ -129,106 +121,24 @@ def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, str, di
     return proc.returncode, proc.stdout, files
 
 
-def _number(value):
-    """value as a float if it is a number (not a bool) or a numeric CSV cell, else None."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-
-
-def _columns(path: str, data: bytes) -> dict:
-    """{column or key: list of values} of a CSV (header first) or JSON file."""
-    text = data.decode("utf-8")
-    if path.endswith(".json"):
-        flat = {}
-
-        def walk(key, value):
-            if isinstance(value, dict):
-                for k, v in value.items():
-                    walk(f"{key}.{k}" if key else k, v)
-            elif isinstance(value, list):
-                for i, v in enumerate(value):
-                    walk(f"{key}[{i}]", v)
-            else:
-                flat[key] = [value]
-
-        walk("", json.loads(text))
-        return flat
-    header, *rows = list(csv.reader(io.StringIO(text)))
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError("ragged rows")
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-
-def numeric_diff(path: str, a: bytes, b: bytes, tolerance: float) -> list[tuple]:
-    """(column, max |difference|, allowed) of each changed column of a CSV or JSON file.
-
-    Raises ValueError if the files differ other than in numeric values.
-    """
-    cols_a, cols_b = _columns(path, a), _columns(path, b)
-    if list(cols_a) != list(cols_b):
-        raise ValueError("columns or keys differ")
-    changed = []
-    for name, values_a in cols_a.items():
-        values_b = cols_b[name]
-        if values_a == values_b:
-            continue
-        if len(values_a) != len(values_b):
-            raise ValueError(f"{name}: {len(values_a)} -> {len(values_b)} rows")
-        nums = [_number(v) for v in values_a + values_b]
-        deltas = []
-        for va, vb, x, y in zip(values_a, values_b, nums, nums[len(values_a):]):
-            if va == vb:
-                continue
-            if x is None or y is None:
-                raise ValueError(f"{name}: {va!r} -> {vb!r}")
-            deltas.append(abs(x - y))
-        largest = math.nan if any(map(math.isnan, deltas)) else max(deltas)
-        scale = max([1.0] + [abs(x) for x in nums if x is not None and math.isfinite(x)])
-        changed.append((name, largest, tolerance * scale))
-    return changed
-
-
-def compare(name: str, parent: tuple, child: tuple, tolerance: float | None = None) -> list[str]:
-    """Difference lines of one config; with a tolerance, changed columns are printed here."""
+def compare(name: str, parent: tuple, child: tuple) -> list[str]:
+    """Difference lines of one config."""
     (code_a, out_a, files_a), (code_b, out_b, files_b) = parent, child
     diffs = [f"{name}: exit code {code_a} -> {code_b}"] if code_a != code_b else []
     if out_a != out_b:
         diffs.append(f"{name}: stdout {out_a.strip()!r} -> {out_b.strip()!r}")
     for path in sorted(files_a.keys() | files_b.keys()):
-        if files_a.get(path) == files_b.get(path):
-            continue
         if path not in files_b or path not in files_a:
             diffs.append(f"{name}: {path} {'missing' if path not in files_b else 'new'}")
-            continue
-        if tolerance is None or not path.endswith((".csv", ".json")):
+        elif files_a[path] != files_b[path]:
             diffs.append(f"{name}: {path} differs")
-            continue
-        try:
-            changed = numeric_diff(path, files_a[path], files_b[path], tolerance)
-        except ValueError as exc:
-            diffs.append(f"{name}: {path} differs: {exc}")
-            continue
-        for column, largest, allowed in changed:
-            line = f"{name}: {path} {column} max|diff| {largest:.3g} (allowed {allowed:.3g})"
-            if not largest <= allowed:
-                diffs.append(line)
-            else:
-                print(line)
     return diffs
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("parent_rev")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="compare differing CSV and JSON files per numeric column")
     args = parser.parse_args(argv)
-    if args.tolerance is not None and not args.tolerance >= 0.0:
-        parser.error("--tolerance must be >= 0")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
@@ -239,7 +149,7 @@ def main(argv: list[str]) -> int:
             config.write_text(text, encoding="utf-8")
             results = [run(tree, command, config, tmp / f"{name}.{label}")
                        for tree, label in ((parent, "parent"), (ROOT, "child"))]
-            diffs += compare(name, *results, args.tolerance)
+            diffs += compare(name, *results)
     for line in diffs:
         print(line)
     print(f"{len(cases)} configs, {len(diffs)} differences")
