@@ -28,7 +28,6 @@ from .entropy import (
     take_snapshot,
 )
 from .grid import (
-    ComplexField,
     Grid1D,
     PhysicalParams,
     RealField,

@@ -22,9 +22,10 @@ import numpy as np
 
 from .entropy import _subvolume_indices, bin_size, check_normalized, check_reg_floor
 from .grid import (
-    Grid1D, PhysicalParams, RealField, SpecError, about, check_rows, check_work, positive,
-    step_count,
+    Grid1D, PhysicalParams, RealField, SpecError, about, check_points, check_rows, check_work,
+    positive, step_count,
 )
+from .madelung import DEFAULT_REG_FLOOR
 from .oracle import _normal_density, closed_form
 from .propagate import Potential, check_dt, check_potential, check_wavenumber, check_width
 
@@ -151,6 +152,10 @@ class RunConfig:
     norm_tol: float
     eq16_rel_tol: float | None
 
+    @property
+    def n_rows(self) -> int:  # the initial state and one every observe_stride steps
+        return self.n_steps // self.observe_stride + 1
+
 
 def _run_config(
     *, x_min: float, x_max: float, n: int, hbar: float = 1.0, mass: float = 1.0,
@@ -159,7 +164,7 @@ def _run_config(
     potential: str = "free", potential_omega: float | None = None,
     potential_center: float = 0.0, barrier_height: float | None = None,
     barrier_width: float | None = None, barrier_center: float = 0.0,
-    dt: float, t_final: float, observe_stride: int = 10, reg_floor: float = 1e-12,
+    dt: float, t_final: float, observe_stride: int = 10, reg_floor: float = DEFAULT_REG_FLOOR,
     subvolume_a: float | None = None, subvolume_b: float | None = None,
     save_snapshots: bool = False, norm_tol: float = 1e-8, eq16_rel_tol: float | None = None,
 ) -> RunConfig:
@@ -226,8 +231,9 @@ def _run_config(
     if observe_stride < 1 or n_steps % observe_stride:
         raise SpecError(f"observe_stride = {observe_stride} must be >= 1 and divide the "
                         f"{n_steps} steps", ("observe_stride", "t_final"))
+    n_rows = n_steps // observe_stride + 1
     with about("observe_stride"):
-        check_rows(n_steps // observe_stride + 1)
+        check_rows(n_rows)
     with about("reg_floor"):
         check_reg_floor(grid, reg_floor)
 
@@ -242,7 +248,6 @@ def _run_config(
     positive(norm_tol=norm_tol)
     if eq16_rel_tol is not None:
         positive(eq16_rel_tol=eq16_rel_tol)
-        n_rows = n_steps // observe_stride + 1
         if n_rows < 3:
             raise SpecError(f"eq16_rel_tol checks the interior rows, but {n_rows} observed "
                             f"rows leave no centred difference", ("eq16_rel_tol",))
@@ -325,7 +330,7 @@ class SweepSpec:
     k0: float = 0.0
     dt_ref: float = 2e-3
     n_samples: int = 100
-    reg_floor: float = 1e-12
+    reg_floor: float = DEFAULT_REG_FLOOR
     # the `row_config` of each epsilon, in order
     row_configs: tuple = field(init=False, repr=False, compare=False)
 
@@ -351,7 +356,7 @@ class SweepSpec:
 
         dt scales as 1/hbar, which holds the per-step kinetic phase fixed
         across the sweep; the steps are whole strides, so the last sample is
-        at t_c.
+        at t_c.  Its step count and work (n checked first) are refused on dt_ref and t_c.
         """
         with about("L_c"):  # L_c**2 may overflow, or underflow to 0
             hbar = self.hbar_for(eps)
@@ -361,8 +366,10 @@ class SweepSpec:
         with about("dt_ref", "t_c"):  # the first row's t_c / dt_ref steps are the most
             dt = self.dt_ref * self.epsilons[0] / eps
             n_steps = max(1, step_count(self.t_c / dt))
-        stride = max(1, int(round(n_steps / self.n_samples)))
-        n_steps = stride * max(1, int(round(n_steps / stride)))
+            stride = max(1, int(round(n_steps / self.n_samples)))
+            n_steps = stride * max(1, int(round(n_steps / stride)))
+            check_points(self.n)
+            check_work(n_steps, self.n)
         return hbar, self.t_c / n_steps, n_steps, stride
 
     def row_config(self, eps: float) -> RunConfig:
@@ -397,7 +404,7 @@ class BinningConfig:
 
 def _binning_config(
     *, x_min: float, x_max: float, n: int, sigma0: float, x0: float = 0.0,
-    bin_widths: tuple, reg_floor: float = 1e-12,
+    bin_widths: tuple, reg_floor: float = DEFAULT_REG_FLOOR,
 ) -> BinningConfig:
     grid = Grid1D(x_min, x_max, n)
     positive(sigma0=sigma0)

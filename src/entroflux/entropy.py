@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
-    Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive, ifft, integrate,
+    Grid1D, PhysicalParams, RealField, _spectral_derivative, _state_derivative, check_positive,
+    fft, ifft, integrate,
 )
 from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
 from .propagate import Potential, WaveFunction, check_norms, split_steps
@@ -216,7 +217,8 @@ class Series:
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
     """The Madelung fields (`.den`) and information density (`.info`) of wf."""
-    fields = madelung_arrays(wf.psi.values[np.newaxis], wf.grid, wf.params, reg_floor)
+    psi = wf.psi[np.newaxis]
+    fields = madelung_arrays(psi, _state_derivative(fft(psi), wf.grid), wf.params, reg_floor)
     return Series.of(wf.grid, [wf.t], *fields, reg_floor).snapshot(0)
 
 
@@ -422,17 +424,17 @@ class Diagnostics:
         """The Madelung fields of the held states, into the block; a method of its
         own, so its temporaries are freed before the block pass makes its own.
 
-        Held transforms take one batched inverse transform for the states and
-        one for their derivatives, ifft(ik psi_hat); held states take a
-        forward and an inverse transform for the derivatives."""
+        The derivatives are the `_state_derivative` of the block's transforms: the
+        held transforms, or one batched forward transform of the held states.  Held
+        transforms then take one batched inverse transform for the states."""
         w, k, held = self.window, self.n_held, slice(2, 2 + self.n_held)
-        psi, dpsi = self.held[:k], None
+        psi = self.held[:k]
+        dpsi = _state_derivative(psi if self.spectral else fft(psi), w.grid)
         if self.spectral:
-            # the derivative first: the states then overwrite their transforms,
-            # so this makes no more complex blocks than a block of states does
-            dpsi = ifft(np.multiply(w.grid._ik, psi))
+            # the states overwrite their transforms, so this makes no more
+            # complex blocks than a block of states does
             ifft(psi, out=psi)
-        rho, j, v, floored = madelung_arrays(psi, w.grid, params, w.reg_floor, dpsi)
+        rho, j, v, floored = madelung_arrays(psi, dpsi, params, w.reg_floor)
         check_norms(w.grid.dx * rho.sum(axis=1))
         w.rho[held], w.current[held], w.velocity[held] = rho, j, v
         w.rho_I[held] = _info_density(rho, w.reg_floor)

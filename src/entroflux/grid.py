@@ -5,8 +5,8 @@ All fields live on a ``Grid1D``: n equally spaced samples x_k = x_min + k*dx
 with the right endpoint excluded (periodic wrap).  Quadrature is the periodic
 rectangle rule, which coincides with the trapezoid rule on periodic data and
 is spectrally accurate for smooth periodic fields.  Derivatives are spectral:
-a real field goes through a real-input FFT pair (rfft/irfft), a complex one
-through the complex pair.
+a real field goes through a real-input FFT pair (rfft/irfft), a state psi
+through its transform psi_hat, as ifft(ik psi_hat) (`_state_derivative`).
 
 The transforms (`fft`, `ifft`, `rfft`, `irfft`) call the pocketfft gufuncs of
 `numpy.fft._pocketfft_umath`, the kernels behind `np.fft`, directly: they give
@@ -88,6 +88,14 @@ def check_work(n_steps: int, n: int) -> None:
                          f"the work ceiling of 2**36 point-steps")
 
 
+def check_points(n: int) -> None:
+    """Raise a SpecError on n unless it is a power of two from 16 to MAX_POINTS."""
+    if n < 16 or int(n) & (int(n) - 1):
+        raise SpecError(f"n must be a power of two >= 16, got {n}", ("n",))
+    if n > MAX_POINTS:
+        raise SpecError(f"n = {n} exceeds the ceiling of 2**22 grid points", ("n",))
+
+
 def check_rows(n_rows: int) -> None:
     """Raise unless n_rows observed rows stay within MAX_ROWS."""
     if n_rows > MAX_ROWS:
@@ -115,10 +123,7 @@ class Grid1D:
     """
 
     def __init__(self, x_min: float, x_max: float, n: int):
-        if n < 16 or int(n) & (int(n) - 1):
-            raise SpecError(f"n must be a power of two >= 16, got {n}", ("n",))
-        if n > MAX_POINTS:
-            raise SpecError(f"n = {n} exceeds the ceiling of 2**22 grid points", ("n",))
+        check_points(n)
         if not x_max > x_min:
             raise SpecError(f"x_max must exceed x_min, got [{x_min}, {x_max})",
                             ("x_max", "x_min"))
@@ -161,30 +166,22 @@ class Grid1D:
         return f"Grid1D(x_min={self.x_min}, x_max={self.x_max}, n={self.n})"
 
 
-class _Field:
-    """Immutable sampled field on a Grid1D."""
+def check_length(grid: Grid1D, values: np.ndarray) -> None:
+    if values.shape != (grid.n,):
+        raise ValueError(f"field length {values.shape} does not match grid n={grid.n}")
 
-    _dtype: type = float
+
+class RealField:
+    """Immutable sampled real field on a Grid1D."""
 
     def __init__(self, grid: Grid1D, values):
-        values = np.asarray(values, dtype=self._dtype)
-        if values.shape != (grid.n,):
-            raise ValueError(
-                f"field length {values.shape} does not match grid n={grid.n}"
-            )
+        values = np.asarray(values, dtype=float)
+        check_length(grid, values)
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite field")
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-
-
-class RealField(_Field):
-    _dtype = float
-
-
-class ComplexField(_Field):
-    _dtype = complex
 
 
 def integrate(f: RealField) -> float:
@@ -224,25 +221,21 @@ def irfft(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Spectral d/dx along the last axis, so a (T, n) stack is one batched FFT.
-
-    Real values take a real-input FFT pair and give a real array; complex
-    values take the complex pair.
-    """
-    if np.iscomplexobj(values):
-        # numpy may reuse fft's temporary for this product and swap its
-        # operands (see `split_steps`): the bits are this expression's, so it
-        # stays as written.
-        return ifft(grid._ik * fft(values))
-    # np.multiply keeps the operand order fixed, as in madelung_arrays.
+    """Spectral d/dx of real values along the last axis, through a real-input FFT
+    pair, so a (T, n) stack is one batched transform pair."""
     return irfft(np.multiply(grid._ik_r, rfft(values)), grid.n)
 
 
-def derivative(f: _Field) -> _Field:
-    """Spectral derivative of a periodic field.
+def _state_derivative(psi_hat: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """d psi/dx = ifft(ik psi_hat) along the last axis, from the states' transforms
+    psi_hat, which are left as they are.  ik is purely imaginary, so ik psi_hat has the
+    bits of psi_hat ik, the order numpy takes in `ik * temporary` from 256 KiB, except
+    the sign of a product that underflows to zero (entries near 5e-324)."""
+    dpsi = np.multiply(grid._ik, psi_hat)
+    return ifft(dpsi, out=dpsi)
 
-    Exact for trigonometric polynomials below Nyquist, with the Nyquist mode
-    of the derivative set to zero.  A RealField goes through a real-input FFT
-    pair and gives a RealField; a ComplexField gives a ComplexField.
-    """
-    return type(f)(f.grid, _spectral_derivative(f.values, f.grid))
+
+def derivative(f: RealField) -> RealField:
+    """Spectral derivative of a periodic real field: exact for trigonometric
+    polynomials below Nyquist, with the Nyquist mode of the derivative set to zero."""
+    return RealField(f.grid, _spectral_derivative(f.values, f.grid))

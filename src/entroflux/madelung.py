@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid1D, PhysicalParams, RealField, _spectral_derivative, check_positive
+from .grid import PhysicalParams, RealField, check_positive
 from .propagate import WaveFunction
 
 DEFAULT_REG_FLOOR = 1e-12
@@ -16,29 +16,25 @@ DEFAULT_REG_FLOOR = 1e-12
 
 def density(wf: WaveFunction) -> RealField:
     """rho = |psi|^2."""
-    return RealField(wf.grid, np.abs(wf.psi.values) ** 2)
+    return RealField(wf.grid, np.abs(wf.psi) ** 2)
 
 
 def madelung_arrays(
     psi: np.ndarray,
-    grid: Grid1D,
+    dpsi: np.ndarray,
     params: PhysicalParams,
     reg_floor: float = DEFAULT_REG_FLOOR,
-    dpsi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho of a (B, n) psi stack.
 
-    The one computation of these fields.  dpsi/dx is dpsi if given (a state
-    held as its transform psi_hat gives it as ifft(ik psi_hat)), which is
-    overwritten, else one batched FFT pair along the grid axis; each row's
-    values are those of the row taken alone.  v is 0 where rho < reg_floor;
-    the per-row counts of those floored points are returned last.
+    The one computation of these fields.  dpsi is dpsi/dx (`grid._state_derivative`
+    of the states' transforms), and is overwritten; each row's values are those
+    of the row taken alone.  v is 0 where rho < reg_floor; the per-row counts
+    of those floored points are returned last.
     """
     check_positive("reg_floor", reg_floor)
     rho = np.abs(psi) ** 2
     conj = np.conj(psi)
-    if dpsi is None:
-        dpsi = _spectral_derivative(psi, grid)
     # np.multiply keeps the operand order fixed: numpy may swap the operands
     # of `a * temporary` on large arrays, and the complex product's last bit
     # depends on that order.  The product takes the derivative's place.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ComplexField, Grid1D, PhysicalParams, check_positive, fft, ifft
+from .grid import Grid1D, PhysicalParams, check_length, check_positive, fft, ifft
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,28 @@ class Potential:
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # psi is an array: a state equals itself only
 class WaveFunction:
+    """A state at time t: psi, made a read-only complex array on the grid, of norm 1."""
+
     grid: Grid1D
     params: PhysicalParams
-    psi: ComplexField
+    psi: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
+        psi = np.asarray(self.psi, dtype=complex)
+        check_length(self.grid, psi)
+        psi.setflags(write=False)
+        object.__setattr__(self, "psi", psi)
         check_norms(self.norm())
 
     def norm(self) -> float:
-        return float(self.grid.dx * np.sum(np.abs(self.psi.values) ** 2))
+        return float(self.grid.dx * np.sum(np.abs(self.psi) ** 2))
 
 
 def check_norms(norms) -> None:
-    """Raise unless every norm is finite and within 1e-8 of 1.
-
-    A non-finite norm means a non-finite psi, which `ComplexField` rejects with
-    the same message; the norm check is the one `WaveFunction` runs.
-    """
+    """Raise unless every norm is finite ("non-finite field") and within 1e-8 of 1."""
     norms = np.atleast_1d(norms)
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite field")
@@ -101,7 +103,7 @@ def init_gaussian(
         -((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x
     )
     psi /= np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
-    return WaveFunction(grid=grid, params=params, psi=ComplexField(grid, psi), t=0.0)
+    return WaveFunction(grid=grid, params=params, psi=psi, t=0.0)
 
 
 def check_width(grid: Grid1D, sigma0: float) -> None:
@@ -227,10 +229,10 @@ def split_steps(
     check_dt(grid, params, dt)
     check_potential(grid, params, potential, dt)
     exp_v_half, exp_t = step_factors(grid, params, potential, dt)
-    b = np.empty_like(wf.psi.values)
+    b = np.empty_like(wf.psi)
     done = 0
     if (exp_v_half == 1).all():
-        fft(wf.psi.values, out=b)
+        fft(wf.psi, out=b)
         used = int(np.bitwise_or.reduce(steps, initial=n_steps))
         levels = used.bit_length()
         factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
@@ -256,7 +258,7 @@ def split_steps(
         def state() -> np.ndarray:
             return ifft(partial[0])
     else:
-        a, psi = np.empty_like(b), wf.psi.values
+        a, psi = np.empty_like(b), wf.psi
         kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
 
         def reach(i: int) -> None:
@@ -305,7 +307,7 @@ def evolve(
         raise ValueError(f"stride must be >= 1, got {stride}")
 
     def state(i: int, psi: np.ndarray) -> WaveFunction:
-        return replace(wf, psi=ComplexField(wf.grid, psi), t=wf.t + i * dt)
+        return replace(wf, psi=psi, t=wf.t + i * dt)
 
     def observe(i: int, psi, psi_hat) -> None:
         observer(state(i, ifft(psi_hat) if psi is None else psi))

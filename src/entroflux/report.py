@@ -38,8 +38,7 @@ CSV_COLUMNS = [
 
 
 def _stream(cfg: RunConfig, on_block) -> Diagnostics:
-    n_rows = cfg.n_steps // cfg.observe_stride + 1
-    return Diagnostics(cfg.grid, n_rows, cfg.reg_floor, cfg.subvolume, on_block=on_block)
+    return Diagnostics(cfg.grid, cfg.n_rows, cfg.reg_floor, cfg.subvolume, on_block=on_block)
 
 
 def _assemble(stream: Diagnostics, cfg: RunConfig) -> tuple[dict, dict]:
@@ -112,9 +111,8 @@ def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
         seam[0] = max(rho[0], rho[-1])
 
     try:
-        n_rows = cfg.n_steps // cfg.observe_stride + 1
-        if n_rows < 3:
-            raise ValueError(f"{n_rows} samples leave no centred difference")
+        if cfg.n_rows < 3:
+            raise ValueError(f"{cfg.n_rows} samples leave no centred difference")
         _, summary = run_simulation(cfg, on_block)
         if seam[0] > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam[0]:.3g})")

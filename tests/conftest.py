@@ -15,7 +15,7 @@ def plane_wave(grid, params, mode=1, t=0.0):
     """Momentum eigenstate e^{ikx}/sqrt(L) with k an exact grid mode."""
     k = 2.0 * np.pi * mode / grid.length
     psi = np.exp(1j * k * grid.x) / np.sqrt(grid.length)
-    return ef.WaveFunction(grid, params, ef.ComplexField(grid, psi), t=t), k
+    return ef.WaveFunction(grid, params, psi, t=t), k
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def contracting_run(spreading_run):
     params = spreading_run["params"]
     wf2 = spreading_run["wf_final"]
     wfc = dataclasses.replace(
-        wf2, psi=ef.ComplexField(grid, np.conj(wf2.psi.values)), t=0.0
+        wf2, psi=np.conj(wf2.psi), t=0.0
     )
     snaps = [ef.take_snapshot(wfc)]
     ef.evolve(

@@ -247,6 +247,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE.replace("t_c = 2.0", "t_c = 1e300"), 2, "time step too small"),
         # 1e15 steps of the first row on 1024 points
         ("sweep", SWEEP_BASE + "dt_ref = 1e-15\n", 4, "work ceiling"),
+        # 5e8 steps of the first row on 1024 points, with dt_ref at its default: at t_c
+        ("sweep", SWEEP_BASE.replace("t_c = 2.0", "t_c = 1e6"), 2, "work ceiling"),
         # 2e7 steps within the work ceiling, observed at every step
         ("sweep", SWEEP_BASE + "dt_ref = 1e-7\nn_samples = 100000000\n", 5,
          "too many observed rows"),
@@ -273,7 +275,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
          "sweep_t_c_too_many_steps",
-         "sweep_dt_ref_over_work_ceiling", "sweep_n_samples_over_row_ceiling",
+         "sweep_dt_ref_over_work_ceiling", "sweep_t_c_over_work_ceiling",
+         "sweep_n_samples_over_row_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
          "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow"],
 )

@@ -94,7 +94,7 @@ def test_info_entropy_translation_and_phase_invariance():
     i0 = ef.info_entropy(rho)
     shifted = ef.RealField(g, np.roll(rho.values, 100))
     assert ef.info_entropy(shifted) == pytest.approx(i0, abs=1e-12)
-    phased = ef.ComplexField(g, wf.psi.values * np.exp(1j * 0.7))
+    phased = wf.psi * np.exp(1j * 0.7)
     import dataclasses
     wf2 = dataclasses.replace(wf, psi=phased)
     assert ef.info_entropy(ef.density(wf2)) == pytest.approx(i0, abs=1e-12)
@@ -662,7 +662,7 @@ def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
         with pytest.raises(ValueError):
             stream.add(series.rows(0, 1))
         with pytest.raises(ValueError):
-            stream.add_state(1.0, wf0.psi.values, PARAMS)
+            stream.add_state(1.0, wf0.psi, PARAMS)
 
     reference, firsts = results["all at once"]
     assert firsts == [0, height, 2 * height]
@@ -720,7 +720,7 @@ def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
     else:
         psi[1] *= np.sqrt(1.0 + 1e-7)
     with pytest.raises(ValueError) as per_state:
-        ef.WaveFunction(grid, PARAMS, ef.ComplexField(grid, psi[1]))
+        ef.WaveFunction(grid, PARAMS, psi[1])
     stream = Diagnostics(grid, 3)
     with pytest.raises(ValueError) as block:
         for i, row in enumerate(psi):

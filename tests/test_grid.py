@@ -26,6 +26,19 @@ def test_field_validation():
         ef.RealField(g, np.full(64, np.nan))
     with pytest.raises(ValueError):
         ef.RealField(g, np.ones(32))
+    # a state: one finite complex sample per grid point, handed out read-only
+    params = ef.PhysicalParams()
+    with pytest.raises(ValueError, match="field length"):
+        ef.WaveFunction(g, params, np.ones(32, complex))
+    for bad in (np.nan, np.inf):
+        psi = np.ones(64, complex)
+        psi[7] = bad
+        with pytest.raises(ValueError, match="non-finite field"):
+            ef.WaveFunction(g, params, psi)
+    wf = ef.WaveFunction(g, params, np.ones(64))
+    assert wf.psi.dtype == complex and not wf.psi.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        wf.psi[0] = 0.0
 
 
 def test_integrate_constant():
@@ -86,11 +99,13 @@ def test_derivative_linearity(seed):
 
 
 def test_complex_derivative():
+    from entroflux.grid import _state_derivative
+
     g = ef.Grid1D(0.0, 1.0, 64)
     k = 2.0 * np.pi * 3 / g.length
-    f = ef.ComplexField(g, np.exp(1j * k * g.x))
-    d = ef.derivative(f)
-    assert np.max(np.abs(d.values - 1j * k * f.values)) < 1e-11
+    f = np.exp(1j * k * g.x)
+    d = _state_derivative(np.fft.fft(f), g)
+    assert np.max(np.abs(d - 1j * k * f)) < 1e-11
 
 
 @pytest.mark.parametrize("n", [16, 1024, 16384])
@@ -116,8 +131,9 @@ def test_real_derivative_matches_complex_path(n):
 @pytest.mark.parametrize("rows, n", [(32, 1024), (2, 16384)])
 def test_real_derivative_row_equals_row_of_large_stack(rows, n):
     # the rfft of these stacks is just over 256 KiB, where numpy may reorder
-    # the operands of a product with a temporary: each row must still get the
-    # bits it gets alone
+    # the operands of a product with a temporary; the order cannot change the
+    # bits of a product by the purely imaginary _ik_r, and a batched row must
+    # get the bits it gets alone
     from entroflux.grid import _spectral_derivative
 
     g = ef.Grid1D(-20.0, 20.0, n)
@@ -160,16 +176,17 @@ def test_fft_helpers_equal_numpy_bytewise(n, shape):
         assert got.tobytes() == want.tobytes(), i
 
 
-@pytest.mark.parametrize("n", [1024, 16384])
-def test_complex_derivative_equals_numpy_expression_bytewise(n):
-    # on both sides of 256 KiB, where numpy starts to reuse the temporary of
-    # `grid._ik * fft(values)` for the product
-    from entroflux.grid import _spectral_derivative
+@pytest.mark.parametrize("n, heights", [(1024, (1, 32)), (16384, (1, 2))],
+                         ids=["1024", "16384"])
+def test_complex_derivative_equals_numpy_expression_bytewise(n, heights):
+    # blocks on both sides of 256 KiB, where numpy starts to reuse the
+    # temporary of `g._ik * np.fft.fft(z)` for the product and swaps its
+    # operands: ik is purely imaginary, so both orders give the same bits
+    from entroflux.grid import _state_derivative, fft
 
     g = ef.Grid1D(-20.0, 20.0, n)
     rng = np.random.default_rng(n)
-    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    reference = np.fft.ifft(g._ik * np.fft.fft(z))
-    assert _spectral_derivative(z, g).tobytes() == reference.tobytes()
-    assert _spectral_derivative(z[0], g).tobytes() == np.fft.ifft(
-        g._ik * np.fft.fft(z[0])).tobytes()
+    for rows in heights:
+        z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        reference = np.fft.ifft(g._ik * np.fft.fft(z))
+        assert _state_derivative(fft(z), g).tobytes() == reference.tobytes(), rows
