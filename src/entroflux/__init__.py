@@ -14,12 +14,12 @@ from .entropy import (
     BalanceReport,
     BinRow,
     DensityFields,
-    InfoDensityField,
     SignWitness,
     Snapshot,
     balance_residual,
     binned_entropy,
     binning_limit_study,
+    density,
     entropy_rate_check,
     info_density,
     info_entropy,
@@ -34,7 +34,6 @@ from .grid import (
     derivative,
     integrate,
 )
-from .madelung import density
 from .oracle import CoherentOracle, GaussianOracle
 from .propagate import (
     Potential,

@@ -6,8 +6,9 @@ Subcommands:
   sweep     classical-limit sweep, writes sweep.csv + sweep_summary.json
   binning   bin-width convergence study, writes binning.csv
 
-Exit codes: 0 all configured checks pass, 1 usage/config error or an output
-file or directory that cannot be written, 2 tolerance failure.  Outputs are
+Exit codes: 0 all configured checks pass, 1 usage/config error, an output
+file or directory that cannot be written, or a run out of memory, 2 tolerance
+failure.  Outputs are
 byte-identical across reruns of the same config.
 """
 from __future__ import annotations
@@ -155,6 +156,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # the config was read: any file error is an output's
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -20,12 +20,13 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .entropy import _subvolume_indices, bin_size, check_normalized, check_reg_floor
+from .entropy import (
+    DEFAULT_REG_FLOOR, _subvolume_indices, bin_size, check_normalized, check_reg_floor,
+)
 from .grid import (
     Grid1D, PhysicalParams, RealField, SpecError, about, check_points, check_rows, check_work,
     positive, step_count,
 )
-from .madelung import DEFAULT_REG_FLOOR
 from .oracle import _normal_density, closed_form
 from .propagate import Potential, check_dt, check_potential, check_wavenumber, check_width
 
@@ -414,7 +415,12 @@ def _binning_config(
         for dq in bin_widths:
             bin_size(grid, dq)
     with about("sigma0"):
-        rho = RealField(grid, _normal_density(grid.x, x0, sigma0**2))
+        with np.errstate(all="ignore"):  # refused below if it is not finite
+            values = _normal_density(grid.x, x0, sigma0**2)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"the normal density of sigma0 = {sigma0} is not finite "
+                             f"on the grid")
+        rho = RealField(grid, values)
         check_normalized(rho)
     with about("reg_floor"):
         check_reg_floor(grid, reg_floor)

@@ -1,6 +1,10 @@
-"""Information entropy of a probability density and its balance-law diagnostics.
+"""Madelung fields and information entropy of a wavefunction, and the
+entropy's balance-law diagnostics.
 
 Quantities:
+  rho   = |psi|^2                        probability density
+  j     = (hbar/m) Im(psi* dpsi/dx)      probability current
+  v     = j / rho                        Madelung velocity
   rho_I = -rho (ln rho - 1)              information density (nats / length)
   I     = integral of rho_I              information entropy (nats)
 
@@ -35,18 +39,21 @@ from .grid import (
     Grid1D, PhysicalParams, RealField, _spectral_derivative, _state_derivative, check_positive,
     fft, ifft, integrate,
 )
-from .madelung import DEFAULT_REG_FLOOR, madelung_arrays
 from .propagate import Potential, WaveFunction, check_norms, split_steps
 
 # Grid points per block of rows in a `Diagnostics`; bounds its FFT temporaries.
 CHUNK_POINTS = 1 << 15
+
+# The density floor.  v = j/rho and ln rho have no meaning where rho -> 0, so
+# wherever rho < reg_floor: v = 0 and the point counts in floored_points,
+# rho_I = +0, and the rate identity's residual is +0.
+DEFAULT_REG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class DensityFields:
     """Madelung fields of one wavefunction: rho, j, v."""
 
-    t: float
     rho: RealField
     current: RealField
     velocity: RealField
@@ -54,22 +61,13 @@ class DensityFields:
 
 
 @dataclass(frozen=True)
-class InfoDensityField:
+class Snapshot:
+    """Madelung fields plus information density and entropy at time t."""
+
+    t: float
+    den: DensityFields
     rho_I: RealField
     I: float
-    t: float
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Madelung fields plus information density at one instant."""
-
-    den: DensityFields
-    info: InfoDensityField
-
-    @property
-    def t(self) -> float:
-        return self.den.t
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,40 @@ class BinRow:
     target: float
     defect: float
     resolved: bool
+
+
+def density(wf: WaveFunction) -> RealField:
+    """rho = |psi|^2."""
+    return RealField(wf.grid, np.abs(wf.psi) ** 2)
+
+
+def madelung_arrays(
+    psi: np.ndarray,
+    dpsi: np.ndarray,
+    params: PhysicalParams,
+    reg_floor: float = DEFAULT_REG_FLOOR,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho of a (B, n) psi stack.
+
+    The one computation of these fields.  psi = sqrt(rho) exp(i S / hbar) gives
+    v = S'/m, taken as j/rho rather than from the gradient of the unwrapped
+    phase, which has branch-cut artifacts where the density is low.  dpsi is
+    dpsi/dx (`grid._state_derivative` of the states' transforms), and is
+    overwritten; each row's values are those of the row taken alone.  v is
+    floored (see DEFAULT_REG_FLOOR); the per-row counts of floored points are
+    returned last.
+    """
+    check_positive("reg_floor", reg_floor)
+    rho = np.abs(psi) ** 2
+    conj = np.conj(psi)
+    # np.multiply keeps the operand order fixed: numpy may swap the operands
+    # of `a * temporary` on large arrays, and the complex product's last bit
+    # depends on that order.  The product takes the derivative's place.
+    j = (params.hbar / params.mass) * np.imag(np.multiply(conj, dpsi, out=dpsi))
+    mask = rho >= reg_floor
+    v = np.zeros_like(rho)
+    np.divide(j, rho, out=v, where=mask)
+    return rho, j, v, np.count_nonzero(~mask, axis=-1)
 
 
 def _info_density(r: np.ndarray, reg_floor: float) -> np.ndarray:
@@ -203,20 +235,20 @@ class Series:
 
     def snapshot(self, i: int) -> Snapshot:
         """Row i as a Snapshot whose fields are views of this series."""
-        grid, t = self.grid, float(self.t[i])
-        rho_i = RealField(grid, self.rho_I[i])
+        grid = self.grid
+        rho_I = RealField(grid, self.rho_I[i])
         den = DensityFields(
-            t=t,
             rho=RealField(grid, self.rho[i]),
             current=RealField(grid, self.current[i]),
             velocity=RealField(grid, self.velocity[i]),
             floored_points=int(self.floored_points[i]),
         )
-        return Snapshot(den=den, info=InfoDensityField(rho_I=rho_i, I=integrate(rho_i), t=t))
+        return Snapshot(t=float(self.t[i]), den=den, rho_I=rho_I, I=integrate(rho_I))
 
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
-    """The Madelung fields (`.den`) and information density (`.info`) of wf."""
+    """The Madelung fields (`.den`), information density (`.rho_I`) and entropy
+    (`.I`) of wf at its time `.t`."""
     psi = wf.psi[np.newaxis]
     fields = madelung_arrays(psi, _state_derivative(fft(psi), wf.grid), wf.params, reg_floor)
     return Series.of(wf.grid, [wf.t], *fields, reg_floor).snapshot(0)
@@ -308,12 +340,9 @@ def _sample_spacing(t: np.ndarray) -> float:
 
 def _rate(i_series: np.ndarray, dt: float) -> np.ndarray:
     """dI/dt: centred differences, one-sided at the two ends, 0 for one sample."""
-    rate = np.zeros(len(i_series))
-    if len(i_series) > 1:
-        rate[0] = (i_series[1] - i_series[0]) / dt
-        rate[-1] = (i_series[-1] - i_series[-2]) / dt
-        rate[1:-1] = (i_series[2:] - i_series[:-2]) / (2.0 * dt)
-    return rate
+    if len(i_series) < 2:
+        return np.zeros(len(i_series))
+    return np.gradient(i_series, dt)
 
 
 def _rate_identity(rho: np.ndarray, d_rho: np.ndarray, d_rho_I: np.ndarray,
@@ -592,7 +621,7 @@ def _stack(snapshots: list) -> Series:
             raise ValueError("mismatched grids")
     t, rho, current, velocity, floored, rho_I = map(np.array, zip(*(
         (s.t, s.den.rho.values, s.den.current.values, s.den.velocity.values,
-         s.den.floored_points, s.info.rho_I.values) for s in snapshots)))
+         s.den.floored_points, s.rho_I.values) for s in snapshots)))
     return Series.of(grid, t, rho, current, velocity, floored, DEFAULT_REG_FLOOR, rho_I)
 
 

@@ -46,7 +46,9 @@ def about(*keys: str):
     except ValueError as exc:
         raise SpecError(str(exc), keys) from exc
     except ArithmeticError as exc:
-        raise SpecError(f"{keys[0]} is out of range: {exc}", keys) from exc
+        what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
+        raise SpecError(f"{keys[0]} is out of range: a value computed from it {what}",
+                        keys) from exc
 
 
 def check_positive(name: str, value: float) -> None:

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import Series, Snapshot
+from .entropy import DEFAULT_REG_FLOOR, Series, Snapshot
 from .grid import Grid1D, PhysicalParams, SpecError, check_positive
-from .madelung import DEFAULT_REG_FLOOR
 
 
 def _normal_density(x: np.ndarray, center: float, sigma2: float) -> np.ndarray:

@@ -269,7 +269,11 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         # L_c**2 underflows to 0, or overflows: both reported at L_c
         ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e-200"), 3,
          "hbar = eps*mass*L_c**2/t_c must be positive, got 0.0"),
-        ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e300"), 3, "L_c is out of range"),
+        ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e300"), 3,
+         "L_c is out of range: a value computed from it overflows"),
+        # sigma0**2 underflows to 0: the density is 0/0 at the centre and nan elsewhere
+        ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 1e-300"), 4,
+         "the normal density of sigma0 = 1e-300 is not finite on the grid"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
@@ -278,8 +282,11 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "sweep_dt_ref_over_work_ceiling", "sweep_t_c_over_work_ceiling",
          "sweep_n_samples_over_row_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
-         "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow"],
+         "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow",
+         "binning_sigma0_underflow"],
 )
+# a numpy warning on the way to a refusal fails the test
+@pytest.mark.filterwarnings("error")
 def test_sweep_and_binning_config_errors_name_their_line(
     tmp_path, capsys, command, text, line, message
 ):
@@ -288,7 +295,8 @@ def test_sweep_and_binning_config_errors_name_their_line(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}:")
     assert message in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err and "(34" not in err
 
 
 @pytest.mark.parametrize(
@@ -439,3 +447,18 @@ def test_malloc_thresholds_stay_unset_without_glibc(monkeypatch, libc):
         monkeypatch.setattr(cli.os, "confstr", confstr)
     monkeypatch.setattr(cli.ctypes, "CDLL", None)
     assert cli._set_malloc_thresholds() is False
+
+
+@pytest.mark.parametrize("command,text", [("simulate", SIM_CONFIG), ("sweep", SWEEP_BASE)],
+                         ids=["simulate", "sweep"])
+def test_run_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, command, text):
+    from entroflux import entropy
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(entropy, "split_steps", exhausted)
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "memory error: Unable to allocate 64.0 GiB for an array\n"

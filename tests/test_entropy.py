@@ -363,8 +363,8 @@ def _reference_residuals(prev, mid, nxt, dt, reg_floor):
     """Residuals of eq 13 and eq 9 at `mid`, one grid row at a time."""
     g = mid.den.rho.grid
     rho, v = mid.den.rho.values, mid.den.velocity.values
-    d_rho_i = (nxt.info.rho_I.values - prev.info.rho_I.values) / (2.0 * dt)
-    flux = (mid.info.rho_I.values - rho) * v
+    d_rho_i = (nxt.rho_I.values - prev.rho_I.values) / (2.0 * dt)
+    flux = (mid.rho_I.values - rho) * v
     r13 = d_rho_i + ef.derivative(ef.RealField(g, flux)).values + v * ef.derivative(mid.den.rho).values
     d_rho = (nxt.den.rho.values - prev.den.rho.values) / (2.0 * dt)
     mask = rho >= reg_floor
@@ -398,11 +398,11 @@ def test_series_columns_match_per_instant_api_bitwise(tmp_path):
         v = s.den.velocity.values
         v_drho = v * ef.derivative(s.den.rho).values
         assert row["rhs_eq16"] == -float(np.trapezoid(v_drho[ia : ib + 1], xs))
-        g = (s.info.rho_I.values - s.den.rho.values) * v
+        g = (s.rho_I.values - s.den.rho.values) * v
         assert row["boundary_flux"] == g[ib] - g[ia]
         assert row["t"] == s.t == rep.t
         assert row["norm"] == float(cfg.grid.dx * s.den.rho.values.sum())
-        assert row["I"] == s.info.I
+        assert row["I"] == s.I
         assert row["floored_points"] == s.den.floored_points
         for col, attr in (("dIdt_fd", "dIdt_fd"), ("rhs_eq16", "rhs_eq16"),
                           ("boundary_flux", "boundary_flux"), ("rhs_eq15", "rhs_eq15"),
@@ -448,7 +448,7 @@ SEAM_SCENARIOS = {
 
 def _snapshot_bytes(s) -> bytes:
     columns = (s.den.rho.grid.x, s.den.rho.values, s.den.current.values,
-               s.den.velocity.values, s.info.rho_I.values)
+               s.den.velocity.values, s.rho_I.values)
     lines = ["x,rho,current,velocity,rho_I"]
     lines += [",".join("%.17g" % float(v) for v in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode()
@@ -487,17 +487,17 @@ def test_streamed_rows_and_snapshots_match_per_instant_api_bitwise(tmp_path, com
     grid, dt = cfg.grid, snaps[1].t - snaps[0].t
     ia, ib = (int(round((a - grid.x_min) / grid.dx)) for a in sub)
     xs = grid.x[ia : ib + 1]
-    i_sub = [float(np.trapezoid(s.info.rho_I.values[ia : ib + 1], xs)) for s in snaps]
+    i_sub = [float(np.trapezoid(s.rho_I.values[ia : ib + 1], xs)) for s in snaps]
     last = len(snaps) - 1
     for i, (s, f) in enumerate(zip(snaps, files)):
         row = cols[i]
         assert f.read_bytes() == _snapshot_bytes(s), i
         rho, v = s.den.rho.values, s.den.velocity.values
         v_drho = v * ef.derivative(s.den.rho).values
-        g = (s.info.rho_I.values - rho) * v
+        g = (s.rho_I.values - rho) * v
         assert row["t"] == s.t
         assert row["norm"] == float(grid.dx * rho.sum())
-        assert row["I"] == s.info.I
+        assert row["I"] == s.I
         assert row["floored_points"] == s.den.floored_points
         assert row["rhs_eq16"] == -float(np.trapezoid(v_drho[ia : ib + 1], xs)), i
         assert row["boundary_flux"] == g[ib] - g[ia], i
@@ -583,7 +583,7 @@ def test_collect_blocks_match_take_snapshot_bitwise():
         assert np.array_equal(series.rho[i], s.den.rho.values), i
         assert np.array_equal(series.current[i], s.den.current.values), i
         assert np.array_equal(series.velocity[i], s.den.velocity.values), i
-        assert np.array_equal(series.rho_I[i], s.info.rho_I.values), i
+        assert np.array_equal(series.rho_I[i], s.rho_I.values), i
         assert series.floored_points[i] == s.den.floored_points, i
     assert series.floored_points.min() > 0
 
@@ -612,7 +612,7 @@ def test_free_collect_rows_match_take_snapshot(n, half_width, dt, n_steps):
         assert series.t[i] == s.t, i
         if i:
             assert series.rho[i].tobytes() == s.den.rho.values.tobytes(), i
-            assert series.rho_I[i].tobytes() == s.info.rho_I.values.tobytes(), i
+            assert series.rho_I[i].tobytes() == s.rho_I.values.tobytes(), i
         else:
             # row 0 is ifft(fft(psi0)), not psi0 itself
             np.testing.assert_allclose(series.rho[0], s.den.rho.values, rtol=0, atol=1e-15)

@@ -27,7 +27,7 @@ def test_gaussian_grid_entropy_matches_closed_form():
     orc = ef.GaussianOracle(sigma0=1.0, params=PARAMS)
     for t in (0.0, 1.0, 2.0):
         snap = orc.fields(GRID, t)
-        assert snap.info.I == pytest.approx(orc.entropy(t), abs=1e-10)
+        assert snap.I == pytest.approx(orc.entropy(t), abs=1e-10)
 
 
 def test_gaussian_moving_center():
@@ -41,7 +41,7 @@ def test_coherent_entropy_constant():
     assert orc.entropy_rate() == 0.0
     snap_a = orc.fields(GRID, 0.3)
     snap_b = orc.fields(GRID, 4.1)
-    assert snap_a.info.I == pytest.approx(snap_b.info.I, abs=1e-11)
+    assert snap_a.I == pytest.approx(snap_b.I, abs=1e-11)
 
 
 def test_coherent_velocity_at_quarter_period():
