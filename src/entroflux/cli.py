@@ -8,8 +8,7 @@ Subcommands:
 
 Exit codes: 0 all configured checks pass, 1 usage/config error, an output
 file or directory that cannot be written, or a run out of memory, 2 tolerance
-failure.  Outputs are
-byte-identical across reruns of the same config.
+failure.  Outputs are byte-identical across reruns of the same config.
 """
 from __future__ import annotations
 

@@ -293,7 +293,8 @@ def parse_oracle_config(text: str) -> RunConfig:
 
 # The sweep keys that set each run key of a sweep row; a run key not named
 # here is a sweep key of the same name.  A row's step is dt_ref * eps_max /
-# eps, and its kinetic phase also scales with hbar = eps * mass * L_c**2 / t_c.
+# eps, at most t_c / n_samples, and its kinetic phase also scales with
+# hbar = eps * mass * L_c**2 / t_c.
 _STEP_KEYS = ("dt_ref", "epsilons", "t_c", "L_c")
 _ROW_KEYS = {
     "sigma0": ("L_c", "n", "x_max", "x_min"),
@@ -313,7 +314,8 @@ class SweepSpec:
     is the entropy change over [0, t_c] of a free Gaussian packet; for that
     scenario the closed form is delta_I = 0.5*ln(1 + eps^2/4), vanishing
     quadratically as eps -> 0.  The per-step kinetic phase is held
-    eps-independent by scaling dt ~ 1/hbar.
+    eps-independent by scaling dt ~ 1/hbar, up to a cap of t_c / n_samples,
+    so a row at small eps still takes n_samples steps.
 
     Each row is the `simulate` run of its `row_config`.  The spec builds the
     rows' configs when it is made, so a row is checked as `simulate` checks
@@ -355,9 +357,10 @@ class SweepSpec:
     def time_grid(self, eps: float) -> tuple[float, float, int, int]:
         """hbar, dt, n_steps and stride of the row at eps.
 
-        dt scales as 1/hbar, which holds the per-step kinetic phase fixed
-        across the sweep; the steps are whole strides, so the last sample is
-        at t_c.  Its step count and work (n checked first) are refused on dt_ref and t_c.
+        dt = dt_ref * eps_max / eps scales as 1/hbar, which holds the per-step
+        kinetic phase fixed, up to t_c / n_samples: a row takes at least n_samples
+        steps.  The steps are whole strides, so the last sample is at t_c.  The step
+        count and work (n checked first) are refused on t_c and the key that sets them.
         """
         with about("L_c"):  # L_c**2 may overflow, or underflow to 0
             hbar = self.hbar_for(eps)
@@ -366,7 +369,9 @@ class SweepSpec:
                                  f"at eps = {eps}")
         with about("dt_ref", "t_c"):  # the first row's t_c / dt_ref steps are the most
             dt = self.dt_ref * self.epsilons[0] / eps
-            n_steps = max(1, step_count(self.t_c / dt))
+            n_steps = step_count(self.t_c / dt)
+        with about("n_samples" if n_steps < self.n_samples else "dt_ref", "t_c"):
+            n_steps = max(n_steps, self.n_samples)  # dt at most t_c / n_samples
             stride = max(1, int(round(n_steps / self.n_samples)))
             n_steps = stride * max(1, int(round(n_steps / stride)))
             check_points(self.n)
@@ -416,11 +421,10 @@ def _binning_config(
             bin_size(grid, dq)
     with about("sigma0"):
         with np.errstate(all="ignore"):  # refused below if it is not finite
-            values = _normal_density(grid.x, x0, sigma0**2)
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"the normal density of sigma0 = {sigma0} is not finite "
-                             f"on the grid")
-        rho = RealField(grid, values)
+            rho = _normal_density(grid.x, x0, sigma0**2)
+        if not np.all(np.isfinite(rho)):
+            raise ValueError(f"the normal density of sigma0 = {sigma0} is not finite on the grid")
+        rho = RealField(grid, rho)
         check_normalized(rho)
     with about("reg_floor"):
         check_reg_floor(grid, reg_floor)

@@ -1,5 +1,4 @@
-"""Madelung fields and information entropy of a wavefunction, and the
-entropy's balance-law diagnostics.
+"""Madelung fields and information entropy of a wavefunction, with balance-law diagnostics.
 
 Quantities:
   rho   = |psi|^2                        probability density

@@ -47,8 +47,7 @@ def about(*keys: str):
         raise SpecError(str(exc), keys) from exc
     except ArithmeticError as exc:
         what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
-        raise SpecError(f"{keys[0]} is out of range: a value computed from it {what}",
-                        keys) from exc
+        raise SpecError(f"{keys[0]} is out of range: a value it sets {what}", keys) from exc
 
 
 def check_positive(name: str, value: float) -> None:

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +136,26 @@ def test_sweep_command(tmp_path):
     assert abs(summary["exponent"] - 2.0) < 0.1
 
 
+def test_sweep_reaches_the_quasi_classical_regime(tmp_path):
+    # below eps = 0.01 the step dt_ref * eps_max / eps passes t_c / n_samples: the
+    # cap leaves each such row n_samples steps, where it would take one and fail
+    cfg = _write(tmp_path, "sweep.cfg",
+                 "epsilons = 0.1, 0.01, 0.001, 1e-4, 1e-5\nt_c = 2.0\nL_c = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["n_failed"] == 0
+    assert abs(summary["exponent"] - 2.0) < 0.01
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["epsilon"]) for r in rows] == [0.1, 0.01, 0.001, 1e-4, 1e-5]
+    for r in rows:
+        # hbar t_c / (2 m L_c^2) = eps / 2
+        expected = 0.5 * math.log1p(float(r["epsilon"]) ** 2 / 4.0)
+        assert abs(float(r["delta_I_expected"]) / expected - 1.0) < 1e-14, r
+        assert abs(float(r["delta_I"]) / expected - 1.0) < 1e-4, r
+
+
 def test_sweep_summary_is_strict_json_with_one_good_row(tmp_path):
     # fast packet on a narrow domain: the larger epsilon overruns the seam,
     # which leaves one row and no exponent to fit
@@ -249,9 +271,11 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE + "dt_ref = 1e-15\n", 4, "work ceiling"),
         # 5e8 steps of the first row on 1024 points, with dt_ref at its default: at t_c
         ("sweep", SWEEP_BASE.replace("t_c = 2.0", "t_c = 1e6"), 2, "work ceiling"),
-        # 2e7 steps within the work ceiling, observed at every step
-        ("sweep", SWEEP_BASE + "dt_ref = 1e-7\nn_samples = 100000000\n", 5,
-         "too many observed rows"),
+        # dt capped at t_c / n_samples: 2**24 + 1 steps within the work ceiling,
+        # observed at every step
+        ("sweep", SWEEP_BASE + "n_samples = 16777217\n", 4, "too many observed rows"),
+        # 1e8 capped steps on 1024 points: the cap, not dt_ref, sets the step
+        ("sweep", SWEEP_BASE + "dt_ref = 1e-3\nn_samples = 100000000\n", 5, "work ceiling"),
         ("sweep", SWEEP_BASE + "n = 35184372088832\n", 4, "ceiling of 2**22 grid points"),
         # the packet of width L_c = 1 on 6 length units: reported at L_c, the first key
         # of the width check the text sets
@@ -270,7 +294,7 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e-200"), 3,
          "hbar = eps*mass*L_c**2/t_c must be positive, got 0.0"),
         ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e300"), 3,
-         "L_c is out of range: a value computed from it overflows"),
+         "L_c is out of range: a value it sets overflows"),
         # sigma0**2 underflows to 0: the density is 0/0 at the centre and nan elsewhere
         ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 1e-300"), 4,
          "the normal density of sigma0 = 1e-300 is not finite on the grid"),
@@ -280,7 +304,7 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
          "sweep_t_c_too_many_steps",
          "sweep_dt_ref_over_work_ceiling", "sweep_t_c_over_work_ceiling",
-         "sweep_n_samples_over_row_ceiling",
+         "sweep_n_samples_over_row_ceiling", "sweep_n_samples_over_work_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
          "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow",
          "binning_sigma0_underflow"],

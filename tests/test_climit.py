@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,21 +116,20 @@ UNEVEN = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
 SEAM_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
                     x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
 ONE_SAMPLE = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=1)
-# 8, 4 and 1 steps: the one-step row has two samples and fails alone
-ONE_STEP_ROW = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
+# dt_ref alone would give 8, 4 and 1 steps; the cap of t_c / n_samples gives
+# each row 100, so every row has a centred difference
+CAPPED = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
 
 
 def _row_alone(spec, eps):
     """The row at eps run by itself: its own free run and Diagnostics, through
     collect; the Diagnostics' on_block keeps the last row's density."""
     from entroflux.entropy import Diagnostics, collect, summarize
-    from entroflux.oracle import GaussianOracle
 
     hbar, dt, n_steps, stride = spec.time_grid(eps)
     params = ef.PhysicalParams(hbar=hbar, mass=spec.mass)
     grid = ef.Grid1D(spec.x_min, spec.x_max, spec.n)
-    oracle = GaussianOracle(sigma0=spec.L_c, x0=spec.x0, k0=spec.k0, params=params)
-    expected = oracle.entropy(spec.t_c) - oracle.entropy(0.0)
+    expected = 0.5 * math.log1p((hbar * spec.t_c / (2.0 * spec.mass * spec.L_c**2)) ** 2)
     common = dict(epsilon=eps, hbar=hbar, dt=dt, n_steps=n_steps, delta_I_expected=expected)
     try:
         wf = ef.init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
@@ -167,7 +167,7 @@ def _bits(row):
 
 
 @pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, ONE_SAMPLE,
-                                    ONE_STEP_ROW])
+                                    CAPPED])
 def test_sweep_rows_match_rows_run_alone(kwargs):
     spec = ef.SweepSpec(**kwargs)
     rows = ef.run_sweep(spec).rows
@@ -177,17 +177,18 @@ def test_sweep_rows_match_rows_run_alone(kwargs):
 
 def test_failing_rows_fail_one_by_one():
     # the failures the comparison above must reach: rows that reach the seam
-    # fail while the next finishes, and a row too short for a centred
-    # difference fails while the rows before it finish
+    # fail while the next finishes, and rows too short for a centred
+    # difference fail (one sample per row); capped rows all run
     rows = ef.run_sweep(ef.SweepSpec(**SEAM_FAILING)).rows
     assert [r.error != "" for r in rows] == [True, True, False]
     assert "domain boundary" in rows[1].error
-    rows = ef.run_sweep(ef.SweepSpec(**ONE_STEP_ROW)).rows
-    assert [r.error for r in rows[:2]] == ["", ""]
-    assert rows[2].error == "2 samples leave no centred difference"
+    rows = ef.run_sweep(ef.SweepSpec(**ONE_SAMPLE)).rows
+    assert [r.error for r in rows] == ["2 samples leave no centred difference"] * 2
+    rows = ef.run_sweep(ef.SweepSpec(**CAPPED)).rows
+    assert [(r.n_steps, r.error) for r in rows] == [(100, "")] * 3
 
 
-@pytest.mark.parametrize("kwargs", [ACCEPTANCE, ONE_STEP_ROW])
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, CAPPED])
 def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
     # one split_steps call of the row's own n_steps per row with a centred
     # difference, into a Diagnostics whose blocks take the whole CHUNK_POINTS

@@ -82,7 +82,7 @@ FIXED = {
     "sweep_two_groups": ("sweep", "epsilons = 0.8, 0.5, 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
                          "dt_ref = 2e-3\n"),
     # every key a sweep row's `row_config` passes, off its default: the 0.05
-    # row takes one step, so its 2 samples leave no centred difference
+    # row's step is capped at t_c / n_samples, so it takes 4 steps, as 0.2 does
     "sweep_row_keys": ("sweep", "epsilons = 0.4, 0.2, 0.05\nt_c = 2.0\nL_c = 1.0\nn = 128\n"
                        "mass = 1.5\nx0 = 0.5\nk0 = 0.25\ndt_ref = 0.25\nn_samples = 4\n"
                        "reg_floor = 1e-14\n"),
