@@ -138,7 +138,7 @@ def test_sweep_command(tmp_path):
 
 def test_sweep_reaches_the_quasi_classical_regime(tmp_path):
     # below eps = 0.01 the step dt_ref * eps_max / eps passes t_c / n_samples: the
-    # cap leaves each such row n_samples steps, where it would take one and fail
+    # cap leaves each such row n_samples steps, where 1e-4 and 1e-5 would take one
     cfg = _write(tmp_path, "sweep.cfg",
                  "epsilons = 0.1, 0.01, 0.001, 1e-4, 1e-5\nt_c = 2.0\nL_c = 1.0\n")
     out = tmp_path / "out"
@@ -295,7 +295,7 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "hbar = eps*mass*L_c**2/t_c must be positive, got 0.0"),
         ("sweep", SWEEP_BASE.replace("L_c = 1.0", "L_c = 1e300"), 3,
          "L_c is out of range: a value it sets overflows"),
-        # sigma0**2 underflows to 0: the density is 0/0 at the centre and nan elsewhere
+        # sigma0**2 underflows to 0: the density is nan, 0/0, on the whole grid
         ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 1e-300"), 4,
          "the normal density of sigma0 = 1e-300 is not finite on the grid"),
     ],
