@@ -315,7 +315,8 @@ class SweepSpec:
     scenario the closed form is delta_I = 0.5*ln(1 + eps^2/4), vanishing
     quadratically as eps -> 0.  The per-step kinetic phase is held
     eps-independent by scaling dt ~ 1/hbar, up to a cap of t_c / n_samples,
-    so a row at small eps still takes n_samples steps.
+    so a row at small eps still takes n_samples steps.  n_samples is at least
+    2, which gives every row the 3 samples of a centred difference.
 
     Each row is the `simulate` run of its `row_config`.  The spec builds the
     rows' configs when it is made, so a row is checked as `simulate` checks
@@ -349,6 +350,10 @@ class SweepSpec:
                 raise ValueError("epsilons must be strictly descending")
         positive(**{key: getattr(self, key)
                     for key in ("t_c", "L_c", "mass", "dt_ref", "n_samples")})
+        with about("n_samples"):
+            if self.n_samples < 2:
+                raise ValueError(f"n_samples must be at least 2, got {self.n_samples}: a row "
+                                 f"needs 3 samples for a centred difference")
         object.__setattr__(self, "row_configs", tuple(map(self.row_config, eps)))
 
     def hbar_for(self, eps: float) -> float:

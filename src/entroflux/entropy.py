@@ -22,11 +22,16 @@ blocks of at most CHUNK_POINTS grid points.  Each block's rows get their
 per-row columns and, with the two rows before the block carried along as a
 halo, the centred residuals of every row whose neighbours have arrived; an
 optional hook sees the block (to write snapshot files), and then the block's
-buffers take the next rows.  So a run holds O(CHUNK_POINTS) field values plus
-O(T) scalar columns.  `diagnose` adds a stored `Series` of (T, n) arrays to
-the same consumer, so each column has one implementation; the per-instant
-functions (`take_snapshot`, `balance_residual`, `rate_identity_residual`,
-`entropy_rate_check`, `sign_witness`) pass small stacks through it.
+buffers take the next rows.  A row's fields, its norm, the mask
+rho >= reg_floor and ln rho are computed once, as it enters the block, and
+rho_I, the rate identity and the norm check read them; the block's transforms
+and residuals write into buffers the block owns.  So a run holds
+O(CHUNK_POINTS) field values plus O(T) scalar columns, and a block's pass
+allocates no array of the block's size.  `diagnose` adds a stored `Series` of
+(T, n) arrays to the same consumer, so each column has one implementation; the
+per-instant functions (`take_snapshot`, `balance_residual`,
+`rate_identity_residual`, `entropy_rate_check`, `sign_witness`) pass small
+stacks through it.
 """
 from __future__ import annotations
 
@@ -118,38 +123,57 @@ def madelung_arrays(
     dpsi: np.ndarray,
     params: PhysicalParams,
     reg_floor: float = DEFAULT_REG_FLOOR,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """rho, the current j = (hbar/m) Im(psi* dpsi/dx) and v = j/rho of a (B, n) psi stack.
+    """rho, the current j = (hbar/m) Im(psi* dpsi/dx), v = j/rho and the mask
+    rho >= reg_floor of a (B, n) psi stack, into the four arrays of out if given.
 
     The one computation of these fields.  psi = sqrt(rho) exp(i S / hbar) gives
     v = S'/m, taken as j/rho rather than from the gradient of the unwrapped
     phase, which has branch-cut artifacts where the density is low.  dpsi is
-    dpsi/dx (`grid._state_derivative` of the states' transforms), and is
-    overwritten; each row's values are those of the row taken alone.  v is
-    floored (see DEFAULT_REG_FLOOR); the per-row counts of floored points are
-    returned last.
+    dpsi/dx (`grid._state_derivative` of the states' transforms).  psi and dpsi
+    are overwritten, by psi* and psi* dpsi/dx; each row's values are those of
+    the row taken alone.  v is floored (see DEFAULT_REG_FLOOR): it is 0 where
+    the mask is false.
     """
     check_positive("reg_floor", reg_floor)
-    rho = np.abs(psi) ** 2
-    conj = np.conj(psi)
+    if out is None:
+        out = (np.empty(psi.shape), np.empty(psi.shape), np.empty(psi.shape),
+               np.empty(psi.shape, bool))
+    rho, j, v, mask = out
+    np.square(np.abs(psi, out=rho), out=rho)
     # np.multiply keeps the operand order fixed: numpy may swap the operands
     # of `a * temporary` on large arrays, and the complex product's last bit
-    # depends on that order.  The product takes the derivative's place.
-    j = (params.hbar / params.mass) * np.imag(np.multiply(conj, dpsi, out=dpsi))
-    mask = rho >= reg_floor
-    v = np.zeros_like(rho)
+    # depends on that order.  Its imaginary part is taken with an FMA, so it is
+    # not the bits of psi.real dpsi.imag - psi.imag dpsi.real either.
+    np.multiply(np.conjugate(psi, out=psi), dpsi, out=dpsi)
+    np.multiply(params.hbar / params.mass, dpsi.imag, out=j)
+    np.greater_equal(rho, reg_floor, out=mask)
+    v.fill(0.0)
     np.divide(j, rho, out=v, where=mask)
-    return rho, j, v, np.count_nonzero(~mask, axis=-1)
+    return rho, j, v, mask
 
 
-def _info_density(r: np.ndarray, reg_floor: float) -> np.ndarray:
-    """r (1 - ln r) where r >= reg_floor, and +0.0 where r is floored."""
-    if np.any(r < 0.0):
-        raise ValueError("negative density")
-    mask = r >= reg_floor
-    out = np.zeros_like(r)
-    np.log(r, out=out, where=mask)
-    np.subtract(1.0, out, out=out, where=mask)
+def _log_density(r: np.ndarray, reg_floor: float, ln: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """ln r where r >= reg_floor, and that mask, into ln and mask if given; where
+    r is floored, ln keeps whatever it held."""
+    mask = np.greater_equal(r, reg_floor, out=mask)
+    return np.log(r, out=ln, where=mask), mask
+
+
+def _info_density(r: np.ndarray, reg_floor: float, ln: np.ndarray | None = None,
+                  mask: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """r (1 - ln r) where r >= reg_floor, and +0.0 where r is floored, into out if
+    given.  ln and mask, if given, are those of `_log_density` of r; a density
+    given without them must not be negative."""
+    if ln is None:
+        if np.any(r < 0.0):
+            raise ValueError("negative density")
+        ln, mask = _log_density(r, reg_floor)
+    out = np.empty_like(r) if out is None else out
+    out.fill(0.0)
+    np.subtract(1.0, ln, out=out, where=mask)
     return np.multiply(r, out, out=out, where=mask)
 
 
@@ -249,8 +273,10 @@ def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Sna
     """The Madelung fields (`.den`), information density (`.rho_I`) and entropy
     (`.I`) of wf at its time `.t`."""
     psi = wf.psi[np.newaxis]
-    fields = madelung_arrays(psi, _state_derivative(fft(psi), wf.grid), wf.params, reg_floor)
-    return Series.of(wf.grid, [wf.t], *fields, reg_floor).snapshot(0)
+    rho, j, v, mask = madelung_arrays(psi.copy(), _state_derivative(fft(psi), wf.grid),
+                                      wf.params, reg_floor)
+    floored = wf.grid.n - np.count_nonzero(mask)
+    return Series.of(wf.grid, [wf.t], rho, j, v, floored, reg_floor).snapshot(0)
 
 
 def bin_size(grid: Grid1D, bin_width: float) -> int:
@@ -344,23 +370,26 @@ def _rate(i_series: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(i_series, dt)
 
 
-def _rate_identity(rho: np.ndarray, d_rho: np.ndarray, d_rho_I: np.ndarray,
-                   reg_floor: float) -> np.ndarray:
-    """The rate identity's residual d(rho_I)/dt + d(rho)/dt ln rho where
-    rho >= reg_floor, and +0.0 where rho is floored."""
-    mask = rho >= reg_floor
-    r9 = np.zeros_like(rho)
-    np.log(rho, out=r9, where=mask)
-    np.multiply(d_rho, r9, out=r9, where=mask)
+def _rate_identity(d_rho: np.ndarray, d_rho_I: np.ndarray, ln: np.ndarray, mask: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The rate identity's residual d(rho_I)/dt + d(rho)/dt ln rho where rho >=
+    reg_floor, and +0.0 where rho is floored, into out if given; ln and mask are
+    those of `_log_density` of rho."""
+    r9 = np.empty_like(d_rho) if out is None else out
+    r9.fill(0.0)
+    np.multiply(d_rho, ln, out=r9, where=mask)
     return np.add(d_rho_I, r9, out=r9, where=mask)
-
-
-def _l2(dx: float, r: np.ndarray) -> np.ndarray:
-    return np.sqrt(dx * np.sum(r * r, axis=1))
 
 
 _COLUMNS = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
             "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
+
+
+def _scratch(buffer: np.ndarray, shape: tuple, dtype=float, at: int = 0) -> np.ndarray:
+    """A C-contiguous array of shape and dtype on the memory of the contiguous
+    buffer, from its item `at` counted in dtype."""
+    size = shape[0] * shape[1]
+    return buffer.reshape(-1).view(dtype)[at : at + size].reshape(shape)
 
 
 class Diagnostics:
@@ -375,8 +404,16 @@ class Diagnostics:
     rows stay behind as a halo just ahead of the block, so a residual never
     depends on where a block ends.
     Then on_block(first_row, rows) sees the block's rows as a Series of views,
-    and the block is reused.  The block, its halo and their temporaries are
-    all the field memory a run holds; only the scalar columns grow with n_rows.
+    and the block is reused.
+
+    Each row's quantities are computed once, as it enters the block, into
+    arrays the block owns: its fields, its norm, the mask rho >= reg_floor and
+    ln rho where the mask is set.  rho_I and the rate identity read that ln rho
+    and mask, which move into the halo with the other fields.  The block's
+    transforms and residuals write into the memory of the held states and their
+    derivatives, which is dead once the block's fields are taken.  So the
+    window, the held states and their derivatives are all the field memory a
+    run holds; only the scalar columns grow with n_rows.
 
     See `diagnose` for the columns, the subvolume and the time step.
     """
@@ -395,12 +432,16 @@ class Diagnostics:
         # rows 0 and 1 of the window are the halo, rows 2.. the block
         self.window = Series.empty(grid, height + 2, reg_floor)
         self.v_drho = np.empty((height + 2, grid.n))
+        self.ln_rho = np.empty((height + 2, grid.n))
+        self.mask = np.empty((height + 2, grid.n), bool)
         self.t = np.zeros(n_rows)
         self.floored_points = np.zeros(n_rows, dtype=int)
         self.i_sub = np.zeros(n_rows)
         self.out = {name: np.zeros(n_rows) for name in _COLUMNS}
-        # the states or transforms of `add_state`, made by the first: `add` needs none
-        self.held = None
+        # the states or transforms of `add_state` and their derivatives; the
+        # scratch of the block's transforms and residuals
+        self.held = np.empty((height, grid.n), complex)
+        self.dpsi = np.empty((height, grid.n), complex)
         self.spectral = False  # whether the held rows are transforms
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
@@ -422,8 +463,6 @@ class Diagnostics:
         spectral = psi is None
         if k and spectral != self.spectral:
             raise ValueError("a block holds states or their transforms, not both")
-        if self.held is None:
-            self.held = np.empty((self.height, self.window.grid.n), complex)
         self.spectral = spectral
         self.window.t[2 + k] = t
         self.held[k] = psi_hat if spectral else psi
@@ -434,11 +473,15 @@ class Diagnostics:
     def add(self, rows: Series) -> None:
         """Take the rows of a Series on this grid as the next rows."""
         self._next(len(rows.t))
+        w = self.window
         while len(rows.t):
             k = self.n_held
             count = min(len(rows.t), self.height - k)
+            block = slice(2 + k, 2 + k + count)
             for name in _ROW_FIELDS:
-                getattr(self.window, name)[2 + k : 2 + k + count] = getattr(rows, name)[:count]
+                getattr(w, name)[block] = getattr(rows, name)[:count]
+            _log_density(w.rho[block], w.reg_floor, self.ln_rho[block], self.mask[block])
+            self._norm_column(block)
             rows = rows.rows(count, len(rows.t))
             if self._hold(count):
                 self._compute()
@@ -448,25 +491,32 @@ class Diagnostics:
         self.n_held += count
         return self.n_held == self.height or self.n_done + self.n_held == len(self.t)
 
+    def _norm_column(self, block: slice) -> np.ndarray:
+        """The norm column, dx * sum rho, of the window rows block."""
+        lo = self.n_done + block.start - 2
+        norm = self.out["norm"][lo : lo + block.stop - block.start]
+        return np.multiply(self.window.grid.dx, self.window.rho[block].sum(axis=1), out=norm)
+
     def _observe(self, params: PhysicalParams) -> None:
-        """The Madelung fields of the held states, into the block; a method of its
-        own, so its temporaries are freed before the block pass makes its own.
+        """The Madelung fields, norm, ln rho and rho_I of the held states, into the block.
 
         The derivatives are the `_state_derivative` of the block's transforms: the
-        held transforms, or one batched forward transform of the held states.  Held
-        transforms then take one batched inverse transform for the states."""
-        w, k, held = self.window, self.n_held, slice(2, 2 + self.n_held)
-        psi = self.held[:k]
-        dpsi = _state_derivative(psi if self.spectral else fft(psi), w.grid)
+        held transforms, or one batched forward transform of the held states, taken
+        into the derivatives' place.  Held transforms then take one batched inverse
+        transform, in place, for the states."""
+        w, k = self.window, self.n_held
+        block = slice(2, 2 + k)
+        psi, dpsi = self.held[:k], self.dpsi[:k]
+        _state_derivative(psi if self.spectral else fft(psi, out=dpsi), w.grid, out=dpsi)
         if self.spectral:
-            # the states overwrite their transforms, so this makes no more
-            # complex blocks than a block of states does
             ifft(psi, out=psi)
-        rho, j, v, floored = madelung_arrays(psi, dpsi, params, w.reg_floor)
-        check_norms(w.grid.dx * rho.sum(axis=1))
-        w.rho[held], w.current[held], w.velocity[held] = rho, j, v
-        w.rho_I[held] = _info_density(rho, w.reg_floor)
-        w.floored_points[held] = floored
+        rho, _, _, mask = madelung_arrays(
+            psi, dpsi, params, w.reg_floor,
+            out=(w.rho[block], w.current[block], w.velocity[block], self.mask[block]))
+        check_norms(self._norm_column(block))
+        ln = np.log(rho, out=self.ln_rho[block], where=mask)
+        _info_density(rho, w.reg_floor, ln, mask, out=w.rho_I[block])
+        w.floored_points[block] = w.grid.n - np.count_nonzero(mask, axis=1)
 
     def _compute(self) -> None:
         """The columns of the held rows; then the block takes the next rows."""
@@ -475,10 +525,11 @@ class Diagnostics:
         w, grid, out = self.window, self.window.grid, self.out
         rows = slice(2, 2 + count)
         rho, v, rho_I = w.rho[rows], w.velocity[rows], w.rho_I[rows]
-        v_drho = np.multiply(v, _spectral_derivative(rho, grid), out=self.v_drho[rows])
+        work = _scratch(self.dpsi, (count, grid.n // 2 + 1), complex)
+        v_drho = _spectral_derivative(rho, grid, out=self.v_drho[rows], work=work)
+        np.multiply(v, v_drho, out=v_drho)
         self.t[lo:hi] = w.t[rows]
         self.floored_points[lo:hi] = w.floored_points[rows]
-        out["norm"][lo:hi] = grid.dx * rho.sum(axis=1)
         out["I"][lo:hi] = grid.dx * rho_I.sum(axis=1)
         out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
         if self.subvolume is not None:
@@ -494,25 +545,43 @@ class Diagnostics:
             self._residuals(first - lo + 2, hi - 1 - lo + 2, first)
         if self.on_block is not None:
             self.on_block(lo, w.rows(2, 2 + count))
-        for a in (w.rho, w.rho_I, w.velocity, self.v_drho):
-            a[:2] = a[count : count + 2]
+        for a in (w.rho, w.rho_I, w.velocity, self.v_drho, self.ln_rho, self.mask):
+            # row by row, first to last: rows count and count + 1 may be row 1
+            # and 2, and a copy between overlapping slices makes a temporary
+            a[0] = a[count]
+            a[1] = a[count + 1]
         self.n_done, self.n_held = hi, 0
 
     def _residuals(self, a: int, b: int, first: int) -> None:
-        """Local balance law and rate identity at window rows a..b-1 (series rows first..)."""
+        """Local balance law and rate identity at window rows a..b-1 (series rows first..),
+        in the memory of the held states (d rho_I/dt and the residual) and of their
+        derivatives (a transform, then d rho/dt and the residual's square)."""
         w, grid = self.window, self.window.grid
-        dt = float(self.t[1] - self.t[0])
+        shape = (b - a, grid.n)
+        d_rho_I = _scratch(self.held, shape)
+        r = _scratch(self.held, shape, at=shape[0] * shape[1])
+        work = _scratch(self.dpsi, (shape[0], grid.n // 2 + 1), complex)
+        square = _scratch(self.dpsi, shape)
+        two_dt = 2.0 * float(self.t[1] - self.t[0])
         rho, v, rho_I = w.rho[a:b], w.velocity[a:b], w.rho_I[a:b]
-        d_rho_I = (w.rho_I[a + 1 : b + 1] - w.rho_I[a - 1 : b - 1]) / (2.0 * dt)
-        div_flux = _spectral_derivative((rho_I - rho) * v, grid)
-        r13 = d_rho_I + div_flux + self.v_drho[a:b]
+        np.subtract(w.rho_I[a + 1 : b + 1], w.rho_I[a - 1 : b - 1], out=d_rho_I)
+        np.divide(d_rho_I, two_dt, out=d_rho_I)
+        np.multiply(np.subtract(rho_I, rho, out=r), v, out=r)
+        div_flux = _spectral_derivative(r, grid, out=r, work=work)
+        r13 = np.add(np.add(d_rho_I, div_flux, out=r), self.v_drho[a:b], out=r)
         rows = slice(first, first + b - a)
-        self.out["residual13_l2"][rows] = _l2(grid.dx, r13)
-        self.out["residual13_linf"][rows] = np.max(np.abs(r13), axis=1)
-        d_rho = (w.rho[a + 1 : b + 1] - w.rho[a - 1 : b - 1]) / (2.0 * dt)
-        r9 = _rate_identity(rho, d_rho, d_rho_I, w.reg_floor)
-        self.out["residual9_l2"][rows] = _l2(grid.dx, r9)
-        self.out["residual9_linf"][rows] = np.max(np.abs(r9), axis=1)
+        self._residual_norms(r13, square, "residual13", rows)
+        d_rho = np.subtract(w.rho[a + 1 : b + 1], w.rho[a - 1 : b - 1], out=square)
+        np.divide(d_rho, two_dt, out=d_rho)
+        r9 = _rate_identity(d_rho, d_rho_I, self.ln_rho[a:b], self.mask[a:b], out=r)
+        self._residual_norms(r9, square, "residual9", rows)
+
+    def _residual_norms(self, r: np.ndarray, square: np.ndarray, name: str, rows: slice) -> None:
+        """The L2 and Linf columns `name` of residual r at rows; r and square are
+        overwritten."""
+        dx = self.window.grid.dx
+        self.out[f"{name}_l2"][rows] = np.sqrt(dx * np.multiply(r, r, out=square).sum(axis=1))
+        self.out[f"{name}_linf"][rows] = np.abs(r, out=r).max(axis=1)
 
     def columns(self) -> dict:
         """The columns of `diagnose`, once every row has been added."""

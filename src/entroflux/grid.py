@@ -75,10 +75,15 @@ MAX_WORK = 2**36
 # The most rows a run may observe: its O(rows) scalar columns then stay under
 # about 2 GB.
 MAX_ROWS = 2**24
-# The most grid points: a run holds about 350 B per point, so about 1.5 GB.  A free
-# run also holds a factor and a buffer of `propagate.split_steps` per bit level its
-# reached steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak
-# RSS at n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
+# The most grid points: a run holds about 315 B per point in numpy arrays
+# (tracemalloc's peak of a kicked run at n = 2**20, numpy 2.4.6) and about 345 B of
+# peak RSS, so about 1.5 GB.  The diagnostics' window of 3 rows holds rho, j, v, rho_I,
+# v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
+# their derivatives 32 B; the grid 40 B; the propagator's four complex arrays 64 B; the
+# initial and the observed state 32 B.  A free run also holds a factor and a buffer of
+# `propagate.split_steps` per bit level its reached steps set, 32 B per point each:
+# 432 B per point more at 2**14 - 1 steps (peak RSS at n = 2**16 and 2**18), about
+# 3.4 GB in all at the 2**14 steps MAX_WORK allows.
 MAX_POINTS = 2**22
 
 
@@ -210,29 +215,38 @@ def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.ifft(a, 1 / a.shape[-1], axes=_LAST, out=out)
 
 
-def rfft(a: np.ndarray) -> np.ndarray:
+def rfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.fft.rfft(a) of a real a whose last axis has even length, as a grid's has."""
-    shape = a.shape[:-1] + (a.shape[-1] // 2 + 1,)
-    return _pocketfft.rfft_n_even(a, 1, axes=_LAST, out=np.empty(shape, complex))
+    if out is None:
+        out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), complex)
+    return _pocketfft.rfft_n_even(a, 1, axes=_LAST, out=out)
 
 
-def irfft(a: np.ndarray, n: int) -> np.ndarray:
+def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """np.fft.irfft(a, n): the n real values whose rfft is a."""
-    return _pocketfft.irfft(a, 1 / n, axes=_LAST, out=np.empty(a.shape[:-1] + (n,)))
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,))
+    return _pocketfft.irfft(a, 1 / n, axes=_LAST, out=out)
 
 
-def _spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _spectral_derivative(values: np.ndarray, grid: Grid1D, out: np.ndarray | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     """Spectral d/dx of real values along the last axis, through a real-input FFT
-    pair, so a (T, n) stack is one batched transform pair."""
-    return irfft(np.multiply(grid._ik_r, rfft(values)), grid.n)
+    pair, so a (T, n) stack is one batched transform pair.  The transform goes
+    into work, of shape (T, n//2 + 1), and the derivative into out, which may be
+    values itself, if given."""
+    values_hat = rfft(values, out=work)
+    return irfft(np.multiply(grid._ik_r, values_hat, out=values_hat), grid.n, out=out)
 
 
-def _state_derivative(psi_hat: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _state_derivative(psi_hat: np.ndarray, grid: Grid1D,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """d psi/dx = ifft(ik psi_hat) along the last axis, from the states' transforms
-    psi_hat, which are left as they are.  ik is purely imaginary, so ik psi_hat has the
-    bits of psi_hat ik, the order numpy takes in `ik * temporary` from 256 KiB, except
-    the sign of a product that underflows to zero (entries near 5e-324)."""
-    dpsi = np.multiply(grid._ik, psi_hat)
+    psi_hat, into out if given (which may be psi_hat itself), else a new array.
+    ik is purely imaginary, so ik psi_hat has the bits of psi_hat ik, the order
+    numpy takes in `ik * temporary` from 256 KiB, except the sign of a product that
+    underflows to zero (entries near 5e-324)."""
+    dpsi = np.multiply(grid._ik, psi_hat, out=out)
     return ifft(dpsi, out=dpsi)
 
 

@@ -99,8 +99,8 @@ class SweepReport:
 
 def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
     """The row at eps, the `run_simulation` of its config cfg, with its error
-    message if it failed: if it has too few samples for a centred difference,
-    if its run fails, or if its packet reached the periodic seam."""
+    message if it failed: if its run fails, or if its packet reached the
+    periodic seam."""
     # the closed form's gain 1/2 ln(1 + s^2), by log1p to keep its digits at small s
     s = cfg.params.hbar * t_c / (2.0 * cfg.params.mass * cfg.sigma0**2)
     common = dict(epsilon=eps, hbar=cfg.params.hbar, dt=cfg.dt, n_steps=cfg.n_steps,
@@ -112,8 +112,6 @@ def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
         seam[0] = max(rho[0], rho[-1])
 
     try:
-        if cfg.n_rows < 3:
-            raise ValueError(f"{cfg.n_rows} samples leave no centred difference")
         _, summary = run_simulation(cfg, on_block)
         if seam[0] > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam[0]:.3g})")

@@ -253,6 +253,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("sweep", SWEEP_BASE + "x_min = 5\nx_max = 1\n", 5, "x_max must exceed x_min"),
         ("sweep", SWEEP_BASE + "mass = -1\n", 4, "mass must be positive"),
         ("sweep", SWEEP_BASE + "n_samples = 0\n", 4, "n_samples must be positive"),
+        # each row would hold 2 samples, too few for a centred difference
+        ("sweep", SWEEP_BASE + "n_samples = 1\n", 4, "n_samples must be at least 2"),
         ("sweep", SWEEP_BASE + "dt_ref = 0\n", 4, "dt_ref must be positive"),
         ("sweep", SWEEP_BASE + "x0 = 1e300\n", 4, "x0 = 1e+300 lies outside the grid"),
         ("sweep", SWEEP_BASE + "reg_floor = -1\n", 4, "reg_floor must be positive"),
@@ -299,7 +301,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 1e-300"), 4,
          "the normal density of sigma0 = 1e-300 is not finite on the grid"),
     ],
-    ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_dt_ref",
+    ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_n_samples_one",
+         "sweep_dt_ref",
          "sweep_x0", "sweep_reg_floor", "binning_tiling", "binning_x0", "binning_sigma0",
          "sweep_k0", "sweep_dt_ref_phase", "sweep_dt_ref_tiny", "sweep_dt_ref_too_many_steps",
          "sweep_t_c_too_many_steps",

@@ -65,13 +65,6 @@ def test_sweep_continues_past_failed_row():
     assert rep.rows[1].error == ""
 
 
-def test_sweep_row_without_centred_samples_fails():
-    spec = ef.SweepSpec(epsilons=(0.4,), t_c=2.0, L_c=1.0, n=256, n_samples=1)
-    row = ef.run_sweep(spec).rows[0]
-    assert "no centred difference" in row.error
-    assert np.isnan(row.eq16_rel_err)
-
-
 def test_sweep_runs_serially_only():
     spec = ef.SweepSpec(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
     for workers in (0, 2, None):
@@ -115,7 +108,6 @@ UNEVEN = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
 # a fast packet on a narrow domain: the two larger epsilons' rows reach the seam
 SEAM_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
                     x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
-ONE_SAMPLE = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=1)
 # dt_ref alone would give 8, 4 and 1 steps; the cap of t_c / n_samples gives
 # each row 100, so every row has a centred difference
 CAPPED = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
@@ -134,8 +126,6 @@ def _row_alone(spec, eps):
     try:
         wf = ef.init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
         n_rows = n_steps // stride + 1
-        if n_rows < 3:
-            raise ValueError(f"{n_rows} samples leave no centred difference")
         last = []
 
         def on_block(first, rows):
@@ -166,8 +156,7 @@ def _bits(row):
             for v in dataclasses.astuple(row)]
 
 
-@pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, ONE_SAMPLE,
-                                    CAPPED])
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, CAPPED])
 def test_sweep_rows_match_rows_run_alone(kwargs):
     spec = ef.SweepSpec(**kwargs)
     rows = ef.run_sweep(spec).rows
@@ -177,21 +166,18 @@ def test_sweep_rows_match_rows_run_alone(kwargs):
 
 def test_failing_rows_fail_one_by_one():
     # the failures the comparison above must reach: rows that reach the seam
-    # fail while the next finishes, and rows too short for a centred
-    # difference fail (one sample per row); capped rows all run
+    # fail while the next finishes; capped rows all run
     rows = ef.run_sweep(ef.SweepSpec(**SEAM_FAILING)).rows
     assert [r.error != "" for r in rows] == [True, True, False]
     assert "domain boundary" in rows[1].error
-    rows = ef.run_sweep(ef.SweepSpec(**ONE_SAMPLE)).rows
-    assert [r.error for r in rows] == ["2 samples leave no centred difference"] * 2
     rows = ef.run_sweep(ef.SweepSpec(**CAPPED)).rows
     assert [(r.n_steps, r.error) for r in rows] == [(100, "")] * 3
 
 
 @pytest.mark.parametrize("kwargs", [ACCEPTANCE, CAPPED])
 def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
-    # one split_steps call of the row's own n_steps per row with a centred
-    # difference, into a Diagnostics whose blocks take the whole CHUNK_POINTS
+    # one split_steps call of the row's own n_steps per row, into a
+    # Diagnostics whose blocks take the whole CHUNK_POINTS
     steps, heights = [], []
 
     def counting(wf, potential, dt, n_steps, on_row=None, observe_at=()):
@@ -207,8 +193,7 @@ def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
     spec = ef.SweepSpec(**kwargs)
     ef.run_sweep(spec)
     sampled = [(n_steps, n_steps // stride + 1)
-               for *_, n_steps, stride in map(spec.time_grid, spec.epsilons)
-               if n_steps // stride + 1 >= 3]
+               for *_, n_steps, stride in map(spec.time_grid, spec.epsilons)]
     assert steps == [n_steps for n_steps, _ in sampled]
     assert heights == [min(n_rows, entropy.CHUNK_POINTS // spec.n) for _, n_rows in sampled]
 

@@ -545,6 +545,54 @@ def test_run_holds_no_field_per_row(run):
     assert peaks[1] - peaks[0] < 1e6, peaks
 
 
+KICKED_16384 = """\
+x_min = -160
+x_max = 160
+n = 16384
+sigma0 = 1.0
+x0 = -2
+k0 = 10
+potential = gaussian_barrier
+barrier_height = 50
+barrier_width = 0.5
+dt = 1e-4
+t_final = 0.02
+observe_stride = 4
+subvolume_a = -5
+subvolume_b = 5
+"""
+
+
+def test_kicked_run_peak_is_its_block_buffers_and_nine_block_arrays():
+    # blocks of 2 rows at n = 16384, and a last block of 1 row.  Beyond the
+    # window and the held states, a warm run holds at most 9 arrays of a block's
+    # (h, n) floats: the held states' derivatives (2), the propagator's four
+    # n-point complex arrays (4), the initial state and the state handed over
+    # (2), and small temporaries (measured 0.3).  A block temporary the size of
+    # the held states, as a forward transform made anew, adds 2
+    import tracemalloc
+
+    import entroflux.report as report
+    from entroflux.entropy import Diagnostics
+
+    cfg = ef.parse_config(KICKED_16384)
+    stream = Diagnostics(cfg.grid, cfg.n_rows, cfg.reg_floor, cfg.subvolume)
+    assert (stream.height, cfg.n_rows % stream.height) == (2, 1)
+    w = stream.window
+    window = sum(a.nbytes for a in (w.rho, w.current, w.velocity, w.rho_I, stream.v_drho,
+                                    stream.ln_rho, stream.mask))
+    fixed, block_array = window + stream.held.nbytes, stream.height * cfg.grid.n * 8
+    del stream, w
+    report.run_simulation(cfg)
+    tracemalloc.start()
+    try:
+        report.run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - fixed) / block_array < 9, (peak - fixed) / block_array
+
+
 # ---------- collect's blocks vs the per-instant API ----------
 
 def _collected(wf, potential, dt, n_steps, stride, reg_floor):
@@ -734,7 +782,7 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     # the rate identity is computed with where= on the points at or above the
     # floor: it must give the bits of a boolean-indexing pass, and +0.0 on
     # every floored point
-    from entroflux.entropy import Diagnostics, _rate_identity
+    from entroflux.entropy import Diagnostics, _log_density, _rate_identity
 
     grid = ef.Grid1D(-16.0, 16.0, 512)
     wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
@@ -749,7 +797,7 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     reference = np.zeros_like(rho)
     reference[mask] = d_rho_I[mask] + d_rho[mask] * np.log(rho[mask])
 
-    r9 = _rate_identity(rho, d_rho, d_rho_I, reg_floor)
+    r9 = _rate_identity(d_rho, d_rho_I, *_log_density(rho, reg_floor))
     assert r9.tobytes() == reference.tobytes()
     assert not np.signbit(r9[~mask]).any() and not r9[~mask].any()
 

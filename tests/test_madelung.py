@@ -161,7 +161,9 @@ def test_madelung_arrays_row_equals_row_of_large_stack():
     from entroflux.entropy import madelung_arrays
 
     def fields(psi):
-        return madelung_arrays(psi, _state_derivative(np.fft.fft(psi), grid), PARAMS, 1e-10)
+        # madelung_arrays overwrites psi with its conjugate
+        return madelung_arrays(psi.copy(), _state_derivative(np.fft.fft(psi), grid), PARAMS,
+                               1e-10)
 
     grid = ef.Grid1D(-20.0, 20.0, 1024)
     rng = np.random.default_rng(7)

@@ -6,12 +6,13 @@
 Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
-configs below, which reach block seams, table chunk seams, snapshot files,
-failing sweep rows before a good one, a sweep of four rows with different
-step counts and strides, a sweep that sets every key of its rows' `simulate`
-configs, signed zeros in a free run's states, a free run observed at every
-step at n = 16384, a free run observed at every 7th step, a simulated
-coherent packet, the free packet's closed form and the binning study.  Each
+configs below, which reach block seams, a floor edge that moves in a
+block's halo, table chunk seams, snapshot files, failing sweep rows before a
+good one, a sweep of four rows with different step counts and strides, a
+sweep that sets every key of its rows' `simulate` configs, signed zeros in a
+free run's states, a free run observed at every step at n = 16384, a free
+run observed at every 7th step, a simulated coherent packet, the free
+packet's closed form and the binning study.  Each
 pair of runs must agree in exit code, stdout and every output file, byte for
 byte.  Prints one line per difference and exits 1 if there is any, 0
 otherwise.
@@ -45,6 +46,13 @@ FIXED = {
     "oracle_free": ("oracle", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\nx0 = -1\n"
                     "k0 = 2\ndt = 1e-3\nt_final = 0.15\nobserve_stride = 1\n"
                     "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
+    # a moving packet under a raised floor: the floor's edge moves between rows
+    # 126 and 127, the halo of the block that starts at row 128, whose ln rho
+    # and mask rows must move with it
+    "simulate_floored": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                         "x0 = -1\nk0 = 2\ndt = 1e-3\nt_final = 0.15\nobserve_stride = 1\n"
+                         "subvolume_a = -2\nsubvolume_b = 2.5\nreg_floor = 2e-8\n"
+                         "save_snapshots = true\n"),
     # the coherent packet through the propagator: 134 rows end in a partial block
     "simulate_coherent": ("simulate", COHERENT + "dt = 1e-3\nt_final = 0.133\n"
                           "observe_stride = 1\nsave_snapshots = true\n"),
