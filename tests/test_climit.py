@@ -108,6 +108,9 @@ UNEVEN = dict(epsilons=(0.8, 0.5, 0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
 # a fast packet on a narrow domain: the two larger epsilons' rows reach the seam
 SEAM_FAILING = dict(epsilons=(1.6, 0.8, 0.4), t_c=2.0, L_c=1.0, x_min=-14.0,
                     x_max=14.0, n=512, k0=5.0, dt_ref=1e-3)
+# the fewest samples a row may take: n_samples = 2 gives each row three, so
+# one centred difference
+TWO_SAMPLES = dict(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, n=256, n_samples=2)
 # dt_ref alone would give 8, 4 and 1 steps; the cap of t_c / n_samples gives
 # each row 100, so every row has a centred difference
 CAPPED = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
@@ -156,7 +159,8 @@ def _bits(row):
             for v in dataclasses.astuple(row)]
 
 
-@pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, CAPPED])
+@pytest.mark.parametrize("kwargs", [ACCEPTANCE, UNEVEN, SEAM_FAILING, TWO_SAMPLES,
+                                    CAPPED])
 def test_sweep_rows_match_rows_run_alone(kwargs):
     spec = ef.SweepSpec(**kwargs)
     rows = ef.run_sweep(spec).rows
