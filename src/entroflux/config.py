@@ -183,10 +183,11 @@ def _run_config(
             if is_set:
                 raise SpecError(f"{key} does not apply to initial = coherent: the packet is "
                                 f"the ground state of omega, at rest at x = amplitude", (key,))
+    elif x0 is None:
+        x0 = 0.0  # a Gaussian packet's default centre, checked as a given one is
     for key, value in (("x0", x0), ("amplitude", amplitude)):
         if value is not None:
-            with about(key):
-                grid.check_inside(key, value)
+            grid.check_inside(key, value)
     if initial == "gaussian":
         _required(sigma0=sigma0)
         width_key = "sigma0"
@@ -258,7 +259,7 @@ def _run_config(
         params=params,
         initial_kind=initial,
         sigma0=sigma0,
-        x0=0.0 if x0 is None else x0,
+        x0=x0,
         k0=k0,
         omega=omega,
         potential=pot,
@@ -298,7 +299,6 @@ def parse_oracle_config(text: str) -> RunConfig:
 _STEP_KEYS = ("dt_ref", "epsilons", "t_c", "L_c")
 _ROW_KEYS = {
     "sigma0": ("L_c", "n", "x_max", "x_min"),
-    "x0": ("x0", "x_min", "x_max"),
     "dt": _STEP_KEYS,
     "t_final": _STEP_KEYS,
     "observe_stride": ("n_samples",),
@@ -419,8 +419,7 @@ def _binning_config(
 ) -> BinningConfig:
     grid = Grid1D(x_min, x_max, n)
     positive(sigma0=sigma0)
-    with about("x0", "x_min", "x_max"):
-        grid.check_inside("x0", x0)
+    grid.check_inside("x0", x0)
     with about("bin_widths"):
         for dq in bin_widths:
             bin_size(grid, dq)

@@ -17,15 +17,16 @@ Diagnostics (all residuals should vanish to discretization order):
   integral form    dI/dt = -[(rho_I - rho) v]_boundary - int v d(rho)/dx
 with the boundary term vanishing on the full periodic domain.
 
-A run hands its samples to one consumer, `Diagnostics`, which takes them in
-blocks of at most CHUNK_POINTS grid points.  Each block's rows get their
-per-row columns and, with the two rows before the block carried along as a
-halo, the centred residuals of every row whose neighbours have arrived; an
-optional hook sees the block (to write snapshot files), and then the block's
-buffers take the next rows.  A row's fields, its norm, the mask
-rho >= reg_floor and ln rho are computed once, as it enters the block, and
-rho_I, the rate identity and the norm check read them; the block's transforms
-and residuals write into buffers the block owns.  So a run holds
+A run hands its samples to one consumer, `Diagnostics`, a stream of rows of
+one kind (states, their transforms, or given fields), staged one at a time
+into blocks of at most CHUNK_POINTS grid points.  When a block is flushed,
+its rows' fields (of states), norms, the masks rho >= reg_floor and ln rho
+are taken once, and rho_I, the rate identity and the norm check read them;
+then the rows get their per-row columns and, with the two rows before the
+block carried along as a halo, the centred residuals of every row whose
+neighbours have arrived; an optional hook sees the block (to write snapshot
+files), and then the block's buffers take the next rows.  The block's
+transforms and residuals write into buffers the block owns.  So a run holds
 O(CHUNK_POINTS) field values plus O(T) scalar columns, and a block's pass
 allocates no array of the block's size.  `diagnose` adds a stored `Series` of
 (T, n) arrays to the same consumer, so each column has one implementation; the
@@ -232,15 +233,6 @@ class Series:
     floored_points: np.ndarray
 
     @classmethod
-    def empty(cls, grid: Grid1D, n_rows: int, reg_floor: float = DEFAULT_REG_FLOOR):
-        shape = (n_rows, grid.n)
-        return cls(
-            grid, reg_floor, np.zeros(n_rows),
-            np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape),
-            np.zeros(n_rows, dtype=int),
-        )
-
-    @classmethod
     def of(cls, grid: Grid1D, t, rho, current, velocity, floored_points=0,
            reg_floor: float = DEFAULT_REG_FLOOR, rho_I=None) -> "Series":
         """Rows of the (T, n) fields at the T times t; rho_I follows from rho
@@ -396,24 +388,26 @@ class Diagnostics:
     """The `diagnose` columns of a series of rows that arrive in time order.
 
     A producer hands over the next row as a state, `add_state(t, psi, params)`,
-    or as the state's transform, `add_state(t, None, params, psi_hat)`, or
-    the next rows as a Series, `add(rows)`, into a block of at most
-    CHUNK_POINTS // n rows, and of one row if n is larger.  A block that is
-    full or holds the last row gets its per-row columns, and the centred
-    residuals of every row whose two neighbours have arrived: the last two
-    rows stay behind as a halo just ahead of the block, so a residual never
-    depends on where a block ends.
+    or as the state's transform, `add_state(t, None, params, psi_hat)`, or the
+    next rows as given fields, `add(rows)` of a Series.  A stream takes one kind
+    of row: the first row sets it, and a row of another kind is refused.  Each
+    row is staged alone into a block of at most CHUNK_POINTS // n rows, and of
+    one row if n is larger.  A block that is full or holds the last row is
+    flushed: its per-row quantities are taken (the fields of held states, and
+    for every kind its norm, the mask rho >= reg_floor and ln rho where the mask
+    is set), then its per-row columns, and the centred residuals of every row
+    whose two neighbours have arrived: the last two rows stay behind as a halo
+    just ahead of the block, so a residual never depends on where a block ends.
     Then on_block(first_row, rows) sees the block's rows as a Series of views,
     and the block is reused.
 
-    Each row's quantities are computed once, as it enters the block, into
-    arrays the block owns: its fields, its norm, the mask rho >= reg_floor and
-    ln rho where the mask is set.  rho_I and the rate identity read that ln rho
-    and mask, which move into the halo with the other fields.  The block's
-    transforms and residuals write into the memory of the held states and their
-    derivatives, which is dead once the block's fields are taken.  So the
-    window, the held states and their derivatives are all the field memory a
-    run holds; only the scalar columns grow with n_rows.
+    rho_I and the rate identity read the block's ln rho and mask.  The window's
+    six fields are views of one store, and the halo shift moves every field of
+    the store and the mask, so a field added to the store cannot miss it.  The
+    block's transforms and residuals write into the memory of the
+    held states and their derivatives, which is dead once the block's fields
+    are taken.  So the window, the held states and their derivatives are all
+    the field memory a run holds; only the scalar columns grow with n_rows.
 
     See `diagnose` for the columns, the subvolume and the time step.
     """
@@ -430,9 +424,10 @@ class Diagnostics:
         self.on_block = on_block
         self.height = height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
         # rows 0 and 1 of the window are the halo, rows 2.. the block
-        self.window = Series.empty(grid, height + 2, reg_floor)
-        self.v_drho = np.empty((height + 2, grid.n))
-        self.ln_rho = np.empty((height + 2, grid.n))
+        self.store = np.empty((6, height + 2, grid.n))
+        rho, current, velocity, rho_I, self.v_drho, self.ln_rho = self.store
+        self.window = Series(grid, reg_floor, np.zeros(height + 2), rho, current, velocity,
+                             rho_I, np.zeros(height + 2, dtype=int))
         self.mask = np.empty((height + 2, grid.n), bool)
         self.t = np.zeros(n_rows)
         self.floored_points = np.zeros(n_rows, dtype=int)
@@ -442,62 +437,65 @@ class Diagnostics:
         # scratch of the block's transforms and residuals
         self.held = np.empty((height, grid.n), complex)
         self.dpsi = np.empty((height, grid.n), complex)
-        self.spectral = False  # whether the held rows are transforms
+        self.kind = None  # "states", "transforms" or "fields", set by the first row
+        self.params = None  # of the held states
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
 
-    def _next(self, count: int) -> int:
-        """The block row the next row goes to; raises unless count more rows fit."""
+    def _next(self, count: int, kind: str) -> int:
+        """The window row the next row goes to; raises unless count more rows of
+        kind fit."""
+        if self.kind not in (None, kind):
+            raise ValueError(f"a stream takes one kind of row: this one takes {self.kind}, "
+                             f"not {kind}")
         if self.n_done + self.n_held + count > len(self.t):
             raise ValueError(f"cannot add {count} rows after "
                              f"{self.n_done + self.n_held} of {len(self.t)}")
-        return self.n_held
+        self.kind = kind
+        return 2 + self.n_held
 
     def add_state(self, t: float, psi: np.ndarray | None, params: PhysicalParams,
                   psi_hat: np.ndarray | None = None) -> None:
         """Take the state at time t as the next row, given as psi or, with psi
         None, as its transform psi_hat = fft(psi).  The state must pass the
-        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1), and a
-        block holds states or transforms, not both."""
-        k = self._next(1)
-        spectral = psi is None
-        if k and spectral != self.spectral:
-            raise ValueError("a block holds states or their transforms, not both")
-        self.spectral = spectral
-        self.window.t[2 + k] = t
-        self.held[k] = psi_hat if spectral else psi
-        if self._hold(1):
-            self._observe(params)
-            self._compute()
+        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1)."""
+        k = self._next(1, "states" if psi is not None else "transforms")
+        self.window.t[k] = t
+        self.held[k - 2] = psi if psi is not None else psi_hat
+        self.params = params
+        self._hold()
 
     def add(self, rows: Series) -> None:
         """Take the rows of a Series on this grid as the next rows."""
-        self._next(len(rows.t))
         w = self.window
-        while len(rows.t):
-            k = self.n_held
-            count = min(len(rows.t), self.height - k)
-            block = slice(2 + k, 2 + k + count)
+        for i in range(len(rows.t)):
+            # counts every row left, so a series that does not fit is refused whole
+            k = self._next(len(rows.t) - i, "fields")
             for name in _ROW_FIELDS:
-                getattr(w, name)[block] = getattr(rows, name)[:count]
+                getattr(w, name)[k] = getattr(rows, name)[i]
+            self._hold()
+
+    def _hold(self) -> None:
+        """Hold the staged row, and flush the block once it is full or holds the
+        last row: its per-row quantities, then its columns."""
+        self.n_held += 1
+        if self.n_held < self.height and self.n_done + self.n_held < len(self.t):
+            return
+        if self.kind == "fields":
+            w, block = self.window, slice(2, 2 + self.n_held)
             _log_density(w.rho[block], w.reg_floor, self.ln_rho[block], self.mask[block])
-            self._norm_column(block)
-            rows = rows.rows(count, len(rows.t))
-            if self._hold(count):
-                self._compute()
+            self._norm_column()
+        else:
+            self._observe()
+        self._compute()
 
-    def _hold(self, count: int) -> bool:
-        """Hold count more rows; True once the block is full or holds the last row."""
-        self.n_held += count
-        return self.n_held == self.height or self.n_done + self.n_held == len(self.t)
+    def _norm_column(self) -> np.ndarray:
+        """The norm column, dx * sum rho, of the held rows."""
+        lo, hi = self.n_done, self.n_done + self.n_held
+        return np.multiply(self.window.grid.dx, self.window.rho[2 : 2 + hi - lo].sum(axis=1),
+                           out=self.out["norm"][lo:hi])
 
-    def _norm_column(self, block: slice) -> np.ndarray:
-        """The norm column, dx * sum rho, of the window rows block."""
-        lo = self.n_done + block.start - 2
-        norm = self.out["norm"][lo : lo + block.stop - block.start]
-        return np.multiply(self.window.grid.dx, self.window.rho[block].sum(axis=1), out=norm)
-
-    def _observe(self, params: PhysicalParams) -> None:
+    def _observe(self) -> None:
         """The Madelung fields, norm, ln rho and rho_I of the held states, into the block.
 
         The derivatives are the `_state_derivative` of the block's transforms: the
@@ -507,13 +505,14 @@ class Diagnostics:
         w, k = self.window, self.n_held
         block = slice(2, 2 + k)
         psi, dpsi = self.held[:k], self.dpsi[:k]
-        _state_derivative(psi if self.spectral else fft(psi, out=dpsi), w.grid, out=dpsi)
-        if self.spectral:
+        spectral = self.kind == "transforms"
+        _state_derivative(psi if spectral else fft(psi, out=dpsi), w.grid, out=dpsi)
+        if spectral:
             ifft(psi, out=psi)
         rho, _, _, mask = madelung_arrays(
-            psi, dpsi, params, w.reg_floor,
+            psi, dpsi, self.params, w.reg_floor,
             out=(w.rho[block], w.current[block], w.velocity[block], self.mask[block]))
-        check_norms(self._norm_column(block))
+        check_norms(self._norm_column())
         ln = np.log(rho, out=self.ln_rho[block], where=mask)
         _info_density(rho, w.reg_floor, ln, mask, out=w.rho_I[block])
         w.floored_points[block] = w.grid.n - np.count_nonzero(mask, axis=1)
@@ -545,7 +544,7 @@ class Diagnostics:
             self._residuals(first - lo + 2, hi - 1 - lo + 2, first)
         if self.on_block is not None:
             self.on_block(lo, w.rows(2, 2 + count))
-        for a in (w.rho, w.rho_I, w.velocity, self.v_drho, self.ln_rho, self.mask):
+        for a in (*self.store, self.mask):
             # row by row, first to last: rows count and count + 1 may be row 1
             # and 2, and a copy between overlapping slices makes a temporary
             a[0] = a[count]

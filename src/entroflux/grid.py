@@ -75,11 +75,11 @@ MAX_WORK = 2**36
 # The most rows a run may observe: its O(rows) scalar columns then stay under
 # about 2 GB.
 MAX_ROWS = 2**24
-# The most grid points: a run holds about 315 B per point in numpy arrays
+# The most grid points: a run holds about 307 B per point in numpy arrays
 # (tracemalloc's peak of a kicked run at n = 2**20, numpy 2.4.6) and about 345 B of
 # peak RSS, so about 1.5 GB.  The diagnostics' window of 3 rows holds rho, j, v, rho_I,
 # v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
-# their derivatives 32 B; the grid 40 B; the propagator's four complex arrays 64 B; the
+# their derivatives 32 B; the grid 32 B; the propagator's four complex arrays 64 B; the
 # initial and the observed state 32 B.  A free run also holds a factor and a buffer of
 # `propagate.split_steps` per bit level its reached steps set, 32 B per point each:
 # 432 B per point more at 2**14 - 1 steps (peak RSS at n = 2**16 and 2**18), about
@@ -145,10 +145,9 @@ class Grid1D:
         ik = 1j * self.k.copy()
         ik[self.n // 2] = 0.0
         self._ik = ik
-        # The same multiplier on the n//2 + 1 non-negative frequencies of rfft.
-        ik_r = 2j * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
-        ik_r[-1] = 0.0
-        self._ik_r = ik_r
+        # The same multiplier on the n//2 + 1 frequencies of rfft: its last, the
+        # Nyquist mode, is the zero set above.
+        self._ik_r = ik[: self.n // 2 + 1]
 
     @property
     def k_max(self) -> float:
@@ -156,10 +155,11 @@ class Grid1D:
         return np.pi / self.dx
 
     def check_inside(self, name: str, value: float) -> None:
+        """Raise a SpecError on name, and on the bound that value crosses, unless
+        value lies in [x_min, x_max)."""
         if not self.x_min <= value < self.x_max:
-            raise ValueError(
-                f"{name} = {value} lies outside the grid [{self.x_min}, {self.x_max})"
-            )
+            raise SpecError(f"{name} = {value} lies outside the grid [{self.x_min}, {self.x_max})",
+                            (name, "x_min" if value < self.x_min else "x_max"))
 
     def matches(self, other: "Grid1D") -> bool:
         return (

@@ -243,6 +243,8 @@ def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, l
 
 
 SWEEP_BASE = "epsilons = 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
+# a free Gaussian whose centre, x0, is left at its default of 0, off the grid
+OFF_GRID_CENTRE = "x_min = 1\nx_max = 41\nn = 1024\nsigma0 = 1\ndt = 1e-4\nt_final = 0.1\n"
 BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths = 0.4, 0.2, 0.1\n"
 
 
@@ -300,6 +302,11 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
         # sigma0**2 underflows to 0: the density is nan, 0/0, on the whole grid
         ("binning", BINNING_BASE.replace("sigma0 = 1.0", "sigma0 = 1e-300"), 4,
          "the normal density of sigma0 = 1e-300 is not finite on the grid"),
+        # x0 keeps its default of 0, below x_min or at x_max: reported at the bound
+        ("simulate", OFF_GRID_CENTRE, 1, "x0 = 0.0 lies outside the grid [1.0, 41.0)"),
+        ("oracle", OFF_GRID_CENTRE, 1, "x0 = 0.0 lies outside the grid [1.0, 41.0)"),
+        ("binning", BINNING_BASE.replace("x_max = 12.8", "x_max = 0"), 2,
+         "x0 = 0.0 lies outside the grid [-12.8, 0.0)"),
     ],
     ids=["sweep_n", "sweep_x_range", "sweep_mass", "sweep_n_samples", "sweep_n_samples_one",
          "sweep_dt_ref",
@@ -310,7 +317,8 @@ BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths 
          "sweep_n_samples_over_row_ceiling", "sweep_n_samples_over_work_ceiling",
          "sweep_n_2_45", "sweep_too_wide", "sweep_x0_default_off_grid", "binning_n_2_45",
          "oracle_n_2_45", "sweep_epsilons_phase", "sweep_L_c_underflow", "sweep_L_c_overflow",
-         "binning_sigma0_underflow"],
+         "binning_sigma0_underflow", "simulate_x0_default_off_grid",
+         "oracle_x0_default_off_grid", "binning_x0_default_off_grid"],
 )
 # a numpy warning on the way to a refusal fails the test
 @pytest.mark.filterwarnings("error")

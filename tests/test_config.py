@@ -52,6 +52,18 @@ def test_type_mismatch_carries_line_number():
         ef.parse_config(text)
 
 
+def test_empty_key_carries_line_number():
+    with pytest.raises(ef.ConfigError, match="^line 8: empty key$"):
+        ef.parse_config(MINIMAL + "= 1\n")
+
+
+# `true` is the spelling the other tests write
+@pytest.mark.parametrize("value,expected", [("Yes", True), ("1", True), ("false", False),
+                                            ("no", False), ("0", False)])
+def test_bool_key_spellings(value, expected):
+    assert ef.parse_config(MINIMAL + f"save_snapshots = {value}\n").save_snapshots is expected
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ef.ConfigError, match="duplicate"):
         ef.parse_config(MINIMAL + "sigma0 = 2.0\n")

@@ -1,5 +1,8 @@
-"""Property test of the config parsers: any text built from a parser's keys
-either parses or raises ConfigError, never any other exception."""
+"""Property tests of the config parsers: any text built from a parser's keys
+either parses or raises ConfigError, never any other exception; a refusal
+names its line, and an accepted config's packet lies on its grid."""
+import re
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -57,8 +60,15 @@ FUZZ = settings(derandomize=True, database=None, max_examples=100, deadline=None
 @FUZZ
 @given(config_text(_RUN_SCHEMA, RUN_BASE))
 @example("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1\ndt = 1e-320\nt_final = 0.1\n")
+# x0 left at its default of 0, below x_min
+@example("x_min = 1\nx_max = 41\nn = 1024\nsigma0 = 1\ndt = 1e-4\nt_final = 0.1\n")
 def test_run_config_fuzz(text):
-    _parses_or_config_error(ef.parse_config, text)
+    try:
+        cfg = ef.parse_config(text)
+    except ef.ConfigError:
+        return
+    # the packet's centre, set or left at its default, lies on the grid
+    assert cfg.grid.x_min <= cfg.x0 < cfg.grid.x_max, text
 
 
 @FUZZ
@@ -91,3 +101,51 @@ def test_sweep_config_fuzz(text):
 @example("x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1e300\nbin_widths = 0.4\n")
 def test_binning_config_fuzz(text):
     _parses_or_config_error(ef.parse_binning_config, text)
+
+
+PARSERS = {
+    "simulate": (ef.parse_config, _RUN_SCHEMA, RUN_BASE),
+    "oracle": (ef.parse_oracle_config, _RUN_SCHEMA, COHERENT_BASE),
+    "sweep": (ef.parse_sweep_config, _SWEEP_SCHEMA, SWEEP_BASE),
+    "binning": (ef.parse_binning_config, _BINNING_SCHEMA, BINNING_BASE),
+}
+
+
+def _centres(cfg, entries) -> list:
+    """(grid, x0) of each packet an accepted config makes."""
+    if isinstance(cfg, ef.SweepSpec):
+        return [(row.grid, row.x0) for row in cfg.row_configs]
+    if isinstance(cfg, ef.BinningConfig):
+        return [(cfg.grid, float(entries.get("x0", 0.0)))]
+    return [(cfg.grid, cfg.x0)]
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_every_one_key_variation_parses_or_is_refused_at_its_line(name):
+    # each schema key set to each of VALUES, or dropped, in the parser's base config
+    parse, schema, base = PARSERS[name]
+    for key in sorted(schema):
+        for value in VALUES:
+            entries = dict(base)
+            if value is None:
+                entries.pop(key, None)
+            else:
+                entries[key] = value
+            text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+            try:
+                cfg = parse(text)
+            except ef.ConfigError as exc:
+                message = str(exc)
+                if exc.line is None:
+                    assert message.startswith("missing required key"), text
+                    continue
+                if re.search(r"\bx0 = \S+ lies outside the grid", message):
+                    # an off-grid centre is reported at x0 if the text sets it, else
+                    # at the bound it crosses
+                    x0 = float(entries.get("x0", 0.0))
+                    x_min = float(entries.get("x_min", schema["x_min"][1]))
+                    at = "x0" if "x0" in entries else "x_min" if x0 < x_min else "x_max"
+                    assert exc.line == list(entries).index(at) + 1, (text, message)
+            else:
+                for grid, x0 in _centres(cfg, entries):
+                    assert grid.x_min <= x0 < grid.x_max, text

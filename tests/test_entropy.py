@@ -258,6 +258,20 @@ def test_entropy_rate_check_spreading_analytic():
     assert mid.boundary_flux == 0.0
 
 
+def test_entropy_rate_check_refuses_an_empty_series():
+    with pytest.raises(ValueError, match="empty snapshot series"):
+        ef.entropy_rate_check([])
+
+
+def test_snapshots_on_two_grids_are_refused():
+    a, b = (ef.take_snapshot(ef.init_gaussian(ef.Grid1D(-20.0, 20.0, n), PARAMS, sigma0=1.0))
+            for n in (256, 512))
+    with pytest.raises(ValueError, match="mismatched grids"):
+        ef.balance_residual(a, a, b, 1e-3)
+    with pytest.raises(ValueError, match="mismatched grids"):
+        ef.entropy_rate_check([a, b])
+
+
 def test_entropy_rate_check_at_rest():
     grid = ef.Grid1D(-20.0, 20.0, 1024)
     orc = ef.GaussianOracle(sigma0=1.0, params=PARAMS)
@@ -669,17 +683,59 @@ def test_free_collect_rows_match_take_snapshot(n, half_width, dt, n_steps):
                                    rtol=0, atol=1e-13 * scale, err_msg=str(i))
 
 
+def _row_adders(grid, psi):
+    """Ways to hand row i of the normalized states psi to a `Diagnostics`, by kind."""
+    from entroflux.entropy import Series
+
+    rho = np.abs(psi) ** 2
+    fields = Series.of(grid, 1e-3 * np.arange(len(psi)), rho, np.zeros_like(rho),
+                       np.zeros_like(rho))
+    return {
+        "states": lambda stream, i: stream.add_state(1e-3 * i, psi[i], PARAMS),
+        "transforms": lambda stream, i: stream.add_state(1e-3 * i, None, PARAMS,
+                                                         np.fft.fft(psi[i])),
+        "fields": lambda stream, i: stream.add(fields.rows(i, i + 1)),
+    }
+
+
 def test_diagnostics_refuses_a_block_of_states_and_transforms():
+    # a stream takes one kind of row, the kind of its first: a row of any
+    # other kind is refused, whether it would share the first row's block or not
+    from itertools import permutations
+
     from entroflux.entropy import Diagnostics
 
     grid = ef.Grid1D(-20.0, 20.0, 256)
-    psi = _normalized_rows(grid, 2)
-    for first, second in (((psi[0], None), (None, np.fft.fft(psi[1]))),
-                          ((None, np.fft.fft(psi[0])), (psi[1], None))):
-        stream = Diagnostics(grid, 3)
-        stream.add_state(0.0, first[0], PARAMS, first[1])
-        with pytest.raises(ValueError, match="states or their transforms, not both"):
-            stream.add_state(1e-3, second[0], PARAMS, second[1])
+    adders = _row_adders(grid, _normalized_rows(grid, 3))
+    for first, second in permutations(adders, 2):
+        for n_rows in (3, 1 + (1 << 15) // grid.n):  # one block, or a block per row
+            stream = Diagnostics(grid, n_rows)
+            adders[first](stream, 0)
+            with pytest.raises(ValueError, match=f"this one takes {first}, not {second}"):
+                adders[second](stream, 1)
+
+
+def test_diagnostics_refuses_given_rows_after_a_state_and_keeps_its_rows():
+    # a state, then given rows, in one block: the given rows are refused, and
+    # the stream then takes the rest of its states as if they had never come
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    psi = _normalized_rows(grid, 3)
+    adders = _row_adders(grid, psi)
+    stream = Diagnostics(grid, 3)
+    adders["states"](stream, 0)
+    with pytest.raises(ValueError, match="this one takes states, not fields"):
+        adders["fields"](stream, 1)
+    reference = Diagnostics(grid, 3)
+    for i in range(3):
+        if i:
+            adders["states"](stream, i)
+        adders["states"](reference, i)
+    columns, expected = stream.columns(), reference.columns()
+    assert abs(columns["norm"][0] - 1.0) < 1e-12
+    for key, column in expected.items():
+        assert np.array_equal(columns[key], column), key
 
 
 def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():

@@ -138,6 +138,22 @@ def test_dt_bound_enforced():
         ef.step(ef.init_gaussian(GRID, PARAMS, sigma0=1.0), ef.Potential.free(), 1.0)
 
 
+def test_zero_dt_refused():
+    with pytest.raises(ValueError, match="time step must be nonzero"):
+        ef.step(ef.init_gaussian(GRID, PARAMS, sigma0=1.0), ef.Potential.free(), 0.0)
+
+
+def test_evolve_refuses_an_observer_stride_below_one():
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        ef.evolve(wf, ef.Potential.free(), 1e-3, 4, observer=lambda w: None, stride=0)
+
+
+def test_unknown_potential_kind_refused():
+    with pytest.raises(ValueError, match="unknown potential kind 'bogus'"):
+        ef.Potential(kind="bogus").values(GRID.x)
+
+
 def test_discrete_continuity_second_order():
     # (rho(t+dt) - rho(t-dt)) / 2dt + dj/dx -> 0 at O(dt^2)
     pot = ef.Potential.harmonic(1.0)
