@@ -390,9 +390,10 @@ class Diagnostics:
     A producer hands over the next row as a state, `add_state(t, psi, params)`,
     or as the state's transform, `add_state(t, None, params, psi_hat)`, or the
     next rows as given fields, `add(rows)` of a Series.  A stream takes one kind
-    of row: the first row sets it, and a row of another kind is refused.  Each
-    row is staged alone into a block of at most CHUNK_POINTS // n rows, and of
-    one row if n is larger.  A block that is full or holds the last row is
+    of row, and its states one set of physical parameters: the first row sets
+    them, and a row of another kind, or a state with other params, is refused.
+    Each row is staged alone into a block of at most CHUNK_POINTS // n rows, and
+    of one row if n is larger.  A block that is full or holds the last row is
     flushed: its per-row quantities are taken (the fields of held states, and
     for every kind its norm, the mask rho >= reg_floor and ln rho where the mask
     is set), then its per-row columns, and the centred residuals of every row
@@ -438,7 +439,7 @@ class Diagnostics:
         self.held = np.empty((height, grid.n), complex)
         self.dpsi = np.empty((height, grid.n), complex)
         self.kind = None  # "states", "transforms" or "fields", set by the first row
-        self.params = None  # of the held states
+        self.params = None  # of every state, set by the first
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
 
@@ -459,6 +460,9 @@ class Diagnostics:
         """Take the state at time t as the next row, given as psi or, with psi
         None, as its transform psi_hat = fft(psi).  The state must pass the
         checks a `WaveFunction` gets (finite, norm within 1e-8 of 1)."""
+        if self.params not in (None, params):
+            raise ValueError(f"a stream takes one set of physical parameters: this one "
+                             f"takes {self.params}, not {params}")
         k = self._next(1, "states" if psi is not None else "transforms")
         self.window.t[k] = t
         self.held[k - 2] = psi if psi is not None else psi_hat

@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
+from . import _g17
 from .config import RunConfig, SweepSpec
 from .entropy import BinRow, Diagnostics, Series, collect, summarize
 from .oracle import closed_form
@@ -153,41 +155,81 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     return SweepReport(rows=rows, exponent=exponent)
 
 
-TABLE_CHUNK_ROWS = 1024  # rows formatted by one `%` operation
+TABLE_CHUNK_ROWS = 512  # rows formatted and written at a time: a bound on their buffers
 
 
-def _row_format(columns) -> str:
-    """The row format of columns: integers %d, strings %s, anything else %.17g."""
-    return ",".join({"i": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g") for c in columns)
+def _text_slots(column: np.ndarray) -> np.ndarray:
+    """The text of each value of a column that is not formatted as floats, as
+    `_g17.text_slots` lays it out: integers %d, strings %s in UTF-8, and bytes
+    (a `text_column`) as they are, less their NUL padding."""
+    if column.dtype.kind == "S":
+        rows = column.view(np.uint8).reshape(len(column), -1)
+        return np.where(rows == 0, np.uint8(0xFF), rows)
+    fmt = "%d" if column.dtype.kind == "i" else "%s"
+    texts = [(fmt % v).encode() for v in column.tolist()]
+    return _g17.text_slots(texts, max(map(len, texts)))
+
+
+def _rows(columns: list, lo: int, hi: int) -> bytearray:
+    """The CSV text of rows lo..hi-1 of columns.
+
+    Each value has a slot of `width` bytes in a buffer of the rows: its text,
+    and 0xFF in the bytes after it, which no UTF-8 text holds.  The float
+    columns, in runs of adjacent ones, take `_g17.format_into`, the others
+    `_text_slots`, and the last byte of every slot holds the ',' or newline
+    after the value.  The text is the buffer less its 0xFF bytes."""
+    texts = {j: _text_slots(c[lo:hi]) for j, c in enumerate(columns) if c.dtype.kind in "iUS"}
+    width = max([_g17.WIDTH - 1, *(t.shape[1] for t in texts.values())]) // 8 * 8 + 8
+    text = bytearray(b"\xff") * ((hi - lo) * len(columns) * width)
+    slots = np.frombuffer(text, np.uint64).reshape(hi - lo, len(columns), width // 8)
+    slot_bytes = slots.view(np.uint8)
+    for is_text, run in groupby(range(len(columns)), key=lambda j: j in texts):
+        run = list(run)
+        if is_text:
+            for j in run:
+                slot_bytes[:, j, : texts[j].shape[1]] = texts[j]
+        else:
+            values = np.stack([columns[j][lo:hi] for j in run], axis=1)
+            _g17.format_into(values, slots[:, run[0] : run[-1] + 1, : _g17.WORDS])
+    slot_bytes[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    return text.translate(None, b"\xff")
+
+
+def _table_columns(columns) -> list:
+    """columns as arrays: integers, strings and bytes as they are, anything else
+    as float64."""
+    columns = [np.asarray(c) for c in columns]
+    return [c if c.dtype.kind in "iUS" else c.astype(np.float64) for c in columns]
+
+
+def _chunks(columns: list):
+    """The CSV text of the rows of columns, TABLE_CHUNK_ROWS rows at a time."""
+    n_rows = len(columns[0]) if columns else 0
+    for lo in range(0, n_rows, TABLE_CHUNK_ROWS):
+        yield _rows(columns, lo, min(n_rows, lo + TABLE_CHUNK_ROWS))
 
 
 def text_column(values) -> np.ndarray:
-    """values formatted as `write_table` formats them, as a text column: a column
-    shared by many tables (a grid) is then formatted once."""
-    values = np.asarray(values)
-    fmt = _row_format([values])
-    return np.array([fmt % v for v in values.tolist()])
+    """values formatted as `write_table` formats them, as bytes: a column shared
+    by many tables (a grid) is then formatted once.  No value's text may hold a
+    newline."""
+    text = b"".join(_chunks(_table_columns([values])))
+    return np.array(text.split(b"\n")[:-1], dtype=bytes)
 
 
 def write_table(path: Path, header, columns) -> None:
-    """Write equal-length columns as CSV under a header line.
+    """Write equal-length columns as CSV under a header line, in UTF-8.
 
-    Each column is formatted by its dtype: integers %d, strings %s, anything
-    else %.17g, so a float keeps every bit of its value.  The rows are
-    formatted TABLE_CHUNK_ROWS at a time, by one `%` of the row format repeated
-    over the chunk's values taken row by row.
+    Each column is formatted by its dtype: integers %d, strings %s, bytes (a
+    `text_column`) as they are, and anything else as float64 by %.17g, so a
+    float keeps every bit of its value.  The rows are formatted
+    TABLE_CHUNK_ROWS at a time; `_g17` gives the exact bytes of %.17g for a
+    whole chunk's floats at once.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = _row_format(columns) + "\n"
-    n_rows = len(columns[0]) if columns else 0
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, n_rows, TABLE_CHUNK_ROWS):
-            chunk = min(TABLE_CHUNK_ROWS, n_rows - start)
-            values = [None] * (chunk * len(columns))
-            for j, c in enumerate(columns):
-                values[j::len(columns)] = c[start:start + chunk].tolist()
-            f.write(row * chunk % tuple(values))
+    columns = _table_columns(columns)
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        f.writelines(_chunks(columns))
 
 
 def write_series_csv(columns: dict, path: Path) -> None:

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -736,6 +737,33 @@ def test_diagnostics_refuses_given_rows_after_a_state_and_keeps_its_rows():
     assert abs(columns["norm"][0] - 1.0) < 1e-12
     for key, column in expected.items():
         assert np.array_equal(columns[key], column), key
+
+
+def test_diagnostics_refuses_a_state_with_other_params_and_keeps_its_rows():
+    # a stream takes one set of physical parameters, set by its first state.
+    # Where a state with hbar = 2 once shared a block with one of hbar = 1, the
+    # block was observed with the last row's params: row 0's max current read
+    # 0.798, not the 0.399 of the state added alone
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    psi = _normalized_rows(grid, 1)[0]
+    currents = []
+
+    def on_block(first, rows):
+        currents.append(rows.current.copy())
+
+    stream = Diagnostics(grid, 2, on_block=on_block)
+    stream.add_state(0.0, psi, PARAMS)
+    other = ef.PhysicalParams(hbar=2.0)
+    for state in (psi, None):
+        with pytest.raises(ValueError, match=re.escape(f"takes {PARAMS}, not {other}")):
+            stream.add_state(1e-3, state, other, np.fft.fft(psi))
+    stream.add_state(1e-3, psi, PARAMS)
+    alone = Diagnostics(grid, 1, on_block=on_block)
+    alone.add_state(0.0, psi, PARAMS)
+    assert np.array_equal(currents[0][0], currents[1][0])
+    assert abs(currents[1][0].max() - 0.399) < 1e-3
 
 
 def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():

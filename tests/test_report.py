@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import entroflux as ef
-from entroflux import report
+from entroflux import _g17, report
 from entroflux.entropy import Series
 from entroflux.report import SNAPSHOT_COLUMNS, TABLE_CHUNK_ROWS, write_snapshots, write_table
 
@@ -103,3 +110,125 @@ def test_write_snapshots_matches_per_value_reference(tmp_path, monkeypatch):
             columns = (grid.x, series.rho[i], series.current[i], series.velocity[i],
                        series.rho_I[i])
             assert f.read_bytes() == _reference(SNAPSHOT_COLUMNS, zip(*columns))
+
+
+# ---------- the %.17g kernel ----------
+
+def _kernel_texts(values) -> list:
+    """The text `_g17.format_into` gives each of values."""
+    x = np.asarray(values, dtype=float)
+    words = np.empty((x.size, _g17.WORDS), np.uint64)
+    _g17.format_into(x, words)
+    return [bytes(slot).replace(b"\xff", b"") for slot in words.view(np.uint8)]
+
+
+def _percent_texts(values) -> list:
+    return [("%.17g" % v).encode() for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_kernel_runs_on_a_64_bit_long_double():
+    # with a 64-bit significand the kernel passes its self-check, so the tests
+    # below reach it and not only its `%` fallback
+    if np.finfo(np.longdouble).nmant != 63:
+        pytest.skip("no 64-bit long double on this host")
+    assert _g17._tables() is not None
+
+
+def test_kernel_matches_percent_on_any_floats():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # batches mix the kernel's values with the ones it leaves to `%`
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def check(values):
+        assert _kernel_texts(values) == _percent_texts(values)
+
+    check()
+
+
+def test_kernel_matches_percent_on_every_power_of_ten_and_its_neighbours():
+    powers = np.array([f"1e{k}" for k in range(-323, 309)], dtype=float)
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _kernel_texts(values) == _percent_texts(values)
+
+
+def test_kernel_switches_notation_where_percent_does():
+    # %g is fixed for -4 <= e < 17 and scientific outside, e after rounding
+    fixed = [1e-4, np.nextafter(1e-4, 1), 0.00012345678901234567, 1e16,
+             np.nextafter(1e17, 0), 12345678901234567.0]
+    scientific = [1e-5, np.nextafter(1e-4, 0), 1.5e-5, 1e17, 9.9999999999999999e16,
+                  1.2345678901234568e17]
+    for values, has_exponent in ((fixed, False), (scientific, True)):
+        values = values + [-v for v in values]
+        texts = _percent_texts(values)
+        assert all((b"e" in t) == has_exponent for t in texts), texts
+        assert _kernel_texts(values) == texts
+
+
+def test_kernel_carries_to_the_next_power_as_percent_does():
+    # each float lies below its power of ten, and its 17 digits round up to it
+    carries = {1e-305: b"1e-305", 1e-79: b"1e-79", 1e-14: b"1e-14", 1e98: b"1e+98",
+               1e220: b"1e+220"}
+    for value, text in carries.items():
+        exponent = int(text[2:])
+        assert Fraction(value) < Fraction(10) ** exponent
+        assert _percent_texts([value, -value]) == [text, b"-" + text]
+        assert _kernel_texts([value, -value]) == [text, b"-" + text]
+
+
+def test_kernel_rounds_exact_ties_half_to_even():
+    # 10**e + 2**(e - 17) has 18 significant digits, the last a 5: an exact tie
+    ties = [10.0**e + 2.0 ** (e - 17) for e in range(16)]
+    for value in ties:
+        digits = Decimal(value).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, value
+    assert b"%.17g" % 100000000000.015625 == b"100000000000.01562"
+    values = ties + [-v for v in ties]
+    assert _kernel_texts(values) == _percent_texts(values)
+
+
+def _coarse_powers(tables):
+    """tables whose powers of ten are off by 1e-15 of their value: wrong digits,
+    from in-range indices."""
+    return (tables[0] * (1 + np.longdouble(1e-15)), *tables[1:])
+
+
+@pytest.fixture(params=["double", "coarse"])
+def failed_self_check(request, monkeypatch):
+    """Kernel tables that fail the self-check: built with s in double precision,
+    as on a host whose long double has a 53-bit significand, or with coarse
+    powers of ten."""
+    build = _g17._build_tables
+    bad = {"double": lambda: build(np.float64), "coarse": lambda: _coarse_powers(build())}
+    monkeypatch.setattr(_g17, "_build_tables", bad[request.param])
+    _g17._tables.cache_clear()
+    yield
+    _g17._tables.cache_clear()
+
+
+def test_a_failed_self_check_sends_every_value_through_percent(tmp_path, monkeypatch,
+                                                               failed_self_check):
+    assert _g17._tables() is None
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran after its self-check failed")
+
+    monkeypatch.setattr(_g17, "_kernel", kernel)
+    path = tmp_path / "table.csv"
+    header = ["i", "x", "s"]
+    write_table(path, header, [np.array(INTS), np.array(FLOATS), STRINGS])
+    assert path.read_bytes() == _reference(header, zip(INTS, FLOATS, STRINGS))
+    powers = np.array([f"1e{k}" for k in range(-323, 309)], dtype=float)
+    assert _kernel_texts(powers) == _percent_texts(powers)
+
+
+def test_importing_the_cli_builds_no_formatter_table():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import entroflux.cli\n"
+            "from entroflux import _g17\n"
+            "print(_g17._tables.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0"]

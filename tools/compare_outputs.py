@@ -12,10 +12,27 @@ good one, a sweep of four rows with different step counts and strides, a
 sweep that sets every key of its rows' `simulate` configs, signed zeros in a
 free run's states, a free run observed at every step at n = 16384, a free
 run observed at every 7th step, a simulated coherent packet, the free
-packet's closed form and the binning study.  Each
-pair of runs must agree in exit code, stdout and every output file, byte for
-byte.  Prints one line per difference and exits 1 if there is any, 0
-otherwise.
+packet's closed form, a closed form whose density falls through the
+subnormal range, and the binning study.  Each pair of runs must agree in exit
+code, stdout and every output file, byte for byte.  Prints one line per
+difference and exits 1 if there is any, 0 otherwise.
+
+The CSV values reach every class of `%.17g` text that the table formatter
+(`entroflux._g17`) lays out apart:
+
+- fixed notation with e < 0 and with e >= 0: every config;
+- scientific with two exponent digits: every config but `binning`;
+- scientific with three: the coherent closed forms (`oracle_dump_seed*`,
+  `oracle_snapshots`, `oracle_one_block`, `oracle_subnormal`) and
+  `simulate_coherent`;
+- subnormals: `oracle_subnormal`;
+- 0: every `simulate` and `oracle` config; -0: `oracle_dump_seed*`,
+  `oracle_snapshots`, `oracle_one_block`, `oracle_subnormal`,
+  `simulate_snapshots`, `simulate_floored`, `simulate_one_row`,
+  `free_stride7` and `narrow_signed_zeros`;
+- nan: `sweep_failing_row` and `sweep_shared_failing`;
+- near-ties, which the formatter leaves to `%`: every `simulate` and `oracle`
+  config, and `sweep_climit_seed2`.
 """
 from __future__ import annotations
 
@@ -61,7 +78,7 @@ FIXED = {
                          "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
     "oracle_one_block": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.063\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
-    # 2501 rows of series.csv: two full chunks of report.TABLE_CHUNK_ROWS and a partial one
+    # 2501 rows of series.csv: four full chunks of report.TABLE_CHUNK_ROWS and a partial one
     "simulate_n64_stride1": ("simulate", "x_min = -8\nx_max = 8\nn = 64\nsigma0 = 1.0\n"
                              "k0 = 0.5\ndt = 1e-3\nt_final = 2.5\nobserve_stride = 1\n"),
     # at n = 16384 a block holds 2 rows; 101 rows
@@ -101,6 +118,12 @@ FIXED = {
                             "save_snapshots = true\n"),
     "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
                 "bin_widths = 0.4, 0.2, 0.1\n"),
+    # the coherent packet's closed form on [-32, 32]: the tails of its density
+    # fall through the subnormal range, down to 2e-323
+    "oracle_subnormal": ("oracle", "x_min = -32\nx_max = 32\nn = 512\ninitial = coherent\n"
+                         "omega = 1.0\namplitude = 1.0\npotential = harmonic\n"
+                         "potential_omega = 1.0\ndt = 1e-3\nt_final = 0.003\n"
+                         "observe_stride = 1\nsave_snapshots = true\n"),
 }
 
 
