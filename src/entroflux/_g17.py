@@ -135,18 +135,16 @@ def _kernel(x: np.ndarray, words: np.ndarray, tables: tuple) -> None:
     d, e, left = _digits(x, pow10)
     np.take(exp_words, e - _E_MIN, out=words[..., 5])
     row = classes[e - _E_MIN] + np.signbit(x) * (17 * 23)
-    del e
     # the lead digit, then four groups of four: words 0 to 4
     lead = d // 10**16
     np.take(lead_words, lead, out=words[..., 0])
     d -= lead * 10**16
-    del lead
     high = d // 10**8
     d -= high * 10**8
-    groups = [None, None, None, None]
-    groups[0], groups[2] = high // 10**4, d // 10**4
-    groups[1], groups[3] = high - groups[0] * 10**4, d - groups[2] * 10**4
-    del high, d
+    groups = []
+    for part in (high, d):  # eight digits each
+        top = part // 10**4
+        groups += [top, part - top * 10**4]
     # trailing zeros of the 16 digits after the lead, hence the significant digits
     tz = tz4[groups[0]] + 12
     for j, g in enumerate(groups):

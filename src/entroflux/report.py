@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from . import _g17
 from .config import RunConfig, SweepSpec
 from .entropy import BinRow, Diagnostics, Series, collect, summarize
 from .oracle import closed_form
@@ -162,6 +160,7 @@ def _text_slots(column: np.ndarray) -> np.ndarray:
     """The text of each value of a column that is not formatted as floats, as
     `_g17.text_slots` lays it out: integers %d, strings %s in UTF-8, and bytes
     (a `text_column`) as they are, less their NUL padding."""
+    from . import _g17
     if column.dtype.kind == "S":
         rows = column.view(np.uint8).reshape(len(column), -1)
         return np.where(rows == 0, np.uint8(0xFF), rows)
@@ -175,22 +174,22 @@ def _rows(columns: list, lo: int, hi: int) -> bytearray:
 
     Each value has a slot of `width` bytes in a buffer of the rows: its text,
     and 0xFF in the bytes after it, which no UTF-8 text holds.  The float
-    columns, in runs of adjacent ones, take `_g17.format_into`, the others
-    `_text_slots`, and the last byte of every slot holds the ',' or newline
-    after the value.  The text is the buffer less its 0xFF bytes."""
+    columns take one `_g17.format_into`, the others `_text_slots`, and the
+    last byte of every slot holds the ',' or newline after the value.  The
+    text is the buffer less its 0xFF bytes."""
+    from . import _g17  # on first use: compiling it would add to every command's set-up
     texts = {j: _text_slots(c[lo:hi]) for j, c in enumerate(columns) if c.dtype.kind in "iUS"}
+    floats = [j for j in range(len(columns)) if j not in texts]
     width = max([_g17.WIDTH - 1, *(t.shape[1] for t in texts.values())]) // 8 * 8 + 8
     text = bytearray(b"\xff") * ((hi - lo) * len(columns) * width)
     slots = np.frombuffer(text, np.uint64).reshape(hi - lo, len(columns), width // 8)
     slot_bytes = slots.view(np.uint8)
-    for is_text, run in groupby(range(len(columns)), key=lambda j: j in texts):
-        run = list(run)
-        if is_text:
-            for j in run:
-                slot_bytes[:, j, : texts[j].shape[1]] = texts[j]
-        else:
-            values = np.stack([columns[j][lo:hi] for j in run], axis=1)
-            _g17.format_into(values, slots[:, run[0] : run[-1] + 1, : _g17.WORDS])
+    for j, t in texts.items():
+        slot_bytes[:, j, : t.shape[1]] = t
+    if floats:
+        words = np.empty((hi - lo, len(floats), _g17.WORDS), np.uint64)
+        _g17.format_into(np.stack([columns[j][lo:hi] for j in floats], axis=1), words)
+        slots[:, floats, : _g17.WORDS] = words
     slot_bytes[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     return text.translate(None, b"\xff")
 
