@@ -32,6 +32,7 @@ import numpy as np
 
 WIDTH = 48  # bytes of a slot
 WORDS = WIDTH // 8
+PASS_VALUES = 2048  # values a caller formats at a time: a bound on the kernel's temporaries
 _E_MIN, _E_MAX = -324, 308  # the decimal exponents of float64
 _FIXED = 21  # notation classes 0..20 are fixed with e = -4..16; 21 and 22 are
 # scientific with two and three exponent digits

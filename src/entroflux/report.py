@@ -153,7 +153,7 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     return SweepReport(rows=rows, exponent=exponent)
 
 
-TABLE_CHUNK_ROWS = 512  # rows formatted and written at a time: a bound on their buffers
+TABLE_CHUNK_ROWS = 1024  # rows formatted and written at a time
 
 
 def _text_slots(column: np.ndarray) -> np.ndarray:
@@ -174,9 +174,9 @@ def _rows(columns: list, lo: int, hi: int) -> bytearray:
 
     Each value has a slot of `width` bytes in a buffer of the rows: its text,
     and 0xFF in the bytes after it, which no UTF-8 text holds.  The float
-    columns take one `_g17.format_into`, the others `_text_slots`, and the
-    last byte of every slot holds the ',' or newline after the value.  The
-    text is the buffer less its 0xFF bytes."""
+    columns take `_g17.format_into`, `_g17.PASS_VALUES` values at a time, the
+    others `_text_slots`, and the last byte of every slot holds the ',' or
+    newline after the value.  The text is the buffer less its 0xFF bytes."""
     from . import _g17  # on first use: compiling it would add to every command's set-up
     texts = {j: _text_slots(c[lo:hi]) for j, c in enumerate(columns) if c.dtype.kind in "iUS"}
     floats = [j for j in range(len(columns)) if j not in texts]
@@ -187,22 +187,22 @@ def _rows(columns: list, lo: int, hi: int) -> bytearray:
     for j, t in texts.items():
         slot_bytes[:, j, : t.shape[1]] = t
     if floats:
-        words = np.empty((hi - lo, len(floats), _g17.WORDS), np.uint64)
-        _g17.format_into(np.stack([columns[j][lo:hi] for j in floats], axis=1), words)
-        slots[:, floats, : _g17.WORDS] = words
+        values = np.stack([columns[j][lo:hi] for j in floats], axis=1)
+        step = max(1, _g17.PASS_VALUES // len(floats))  # rows per kernel pass
+        for a in range(0, hi - lo, step):
+            part = values[a : a + step]
+            words = np.empty(part.shape + (_g17.WORDS,), np.uint64)
+            _g17.format_into(part, words)
+            slots[a : a + step, floats, : _g17.WORDS] = words
     slot_bytes[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     return text.translate(None, b"\xff")
 
 
-def _table_columns(columns) -> list:
-    """columns as arrays: integers, strings and bytes as they are, anything else
-    as float64."""
+def _chunks(columns):
+    """The CSV text of the rows of columns, TABLE_CHUNK_ROWS rows at a time:
+    integers, strings and bytes as they are, anything else as float64."""
     columns = [np.asarray(c) for c in columns]
-    return [c if c.dtype.kind in "iUS" else c.astype(np.float64) for c in columns]
-
-
-def _chunks(columns: list):
-    """The CSV text of the rows of columns, TABLE_CHUNK_ROWS rows at a time."""
+    columns = [c if c.dtype.kind in "iUS" else c.astype(np.float64) for c in columns]
     n_rows = len(columns[0]) if columns else 0
     for lo in range(0, n_rows, TABLE_CHUNK_ROWS):
         yield _rows(columns, lo, min(n_rows, lo + TABLE_CHUNK_ROWS))
@@ -212,7 +212,7 @@ def text_column(values) -> np.ndarray:
     """values formatted as `write_table` formats them, as bytes: a column shared
     by many tables (a grid) is then formatted once.  No value's text may hold a
     newline."""
-    text = b"".join(_chunks(_table_columns([values])))
+    text = b"".join(_chunks([values]))
     return np.array(text.split(b"\n")[:-1], dtype=bytes)
 
 
@@ -225,7 +225,6 @@ def write_table(path: Path, header, columns) -> None:
     TABLE_CHUNK_ROWS at a time; `_g17` gives the exact bytes of %.17g for a
     whole chunk's floats at once.
     """
-    columns = _table_columns(columns)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         f.writelines(_chunks(columns))

@@ -78,7 +78,7 @@ FIXED = {
                          "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
     "oracle_one_block": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.063\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
-    # 2501 rows of series.csv: four full chunks of report.TABLE_CHUNK_ROWS and a partial one
+    # 2501 rows of series.csv: two full chunks of report.TABLE_CHUNK_ROWS and a partial one
     "simulate_n64_stride1": ("simulate", "x_min = -8\nx_max = 8\nn = 64\nsigma0 = 1.0\n"
                              "k0 = 0.5\ndt = 1e-3\nt_final = 2.5\nobserve_stride = 1\n"),
     # at n = 16384 a block holds 2 rows; 101 rows
