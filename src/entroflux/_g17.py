@@ -27,12 +27,13 @@ every value takes `%` for the rest of the process.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 WIDTH = 48  # bytes of a slot
 WORDS = WIDTH // 8
-PASS_VALUES = 2048  # values a caller formats at a time: a bound on the kernel's temporaries
+PASS_VALUES = 2048  # values formatted at a time: a bound on the kernel's temporaries
 _E_MIN, _E_MAX = -324, 308  # the decimal exponents of float64
 _FIXED = 21  # notation classes 0..20 are fixed with e = -4..16; 21 and 22 are
 # scientific with two and three exponent digits
@@ -195,9 +196,12 @@ def _tables():
 def format_into(x: np.ndarray, words: np.ndarray) -> None:
     """Write the `'%.17g' % v` text of each value v of float64 x into words
     (uint64, x.shape + (WORDS,)), a slot of WIDTH bytes per value: its text,
-    with every other byte of the slot 0xFF, a byte no UTF-8 text holds."""
+    with every other byte of the slot 0xFF, a byte no UTF-8 text holds.  The
+    rows of x are formatted PASS_VALUES values (at least one row) at a time."""
     tables = _tables()
-    if tables is None:
-        _percent(x, words)
-    else:
-        _kernel(x, words, tables)
+    step = max(1, PASS_VALUES // math.prod(x.shape[1:]))  # rows of x per pass
+    for a in range(0, len(x), step):
+        if tables is None:
+            _percent(x[a : a + step], words[a : a + step])
+        else:
+            _kernel(x[a : a + step], words[a : a + step], tables)

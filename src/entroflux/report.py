@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,16 +100,15 @@ class SweepReport:
 def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
     """The row at eps, the `run_simulation` of its config cfg, with its error
     message if it failed: if its run fails, or if its packet reached the
-    periodic seam."""
+    periodic seam at any observed row."""
     # the closed form's gain 1/2 ln(1 + s^2), by log1p to keep its digits at small s
     s = cfg.params.hbar * t_c / (2.0 * cfg.params.mass * cfg.sigma0**2)
     common = dict(epsilon=eps, hbar=cfg.params.hbar, dt=cfg.dt, n_steps=cfg.n_steps,
                   delta_I_expected=0.5 * math.log1p(s**2))
-    seam = [0.0]  # the density at the seam of the last row
+    seam = [0.0]  # the largest density at the seam over the observed rows
 
     def on_block(first, rows):
-        rho = rows.rho[-1]
-        seam[0] = max(rho[0], rho[-1])
+        seam[0] = max(seam[0], rows.rho[:, 0].max(), rows.rho[:, -1].max())
 
     try:
         _, summary = run_simulation(cfg, on_block)
@@ -153,77 +152,73 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     return SweepReport(rows=rows, exponent=exponent)
 
 
-TABLE_CHUNK_ROWS = 1024  # rows formatted and written at a time
-
-
 def _text_slots(column: np.ndarray) -> np.ndarray:
-    """The text of each value of a column that is not formatted as floats, as
-    `_g17.text_slots` lays it out: integers %d, strings %s in UTF-8, and bytes
-    (a `text_column`) as they are, less their NUL padding."""
+    """The text of each value of an integer or string column, as
+    `_g17.text_slots` lays it out: integers %d, strings %s in UTF-8."""
     from . import _g17
-    if column.dtype.kind == "S":
-        rows = column.view(np.uint8).reshape(len(column), -1)
-        return np.where(rows == 0, np.uint8(0xFF), rows)
     fmt = "%d" if column.dtype.kind == "i" else "%s"
     texts = [(fmt % v).encode() for v in column.tolist()]
     return _g17.text_slots(texts, max(map(len, texts)))
 
 
-def _rows(columns: list, lo: int, hi: int) -> bytearray:
-    """The CSV text of rows lo..hi-1 of columns.
+def _rows(columns: list, floats: list) -> bytearray:
+    """The CSV text of the rows of columns, whose float64 columns are at floats.
 
     Each value has a slot of `width` bytes in a buffer of the rows: its text,
     and 0xFF in the bytes after it, which no UTF-8 text holds.  The float
-    columns take `_g17.format_into`, `_g17.PASS_VALUES` values at a time, the
-    others `_text_slots`, and the last byte of every slot holds the ',' or
+    columns take one `_g17.format_into`, a `text_column` its own slots and
+    the others `_text_slots`; the last byte of every slot holds the ',' or
     newline after the value.  The text is the buffer less its 0xFF bytes."""
     from . import _g17  # on first use: compiling it would add to every command's set-up
-    texts = {j: _text_slots(c[lo:hi]) for j, c in enumerate(columns) if c.dtype.kind in "iUS"}
-    floats = [j for j in range(len(columns)) if j not in texts]
+    texts = {j: c if c.ndim == 2 else _text_slots(c)
+             for j, c in enumerate(columns) if j not in floats}
     width = max([_g17.WIDTH - 1, *(t.shape[1] for t in texts.values())]) // 8 * 8 + 8
-    text = bytearray(b"\xff") * ((hi - lo) * len(columns) * width)
-    slots = np.frombuffer(text, np.uint64).reshape(hi - lo, len(columns), width // 8)
+    text = bytearray(b"\xff") * (len(columns[0]) * len(columns) * width)
+    slots = np.frombuffer(text, np.uint64).reshape(-1, len(columns), width // 8)
     slot_bytes = slots.view(np.uint8)
     for j, t in texts.items():
         slot_bytes[:, j, : t.shape[1]] = t
     if floats:
-        values = np.stack([columns[j][lo:hi] for j in floats], axis=1)
-        step = max(1, _g17.PASS_VALUES // len(floats))  # rows per kernel pass
-        for a in range(0, hi - lo, step):
-            part = values[a : a + step]
-            words = np.empty(part.shape + (_g17.WORDS,), np.uint64)
-            _g17.format_into(part, words)
-            slots[a : a + step, floats, : _g17.WORDS] = words
+        values = np.stack([columns[j] for j in floats], axis=1)
+        words = np.empty(values.shape + (_g17.WORDS,), np.uint64)
+        _g17.format_into(values, words)
+        slots[:, floats, : _g17.WORDS] = words
     slot_bytes[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     return text.translate(None, b"\xff")
 
 
 def _chunks(columns):
-    """The CSV text of the rows of columns, TABLE_CHUNK_ROWS rows at a time:
-    integers, strings and bytes as they are, anything else as float64."""
+    """The CSV text of the rows of columns, a chunk at a time: integers,
+    strings and `text_column` slots as they are, anything else as float64,
+    read in place where it is float64 already.  A chunk holds the rows whose
+    floats fill one `_g17` pass, at least one row."""
+    from . import _g17
     columns = [np.asarray(c) for c in columns]
-    columns = [c if c.dtype.kind in "iUS" else c.astype(np.float64) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    for lo in range(0, n_rows, TABLE_CHUNK_ROWS):
-        yield _rows(columns, lo, min(n_rows, lo + TABLE_CHUNK_ROWS))
+    floats = [j for j, c in enumerate(columns) if c.ndim == 1 and c.dtype.kind not in "iU"]
+    columns = [np.asarray(c, np.float64) if j in floats else c for j, c in enumerate(columns)]
+    step = max(1, _g17.PASS_VALUES // max(1, len(floats)))
+    for lo in range(0, len(columns[0]) if columns else 0, step):
+        yield _rows([c[lo : lo + step] for c in columns], floats)
 
 
 def text_column(values) -> np.ndarray:
-    """values formatted as `write_table` formats them, as bytes: a column shared
-    by many tables (a grid) is then formatted once.  No value's text may hold a
-    newline."""
-    text = b"".join(_chunks([values]))
-    return np.array(text.split(b"\n")[:-1], dtype=bytes)
+    """values formatted as `write_table` formats floats, as the slots of
+    `_g17.format_into` less their last byte, (len(values), WIDTH - 1) uint8: a
+    column shared by many tables (a grid) is then formatted once."""
+    from . import _g17
+    x = np.asarray(values, dtype=np.float64)
+    words = np.empty(x.shape + (_g17.WORDS,), np.uint64)
+    _g17.format_into(x, words)
+    return words.view(np.uint8)[:, : _g17.WIDTH - 1]
 
 
 def write_table(path: Path, header, columns) -> None:
     """Write equal-length columns as CSV under a header line, in UTF-8.
 
-    Each column is formatted by its dtype: integers %d, strings %s, bytes (a
-    `text_column`) as they are, and anything else as float64 by %.17g, so a
-    float keeps every bit of its value.  The rows are formatted
-    TABLE_CHUNK_ROWS at a time; `_g17` gives the exact bytes of %.17g for a
-    whole chunk's floats at once.
+    Each column is formatted by its dtype: integers %d, strings %s, the slots
+    of a `text_column` as they are, and anything else as float64 by %.17g, so
+    a float keeps every bit of its value.  `_g17` gives the exact bytes of
+    %.17g a chunk of rows at a time, and no column is copied.
     """
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
@@ -260,7 +255,7 @@ SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def write_sweep_csv(report: SweepReport, path: Path) -> None:
-    *columns, errors = zip(*map(astuple, report.rows))
+    *columns, errors = ([getattr(r, name) for r in report.rows] for name in SWEEP_COLUMNS)
     # keep the error string CSV-safe
     errors = [e.replace(",", ";") for e in errors]
     write_table(path, SWEEP_COLUMNS, [*columns, errors])
@@ -270,6 +265,6 @@ BINNING_COLUMNS = [f.name for f in fields(BinRow)]
 
 
 def write_binning_csv(rows: list, path: Path) -> None:
-    *columns, resolved = zip(*map(astuple, rows))
+    *columns, resolved = ([getattr(r, name) for r in rows] for name in BINNING_COLUMNS)
     write_table(path, BINNING_COLUMNS,
                 [*columns, np.where(resolved, "resolved", "unresolved")])

@@ -65,6 +65,16 @@ def test_sweep_continues_past_failed_row():
     assert rep.rows[1].error == ""
 
 
+def test_sweep_row_fails_if_its_packet_crossed_the_seam_before_t_c():
+    # the 0.8 packet drifts eps * L_c**2 * k0 = 40, one domain length: it
+    # crosses the seam mid-run and is back at the centre by t_c
+    spec = ef.SweepSpec(epsilons=(0.8, 0.4), t_c=2.0, L_c=1.0, k0=50.0)
+    rows = ef.run_sweep(spec).rows
+    assert [r.error for r in rows] == [
+        "packet reached domain boundary (seam density 0.391)"] * 2
+    assert np.isnan(rows[0].delta_I)
+
+
 def test_sweep_runs_serially_only():
     spec = ef.SweepSpec(epsilons=(0.4, 0.2), t_c=2.0, L_c=1.0, dt_ref=2e-3)
     for workers in (0, 2, None):
@@ -118,7 +128,7 @@ CAPPED = dict(epsilons=(0.4, 0.2, 0.05), t_c=2.0, L_c=1.0, n=128, dt_ref=0.25)
 
 def _row_alone(spec, eps):
     """The row at eps run by itself: its own free run and Diagnostics, through
-    collect; the Diagnostics' on_block keeps the last row's density."""
+    collect; the Diagnostics' on_block keeps the largest density at the seam."""
     from entroflux.entropy import Diagnostics, collect, summarize
 
     hbar, dt, n_steps, stride = spec.time_grid(eps)
@@ -129,14 +139,14 @@ def _row_alone(spec, eps):
     try:
         wf = ef.init_gaussian(grid, params, sigma0=spec.L_c, x0=spec.x0, k0=spec.k0)
         n_rows = n_steps // stride + 1
-        last = []
+        seams = []
 
         def on_block(first, rows):
-            last[:] = [rows.rho[-1].copy()]
+            seams.extend(rows.rho[:, [0, -1]].ravel())
 
         stream = Diagnostics(grid, n_rows, spec.reg_floor, on_block=on_block)
         collect(wf, ef.Potential.free(), dt, n_steps, stride, stream)
-        seam = max(last[0][0], last[0][-1])
+        seam = max(seams)
         if seam > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam:.3g})")
         summary = summarize(stream.columns())

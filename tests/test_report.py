@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 import entroflux as ef
 from entroflux import _g17, report
 from entroflux.entropy import Series
-from entroflux.report import SNAPSHOT_COLUMNS, TABLE_CHUNK_ROWS, write_snapshots, write_table
+from entroflux.report import SNAPSHOT_COLUMNS, write_snapshots, write_table
+
+TABLE_CHUNK_ROWS = _g17.PASS_VALUES // 2  # rows of a chunk of two float columns
 
 
 def _fmt(x) -> str:
@@ -89,8 +92,10 @@ def test_write_snapshots_matches_per_value_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "text_column",
                         lambda x: formatted.append(x) or text_column(x))
     rng = np.random.default_rng(7)
-    # a small grid, and blocks whose files cross a chunk seam
-    for n, n_rows, first in ((16, 3, 0), (2 * TABLE_CHUNK_ROWS, 2, 5)):
+    # a small grid, blocks whose files cross a chunk seam, and a grid whose
+    # column takes two kernel passes
+    for n, n_rows, first in ((16, 3, 0), (2 * TABLE_CHUNK_ROWS, 2, 5),
+                             (2 * _g17.PASS_VALUES, 1, 9)):
         grid = ef.Grid1D(-2.0, 2.0, n)
         rows = []
         for i in range(n_rows):
@@ -110,6 +115,25 @@ def test_write_snapshots_matches_per_value_reference(tmp_path, monkeypatch):
             columns = (grid.x, series.rho[i], series.current[i], series.velocity[i],
                        series.rho_I[i])
             assert f.read_bytes() == _reference(SNAPSHOT_COLUMNS, zip(*columns))
+
+
+def _write_peak(path, n_rows) -> int:
+    """The tracemalloc peak of writing n_rows rows of 10 float columns and one
+    integer column, the shape of series.csv."""
+    rng = np.random.default_rng(n_rows)
+    columns = [*rng.normal(size=(10, n_rows)), np.arange(n_rows)]
+    tracemalloc.start()
+    try:
+        write_table(path, report.CSV_COLUMNS, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_table_holds_one_chunk_whatever_its_length(tmp_path):
+    write_table(tmp_path / "warm.csv", ["x"], [np.ones(1)])  # the kernel's tables
+    small, large = (_write_peak(tmp_path / "table.csv", n) for n in (2_000, 200_000))
+    assert large <= 1.5 * small
 
 
 # ---------- the %.17g kernel ----------

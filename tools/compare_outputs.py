@@ -7,9 +7,10 @@ Exports PARENT_REV with `git archive` into a temporary directory and runs the
 `entroflux` CLI of both trees, one process per run, on the same configs: the
 four bench workloads of `bench/workloads.py` at seeds 1-3, and the fixed
 configs below, which reach block seams, a floor edge that moves in a
-block's halo, table chunk seams, snapshot files, failing sweep rows before a
-good one, a sweep of four rows with different step counts and strides, a
-sweep that sets every key of its rows' `simulate` configs, signed zeros in a
+block's halo, table chunk seams, snapshot files, a snapshot grid longer
+than one pass of the table formatter, failing sweep rows before a good one,
+a sweep of four rows with different step counts and strides, a sweep that
+sets every key of its rows' `simulate` configs, signed zeros in a
 free run's states, a free run observed at every step at n = 16384, a free
 run observed at every 7th step, a simulated coherent packet, the free
 packet's closed form, a closed form whose density falls through the
@@ -29,7 +30,7 @@ The CSV values reach every class of `%.17g` text that the table formatter
 - 0: every `simulate` and `oracle` config; -0: `oracle_dump_seed*`,
   `oracle_snapshots`, `oracle_one_block`, `oracle_subnormal`,
   `simulate_snapshots`, `simulate_floored`, `simulate_one_row`,
-  `free_stride7` and `narrow_signed_zeros`;
+  `snapshots_4096`, `free_stride7` and `narrow_signed_zeros`;
 - nan: `sweep_failing_row` and `sweep_shared_failing`;
 - near-ties, which the formatter leaves to `%`: every `simulate` and `oracle`
   config, and `sweep_climit_seed2`.
@@ -78,9 +79,15 @@ FIXED = {
                          "k0 = 0.5\ndt = 1e-3\nt_final = 0\nsave_snapshots = true\n"),
     "oracle_one_block": ("oracle", COHERENT + "dt = 1e-3\nt_final = 0.063\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
-    # 2501 rows of series.csv: two full chunks of report.TABLE_CHUNK_ROWS and a partial one
+    # 2501 rows of series.csv, 10 float columns: 12 full chunks of 204 rows and
+    # a partial one
     "simulate_n64_stride1": ("simulate", "x_min = -8\nx_max = 8\nn = 64\nsigma0 = 1.0\n"
                              "k0 = 0.5\ndt = 1e-3\nt_final = 2.5\nobserve_stride = 1\n"),
+    # 3 snapshot files of 4096 rows: a grid column formatted in two kernel
+    # passes, and 8 chunks of 512 rows per file
+    "snapshots_4096": ("simulate", "x_min = -40\nx_max = 40\nn = 4096\nsigma0 = 1.0\n"
+                       "k0 = 1.5\ndt = 1e-4\nt_final = 0.0002\nobserve_stride = 1\n"
+                       "save_snapshots = true\n"),
     # at n = 16384 a block holds 2 rows; 101 rows
     "barrier_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
                       "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
