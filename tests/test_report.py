@@ -92,10 +92,8 @@ def test_write_snapshots_matches_per_value_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "text_column",
                         lambda x: formatted.append(x) or text_column(x))
     rng = np.random.default_rng(7)
-    # a small grid, blocks whose files cross a chunk seam, and a grid whose
-    # column takes two kernel passes
-    for n, n_rows, first in ((16, 3, 0), (2 * TABLE_CHUNK_ROWS, 2, 5),
-                             (2 * _g17.PASS_VALUES, 1, 9)):
+    # a small grid, and blocks whose files cross a chunk seam
+    for n, n_rows, first in ((16, 3, 0), (2 * TABLE_CHUNK_ROWS, 2, 5)):
         grid = ef.Grid1D(-2.0, 2.0, n)
         rows = []
         for i in range(n_rows):
@@ -115,6 +113,19 @@ def test_write_snapshots_matches_per_value_reference(tmp_path, monkeypatch):
             columns = (grid.x, series.rho[i], series.current[i], series.velocity[i],
                        series.rho_I[i])
             assert f.read_bytes() == _reference(SNAPSHOT_COLUMNS, zip(*columns))
+
+
+def test_write_snapshots_formats_a_grid_longer_than_a_pass(tmp_path):
+    # the grid column takes two kernel passes, and each file 8 chunks of rows
+    grid = ef.Grid1D(-40.0, 40.0, 2 * _g17.PASS_VALUES)
+    rng = np.random.default_rng(11)
+    rho = rng.random((1, grid.n)) ** 3
+    current = rng.normal(size=(1, grid.n))
+    series = Series.of(grid, np.zeros(1), rho, current, current / np.maximum(rho, 1e-12))
+    write_snapshots(series, tmp_path)
+    columns = (grid.x, series.rho[0], series.current[0], series.velocity[0], series.rho_I[0])
+    expected = _reference(SNAPSHOT_COLUMNS, zip(*columns))
+    assert (tmp_path / "snapshot_000000.csv").read_bytes() == expected
 
 
 def _write_peak(path, n_rows) -> int:
