@@ -18,15 +18,19 @@ Diagnostics (all residuals should vanish to discretization order):
 with the boundary term vanishing on the full periodic domain.
 
 A run hands its samples to one consumer, `Diagnostics`, a stream of rows of
-one kind (states, their transforms, or given fields), staged one at a time
-into blocks of at most CHUNK_POINTS grid points.  When a block is flushed,
-its rows' fields (of states), norms, the masks rho >= reg_floor and ln rho
-are taken once, and rho_I, the rate identity and the norm check read them;
-then the rows get their per-row columns and, with the two rows before the
-block carried along as a halo, the centred residuals of every row whose
-neighbours have arrived; an optional hook sees the block (to write snapshot
-files), and then the block's buffers take the next rows.  The block's
-transforms and residuals write into buffers the block owns.  So a run holds
+one kind (states, their transforms, or given fields), staged into blocks of
+at most CHUNK_POINTS grid points.  The stream owns the block: a run's
+split-step loop (`collect`, through `propagate.split_steps`) writes each
+observed state straight into the block's rows and hands the stream one
+filled block per call, and given fields are copied in a row at a time.
+When a block is flushed, its rows' fields (of states), norms, the masks
+rho >= reg_floor and ln rho are taken once, and rho_I, the rate identity and
+the norm check read them; then the rows get their per-row columns and, with
+the two rows before the block carried along as a halo, the centred residuals
+of every row whose neighbours have arrived; an optional hook sees the block
+(to write snapshot files), and then the block's buffers take the next rows.
+The block's transforms, residuals and subvolume integrals write into buffers
+the block owns.  So a run holds
 O(CHUNK_POINTS) field values plus O(T) scalar columns, and a block's pass
 allocates no array of the block's size.  `diagnose` adds a stored `Series` of
 (T, n) arrays to the same consumer, so each column has one implementation; the
@@ -373,6 +377,18 @@ def _rate_identity(d_rho: np.ndarray, d_rho_I: np.ndarray, ln: np.ndarray, mask:
     return np.add(d_rho_I, r9, out=r9, where=mask)
 
 
+def _trapezoid_rows(y: np.ndarray, ia: int, ib: int, spacing: np.ndarray,
+                    work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.trapezoid(y[:, ia : ib + 1], x[ia : ib + 1], axis=1) into out, bit for
+    bit, from spacing = np.diff(x[ia : ib + 1]): numpy's own expression
+    (d * (y[1:] + y[:-1]) / 2.0).sum(), with its temporary in work, a
+    C-contiguous (len(y), ib - ia) array."""
+    np.add(y[:, ia + 1 : ib + 1], y[:, ia:ib], out=work)
+    np.multiply(spacing, work, out=work)
+    np.divide(work, 2.0, out=work)
+    return np.add.reduce(work, axis=1, out=out)
+
+
 _COLUMNS = ("norm", "I", "rhs_eq16_full", "residual13_l2", "residual13_linf",
             "residual9_l2", "residual9_linf", "rhs_eq16", "boundary_flux")
 
@@ -387,27 +403,31 @@ def _scratch(buffer: np.ndarray, shape: tuple, dtype=float, at: int = 0) -> np.n
 class Diagnostics:
     """The `diagnose` columns of a series of rows that arrive in time order.
 
-    A producer hands over the next row as a state, `add_state(t, psi, params)`,
-    or as the state's transform, `add_state(t, None, params, psi_hat)`, or the
-    next rows as given fields, `add(rows)` of a Series.  A stream takes one kind
-    of row, and its states one set of physical parameters: the first row sets
-    them, and a row of another kind, or a state with other params, is refused.
-    Each row is staged alone into a block of at most CHUNK_POINTS // n rows, and
-    of one row if n is larger.  A block that is full or holds the last row is
-    flushed: its per-row quantities are taken (the fields of held states, and
-    for every kind its norm, the mask rho >= reg_floor and ln rho where the mask
-    is set), then its per-row columns, and the centred residuals of every row
-    whose two neighbours have arrived: the last two rows stay behind as a halo
-    just ahead of the block, so a residual never depends on where a block ends.
-    Then on_block(first_row, rows) sees the block's rows as a Series of views,
-    and the block is reused.
+    States enter through the block's own buffer `held`, (height, n) complex:
+    a producer writes the next states, or their transforms psi_hat =
+    fft(psi), into `held[n_held:]` and hands them over with `add_held(t,
+    params, spectral)`, as `collect`'s loop does a block at a time;
+    `add_state(t, psi, params)` or `add_state(t, None, params, psi_hat)` does
+    both for one row.  Given fields are the next rows of a Series, `add(rows)`,
+    copied in a row at a time.  A stream takes one kind of row, its states one
+    set of physical parameters, and at most n_rows rows: the first row sets the
+    kind and params, and a row of another kind, a state with other params, or a
+    row past n_rows is refused, checked once per call.  A block holds at most
+    CHUNK_POINTS // n rows, and one row if n is larger.  A block that is full
+    or holds the last row is flushed: its per-row quantities are taken (the
+    fields of held states, and for every kind its norm, the mask rho >=
+    reg_floor and ln rho where the mask is set), then its per-row columns, and
+    the centred residuals of every row whose two neighbours have arrived: the
+    last two rows stay behind as a halo just ahead of the block, so a residual
+    never depends on where a block ends.  Then on_block(first_row, rows) sees
+    the block's rows as a Series of views, and the block is reused.
 
     rho_I and the rate identity read the block's ln rho and mask.  The window's
     six fields are views of one store, and the halo shift moves every field of
     the store and the mask, so a field added to the store cannot miss it.  The
-    block's transforms and residuals write into the memory of the
-    held states and their derivatives, which is dead once the block's fields
-    are taken.  So the window, the held states and their derivatives are all
+    block's transforms, residuals and subvolume integrals write into the memory
+    of the held states and their derivatives, which is dead once the block's
+    fields are taken.  So the window, the held states and their derivatives are all
     the field memory a run holds; only the scalar columns grow with n_rows.
 
     See `diagnose` for the columns, the subvolume and the time step.
@@ -421,7 +441,10 @@ class Diagnostics:
         subvolume=None,
         on_block=None,
     ):
-        self.subvolume = None if subvolume is None else _subvolume_indices(grid, subvolume)
+        self.subvolume = self.spacing = None
+        if subvolume is not None:
+            ia, ib = self.subvolume = _subvolume_indices(grid, subvolume)
+            self.spacing = np.diff(grid.x[ia : ib + 1])  # the trapezoid rule's, taken once
         self.on_block = on_block
         self.height = height = max(1, min(n_rows, CHUNK_POINTS // grid.n))
         # rows 0 and 1 of the window are the halo, rows 2.. the block
@@ -434,8 +457,9 @@ class Diagnostics:
         self.floored_points = np.zeros(n_rows, dtype=int)
         self.i_sub = np.zeros(n_rows)
         self.out = {name: np.zeros(n_rows) for name in _COLUMNS}
-        # the states or transforms of `add_state` and their derivatives; the
-        # scratch of the block's transforms and residuals
+        # the block's states or transforms, written by the producer (`add_held`),
+        # and their derivatives; the scratch of the block's transforms, residuals
+        # and subvolume integrals
         self.held = np.empty((height, grid.n), complex)
         self.dpsi = np.empty((height, grid.n), complex)
         self.kind = None  # "states", "transforms" or "fields", set by the first row
@@ -455,19 +479,29 @@ class Diagnostics:
         self.kind = kind
         return 2 + self.n_held
 
-    def add_state(self, t: float, psi: np.ndarray | None, params: PhysicalParams,
-                  psi_hat: np.ndarray | None = None) -> None:
-        """Take the state at time t as the next row, given as psi or, with psi
-        None, as its transform psi_hat = fft(psi).  The state must pass the
-        checks a `WaveFunction` gets (finite, norm within 1e-8 of 1)."""
+    def add_held(self, t: np.ndarray, params: PhysicalParams, spectral: bool = False) -> None:
+        """Take the len(t) states that `held[n_held : n_held + len(t)]` holds,
+        at the times t, as the next rows, or with spectral their transforms
+        psi_hat = fft(psi); the rows must fit in the block.  The states must
+        pass the checks a `WaveFunction` gets (finite, norm within 1e-8 of 1),
+        which are made when their block is flushed."""
+        if self.n_held + len(t) > self.height:
+            raise ValueError(f"{len(t)} rows do not fit in a block of {self.height} "
+                             f"that holds {self.n_held}")
         if self.params not in (None, params):
             raise ValueError(f"a stream takes one set of physical parameters: this one "
                              f"takes {self.params}, not {params}")
-        k = self._next(1, "states" if psi is not None else "transforms")
-        self.window.t[k] = t
-        self.held[k - 2] = psi if psi is not None else psi_hat
+        k = self._next(len(t), "transforms" if spectral else "states")
+        self.window.t[k : k + len(t)] = t
         self.params = params
-        self._hold()
+        self._hold(len(t))
+
+    def add_state(self, t: float, psi: np.ndarray | None, params: PhysicalParams,
+                  psi_hat: np.ndarray | None = None) -> None:
+        """Take the state at time t as the next row, given as psi or, with psi
+        None, as its transform psi_hat = fft(psi) (`add_held` of one row)."""
+        self.held[self.n_held] = psi if psi is not None else psi_hat
+        self.add_held(np.array([t]), params, psi is None)
 
     def add(self, rows: Series) -> None:
         """Take the rows of a Series on this grid as the next rows."""
@@ -479,10 +513,10 @@ class Diagnostics:
                 getattr(w, name)[k] = getattr(rows, name)[i]
             self._hold()
 
-    def _hold(self) -> None:
-        """Hold the staged row, and flush the block once it is full or holds the
-        last row: its per-row quantities, then its columns."""
-        self.n_held += 1
+    def _hold(self, count: int = 1) -> None:
+        """Hold the count staged rows, and flush the block once it is full or
+        holds the last row: its per-row quantities, then its columns."""
+        self.n_held += count
         if self.n_held < self.height and self.n_done + self.n_held < len(self.t):
             return
         if self.kind == "fields":
@@ -537,9 +571,11 @@ class Diagnostics:
         out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
         if self.subvolume is not None:
             ia, ib = self.subvolume
-            xs = grid.x[ia : ib + 1]
-            self.i_sub[lo:hi] = np.trapezoid(rho_I[:, ia : ib + 1], xs, axis=1)
-            out["rhs_eq16"][lo:hi] = -np.trapezoid(v_drho[:, ia : ib + 1], xs, axis=1)
+            # the derivatives' memory is dead once v_drho is taken
+            terms = _scratch(self.dpsi, (count, ib - ia))
+            _trapezoid_rows(rho_I, ia, ib, self.spacing, terms, out=self.i_sub[lo:hi])
+            rhs = _trapezoid_rows(v_drho, ia, ib, self.spacing, terms, out=out["rhs_eq16"][lo:hi])
+            np.negative(rhs, out=rhs)
             g = (rho_I[:, [ia, ib]] - rho[:, [ia, ib]]) * v[:, [ia, ib]]
             out["boundary_flux"][lo:hi] = g[:, 1] - g[:, 0]
         # rows lo-1 .. hi-2 now have both neighbours; row 0 never does
@@ -611,12 +647,21 @@ def collect(
     stream: Diagnostics,
 ) -> None:
     """Evolve wf by n_steps; add its state to stream at the start and every
-    `stride` steps (`Diagnostics.add_state`), as the state or, from a free
-    run, as its transform."""
-    def on_row(i: int, psi, psi_hat) -> None:
-        stream.add_state(wf.t + i * dt, psi, wf.params, psi_hat)
+    `stride` steps, as the state or, from a free run, as its transform.
 
-    split_steps(wf, potential, dt, n_steps, on_row, range(0, n_steps + 1, stride))
+    The stream owns the block buffer: the loop (`split_steps`) writes each
+    observed row straight into the stream's `held` rows, and the stream takes
+    each filled block in one `Diagnostics.add_held` call, which checks it and
+    flushes it.  So the stream must hold no rows that are not yet computed."""
+    if stream.n_held:
+        raise ValueError(f"collect fills a stream's blocks from their first row, but this "
+                         f"one holds {stream.n_held} rows not yet computed")
+
+    def on_block(steps: np.ndarray, spectral: bool) -> None:
+        stream.add_held(wf.t + steps * dt, wf.params, spectral)
+
+    split_steps(wf, potential, dt, n_steps, range(0, n_steps + 1, stride), stream.held,
+                on_block)
 
 
 def diagnose(series: Series, subvolume=None) -> dict:

@@ -6,8 +6,9 @@ Second-order Strang splitting: half potential kick, full kinetic step in
 Fourier space, half potential kick.  Norm-exact by construction (every factor
 is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
 has no kicks, so it stays in Fourier space, reaches each step it needs by
-products of the kinetic factors of dt times powers of two, and hands each
-state it observes over as its transform (`split_steps`).
+products of the kinetic factors of dt times powers of two, and writes each
+state it observes, as its transform, into a block buffer of its caller's
+(`split_steps`).
 """
 from __future__ import annotations
 
@@ -182,19 +183,24 @@ def split_steps(
     potential: Potential,
     dt: float,
     n_steps: int,
-    on_row=None,
     observe_at=(),
+    rows: np.ndarray | None = None,
+    on_block=None,
 ) -> np.ndarray:
     """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
     another half kick, with the factors of `step_factors` computed once per
-    call.  If on_row is given, on_row(i, psi, psi_hat) is called after each
-    step i of observe_at, a strictly ascending iterable of steps in
-    0..n_steps (0 is the initial state), with the state at t = wf.t + i*dt in
-    a fresh array the loop never writes: exactly one of psi and psi_hat is
-    that array and the other is None.  psi_hat = fft(psi) is handed over by a
-    free run, which holds the state in Fourier space; psi by a kicked run.
+    call.  If on_block is given, the loop observes each step of observe_at, a
+    strictly ascending iterable of steps in 0..n_steps (0 is the initial
+    state): it copies the state at t = wf.t + i*dt into the next row of rows,
+    an (h, n) complex buffer that the caller owns, and once the h rows are
+    filled, or the last step observed, it calls on_block(steps, spectral)
+    with the int64 steps of the filled rows, rows[:len(steps)].  A free run
+    holds the state in Fourier space and writes its transform psi_hat =
+    fft(psi) (spectral True); a kicked run writes psi (spectral False).  The
+    loop writes the buffer only between calls, and allocates no array per
+    observed row.
 
     A half kick equal to 1 everywhere, as a free potential's is, leaves only
     the kinetic step, so i steps are one product by the kinetic factor of
@@ -213,25 +219,28 @@ def split_steps(
 
     The kicked loop keeps psi in buffer `a` and its transform in buffer `b`,
     and every product and transform writes into one of them (`out=`), so it
-    allocates an array only for a state it hands out or returns.  The
-    complex product's last bit depends on the order of its operands, and
-    numpy evaluates the expression `exp_t * fft(psi)` as `fft(psi) * exp_t`
-    once the transform's temporary reaches 256 KiB (it reuses the temporary
-    and swaps the operands).  The kicked loop's kinetic product keeps the
-    order that expression has at this grid size, so its states are those of
-    the expression loop bit for bit.
+    allocates an array only for the state it returns.  The complex product's
+    last bit depends on the order of its operands, and numpy evaluates the
+    expression `exp_t * fft(psi)` as `fft(psi) * exp_t` once the transform's
+    temporary reaches 256 KiB (it reuses the temporary and swaps the
+    operands).  The kicked loop's kinetic product keeps the order that
+    expression has at this grid size, so its states are those of the
+    expression loop bit for bit.
     """
-    steps = np.fromiter(() if on_row is None else observe_at, dtype=np.int64)
+    steps = np.fromiter(() if on_block is None else observe_at, dtype=np.int64)
     if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
                            and (np.diff(steps) > 0).all()):
         raise ValueError(f"observation steps must ascend strictly within 0..{n_steps}")
+    if steps.size and (rows is None or len(rows) == 0):
+        raise ValueError("observed steps need a buffer of rows to be written into")
     grid, params = wf.grid, wf.params
     check_dt(grid, params, dt)
     check_potential(grid, params, potential, dt)
     exp_v_half, exp_t = step_factors(grid, params, potential, dt)
     b = np.empty_like(wf.psi)
     done = 0
-    if (exp_v_half == 1).all():
+    spectral = bool((exp_v_half == 1).all())
+    if spectral:
         fft(wf.psi, out=b)
         used = int(np.bitwise_or.reduce(steps, initial=n_steps))
         levels = used.bit_length()
@@ -241,7 +250,7 @@ def split_steps(
         # partial[j]: psi_hat_0 times the factors of the set bits >= j of step `done`
         partial = [b] * (levels + 1)
 
-        def reach(i: int) -> None:
+        def reach(i: int) -> np.ndarray:
             nonlocal done
             top = (i ^ done).bit_length()
             psi_hat = partial[top]
@@ -251,17 +260,12 @@ def split_steps(
                     psi_hat = np.multiply(psi_hat, factors[level], buffers[level])
                 partial[level] = psi_hat
             done = i
-
-        def observe(i: int) -> None:
-            on_row(i, None, partial[0].copy())
-
-        def state() -> np.ndarray:
-            return ifft(partial[0])
+            return psi_hat
     else:
         a, psi = np.empty_like(b), wf.psi
         kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
 
-        def reach(i: int) -> None:
+        def reach(i: int) -> np.ndarray:
             nonlocal psi, done
             for _ in range(i - done):
                 psi = np.multiply(exp_v_half, psi, out=a)
@@ -270,17 +274,15 @@ def split_steps(
                 psi = ifft(b, out=a)
                 np.multiply(exp_v_half, psi, out=psi)
             done = i
-
-        def observe(i: int) -> None:
-            on_row(i, state(), None)
-
-        def state() -> np.ndarray:
-            return psi.copy()
-    for i in map(int, steps):
-        reach(i)
-        observe(i)
-    reach(n_steps)
-    return state()
+            return psi
+    block = list(rows) if steps.size else []  # one view per buffer row, made once
+    for lo in range(0, len(steps), len(block) or 1):
+        filled = steps[lo : lo + len(block)]
+        for row, i in zip(block, filled.tolist()):
+            row[...] = reach(i)  # a copy in C: np.copyto calls a Python dispatcher
+        on_block(filled, spectral)
+    final = reach(n_steps)
+    return ifft(final) if spectral else final.copy()
 
 
 def evolve(
@@ -297,21 +299,24 @@ def evolve(
     A free run transforms its state once and steps in Fourier space, while
     each `step` takes a transform pair, so free states match chained `step`
     calls to roundoff, not bit for bit.  A kicked run's match them exactly.
-    A free run hands over each observed state as its transform, which the
-    observer's state takes back with `ifft`: the call that makes the final
-    state, so both carry the bits of the Fourier-space loop.
+    The loop writes each observed state into a one-row buffer of evolve's
+    own: a kicked state is copied out of it into its `WaveFunction`, and a
+    free run's transform is taken back with `ifft`, which makes the new
+    array: the call that makes the final state, so both carry the bits of
+    the Fourier-space loop.
     """
     if n_steps == 0:
         return wf
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    row = None if observer is None else np.empty((1, wf.grid.n), complex)
 
     def state(i: int, psi: np.ndarray) -> WaveFunction:
         return replace(wf, psi=psi, t=wf.t + i * dt)
 
-    def observe(i: int, psi, psi_hat) -> None:
-        observer(state(i, ifft(psi_hat) if psi is None else psi))
+    def observe(steps: np.ndarray, spectral: bool) -> None:
+        observer(state(int(steps[0]), ifft(row[0]) if spectral else row[0].copy()))
 
     return state(n_steps, split_steps(wf, potential, dt, n_steps,
-                                      None if observer is None else observe,
-                                      range(stride, n_steps + 1, stride)))
+                                      range(stride, n_steps + 1, stride), row,
+                                      None if observer is None else observe))

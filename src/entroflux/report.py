@@ -99,8 +99,9 @@ class SweepReport:
 
 def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
     """The row at eps, the `run_simulation` of its config cfg, with its error
-    message if it failed: if its run fails, or if its packet reached the
-    periodic seam at any observed row."""
+    message if it failed: if its run fails, if its packet reached the
+    periodic seam at any observed row, or if its delta_I is not above 2**12
+    ulps of the larger |I| of its ends, the roundoff of the difference."""
     # the closed form's gain 1/2 ln(1 + s^2), by log1p to keep its digits at small s
     s = cfg.params.hbar * t_c / (2.0 * cfg.params.mass * cfg.sigma0**2)
     common = dict(epsilon=eps, hbar=cfg.params.hbar, dt=cfg.dt, n_steps=cfg.n_steps,
@@ -114,6 +115,10 @@ def _sweep_row(eps: float, cfg: RunConfig, t_c: float) -> SweepRow:
         _, summary = run_simulation(cfg, on_block)
         if seam[0] > 1e-20:
             raise ValueError(f"packet reached domain boundary (seam density {seam[0]:.3g})")
+        roundoff = 2**12 * math.ulp(max(abs(summary["I_initial"]), abs(summary["I_final"])))
+        if not summary["delta_I"] > roundoff:
+            raise ValueError(f"delta_I = {summary['delta_I']:.3g} is within roundoff: not "
+                             f"above 2**12 ulps of I ({roundoff:.3g})")
     except ValueError as exc:
         nan = float("nan")
         return SweepRow(**common, delta_I=nan, residual13_l2_max=nan,
@@ -131,14 +136,15 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     """Run one free simulation per epsilon (descending) and fit delta_I ~ eps^p.
 
     Each row runs alone, one after another in the calling thread
-    (`_sweep_row`); max_workers must be 1.  Failed rows carry an error string
-    and are excluded from the fit; the sweep continues past them.
+    (`_sweep_row`); max_workers must be 1.  Failed rows, a row whose delta_I
+    is within roundoff among them, carry an error string and are excluded from
+    the fit; the sweep continues past them.
     """
     if max_workers != 1:
         raise ValueError(f"the sweep runs serially: max_workers must be 1, got {max_workers}")
     rows = [_sweep_row(eps, cfg, spec.t_c)
             for eps, cfg in zip(spec.epsilons, spec.row_configs)]
-    good = [r for r in rows if not r.error and r.delta_I > 0.0]
+    good = [r for r in rows if not r.error]
     if len(good) >= 2:
         exponent = float(
             np.polyfit(
@@ -152,20 +158,41 @@ def run_sweep(spec: SweepSpec, max_workers: int = 1) -> SweepReport:
     return SweepReport(rows=rows, exponent=exponent)
 
 
+# 10**1 .. 10**19: a magnitude below 10**k has at most k digits
+_POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
+
+
 def _text_slots(column: np.ndarray) -> np.ndarray:
-    """The text of each value of an integer or string column, as
-    `_g17.text_slots` lays it out: integers %d, strings %s in UTF-8."""
-    from . import _g17
-    fmt = "%d" if column.dtype.kind == "i" else "%s"
-    texts = [(fmt % v).encode() for v in column.tolist()]
-    return _g17.text_slots(texts, max(map(len, texts)))
+    """The text of each value of an integer or string column as (len(column),
+    width) uint8 slots, 0xFF in the bytes around it: strings %s in UTF-8, as
+    `_g17.text_slots` lays them out, and integers %d, each at the end of its
+    slot."""
+    if column.dtype.kind != "i":
+        from . import _g17
+        texts = [("%s" % v).encode() for v in column.tolist()]
+        return _g17.text_slots(texts, max(map(len, texts)))
+    v = column.astype(np.int64, copy=False)
+    negative = v < 0
+    magnitude = v.view(np.uint64).copy()  # |v| in uint64, so -2**63 too
+    np.negative(magnitude, out=magnitude, where=negative)
+    digits = 1 + np.searchsorted(_POW10, magnitude, side="right")
+    width = int((digits + negative).max())
+    text = np.full((len(v), width), 0xFF, np.uint8)
+    for j in range(int(digits.max())):  # digit j from the right
+        tens = magnitude // np.uint64(10)
+        np.add(magnitude - tens * np.uint64(10), ord("0"), out=text[:, width - 1 - j],
+               where=digits > j, casting="unsafe")
+        magnitude = tens
+    rows = np.flatnonzero(negative)
+    text[rows, width - 1 - digits[rows]] = ord("-")
+    return text
 
 
 def _rows(columns: list, floats: list) -> bytearray:
     """The CSV text of the rows of columns, whose float64 columns are at floats.
 
     Each value has a slot of `width` bytes in a buffer of the rows: its text,
-    and 0xFF in the bytes after it, which no UTF-8 text holds.  The float
+    and 0xFF in its other bytes, which no UTF-8 text holds.  The float
     columns take one `_g17.format_into`, a `text_column` its own slots and
     the others `_text_slots`; the last byte of every slot holds the ',' or
     newline after the value.  The text is the buffer less its 0xFF bytes."""

@@ -156,6 +156,29 @@ def test_sweep_reaches_the_quasi_classical_regime(tmp_path):
         assert abs(float(r["delta_I"]) / expected - 1.0) < 1e-4, r
 
 
+def test_sweep_refuses_rows_whose_delta_I_is_within_roundoff(tmp_path):
+    # I(t_c) - I(0) is a difference of two numbers near 2.42: at eps = 1e-6,
+    # 1e-7 and 1e-8 it is 281, 2 and 0 ulps of I, below the 2**12 ulps
+    # (1.8e-12) a row needs, so those rows fail with an error string, leave
+    # the fit and count in n_failed, and the sweep exits 2; 1e-5 (28 147 ulps)
+    # passes.  Before, the 1e-8 row's delta_I of 0.0 left the fit unseen
+    cfg = _write(tmp_path, "sweep.cfg", "epsilons = 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, "
+                                        "1e-7, 1e-8\nt_c = 2\nL_c = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert (summary["n_rows"], summary["n_failed"]) == (8, 3)
+    assert abs(summary["exponent"] - 2.0) < 1e-3
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    failed = [float(r["epsilon"]) for r in rows if r["error"]]
+    assert failed == [1e-6, 1e-7, 1e-8]
+    for r in rows[5:]:
+        assert r["error"].endswith("is within roundoff: not above 2**12 ulps of I (1.82e-12)")
+        assert r["delta_I"] == "nan"
+    assert rows[7]["error"].startswith("delta_I = 0 is within roundoff")
+
+
 def test_sweep_summary_is_strict_json_with_one_good_row(tmp_path):
     # fast packet on a narrow domain: the larger epsilon overruns the seam,
     # which leaves one row and no exponent to fit

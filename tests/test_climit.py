@@ -194,9 +194,9 @@ def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
     # Diagnostics whose blocks take the whole CHUNK_POINTS
     steps, heights = [], []
 
-    def counting(wf, potential, dt, n_steps, on_row=None, observe_at=()):
+    def counting(wf, potential, dt, n_steps, observe_at=(), rows=None, on_block=None):
         steps.append(n_steps)
-        return split_steps(wf, potential, dt, n_steps, on_row, observe_at)
+        return split_steps(wf, potential, dt, n_steps, observe_at, rows, on_block)
 
     def recording(wf, potential, dt, n_steps, stride, stream):
         heights.append(stream.height)
@@ -216,13 +216,13 @@ def test_a_row_that_fails_mid_run_fails_alone(monkeypatch):
     spec = ef.SweepSpec(**ACCEPTANCE)
     clean = ef.run_sweep(spec).rows
 
-    def failing(wf, potential, dt, n_steps, on_row=None, observe_at=()):
-        def watched(i, psi, psi_hat):
-            if n_steps == 500 and i == 250:
+    def failing(wf, potential, dt, n_steps, observe_at=(), rows=None, on_block=None):
+        def watched(steps, spectral):
+            if n_steps == 500 and 250 in steps:
                 raise ValueError("failed at step 250")
-            on_row(i, psi, psi_hat)
+            on_block(steps, spectral)
 
-        return split_steps(wf, potential, dt, n_steps, watched, observe_at)
+        return split_steps(wf, potential, dt, n_steps, observe_at, rows, watched)
 
     monkeypatch.setattr(entropy, "split_steps", failing)
     rep = ef.run_sweep(spec)

@@ -684,6 +684,89 @@ def test_free_collect_rows_match_take_snapshot(n, half_width, dt, n_steps):
                                    rtol=0, atol=1e-13 * scale, err_msg=str(i))
 
 
+def test_free_collect_takes_one_block_entry_per_block(monkeypatch):
+    # 1001 rows at stride 1 on n = 1024: the loop writes the transforms into
+    # the stream's blocks of 32 rows and hands over each block in one call, so
+    # ceil(1001 / 32) = 32 calls, the last of 9 rows; the row times are
+    # wf.t + i * dt to the bit
+    from entroflux import entropy
+
+    calls, add_held = [], entropy.Diagnostics.add_held
+
+    def counting(self, t, params, spectral=False):
+        calls.append((len(t), spectral))
+        add_held(self, t, params, spectral)
+
+    monkeypatch.setattr(entropy.Diagnostics, "add_held", counting)
+    grid = ef.Grid1D(-20.0, 20.0, 1024)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0)
+    wf0 = ef.WaveFunction(grid, PARAMS, wf0.psi, t=0.3)
+    stream = entropy.Diagnostics(grid, 1001)
+    entropy.collect(wf0, ef.Potential.free(), 5e-4, 1000, 1, stream)
+    assert calls == [(32, True)] * 31 + [(9, True)]
+    t = stream.columns()["t"]
+    assert t.tobytes() == np.array([0.3 + i * 5e-4 for i in range(1001)]).tobytes()
+
+
+def test_collect_refuses_a_stream_that_holds_rows():
+    # the loop writes from the first row of the stream's block, so a row held
+    # there would be overwritten
+    from entroflux.entropy import Diagnostics, collect
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0)
+    stream = Diagnostics(grid, 12)
+    stream.add_state(0.0, wf0.psi, PARAMS)
+    with pytest.raises(ValueError, match="holds 1 rows not yet computed"):
+        collect(wf0, ef.Potential.free(), 1e-3, 10, 1, stream)
+
+
+def test_add_held_refuses_rows_that_overrun_the_block():
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 8192)  # blocks of 4 rows
+    stream = Diagnostics(grid, 10)
+    stream.held[:] = _normalized_rows(grid, 4)
+    stream.add_held(np.arange(3) * 1e-3, PARAMS)
+    with pytest.raises(ValueError, match="2 rows do not fit in a block of 4 that holds 3"):
+        stream.add_held(np.arange(3, 5) * 1e-3, PARAMS)
+    assert stream.n_held == 3
+
+
+@pytest.mark.parametrize("ia, ib", [(0, 511), (0, 1), (510, 511), (37, 300)],
+                         ids=["whole_grid", "first_interval", "last_interval", "inner"])
+def test_block_integrals_equal_trapezoid_bitwise(ia, ib):
+    # the subvolume integrals of a block are numpy's trapezoid expression in
+    # block scratch: the same bits as np.trapezoid for any values, subnormals,
+    # signed zeros, nan and inf among them, and on intervals at either end
+    from entroflux.entropy import _trapezoid_rows
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    rng = np.random.default_rng(11)
+    specials = [5e-324, -5e-324, 2.2e-308, 1e-310, 0.0, -0.0]
+    for rows in (1, 7, 64):
+        y = rng.standard_normal((rows, grid.n)) * 10.0 ** rng.uniform(-310, 300, (rows, grid.n))
+        picks = rng.integers(0, y.size, y.size // 20)
+        y.flat[picks] = rng.choice(specials, picks.size)
+        y[0, ia], y[-1, ib] = -0.0, 5e-324
+        # nan and inf in row 0 only, so the other rows' sums stay finite
+        y[0, rng.integers(ia, ib + 1, 3)] = [np.nan, np.inf, -np.inf]
+        spacing = np.diff(grid.x[ia : ib + 1])
+        work = np.full((rows, ib - ia), np.nan)
+        out = np.full(rows, np.nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _trapezoid_rows(y, ia, ib, spacing, work, out)
+            want = np.trapezoid(y[:, ia : ib + 1], grid.x[ia : ib + 1], axis=1)
+        assert got is out
+        assert out.tobytes() == want.tobytes(), rows
+        assert np.isfinite(out[1:]).all()
+    # all signed zeros keep their sign, as np.trapezoid's do
+    zeros = np.full((2, grid.n), -0.0)
+    out = _trapezoid_rows(zeros, ia, ib, spacing, np.empty((2, ib - ia)), np.empty(2))
+    assert out.tobytes() == np.trapezoid(zeros[:, ia : ib + 1], grid.x[ia : ib + 1],
+                                         axis=1).tobytes()
+
+
 def _row_adders(grid, psi):
     """Ways to hand row i of the normalized states psi to a `Diagnostics`, by kind."""
     from entroflux.entropy import Series

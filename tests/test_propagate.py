@@ -172,6 +172,25 @@ def test_discrete_continuity_second_order():
     assert resids[0] / resids[1] >= 3.5
 
 
+def _observed(wf, pot, dt, n_steps, schedule, height=4):
+    """split_steps observing schedule into a buffer of height rows: the final
+    state, the (step, copy of its row) of every observed step, and the steps
+    and spectral flag of every block."""
+    from entroflux.propagate import split_steps
+
+    rows = np.empty((height, wf.grid.n), complex)
+    handed, blocks = [], []
+
+    def on_block(steps, spectral):
+        assert steps.dtype == np.int64 and 1 <= len(steps) <= height
+        blocks.append((steps.tolist(), spectral))
+        handed.extend(zip(steps.tolist(), rows[: len(steps)].copy()))
+
+    final = split_steps(wf, pot, dt, n_steps, schedule, rows, on_block)
+    assert not np.shares_memory(final, rows) and not np.shares_memory(final, wf.psi)
+    return final, handed, blocks
+
+
 @pytest.mark.parametrize("n", [1024, 16384])
 def test_split_steps_matches_expression_loop_bitwise(n):
     # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up
@@ -192,16 +211,13 @@ def test_split_steps_matches_expression_loop_bitwise(n):
         psi = exp_v_half * psi
         expected[i] = psi
 
-    handed = []
-    final = split_steps(wf, pot, dt, n_steps, lambda i, p, _: handed.append((i, p, p.copy())),
-                        range(stride, n_steps + 1, stride))
+    final, handed, blocks = _observed(wf, pot, dt, n_steps, range(stride, n_steps + 1, stride),
+                                      height=2)
     assert np.array_equal(final, expected[n_steps])
-    assert [i for i, _, _ in handed] == [2, 4, 6]
-    for i, given, copy in handed:
-        # equal to the expression loop, and never written after it was handed out
+    # a block of the buffer's two rows, then the last observed step alone
+    assert blocks == [([2, 4], False), ([6], False)]
+    for i, given in handed:
         assert np.array_equal(given, expected[i]), i
-        assert np.array_equal(given, copy), i
-        assert not np.shares_memory(given, final), i
 
     states = []
     out = ef.evolve(wf, pot, dt, n_steps, observer=states.append, stride=stride)
@@ -227,18 +243,15 @@ def _kicked_states(wf, pot, dt, n_steps):
 ], ids=["harmonic"])
 def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
     # the states of a potential are those of the loop that applies both half kicks
-    from entroflux.propagate import split_steps
-
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
     expected = _kicked_states(wf, pot, dt, n_steps)
-    handed = []
-    final = split_steps(wf, pot, dt, n_steps, lambda i, p, _: handed.append(p),
-                        range(1, n_steps + 1))
+    final, handed, blocks = _observed(wf, pot, dt, n_steps, range(1, n_steps + 1), height=32)
     assert final.tobytes() == expected[-1].tobytes()
-    assert len(handed) == n_steps
-    for i, (got, want) in enumerate(zip(handed, expected)):
-        assert got.tobytes() == want.tobytes(), i + 1
+    assert [len(steps) for steps, _ in blocks] == [32] * 6 + [8]
+    assert [i for i, _ in handed] == list(range(1, n_steps + 1))
+    for (i, got), want in zip(handed, expected):
+        assert got.tobytes() == want.tobytes(), i
 
 
 def _fourier_transforms(wf, dt, steps):
@@ -287,11 +300,11 @@ class _CountingNumpy:
 ], ids=["free_wide", "free_narrow", "free_narrowest", "free_16384"])
 def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k0):
     # split_steps skips a half kick equal to 1 everywhere and reaches each
-    # step by the kinetic factors of its set bits; the transforms it hands out
-    # and the state it returns must be those of the from-scratch products, to
-    # the sign of every zero, observed at every step or at every 7th (gaps
-    # that change several bits), with one product per step observed at every
-    # step
+    # step by the kinetic factors of its set bits; the transforms it writes
+    # into the buffer and the state it returns must be those of the
+    # from-scratch products, to the sign of every zero, observed at every step
+    # or at every 7th (gaps that change several bits), with one product per
+    # step observed at every step
     from entroflux import propagate
 
     grid = ef.Grid1D(-20.0 * n / 1024, 20.0 * n / 1024, n)
@@ -301,13 +314,11 @@ def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k
     for schedule in (range(1, n_steps + 1), range(0, n_steps + 1, 7)):
         counting = _CountingNumpy()
         monkeypatch.setattr(propagate, "np", counting)
-        handed = []
-        final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps,
-                                      lambda i, p, p_hat: handed.append((i, p_hat)),
-                                      schedule)
+        final, handed, blocks = _observed(wf, ef.Potential.free(), dt, n_steps, schedule)
         monkeypatch.undo()
         assert final.tobytes() == np.fft.ifft(expected[n_steps]).tobytes()
         assert [i for i, _ in handed] == list(schedule)
+        assert all(spectral for _, spectral in blocks)
         for i, got in handed:
             assert got.tobytes() == expected[i].tobytes(), i
         if schedule.step == 1:
@@ -355,9 +366,7 @@ def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch
     final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps)
     assert counting.products == 1 and made == [dt, n_steps * dt]
     made.clear()
-    handed = []
-    propagate.split_steps(wf, ef.Potential.free(), dt, 64,
-                          lambda i, p, p_hat: handed.append((i, p_hat)), schedule)
+    _, handed, _ = _observed(wf, ef.Potential.free(), dt, 64, schedule)
     assert made == [dt] + [(1 << b) * dt for b in range(3, 7)]
     monkeypatch.undo()
     expected = np.fft.ifft(_fourier_transforms(wf, dt, [n_steps])[n_steps])
@@ -371,45 +380,31 @@ def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch
 @pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
                          ids=["free", "harmonic"])
 def test_split_steps_observes_its_schedule_only(pot):
-    # a free run hands out each state as its transform (psi None), a kicked
-    # run as the state (psi_hat None); step 0 is the initial state
+    # a free run writes each state as its transform (spectral), a kicked run
+    # as the state; step 0 is the initial state; the buffer's 4 rows are
+    # handed over when full, and the last observed step ends a block
     from entroflux.propagate import split_steps
 
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
     schedule = [0, 1, 2, 5, 13, 20]
     free = pot.kind == "free"
-    handed = []
-
-    def on_row(i, psi, psi_hat):
-        assert (psi is None) == free and (psi_hat is None) != free, i
-        given = psi_hat if free else psi
-        handed.append((i, given, given.copy()))
-
-    final = split_steps(wf, pot, 1e-4, 20, on_row, iter(schedule))
-    assert [i for i, _, _ in handed] == schedule
+    final, handed, blocks = _observed(wf, pot, 1e-4, 20, iter(schedule))
+    assert blocks == [([0, 1, 2, 5], free), ([13, 20], free)]
     alone = {i: split_steps(wf, pot, 1e-4, i) for i in schedule}
-    for i, given, copy in handed:
-        # the state after step i (through ifft from a transform), in a fresh
-        # array never written after it was handed out
+    for i, given in handed:
+        # the state after step i (through ifft from a transform)
         state = np.fft.ifft(given) if free else given
         assert state.tobytes() == alone[i].tobytes(), i
-        assert given.tobytes() == copy.tobytes(), i
-        assert given.flags.owndata and not np.shares_memory(given, final), i
-        assert not np.shares_memory(given, wf.psi), i
-    assert len({p.ctypes.data for _, p, _ in handed}) == len(schedule)
     assert final.tobytes() == alone[20].tobytes()
 
 
 def test_split_steps_hands_out_step_0_of_an_empty_run():
-    from entroflux.propagate import split_steps
-
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
     for pot in (ef.Potential.free(), ef.Potential.harmonic(1.0)):
-        handed = []
-        final = split_steps(wf, pot, 1e-4, 0, lambda *row: handed.append(row), [0])
-        assert [i for i, _, _ in handed] == [0], pot.kind
-        _, psi, psi_hat = handed[0]
-        state = np.fft.ifft(psi_hat) if psi is None else psi
+        final, handed, blocks = _observed(wf, pot, 1e-4, 0, [0], height=1)
+        assert blocks == [([0], pot.kind == "free")], pot.kind
+        given = handed[0][1]
+        state = np.fft.ifft(given) if pot.kind == "free" else given
         assert state.tobytes() == final.tobytes(), pot.kind
         np.testing.assert_allclose(state, wf.psi, rtol=0, atol=1e-15)
 
@@ -422,6 +417,50 @@ def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
     handed = []
     with pytest.raises(ValueError, match="ascend strictly within 0..20"):
-        split_steps(wf, ef.Potential.free(), 1e-4, 20, lambda i, *_: handed.append(i),
-                    schedule)
+        split_steps(wf, ef.Potential.free(), 1e-4, 20, schedule,
+                    np.empty((4, GRID.n), complex), lambda *block: handed.append(block))
     assert handed == []
+    with pytest.raises(ValueError, match="need a buffer of rows"):
+        split_steps(wf, ef.Potential.free(), 1e-4, 20, [1], None,
+                    lambda *block: handed.append(block))
+    assert handed == []
+
+
+@pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
+                         ids=["free", "harmonic"])
+def test_split_steps_makes_no_call_or_copy_per_observed_row(pot):
+    # each observed row costs one Python call, reach, and a copy into the
+    # buffer: 100 more observed rows add exactly 100 Python calls outside
+    # the consumer, and no `ndarray.copy` is made for any row (a kicked run
+    # copies its final state once)
+    import sys
+
+    from entroflux.propagate import split_steps
+
+    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
+    rows = np.empty((16, GRID.n), complex)
+
+    def profiled(n_rows):
+        counts = {"calls": 0, "copies": 0, "blocks": 0}
+
+        def on_block(steps, spectral):
+            counts["blocks"] += 1
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is not on_block.__code__:
+                counts["calls"] += 1
+            elif event == "c_call" and getattr(arg, "__name__", "") == "copy" \
+                    and isinstance(getattr(arg, "__self__", None), np.ndarray):
+                counts["copies"] += 1
+
+        sys.setprofile(profile)
+        try:
+            split_steps(wf, pot, 1e-4, 200, range(0, n_rows), rows, on_block)
+        finally:
+            sys.setprofile(None)
+        return counts
+
+    few, many = profiled(100), profiled(200)
+    assert (few["blocks"], many["blocks"]) == (7, 13)
+    assert many["calls"] - few["calls"] == 100
+    assert few["copies"] == many["copies"] == (0 if pot.kind == "free" else 1)

@@ -55,6 +55,26 @@ def test_write_table_header_only_for_no_rows(tmp_path):
     assert path.read_bytes() == b"a,b\n"
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_integer_columns_match_percent_d(tmp_path, dtype):
+    # the digits of an integer column are taken by numpy, at the end of each
+    # value's slot: the bytes of `%d`, from a lone 0 to the ends of int64
+    edges = [0, 9, 10, -1, -9, -10, 99, 100, -100, 1001]
+    if dtype is np.int64:
+        edges += [-(2**63), 2**63 - 1, -(2**63) + 1, 10**18, 10**18 - 1, -(10**18)]
+    rng = np.random.default_rng(5)
+    info = np.iinfo(dtype)
+    values = np.array(edges + rng.integers(info.min, info.max, 300, dtype=dtype,
+                                           endpoint=True).tolist(), dtype=dtype)
+    for column in (values, values[:1], values[values >= 0], np.zeros(3, dtype)):
+        slots = report._text_slots(column)
+        assert [bytes(row).replace(b"\xff", b"") for row in slots] \
+            == [b"%d" % v for v in column.tolist()]
+        path = tmp_path / "ints.csv"
+        write_table(path, ["i", "x"], [column, np.zeros(len(column))])
+        assert path.read_bytes() == b"i,x\n" + b"".join(b"%d,0\n" % v for v in column.tolist())
+
+
 def _per_line_reference(header, row_format, columns) -> bytes:
     """One `%` per line, as the rows were written before they were formatted in chunks."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))

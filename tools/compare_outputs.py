@@ -14,8 +14,10 @@ sets every key of its rows' `simulate` configs, signed zeros in a
 free run's states, a free run observed at every step at n = 16384, a free
 run observed at every 7th step, a simulated coherent packet, the free
 packet's closed form, a closed form whose density falls through the
-subnormal range, and the binning study.  Each pair of runs must agree in exit
-code, stdout and every output file, byte for byte.  Prints one line per
+subnormal range, a subvolume of the whole grid, whose integrals reach the
+first and last grid intervals, and the binning study: 32 configs in all.
+Each pair of runs must agree in exit code, stdout and every output file,
+byte for byte.  Prints one line per
 difference and exits 1 if there is any, 0 otherwise.
 
 The CSV values reach every class of `%.17g` text that the table formatter
@@ -125,6 +127,12 @@ FIXED = {
                             "save_snapshots = true\n"),
     "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
                 "bin_widths = 0.4, 0.2, 0.1\n"),
+    # a subvolume of the whole grid, x_min to the last point (ia = 0, ib = n - 1):
+    # the subvolume integrals reach both edge intervals; 151 rows over three
+    # 64-row blocks
+    "subvolume_whole_grid": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                             "dt = 1e-3\nt_final = 0.15\nobserve_stride = 1\n"
+                             "subvolume_a = -16\nsubvolume_b = 15.9375\n"),
     # the coherent packet's closed form on [-32, 32]: the tails of its density
     # fall through the subnormal range, down to 2e-323
     "oracle_subnormal": ("oracle", "x_min = -32\nx_max = 32\nn = 512\ninitial = coherent\n"
