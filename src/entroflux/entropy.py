@@ -553,7 +553,9 @@ class Diagnostics:
         check_norms(self._norm_column())
         ln = np.log(rho, out=self.ln_rho[block], where=mask)
         _info_density(rho, w.reg_floor, ln, mask, out=w.rho_I[block])
-        w.floored_points[block] = w.grid.n - np.count_nonzero(mask, axis=1)
+        # a true mask byte is 1 (n is a multiple of 8), so the set bits of a row's
+        # 8-byte words count its points at or above the floor
+        w.floored_points[block] = w.grid.n - np.bitwise_count(mask.view(np.uint64)).sum(axis=1)
 
     def _compute(self) -> None:
         """The columns of the held rows; then the block takes the next rows."""

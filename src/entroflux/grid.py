@@ -80,10 +80,11 @@ MAX_ROWS = 2**24
 # peak RSS, so about 1.5 GB.  The diagnostics' window of 3 rows holds rho, j, v, rho_I,
 # v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
 # their derivatives 32 B; the grid 32 B; the propagator's four complex arrays 64 B; the
-# initial and the observed state 32 B.  A free run also holds a factor and a buffer of
-# `propagate.split_steps` per bit level its reached steps set, 32 B per point each:
-# 432 B per point more at 2**14 - 1 steps (peak RSS at n = 2**16 and 2**18), about
-# 3.4 GB in all at the 2**14 steps MAX_WORK allows.
+# initial state and the final state the loop returns 32 B.  The loop copies each observed
+# state into the held rows, so no observed state takes memory of its own.  A free run
+# also holds a factor and a buffer of `propagate.split_steps` per bit level its reached
+# steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak RSS at
+# n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
 MAX_POINTS = 2**22
 
 

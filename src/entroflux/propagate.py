@@ -199,8 +199,9 @@ def split_steps(
     with the int64 steps of the filled rows, rows[:len(steps)].  A free run
     holds the state in Fourier space and writes its transform psi_hat =
     fft(psi) (spectral True); a kicked run writes psi (spectral False).  The
-    loop writes the buffer only between calls, and allocates no array per
-    observed row.
+    rows are the consumer's until on_block returns, and the next block
+    starts again at rows[0].  The loop allocates no array and makes no Python
+    call per observed row beyond the one that reaches its step.
 
     A half kick equal to 1 everywhere, as a free potential's is, leaves only
     the kinetic step, so i steps are one product by the kinetic factor of

@@ -582,9 +582,11 @@ def test_kicked_run_peak_is_its_block_buffers_and_nine_block_arrays():
     # blocks of 2 rows at n = 16384, and a last block of 1 row.  Beyond the
     # window and the held states, a warm run holds at most 9 arrays of a block's
     # (h, n) floats: the held states' derivatives (2), the propagator's four
-    # n-point complex arrays (4), the initial state and the state handed over
-    # (2), and small temporaries (measured 0.3).  A block temporary the size of
-    # the held states, as a forward transform made anew, adds 2
+    # n-point complex arrays (4), the initial state and the final state the
+    # loop returns (2), and small temporaries (measured 0.06; 0.3 when each
+    # observed state was handed over in an array of its own).  A block
+    # temporary the size of the held states, as a forward transform made anew,
+    # adds 2
     import tracemalloc
 
     import entroflux.report as report
