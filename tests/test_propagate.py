@@ -195,8 +195,6 @@ def _observed(wf, pot, dt, n_steps, schedule, height=4):
 def test_split_steps_matches_expression_loop_bitwise(n):
     # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up
     # (n = 16384), and the complex product's last bit depends on the order
-    from entroflux.propagate import split_steps
-
     grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
     pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
@@ -219,10 +217,15 @@ def test_split_steps_matches_expression_loop_bitwise(n):
     for i, given in handed:
         assert np.array_equal(given, expected[i]), i
 
+    # evolve copies each kicked state out of its one-row buffer
     states = []
     out = ef.evolve(wf, pot, dt, n_steps, observer=states.append, stride=stride)
     assert np.array_equal(out.psi, expected[n_steps])
     assert not any(w.psi.flags.writeable for w in (*states, out))
+    assert [w.t for w in states] == [i * dt for i in (2, 4, 6)]
+    for w, i in zip(states, (2, 4, 6)):
+        assert np.array_equal(w.psi, expected[i]), i
+    assert len({w.psi.ctypes.data for w in (*states, out)}) == len(states) + 1
 
 
 def _kicked_states(wf, pot, dt, n_steps):
