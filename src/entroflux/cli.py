@@ -27,6 +27,7 @@ from .config import (
 )
 from .entropy import binning_limit_study
 from .report import (
+    SNAPSHOT_NAME,
     run_oracle,
     run_simulation,
     run_sweep,
@@ -64,20 +65,27 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8", line)
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory path, made (with its parents) if it does not exist."""
+def _out_dir(path, *outputs: str, snapshots: bool = False) -> Path:
+    """The output directory path, made (with its parents) if it does not exist,
+    less the regular files named in outputs and, with snapshots, the snapshot
+    files in path/snapshots that an earlier run left; nothing else is removed."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot make output directory {path}: {exc}")
+    old = [out / name for name in outputs]
+    if snapshots and (out / "snapshots").is_dir():
+        old += [p for p in (out / "snapshots").iterdir() if SNAPSHOT_NAME.fullmatch(p.name)]
+    for p in filter(Path.is_file, old):
+        p.unlink()
     return out
 
 
 def _cmd_run(args, analytic: bool) -> int:
     parse = parse_oracle_config if analytic else parse_config
     cfg = parse(_read_config(args.config))
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "series.csv", "summary.json", snapshots=True)
     on_block = None
     if cfg.save_snapshots:
         snapshots = _out_dir(out / "snapshots")
@@ -99,7 +107,7 @@ def _cmd_run(args, analytic: bool) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_config(_read_config(args.config))
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "sweep.csv", "sweep_summary.json")
     report = run_sweep(spec)
     write_sweep_csv(report, out / "sweep.csv")
     summary = {
@@ -117,7 +125,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_binning(args) -> int:
     cfg = parse_binning_config(_read_config(args.config))
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "binning.csv")
     rows = binning_limit_study(cfg.rho, cfg.bin_widths, cfg.reg_floor)
     write_binning_csv(rows, out / "binning.csv")
     if not args.quiet:

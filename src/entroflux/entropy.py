@@ -19,10 +19,11 @@ with the boundary term vanishing on the full periodic domain.
 
 A run hands its samples to one consumer, `Diagnostics`, a stream of rows of
 one kind (states, their transforms, or given fields), staged into blocks of
-at most CHUNK_POINTS grid points.  The stream owns the block: a run's
-split-step loop (`collect`, through `propagate.split_steps`) writes each
-observed state straight into the block's rows and hands the stream one
-filled block per call, and given fields are copied in a row at a time.
+at most CHUNK_POINTS grid points.  The stream owns the block, and every row
+enters it a block at a time: a producer writes its next rows into the block
+and hands them over in one call.  A run's split-step loop (`collect`, through
+`propagate.split_steps`) writes its observed states there, and the oracle
+(`report.run_oracle`) and `diagnose` write given fields.
 When a block is flushed, its rows' fields (of states), norms, the masks
 rho >= reg_floor and ln rho are taken once, and rho_I, the rate identity and
 the norm check read them; then the rows get their per-row columns and, with
@@ -32,8 +33,8 @@ of every row whose neighbours have arrived; an optional hook sees the block
 The block's transforms, residuals and subvolume integrals write into buffers
 the block owns.  So a run holds
 O(CHUNK_POINTS) field values plus O(T) scalar columns, and a block's pass
-allocates no array of the block's size.  `diagnose` adds a stored `Series` of
-(T, n) arrays to the same consumer, so each column has one implementation; the
+allocates no array of the block's size.  `diagnose` copies a stored `Series` of
+(T, n) arrays into the same consumer, so each column has one implementation; the
 per-instant functions (`take_snapshot`, `balance_residual`,
 `rate_identity_residual`, `entropy_rate_check`, `sign_witness`) pass small
 stacks through it.
@@ -403,16 +404,14 @@ def _scratch(buffer: np.ndarray, shape: tuple, dtype=float, at: int = 0) -> np.n
 class Diagnostics:
     """The `diagnose` columns of a series of rows that arrive in time order.
 
-    States enter through the block's own buffer `held`, (height, n) complex:
-    a producer writes the next states, or their transforms psi_hat =
-    fft(psi), into `held[n_held:]` and hands them over with `add_held(t,
-    params, spectral)`, as `collect`'s loop does a block at a time;
-    `add_state(t, psi, params)` or `add_state(t, None, params, psi_hat)` does
-    both for one row.  Given fields are the next rows of a Series, `add(rows)`,
-    copied in a row at a time.  A stream takes one kind of row, its states one
-    set of physical parameters, and at most n_rows rows: the first row sets the
-    kind and params, and a row of another kind, a state with other params, or a
-    row past n_rows is refused, checked once per call.  A block holds at most
+    Rows enter through the block's own buffers, a block at a time: a producer
+    writes the next states, or their transforms psi_hat = fft(psi), into
+    `held[n_held:]`, (height, n) complex, or the next given fields into the
+    window rows 2 + n_held .., and hands them over with `add_held(t, kind,
+    params)`.  A stream takes one kind of row, its states one set of physical
+    parameters, and at most n_rows rows: the first row sets the kind and
+    params, and a row of another kind, a state with other params, or a row
+    past n_rows is refused, checked once per call.  A block holds at most
     CHUNK_POINTS // n rows, and one row if n is larger.  A block that is full
     or holds the last row is flushed: its per-row quantities are taken (the
     fields of held states, and for every kind its norm, the mask rho >=
@@ -467,53 +466,31 @@ class Diagnostics:
         self.n_done = 0  # rows whose block has been computed
         self.n_held = 0  # rows in the block, not yet computed
 
-    def _next(self, count: int, kind: str) -> int:
-        """The window row the next row goes to; raises unless count more rows of
-        kind fit."""
+    def add_held(self, t: np.ndarray, kind: str, params: PhysicalParams | None = None) -> None:
+        """Take the len(t) rows written into the block after its n_held rows as
+        the next rows, at the times t: "states" or "transforms" (psi_hat =
+        fft(psi)) in `held[n_held:]`, with their params, or "fields" in the
+        window rows 2 + n_held .. of rho, current, velocity, rho_I and
+        floored_points.  The rows must fit in the block.  States must pass a
+        `WaveFunction`'s checks (finite, norm within 1e-8 of 1) at the flush."""
+        count = len(t)
+        if self.n_held + count > self.height:
+            raise ValueError(f"{count} rows do not fit in a block of {self.height} "
+                             f"that holds {self.n_held}")
+        if kind != "fields" and self.params not in (None, params):
+            raise ValueError(f"a stream takes one set of physical parameters: this one "
+                             f"takes {self.params}, not {params}")
         if self.kind not in (None, kind):
             raise ValueError(f"a stream takes one kind of row: this one takes {self.kind}, "
                              f"not {kind}")
         if self.n_done + self.n_held + count > len(self.t):
             raise ValueError(f"cannot add {count} rows after "
                              f"{self.n_done + self.n_held} of {len(self.t)}")
-        self.kind = kind
-        return 2 + self.n_held
+        self.window.t[2 + self.n_held : 2 + self.n_held + count] = t
+        self.kind, self.params = kind, params
+        self._hold(count)
 
-    def add_held(self, t: np.ndarray, params: PhysicalParams, spectral: bool = False) -> None:
-        """Take the len(t) states that `held[n_held : n_held + len(t)]` holds,
-        at the times t, as the next rows, or with spectral their transforms
-        psi_hat = fft(psi); the rows must fit in the block.  The states must
-        pass the checks a `WaveFunction` gets (finite, norm within 1e-8 of 1),
-        which are made when their block is flushed."""
-        if self.n_held + len(t) > self.height:
-            raise ValueError(f"{len(t)} rows do not fit in a block of {self.height} "
-                             f"that holds {self.n_held}")
-        if self.params not in (None, params):
-            raise ValueError(f"a stream takes one set of physical parameters: this one "
-                             f"takes {self.params}, not {params}")
-        k = self._next(len(t), "transforms" if spectral else "states")
-        self.window.t[k : k + len(t)] = t
-        self.params = params
-        self._hold(len(t))
-
-    def add_state(self, t: float, psi: np.ndarray | None, params: PhysicalParams,
-                  psi_hat: np.ndarray | None = None) -> None:
-        """Take the state at time t as the next row, given as psi or, with psi
-        None, as its transform psi_hat = fft(psi) (`add_held` of one row)."""
-        self.held[self.n_held] = psi if psi is not None else psi_hat
-        self.add_held(np.array([t]), params, psi is None)
-
-    def add(self, rows: Series) -> None:
-        """Take the rows of a Series on this grid as the next rows."""
-        w = self.window
-        for i in range(len(rows.t)):
-            # counts every row left, so a series that does not fit is refused whole
-            k = self._next(len(rows.t) - i, "fields")
-            for name in _ROW_FIELDS:
-                getattr(w, name)[k] = getattr(rows, name)[i]
-            self._hold()
-
-    def _hold(self, count: int = 1) -> None:
+    def _hold(self, count: int) -> None:
         """Hold the count staged rows, and flush the block once it is full or
         holds the last row: its per-row quantities, then its columns."""
         self.n_held += count
@@ -660,7 +637,7 @@ def collect(
                          f"one holds {stream.n_held} rows not yet computed")
 
     def on_block(steps: np.ndarray, spectral: bool) -> None:
-        stream.add_held(wf.t + steps * dt, wf.params, spectral)
+        stream.add_held(wf.t + steps * dt, "transforms" if spectral else "states", wf.params)
 
     split_steps(wf, potential, dt, n_steps, range(0, n_steps + 1, stride), stream.held,
                 on_block)
@@ -679,11 +656,16 @@ def diagnose(series: Series, subvolume=None) -> dict:
     which must be uniform.  dI/dt is one-sided at the two ends, where the
     residuals have no centred stencil and read zero.
 
-    The series goes through a `Diagnostics` a block of rows at a time, as a
-    run's rows do.
+    The series is copied into a `Diagnostics` a block of rows at a time, one
+    slice per field, and takes the path of a run's rows.
     """
     stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume)
-    stream.add(series)
+    w = stream.window
+    for lo in range(0, len(series.t), stream.height):
+        rows = series.rows(lo, lo + stream.height)
+        for name in _ROW_FIELDS[1:]:
+            getattr(w, name)[2 : 2 + len(rows.t)] = getattr(rows, name)
+        stream.add_held(rows.t, "fields")
     return stream.columns()
 
 

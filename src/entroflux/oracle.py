@@ -5,8 +5,8 @@ Two analytic families:
   * harmonic coherent state: rigid Gaussian of width sigma^2 = hbar/(2 m omega)
     whose center oscillates, so its entropy is exactly constant.
 
-Fields are evaluated pointwise on the caller's grid so comparisons against the
-simulator are sample-exact.
+Fields are evaluated pointwise on the caller's grid, into a diagnostics block for
+`report.run_oracle`, so comparisons against the simulator are sample-exact.
 """
 from __future__ import annotations
 
@@ -29,16 +29,13 @@ class _Oracle:
         """I of the density at time t: 1/2 ln(2 pi e sigma2(t)) + 1."""
         return 0.5 * np.log(2.0 * np.pi * np.e * self.sigma2(t)) + 1.0
 
-    def row(self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR) -> Series:
-        """The fields at time t as a one-row Series."""
-        rho, v = self.density_velocity(grid, t)
-        return Series.of(grid, [t], rho[np.newaxis], (rho * v)[np.newaxis], v[np.newaxis], 0,
-                         reg_floor)
-
     def fields(
         self, grid: Grid1D, t: float, reg_floor: float = DEFAULT_REG_FLOOR
     ) -> Snapshot:
-        return self.row(grid, t, reg_floor).snapshot(0)
+        """The fields at time t: rho and v, j = rho v, and rho_I of rho."""
+        rho, v = self.density_velocity(grid, t)
+        return Series.of(grid, [t], rho[np.newaxis], (rho * v)[np.newaxis], v[np.newaxis], 0,
+                         reg_floor).snapshot(0)
 
 
 @dataclass(frozen=True)

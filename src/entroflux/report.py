@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, SweepSpec
-from .entropy import BinRow, Diagnostics, Series, collect, summarize
+from .entropy import BinRow, Diagnostics, Series, _info_density, collect, summarize
 from .oracle import closed_form
 from .propagate import init_gaussian
 
@@ -65,15 +66,22 @@ def run_simulation(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
 
 def run_oracle(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
     """Emit the analytic-field series for the configured scenario, as
-    `run_simulation` does.
-
-    The scenario must have a closed form (`oracle.closed_form` raises a
-    SpecError otherwise); a config from `parse_oracle_config` always has one.
-    """
+    `run_simulation` does: row i is the closed form at i * observe_stride * dt,
+    written into the stream's block (rho, v, j = rho v, rho_I, no floored
+    point), and each block is handed over in one call.  The scenario must have
+    a closed form (`oracle.closed_form` raises a SpecError otherwise), as a
+    config from `parse_oracle_config` always has."""
     oracle = closed_form(cfg)
     stream = _stream(cfg, on_block)
-    for i in range(len(stream.t)):
-        stream.add(oracle.row(cfg.grid, i * cfg.observe_stride * cfg.dt, cfg.reg_floor))
+    w = stream.window
+    for lo in range(0, cfg.n_rows, stream.height):
+        t = np.arange(lo, min(lo + stream.height, cfg.n_rows)) * cfg.observe_stride * cfg.dt
+        for k, t_k in enumerate(t.tolist(), start=2):
+            w.rho[k], w.velocity[k] = oracle.density_velocity(cfg.grid, t_k)
+            np.multiply(w.rho[k], w.velocity[k], out=w.current[k])
+            _info_density(w.rho[k], cfg.reg_floor, out=w.rho_I[k])
+        w.floored_points[2 : 2 + len(t)] = 0
+        stream.add_held(t, "fields")
     return _assemble(stream, cfg)
 
 
@@ -265,6 +273,8 @@ def write_summary_json(summary: dict, path: Path) -> None:
 
 
 SNAPSHOT_COLUMNS = ["x", "rho", "current", "velocity", "rho_I"]
+# the name of every file `write_snapshots` writes: snapshot_{row:06d}.csv
+SNAPSHOT_NAME = re.compile(r"snapshot_([0-9]{6}|[1-9][0-9]{6,})\.csv")
 
 
 def write_snapshots(series: Series, out_dir: Path, first: int = 0) -> None:

@@ -520,3 +520,103 @@ def test_run_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, comm
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "memory error: Unable to allocate 64.0 GiB for an array\n"
+
+
+# ---------- an output directory holds one run's outputs ----------
+
+RERUN_CONFIG = "x_min = -20\nx_max = 20\nn = 256\nsigma0 = 1.0\ndt = 1e-3\nobserve_stride = 1\n"
+
+
+@pytest.mark.parametrize("save", ["true", "false"])
+def test_rerun_leaves_only_its_own_snapshots(tmp_path, save):
+    # a 5-row run with snapshots, then a 3-row rerun into the same --out: the
+    # earlier run's snapshot files go, whether the rerun writes snapshots or not
+    out = tmp_path / "o"
+    first = _write(tmp_path, "five.cfg", RERUN_CONFIG + "t_final = 0.004\nsave_snapshots = true\n")
+    rerun = _write(tmp_path, "three.cfg",
+                   RERUN_CONFIG + f"t_final = 0.002\nsave_snapshots = {save}\n")
+    assert main(["simulate", "--config", first, "--out", str(out), "--quiet"]) == 0
+    assert len(list((out / "snapshots").iterdir())) == 5
+    assert main(["simulate", "--config", rerun, "--out", str(out), "--quiet"]) == 0
+    expected = [f"snapshot_{i:06d}.csv" for i in range(3)] if save == "true" else []
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == expected
+    assert len((out / "series.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command,text", [("simulate", SIM_CONFIG), ("sweep", SWEEP_BASE)],
+                         ids=["simulate", "sweep"])
+def test_run_out_of_memory_leaves_no_summary(tmp_path, capsys, monkeypatch, command, text):
+    # a finished run, then a rerun that fails partway: no summary says passed
+    from entroflux import entropy
+
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    before = sorted(p.name for p in out.iterdir())
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(entropy, "split_steps", exhausted)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("memory error: ")
+    assert len(before) == 2 and list(out.iterdir()) == []
+
+
+# names each command writes, with two snapshot files no rerun here writes
+SNAPSHOT_OUTPUTS = ["series.csv", "summary.json", "snapshots/snapshot_000099.csv",
+                    "snapshots/snapshot_1000000.csv"]
+OUTPUTS = {"simulate": SNAPSHOT_OUTPUTS, "oracle": SNAPSHOT_OUTPUTS,
+           "sweep": ["sweep.csv", "sweep_summary.json"], "binning": ["binning.csv"]}
+# names no command writes
+NOT_OUTPUTS = ["notes.txt", "series.csv.bak", "snapshots/notes.txt", "snapshots/snapshot_1.csv",
+               "snapshots/snapshot_0000001.csv", "snapshots/snapshot_000001.csv.bak"]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("simulate", SIM_CONFIG + "save_snapshots = true\n"),
+        ("oracle", COHERENT_CONFIG + "save_snapshots = true\n"),
+        ("sweep", SWEEP_BASE),
+        ("binning", BINNING_BASE),
+    ],
+    ids=["simulate", "oracle", "sweep", "binning"],
+)
+def test_rerun_removes_only_the_files_its_command_writes(tmp_path, command, text):
+    # the names a command writes are removed before it runs; names no command
+    # writes, and the outputs of the other commands, stay
+    out = tmp_path / "o"
+    (out / "snapshots").mkdir(parents=True)
+    stale = OUTPUTS[command]
+    kept = NOT_OUTPUTS + [name for names in OUTPUTS.values() for name in names
+                          if name not in stale]
+    for name in kept:
+        (out / name).write_text("kept\n")
+    for name in stale:
+        (out / name).write_text("stale\n")
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    for name in kept:
+        assert (out / name).read_text() == "kept\n", name
+    for name in stale:
+        if "snapshot_" in name:
+            assert not (out / name).exists(), name
+        else:
+            assert (out / name).read_text() != "stale\n", name
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "sweep", "binning"])
+def test_config_error_leaves_the_output_directory_untouched(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    (out / "snapshots").mkdir(parents=True)
+    names = ["series.csv", "summary.json", "sweep.csv", "sweep_summary.json", "binning.csv",
+             "notes.txt", "snapshots/snapshot_000000.csv"]
+    for name in names:
+        (out / name).write_text("earlier\n")
+    cfg = _write(tmp_path, "bad.cfg", "unknown_key = 1\n")
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: line 1: ")
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == \
+        sorted(names)
+    assert all((out / name).read_text() == "earlier\n" for name in names)

@@ -695,9 +695,9 @@ def test_free_collect_takes_one_block_entry_per_block(monkeypatch):
 
     calls, add_held = [], entropy.Diagnostics.add_held
 
-    def counting(self, t, params, spectral=False):
-        calls.append((len(t), spectral))
-        add_held(self, t, params, spectral)
+    def counting(self, t, kind, params=None):
+        calls.append((len(t), kind))
+        add_held(self, t, kind, params)
 
     monkeypatch.setattr(entropy.Diagnostics, "add_held", counting)
     grid = ef.Grid1D(-20.0, 20.0, 1024)
@@ -705,7 +705,7 @@ def test_free_collect_takes_one_block_entry_per_block(monkeypatch):
     wf0 = ef.WaveFunction(grid, PARAMS, wf0.psi, t=0.3)
     stream = entropy.Diagnostics(grid, 1001)
     entropy.collect(wf0, ef.Potential.free(), 5e-4, 1000, 1, stream)
-    assert calls == [(32, True)] * 31 + [(9, True)]
+    assert calls == [(32, "transforms")] * 31 + [(9, "transforms")]
     t = stream.columns()["t"]
     assert t.tobytes() == np.array([0.3 + i * 5e-4 for i in range(1001)]).tobytes()
 
@@ -718,7 +718,7 @@ def test_collect_refuses_a_stream_that_holds_rows():
     grid = ef.Grid1D(-20.0, 20.0, 256)
     wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0)
     stream = Diagnostics(grid, 12)
-    stream.add_state(0.0, wf0.psi, PARAMS)
+    _add_state(stream, 0.0, wf0.psi)
     with pytest.raises(ValueError, match="holds 1 rows not yet computed"):
         collect(wf0, ef.Potential.free(), 1e-3, 10, 1, stream)
 
@@ -729,9 +729,9 @@ def test_add_held_refuses_rows_that_overrun_the_block():
     grid = ef.Grid1D(-20.0, 20.0, 8192)  # blocks of 4 rows
     stream = Diagnostics(grid, 10)
     stream.held[:] = _normalized_rows(grid, 4)
-    stream.add_held(np.arange(3) * 1e-3, PARAMS)
+    stream.add_held(np.arange(3) * 1e-3, "states", PARAMS)
     with pytest.raises(ValueError, match="2 rows do not fit in a block of 4 that holds 3"):
-        stream.add_held(np.arange(3, 5) * 1e-3, PARAMS)
+        stream.add_held(np.arange(3, 5) * 1e-3, "states", PARAMS)
     assert stream.n_held == 3
 
 
@@ -769,6 +769,26 @@ def test_block_integrals_equal_trapezoid_bitwise(ia, ib):
                                          axis=1).tobytes()
 
 
+def _add_state(stream, t, row, kind="states", params=PARAMS):
+    """Write one state (or with kind "transforms" its transform) into the
+    stream's block after its held rows, and hand it over."""
+    stream.held[stream.n_held] = row
+    stream.add_held(np.array([t]), kind, params)
+
+
+def _add_fields(stream, rows):
+    """Write the rows of a Series into the stream's blocks as given fields,
+    handing over each block's share in one call, as `diagnose` does."""
+    lo = 0
+    while lo < len(rows.t):
+        hi = min(len(rows.t), lo + stream.height - stream.n_held)
+        k = 2 + stream.n_held
+        for name in ("rho", "current", "velocity", "rho_I", "floored_points"):
+            getattr(stream.window, name)[k : k + hi - lo] = getattr(rows, name)[lo:hi]
+        stream.add_held(rows.t[lo:hi], "fields")
+        lo = hi
+
+
 def _row_adders(grid, psi):
     """Ways to hand row i of the normalized states psi to a `Diagnostics`, by kind."""
     from entroflux.entropy import Series
@@ -777,10 +797,10 @@ def _row_adders(grid, psi):
     fields = Series.of(grid, 1e-3 * np.arange(len(psi)), rho, np.zeros_like(rho),
                        np.zeros_like(rho))
     return {
-        "states": lambda stream, i: stream.add_state(1e-3 * i, psi[i], PARAMS),
-        "transforms": lambda stream, i: stream.add_state(1e-3 * i, None, PARAMS,
-                                                         np.fft.fft(psi[i])),
-        "fields": lambda stream, i: stream.add(fields.rows(i, i + 1)),
+        "states": lambda stream, i: _add_state(stream, 1e-3 * i, psi[i]),
+        "transforms": lambda stream, i: _add_state(stream, 1e-3 * i, np.fft.fft(psi[i]),
+                                                   "transforms"),
+        "fields": lambda stream, i: _add_fields(stream, fields.rows(i, i + 1)),
     }
 
 
@@ -839,14 +859,14 @@ def test_diagnostics_refuses_a_state_with_other_params_and_keeps_its_rows():
         currents.append(rows.current.copy())
 
     stream = Diagnostics(grid, 2, on_block=on_block)
-    stream.add_state(0.0, psi, PARAMS)
+    _add_state(stream, 0.0, psi)
     other = ef.PhysicalParams(hbar=2.0)
-    for state in (psi, None):
+    for kind, row in (("states", psi), ("transforms", np.fft.fft(psi))):
         with pytest.raises(ValueError, match=re.escape(f"takes {PARAMS}, not {other}")):
-            stream.add_state(1e-3, state, other, np.fft.fft(psi))
-    stream.add_state(1e-3, psi, PARAMS)
+            _add_state(stream, 1e-3, row, kind, other)
+    _add_state(stream, 1e-3, psi)
     alone = Diagnostics(grid, 1, on_block=on_block)
-    alone.add_state(0.0, psi, PARAMS)
+    _add_state(alone, 0.0, psi)
     assert np.array_equal(currents[0][0], currents[1][0])
     assert abs(currents[1][0].max() - 0.399) < 1e-3
 
@@ -872,14 +892,15 @@ def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
                              on_block=lambda first, rows: firsts.append(first))
         lo = 0
         for size in sizes:
-            stream.add(series.rows(lo, lo + size))
+            # a size that straddles a block is handed over as its share of each
+            _add_fields(stream, series.rows(lo, lo + size))
             lo += size
         results[name] = stream.columns(), firsts
-        # no row past n_rows, as rows or as a state
+        # no row past n_rows, as given fields or as a state
         with pytest.raises(ValueError):
-            stream.add(series.rows(0, 1))
+            _add_fields(stream, series.rows(0, 1))
         with pytest.raises(ValueError):
-            stream.add_state(1.0, wf0.psi, PARAMS)
+            _add_state(stream, 1.0, wf0.psi)
 
     reference, firsts = results["all at once"]
     assert firsts == [0, height, 2 * height]
@@ -890,15 +911,16 @@ def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
             assert np.array_equal(column, reference[key]), (name, key)
 
     stream = Diagnostics(grid, n_rows - 1, series.reg_floor)
-    with pytest.raises(ValueError):
-        stream.add(series)  # one row too many, refused before any is taken
     for lo, hi in ((0, height), (height, height + 1)):
-        stream.add(series.rows(lo, hi))
+        _add_fields(stream, series.rows(lo, hi))
         # the rows so far are computed (a full block), then held in the next
         with pytest.raises(ValueError):
             stream.columns()
-    with pytest.raises(ValueError):
-        stream.add(series.rows(height + 1, n_rows))  # counts the held row too
+    _add_fields(stream, series.rows(height + 1, 2 * height + 20))
+    # one row too many, counting the 20 held rows too, refused before any is taken
+    with pytest.raises(ValueError, match=f"cannot add 3 rows after 148 of {n_rows - 1}"):
+        _add_fields(stream, series.rows(2 * height + 20, n_rows))
+    assert (stream.n_done, stream.n_held) == (2 * height, 20)
 
 
 def test_diagnose_runs_no_complex_fft(monkeypatch):
@@ -941,7 +963,7 @@ def test_collect_block_rejects_bad_row_like_a_wavefunction(defect):
     stream = Diagnostics(grid, 3)
     with pytest.raises(ValueError) as block:
         for i, row in enumerate(psi):
-            stream.add_state(1e-3 * i, row, PARAMS)
+            _add_state(stream, 1e-3 * i, row)
     assert str(block.value) == str(per_state.value)
     assert str(block.value).startswith(
         "non-finite field" if defect == "nan" else "wavefunction not normalized")
@@ -951,7 +973,7 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     # the rate identity is computed with where= on the points at or above the
     # floor: it must give the bits of a boolean-indexing pass, and +0.0 on
     # every floored point
-    from entroflux.entropy import Diagnostics, _log_density, _rate_identity
+    from entroflux.entropy import _log_density, _rate_identity, diagnose
 
     grid = ef.Grid1D(-16.0, 16.0, 512)
     wf0 = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=2.0)
@@ -970,9 +992,7 @@ def test_residual9_equals_boolean_indexing_reference_bitwise():
     assert r9.tobytes() == reference.tobytes()
     assert not np.signbit(r9[~mask]).any() and not r9[~mask].any()
 
-    stream = Diagnostics(grid, len(series.t), reg_floor)
-    stream.add(series)
-    columns = stream.columns()
+    columns = diagnose(series)
     l2 = np.sqrt(grid.dx * np.sum(reference * reference, axis=1))
     assert columns["residual9_l2"][1:-1].tobytes() == l2.tobytes()
     linf = np.max(np.abs(reference), axis=1)

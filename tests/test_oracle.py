@@ -79,3 +79,64 @@ def test_oracle_validation():
         ef.GaussianOracle(sigma0=-1.0)
     with pytest.raises(ValueError):
         ef.CoherentOracle(omega=0.0, amplitude=1.0)
+
+
+# ---------- run_oracle's blocks ----------
+
+ORACLE_RUN = "x_min = -20\nx_max = 20\nsigma0 = 1.0\nk0 = 0.5\nobserve_stride = 2\n"
+
+
+def test_run_oracle_takes_one_block_entry_per_block(monkeypatch):
+    # 1001 rows on n = 1024: run_oracle writes the closed form's fields into
+    # the stream's blocks of 32 rows and hands over each block in one call, so
+    # ceil(1001 / 32) = 32 calls, the last of 9 rows; row i is at
+    # i * observe_stride * dt to the bit
+    from entroflux import entropy
+    from entroflux.report import run_oracle
+
+    calls, add_held = [], entropy.Diagnostics.add_held
+
+    def counting(self, t, kind, params=None):
+        calls.append((len(t), kind))
+        add_held(self, t, kind, params)
+
+    monkeypatch.setattr(entropy.Diagnostics, "add_held", counting)
+    cfg = ef.parse_oracle_config(ORACLE_RUN + "n = 1024\ndt = 5e-4\nt_final = 1.0\n")
+    columns, _ = run_oracle(cfg)
+    assert calls == [(32, "fields")] * 31 + [(9, "fields")]
+    assert columns["t"].tobytes() == np.array([i * 2 * 5e-4 for i in range(1001)]).tobytes()
+
+
+def test_run_oracle_makes_no_diagnostics_call_or_series_per_row():
+    # at n = 128 a block holds up to 256 rows, so 101 and 201 rows are one block
+    # each: the 100 more rows add no call to a `Diagnostics` method and build no
+    # `Series`
+    import inspect
+    import sys
+
+    from entroflux.entropy import Diagnostics, Series
+    from entroflux.report import run_oracle
+
+    methods = {f.__code__ for f in vars(Diagnostics).values() if inspect.isfunction(f)}
+
+    def profiled(t_final):
+        cfg = ef.parse_oracle_config(ORACLE_RUN + f"n = 128\ndt = 1e-3\nt_final = {t_final}\n")
+        counts = {"diagnostics": 0, "series": 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in methods:
+                counts["diagnostics"] += 1
+            elif event == "call" and frame.f_code is Series.__init__.__code__:
+                counts["series"] += 1
+
+        sys.setprofile(profile)
+        try:
+            run_oracle(cfg)
+        finally:
+            sys.setprofile(None)
+        return cfg.n_rows, counts
+
+    (few_rows, few), (many_rows, many) = profiled(0.2), profiled(0.4)
+    assert (few_rows, many_rows) == (101, 201)
+    assert few["diagnostics"] > 0
+    assert many == few

@@ -15,7 +15,8 @@ free run's states, a free run observed at every step at n = 16384, a free
 run observed at every 7th step, a simulated coherent packet, the free
 packet's closed form, a closed form whose density falls through the
 subnormal range, a subvolume of the whole grid, whose integrals reach the
-first and last grid intervals, and the binning study: 32 configs in all.
+first and last grid intervals, the free packet's closed form at n = 2**15,
+where a block holds one row, and the binning study: 33 configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
 difference and exits 1 if there is any, 0 otherwise.
@@ -139,6 +140,11 @@ FIXED = {
                          "omega = 1.0\namplitude = 1.0\npotential = harmonic\n"
                          "potential_omega = 1.0\ndt = 1e-3\nt_final = 0.003\n"
                          "observe_stride = 1\nsave_snapshots = true\n"),
+    # the free packet's closed form at n = 2**15, where a block holds one row:
+    # every row of given fields is a block and its hand-over; 4 rows at stride 2
+    "oracle_height1": ("oracle", "x_min = -40\nx_max = 40\nn = 32768\nsigma0 = 1.0\n"
+                       "x0 = -1\nk0 = 2\ndt = 2e-6\nt_final = 1.2e-5\nobserve_stride = 2\n"
+                       "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
 }
 
 
