@@ -26,10 +26,15 @@ and hands them over in one call.  A run's split-step loop (`collect`, through
 (`report.run_oracle`) and `diagnose` write given fields.
 When a block is flushed, its rows' fields (of states), norms, the masks
 rho >= reg_floor and ln rho are taken once, and rho_I, the rate identity and
-the norm check read them; then the rows get their per-row columns and, with
-the two rows before the block carried along as a halo, the centred residuals
-of every row whose neighbours have arrived; an optional hook sees the block
-(to write snapshot files), and then the block's buffers take the next rows.
+the norm check read them; an optional hook sees the block (to write snapshot
+files); then the rows get their per-row columns and, with the two rows before
+the block carried along as a halo, the centred residuals of every row whose
+neighbours have arrived, and then the block's buffers take the next rows.
+Every row brings its own d rho/dx, which eq 16 and the local balance read: a
+state's is 2 Re(psi* dpsi/dx), from the product psi* dpsi/dx its current
+takes too, with dpsi/dx taken relative to the state's carrier (see
+`madelung_arrays`), so it costs no transform of its own; given fields bring
+the spectral derivative of their rho (the oracle's) or their `Series.drho`.
 The block's transforms, residuals and subvolume integrals write into buffers
 the block owns.  So a run holds
 O(CHUNK_POINTS) field values plus O(T) scalar columns, and a block's pass
@@ -46,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
-    Grid1D, PhysicalParams, RealField, _spectral_derivative, _state_derivative, check_positive,
+    Grid1D, PhysicalParams, RealField, _carrier_derivative, _spectral_derivative, check_positive,
     fft, ifft, integrate,
 )
 from .propagate import Potential, WaveFunction, check_norms, split_steps
@@ -62,12 +67,13 @@ DEFAULT_REG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DensityFields:
-    """Madelung fields of one wavefunction: rho, j, v."""
+    """Madelung fields of one wavefunction: rho, j, v, and d rho/dx."""
 
     rho: RealField
     current: RealField
     velocity: RealField
     floored_points: int
+    drho: RealField
 
 
 @dataclass(frozen=True)
@@ -130,34 +136,64 @@ def madelung_arrays(
     params: PhysicalParams,
     reg_floor: float = DEFAULT_REG_FLOOR,
     out: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """rho, the current j = (hbar/m) Im(psi* dpsi/dx), v = j/rho and the mask
-    rho >= reg_floor of a (B, n) psi stack, into the four arrays of out if given.
+    carriers: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rho, the current j = (hbar/m) Im(psi* dpsi/dx), v = j/rho, the mask
+    rho >= reg_floor and d rho/dx = 2 Re(psi* dpsi/dx) of a (B, n) psi stack,
+    into the five arrays of out if given.
 
     The one computation of these fields.  psi = sqrt(rho) exp(i S / hbar) gives
     v = S'/m, taken as j/rho rather than from the gradient of the unwrapped
     phase, which has branch-cut artifacts where the density is low.  dpsi is
-    dpsi/dx (`grid._state_derivative` of the states' transforms).  psi and dpsi
-    are overwritten, by psi* and psi* dpsi/dx; each row's values are those of
-    the row taken alone.  v is floored (see DEFAULT_REG_FLOOR): it is 0 where
-    the mask is false.
+    the derivative relative to each row's carrier k_c, dpsi/dx - i k_c psi
+    (`grid._carrier_derivative` of the states' transforms; k_c = 0 for every
+    row if carriers is None, and dpsi is then dpsi/dx): the shift leaves
+    Re(psi* dpsi), so d rho/dx, as it is, and a row whose k_c is not 0 gets
+    (hbar/m) k_c rho added to its j.  So the product psi* dpsi holds no terms of
+    size k_c rho for its real part to cancel, and d rho/dx costs no transform.
+    psi and dpsi are overwritten, by psi* and psi* dpsi; each row's values are
+    those of the row taken alone.  v is floored (see DEFAULT_REG_FLOOR): it is
+    0 where the mask is false.
     """
     check_positive("reg_floor", reg_floor)
     if out is None:
         out = (np.empty(psi.shape), np.empty(psi.shape), np.empty(psi.shape),
-               np.empty(psi.shape, bool))
-    rho, j, v, mask = out
+               np.empty(psi.shape, bool), np.empty(psi.shape))
+    rho, j, v, mask, drho = out
     np.square(np.abs(psi, out=rho), out=rho)
     # np.multiply keeps the operand order fixed: numpy may swap the operands
     # of `a * temporary` on large arrays, and the complex product's last bit
     # depends on that order.  Its imaginary part is taken with an FMA, so it is
     # not the bits of psi.real dpsi.imag - psi.imag dpsi.real either.
     np.multiply(np.conjugate(psi, out=psi), dpsi, out=dpsi)
-    np.multiply(params.hbar / params.mass, dpsi.imag, out=j)
+    hbar_m = params.hbar / params.mass
+    np.multiply(hbar_m, dpsi.imag, out=j)
+    if carriers is not None:
+        for row in np.flatnonzero(carriers).tolist():
+            j[row] += (hbar_m * carriers[row]) * rho[row]
+    np.multiply(dpsi.real, 2.0, out=drho)
     np.greater_equal(rho, reg_floor, out=mask)
     v.fill(0.0)
     np.divide(j, rho, out=v, where=mask)
-    return rho, j, v, mask
+    return rho, j, v, mask, drho
+
+
+def _state_fields(held: np.ndarray, spectral: bool, dpsi: np.ndarray, grid: Grid1D,
+                  params: PhysicalParams, reg_floor: float, out: tuple | None = None) -> tuple:
+    """`madelung_arrays` of the (B, n) states held, or, if spectral, of the
+    states whose transforms held holds: the one path of every observed state,
+    `take_snapshot`'s and a block's.  The derivatives are taken relative to each
+    row's carrier (`grid._carrier_derivative`) into dpsi, from the held
+    transforms, with dpsi as their spectrum's memory, or from one batched
+    forward transform of the held states into dpsi.  Held transforms then take
+    one batched inverse transform, in place, for the states.  held and dpsi are
+    overwritten (see `madelung_arrays`)."""
+    if spectral:
+        _, carriers = _carrier_derivative(held, grid, out=dpsi, spectrum=dpsi)
+        ifft(held, out=held)
+    else:
+        _, carriers = _carrier_derivative(fft(held, out=dpsi), grid, out=dpsi)
+    return madelung_arrays(held, dpsi, params, reg_floor, out, carriers)
 
 
 def _log_density(r: np.ndarray, reg_floor: float, ln: np.ndarray | None = None,
@@ -215,17 +251,19 @@ def info_entropy(rho: RealField, reg_floor: float = DEFAULT_REG_FLOOR) -> float:
     return integrate(info_density(rho, reg_floor))
 
 
-_ROW_FIELDS = ("t", "rho", "current", "velocity", "rho_I", "floored_points")
+_ROW_FIELDS = ("t", "rho", "current", "velocity", "rho_I", "floored_points", "drho")
 
 
 @dataclass(frozen=True)
 class Series:
     """Observed samples stacked along axis 0: row i holds the fields at t[i].
 
-    rho, current, velocity and rho_I are (T, n) arrays; t and floored_points
-    have one entry per row.  rho_I uses reg_floor, as does the rate identity.
-    A run's block of rows (in `Diagnostics`) and the small stacks of the
-    per-instant functions are Series; a run never stacks all its rows.
+    rho, current, velocity, rho_I and drho = d rho/dx are (T, n) arrays; t and
+    floored_points have one entry per row.  rho_I uses reg_floor, as does the
+    rate identity.  drho is the spectral derivative of rho unless given: a
+    state's own is 2 Re(psi* dpsi/dx) (`madelung_arrays`).  A run's block of
+    rows (in `Diagnostics`) and the small stacks of the per-instant functions
+    are Series; a run never stacks all its rows.
     """
 
     grid: Grid1D
@@ -236,17 +274,24 @@ class Series:
     velocity: np.ndarray
     rho_I: np.ndarray
     floored_points: np.ndarray
+    drho: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.drho is None:
+            object.__setattr__(self, "drho", _spectral_derivative(self.rho, self.grid))
 
     @classmethod
     def of(cls, grid: Grid1D, t, rho, current, velocity, floored_points=0,
-           reg_floor: float = DEFAULT_REG_FLOOR, rho_I=None) -> "Series":
-        """Rows of the (T, n) fields at the T times t; rho_I follows from rho
-        unless given, and one floored_points count may stand for every row."""
+           reg_floor: float = DEFAULT_REG_FLOOR, rho_I=None, drho=None) -> "Series":
+        """Rows of the (T, n) fields at the T times t; rho_I and drho follow
+        from rho unless given, and one floored_points count may stand for every
+        row."""
         t, rho = np.asarray(t, dtype=float), np.asarray(rho, dtype=float)
         rho_I = _info_density(rho, reg_floor) if rho_I is None else np.asarray(rho_I, float)
         return cls(grid, reg_floor, t, rho, np.asarray(current, dtype=float),
                    np.asarray(velocity, dtype=float), rho_I,
-                   np.broadcast_to(floored_points, t.shape).astype(int))
+                   np.broadcast_to(floored_points, t.shape).astype(int),
+                   None if drho is None else np.asarray(drho, float))
 
     def rows(self, lo: int, hi: int) -> "Series":
         """Rows lo..hi-1 as a Series of views of this one."""
@@ -262,18 +307,20 @@ class Series:
             current=RealField(grid, self.current[i]),
             velocity=RealField(grid, self.velocity[i]),
             floored_points=int(self.floored_points[i]),
+            drho=RealField(grid, self.drho[i]),
         )
         return Snapshot(t=float(self.t[i]), den=den, rho_I=rho_I, I=integrate(rho_I))
 
 
 def take_snapshot(wf: WaveFunction, reg_floor: float = DEFAULT_REG_FLOOR) -> Snapshot:
-    """The Madelung fields (`.den`), information density (`.rho_I`) and entropy
-    (`.I`) of wf at its time `.t`."""
-    psi = wf.psi[np.newaxis]
-    rho, j, v, mask = madelung_arrays(psi.copy(), _state_derivative(fft(psi), wf.grid),
-                                      wf.params, reg_floor)
+    """The Madelung fields and d rho/dx (`.den`), information density (`.rho_I`)
+    and entropy (`.I`) of wf at its time `.t`: those of a block's row
+    (`_state_fields`)."""
+    psi = wf.psi[np.newaxis].copy()
+    rho, j, v, mask, drho = _state_fields(psi, False, np.empty_like(psi), wf.grid, wf.params,
+                                          reg_floor)
     floored = wf.grid.n - np.count_nonzero(mask)
-    return Series.of(wf.grid, [wf.t], rho, j, v, floored, reg_floor).snapshot(0)
+    return Series.of(wf.grid, [wf.t], rho, j, v, floored, reg_floor, drho=drho).snapshot(0)
 
 
 def bin_size(grid: Grid1D, bin_width: float) -> int:
@@ -414,12 +461,13 @@ class Diagnostics:
     past n_rows is refused, checked once per call.  A block holds at most
     CHUNK_POINTS // n rows, and one row if n is larger.  A block that is full
     or holds the last row is flushed: its per-row quantities are taken (the
-    fields of held states, and for every kind its norm, the mask rho >=
-    reg_floor and ln rho where the mask is set), then its per-row columns, and
-    the centred residuals of every row whose two neighbours have arrived: the
-    last two rows stay behind as a halo just ahead of the block, so a residual
-    never depends on where a block ends.  Then on_block(first_row, rows) sees
-    the block's rows as a Series of views, and the block is reused.
+    fields and d rho/dx of held states, and for every kind its norm, the mask
+    rho >= reg_floor and ln rho where the mask is set), and on_block(first_row,
+    rows) sees the block's rows as a Series of views; then its per-row columns
+    are taken, and the centred residuals of every row whose two neighbours have
+    arrived: the last two rows stay behind as a halo just ahead of the block,
+    so a residual never depends on where a block ends.  Then the block is
+    reused.
 
     rho_I and the rate identity read the block's ln rho and mask.  The window's
     six fields are views of one store, and the halo shift moves every field of
@@ -449,8 +497,10 @@ class Diagnostics:
         # rows 0 and 1 of the window are the halo, rows 2.. the block
         self.store = np.empty((6, height + 2, grid.n))
         rho, current, velocity, rho_I, self.v_drho, self.ln_rho = self.store
+        # a row's v_drho holds its d rho/dx, the window's drho, until its
+        # block's columns are taken, and v d rho/dx from then on
         self.window = Series(grid, reg_floor, np.zeros(height + 2), rho, current, velocity,
-                             rho_I, np.zeros(height + 2, dtype=int))
+                             rho_I, np.zeros(height + 2, dtype=int), self.v_drho)
         self.mask = np.empty((height + 2, grid.n), bool)
         self.t = np.zeros(n_rows)
         self.floored_points = np.zeros(n_rows, dtype=int)
@@ -470,9 +520,16 @@ class Diagnostics:
         """Take the len(t) rows written into the block after its n_held rows as
         the next rows, at the times t: "states" or "transforms" (psi_hat =
         fft(psi)) in `held[n_held:]`, with their params, or "fields" in the
-        window rows 2 + n_held .. of rho, current, velocity, rho_I and
-        floored_points.  The rows must fit in the block.  States must pass a
-        `WaveFunction`'s checks (finite, norm within 1e-8 of 1) at the flush."""
+        window rows 2 + n_held .. of rho, current, velocity, rho_I,
+        floored_points and drho.  Any other kind, and states or transforms
+        without params, are refused.  The rows must fit in the block.  States
+        must pass a `WaveFunction`'s checks (finite, norm within 1e-8 of 1) at
+        the flush."""
+        if kind not in ("states", "transforms", "fields"):
+            raise ValueError(f"unknown kind of row {kind!r}: a stream takes states, "
+                             f"transforms or fields")
+        if kind != "fields" and params is None:
+            raise ValueError(f"{kind} need their physical parameters")
         count = len(t)
         if self.n_held + count > self.height:
             raise ValueError(f"{count} rows do not fit in a block of {self.height} "
@@ -511,22 +568,15 @@ class Diagnostics:
                            out=self.out["norm"][lo:hi])
 
     def _observe(self) -> None:
-        """The Madelung fields, norm, ln rho and rho_I of the held states, into the block.
-
-        The derivatives are the `_state_derivative` of the block's transforms: the
-        held transforms, or one batched forward transform of the held states, taken
-        into the derivatives' place.  Held transforms then take one batched inverse
-        transform, in place, for the states."""
+        """The Madelung fields, d rho/dx, norm, ln rho and rho_I of the held
+        states, into the block, through `_state_fields`: the derivatives go into
+        their own buffer, and d rho/dx into the v_drho rows."""
         w, k = self.window, self.n_held
         block = slice(2, 2 + k)
-        psi, dpsi = self.held[:k], self.dpsi[:k]
-        spectral = self.kind == "transforms"
-        _state_derivative(psi if spectral else fft(psi, out=dpsi), w.grid, out=dpsi)
-        if spectral:
-            ifft(psi, out=psi)
-        rho, _, _, mask = madelung_arrays(
-            psi, dpsi, self.params, w.reg_floor,
-            out=(w.rho[block], w.current[block], w.velocity[block], self.mask[block]))
+        rho, _, _, mask, _ = _state_fields(
+            self.held[:k], self.kind == "transforms", self.dpsi[:k], w.grid, self.params,
+            w.reg_floor, (w.rho[block], w.current[block], w.velocity[block], self.mask[block],
+                          w.drho[block]))
         check_norms(self._norm_column())
         ln = np.log(rho, out=self.ln_rho[block], where=mask)
         _info_density(rho, w.reg_floor, ln, mask, out=w.rho_I[block])
@@ -540,17 +590,17 @@ class Diagnostics:
         lo, hi = self.n_done, self.n_done + count
         w, grid, out = self.window, self.window.grid, self.out
         rows = slice(2, 2 + count)
+        if self.on_block is not None:
+            self.on_block(lo, w.rows(2, 2 + count))
         rho, v, rho_I = w.rho[rows], w.velocity[rows], w.rho_I[rows]
-        work = _scratch(self.dpsi, (count, grid.n // 2 + 1), complex)
-        v_drho = _spectral_derivative(rho, grid, out=self.v_drho[rows], work=work)
-        np.multiply(v, v_drho, out=v_drho)
+        v_drho = np.multiply(v, self.v_drho[rows], out=self.v_drho[rows])
         self.t[lo:hi] = w.t[rows]
         self.floored_points[lo:hi] = w.floored_points[rows]
         out["I"][lo:hi] = grid.dx * rho_I.sum(axis=1)
         out["rhs_eq16_full"][lo:hi] = -(grid.dx * v_drho.sum(axis=1))
         if self.subvolume is not None:
             ia, ib = self.subvolume
-            # the derivatives' memory is dead once v_drho is taken
+            # the derivatives' memory is dead once the block's fields are taken
             terms = _scratch(self.dpsi, (count, ib - ia))
             _trapezoid_rows(rho_I, ia, ib, self.spacing, terms, out=self.i_sub[lo:hi])
             rhs = _trapezoid_rows(v_drho, ia, ib, self.spacing, terms, out=out["rhs_eq16"][lo:hi])
@@ -561,8 +611,6 @@ class Diagnostics:
         first = max(lo - 1, 1)
         if first < hi - 1:
             self._residuals(first - lo + 2, hi - 1 - lo + 2, first)
-        if self.on_block is not None:
-            self.on_block(lo, w.rows(2, 2 + count))
         for a in (*self.store, self.mask):
             # row by row, first to last: rows count and count + 1 may be row 1
             # and 2, and a copy between overlapping slices makes a temporary
@@ -657,7 +705,8 @@ def diagnose(series: Series, subvolume=None) -> dict:
     residuals have no centred stencil and read zero.
 
     The series is copied into a `Diagnostics` a block of rows at a time, one
-    slice per field, and takes the path of a run's rows.
+    slice per field, and takes the path of a run's rows: the balance laws read
+    the series' own d rho/dx (`Series.drho`).
     """
     stream = Diagnostics(series.grid, len(series.t), series.reg_floor, subvolume)
     w = stream.window
@@ -714,15 +763,15 @@ def summarize(columns: dict) -> dict:
 
 
 def _stack(snapshots: list) -> Series:
-    """Copy snapshots into a Series, keeping each one's own rho_I."""
+    """Copy snapshots into a Series, keeping each one's own rho_I and drho."""
     grid = snapshots[0].den.rho.grid
     for s in snapshots:
         if not s.den.rho.grid.matches(grid):
             raise ValueError("mismatched grids")
-    t, rho, current, velocity, floored, rho_I = map(np.array, zip(*(
+    t, rho, current, velocity, floored, rho_I, drho = map(np.array, zip(*(
         (s.t, s.den.rho.values, s.den.current.values, s.den.velocity.values,
-         s.den.floored_points, s.rho_I.values) for s in snapshots)))
-    return Series.of(grid, t, rho, current, velocity, floored, DEFAULT_REG_FLOOR, rho_I)
+         s.den.floored_points, s.rho_I.values, s.den.drho.values) for s in snapshots)))
+    return Series.of(grid, t, rho, current, velocity, floored, DEFAULT_REG_FLOOR, rho_I, drho)
 
 
 def _centred(rows: Series, dt: float, residual: str) -> tuple[float, float]:

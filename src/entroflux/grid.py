@@ -6,7 +6,13 @@ with the right endpoint excluded (periodic wrap).  Quadrature is the periodic
 rectangle rule, which coincides with the trapezoid rule on periodic data and
 is spectrally accurate for smooth periodic fields.  Derivatives are spectral:
 a real field goes through a real-input FFT pair (rfft/irfft), a state psi
-through its transform psi_hat, as ifft(ik psi_hat) (`_state_derivative`).
+through its transform psi_hat, as ifft(ik psi_hat) (`_state_derivative`).  An
+observed state's derivative is taken relative to its carrier k_c, as
+ifft(i(k - k_c) psi_hat) = d psi/dx - i k_c psi (`_carrier_derivative`): a
+row whose mean wavenumber <k> is larger than its spread has k_c = <k> rounded
+to a grid wavenumber, and every other row k_c = 0 and the bits of
+ifft(ik psi_hat).  So the derivative of a packet that moves at k0 carries no
+terms of size k0 |psi|, which Re(psi* dpsi), and so d rho/dx, would cancel.
 
 The transforms (`fft`, `ifft`, `rfft`, `irfft`) call the pocketfft gufuncs of
 `numpy.fft._pocketfft_umath`, the kernels behind `np.fft`, directly: they give
@@ -149,6 +155,8 @@ class Grid1D:
         # The same multiplier on the n//2 + 1 frequencies of rfft: its last, the
         # Nyquist mode, is the zero set above.
         self._ik_r = ik[: self.n // 2 + 1]
+        # the spacing of the wavenumbers, to round a mean wavenumber to the grid
+        self._dk = 2.0 * np.pi / self.length
 
     @property
     def k_max(self) -> float:
@@ -249,6 +257,57 @@ def _state_derivative(psi_hat: np.ndarray, grid: Grid1D,
     underflows to zero (entries near 5e-324)."""
     dpsi = np.multiply(grid._ik, psi_hat, out=out)
     return ifft(dpsi, out=dpsi)
+
+
+def _moments(psi_hat: np.ndarray, ik_psi_hat: np.ndarray) -> tuple:
+    """sum |psi_hat|^2, sum k |psi_hat|^2 and sum k^2 |psi_hat|^2 of each row, as
+    vecdots of psi_hat and ik psi_hat (two of them of their real and imaginary
+    parts, a pair of floats per wavenumber): a row's moments depend on that row
+    alone."""
+    x, y = psi_hat.view(float), ik_psi_hat.view(float)
+    return np.vecdot(x, x), np.vecdot(psi_hat, ik_psi_hat).imag, np.vecdot(y, y)
+
+
+def _carrier_derivative(psi_hat: np.ndarray, grid: Grid1D, out: np.ndarray | None = None,
+                        spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative of each row of the (B, n) states whose transforms are
+    psi_hat relative to its carrier k_c, ifft(i(k - k_c) psi_hat) = d psi/dx -
+    i k_c psi, into out if given (which may be psi_hat itself), and the carriers.
+
+    A row's carrier is its mean wavenumber <k>, rounded to a grid wavenumber,
+    where |<k>| is larger than the row's spread of k, and 0 elsewhere.  A block
+    with a carrier takes i(k - k_c) before it multiplies psi_hat, so the product
+    carries no terms of size k_c |psi_hat|; a row whose carrier is 0 takes ik
+    psi_hat, so it has the bits of `_state_derivative` in any block (ik - 0j
+    has the bits of ik).  ik psi_hat goes into spectrum if given, which must not
+    be psi_hat's memory, and the moments are taken from it; otherwise they are
+    taken from ik psi_hat of one half of the wavenumbers at a time, so no
+    temporary is the size of psi_hat, and the product is taken again in out, a
+    row at a time if a row has a carrier."""
+    n = grid.n
+    if spectrum is not None:
+        dpsi_hat = np.multiply(grid._ik, psi_hat, out=spectrum)
+        m0, m1, m2 = _moments(psi_hat, dpsi_hat)
+    else:
+        m0, m1, m2 = map(np.add, *(
+            _moments(psi_hat[:, half], np.multiply(grid._ik[half], psi_hat[:, half]))
+            for half in (slice(0, n // 2), slice(n // 2, n))))
+    # |<k>| > spread, that is <k>^2 > <k^2> - <k>^2, without a division
+    shifted = 2.0 * m1 * m1 > m0 * m2
+    carriers = np.zeros(len(m0))
+    if shifted.any():
+        index = np.rint(m1[shifted] / m0[shifted] / grid._dk).astype(np.int64)
+        carriers[shifted] = grid.k[index % n]
+    if spectrum is None:
+        if not shifted.any():
+            return _state_derivative(psi_hat, grid, out=out), carriers
+        dpsi_hat = np.empty(psi_hat.shape, complex) if out is None else out
+        for row, k_c in enumerate(carriers.tolist()):
+            np.multiply(grid._ik - 1j * k_c, psi_hat[row], out=dpsi_hat[row])
+    elif shifted.any():
+        multiplier = np.subtract(grid._ik, 1j * carriers[:, np.newaxis], out=dpsi_hat)
+        np.multiply(multiplier, psi_hat, out=dpsi_hat)
+    return ifft(dpsi_hat, out=out), carriers
 
 
 def derivative(f: RealField) -> RealField:

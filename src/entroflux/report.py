@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import RunConfig, SweepSpec
 from .entropy import BinRow, Diagnostics, Series, _info_density, collect, summarize
+from .grid import _spectral_derivative
 from .oracle import closed_form
 from .propagate import init_gaussian
 
@@ -68,7 +69,8 @@ def run_oracle(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
     """Emit the analytic-field series for the configured scenario, as
     `run_simulation` does: row i is the closed form at i * observe_stride * dt,
     written into the stream's block (rho, v, j = rho v, rho_I, no floored
-    point), and each block is handed over in one call.  The scenario must have
+    point, and the spectral derivative of rho, one batched transform pair per
+    block), and each block is handed over in one call.  The scenario must have
     a closed form (`oracle.closed_form` raises a SpecError otherwise), as a
     config from `parse_oracle_config` always has."""
     oracle = closed_form(cfg)
@@ -81,6 +83,7 @@ def run_oracle(cfg: RunConfig, on_block=None) -> tuple[dict, dict]:
             np.multiply(w.rho[k], w.velocity[k], out=w.current[k])
             _info_density(w.rho[k], cfg.reg_floor, out=w.rho_I[k])
         w.floored_points[2 : 2 + len(t)] = 0
+        _spectral_derivative(w.rho[2 : 2 + len(t)], cfg.grid, out=w.drho[2 : 2 + len(t)])
         stream.add_held(t, "fields")
     return _assemble(stream, cfg)
 

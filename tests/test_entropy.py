@@ -380,7 +380,7 @@ def _reference_residuals(prev, mid, nxt, dt, reg_floor):
     rho, v = mid.den.rho.values, mid.den.velocity.values
     d_rho_i = (nxt.rho_I.values - prev.rho_I.values) / (2.0 * dt)
     flux = (mid.rho_I.values - rho) * v
-    r13 = d_rho_i + ef.derivative(ef.RealField(g, flux)).values + v * ef.derivative(mid.den.rho).values
+    r13 = d_rho_i + ef.derivative(ef.RealField(g, flux)).values + v * mid.den.drho.values
     d_rho = (nxt.den.rho.values - prev.den.rho.values) / (2.0 * dt)
     mask = rho >= reg_floor
     r9 = np.zeros(g.n)
@@ -411,7 +411,7 @@ def test_series_columns_match_per_instant_api_bitwise(tmp_path):
     for i, (s, rep) in enumerate(zip(snaps, reports)):
         row = cols[i]
         v = s.den.velocity.values
-        v_drho = v * ef.derivative(s.den.rho).values
+        v_drho = v * s.den.drho.values
         assert row["rhs_eq16"] == -float(np.trapezoid(v_drho[ia : ib + 1], xs))
         g = (s.rho_I.values - s.den.rho.values) * v
         assert row["boundary_flux"] == g[ib] - g[ia]
@@ -508,7 +508,7 @@ def test_streamed_rows_and_snapshots_match_per_instant_api_bitwise(tmp_path, com
         row = cols[i]
         assert f.read_bytes() == _snapshot_bytes(s), i
         rho, v = s.den.rho.values, s.den.velocity.values
-        v_drho = v * ef.derivative(s.den.rho).values
+        v_drho = v * s.den.drho.values
         g = (s.rho_I.values - rho) * v
         assert row["t"] == s.t
         assert row["norm"] == float(grid.dx * rho.sum())
@@ -783,7 +783,7 @@ def _add_fields(stream, rows):
     while lo < len(rows.t):
         hi = min(len(rows.t), lo + stream.height - stream.n_held)
         k = 2 + stream.n_held
-        for name in ("rho", "current", "velocity", "rho_I", "floored_points"):
+        for name in ("rho", "current", "velocity", "rho_I", "floored_points", "drho"):
             getattr(stream.window, name)[k : k + hi - lo] = getattr(rows, name)[lo:hi]
         stream.add_held(rows.t[lo:hi], "fields")
         lo = hi
@@ -806,19 +806,50 @@ def _row_adders(grid, psi):
 
 def test_diagnostics_refuses_a_block_of_states_and_transforms():
     # a stream takes one kind of row, the kind of its first: a row of any
-    # other kind is refused, whether it would share the first row's block or not
+    # other kind is refused, whether it would share the first row's block or
+    # arrive after that block was flushed (n = 2**15, where a block holds one row)
     from itertools import permutations
 
     from entroflux.entropy import Diagnostics
 
-    grid = ef.Grid1D(-20.0, 20.0, 256)
-    adders = _row_adders(grid, _normalized_rows(grid, 3))
-    for first, second in permutations(adders, 2):
-        for n_rows in (3, 1 + (1 << 15) // grid.n):  # one block, or a block per row
-            stream = Diagnostics(grid, n_rows)
+    for n, height in ((256, 3), (1 << 15, 1)):
+        grid = ef.Grid1D(-20.0, 20.0, n)
+        adders = _row_adders(grid, _normalized_rows(grid, 3))
+        for first, second in permutations(adders, 2):
+            stream = Diagnostics(grid, 3)
+            assert stream.height == height
             adders[first](stream, 0)
+            assert (stream.n_done, stream.n_held) == ((1, 0) if height == 1 else (0, 1))
             with pytest.raises(ValueError, match=f"this one takes {first}, not {second}"):
                 adders[second](stream, 1)
+
+
+@pytest.mark.parametrize("kind", ["state", "transform", "Fields", ""])
+def test_add_held_refuses_an_unknown_kind(kind):
+    # a misspelled kind is refused before any row is taken, rather than run
+    # as states: a block of transforms would be observed as states, with no error
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    stream = Diagnostics(grid, 2)
+    stream.held[0] = _normalized_rows(grid, 1)[0]
+    with pytest.raises(ValueError, match=re.escape(f"unknown kind of row {kind!r}")):
+        stream.add_held(np.array([0.0]), kind, PARAMS)
+    assert (stream.kind, stream.n_held) == (None, 0)
+
+
+@pytest.mark.parametrize("kind", ["states", "transforms"])
+def test_add_held_refuses_states_without_params(kind):
+    # states need their params when they are handed over: taken without them,
+    # the flush would fail on None.hbar
+    from entroflux.entropy import Diagnostics
+
+    grid = ef.Grid1D(-20.0, 20.0, 256)
+    stream = Diagnostics(grid, 1)
+    stream.held[0] = _normalized_rows(grid, 1)[0]
+    with pytest.raises(ValueError, match=f"{kind} need their physical parameters"):
+        stream.add_held(np.array([0.0]), kind)
+    assert (stream.kind, stream.n_held, stream.n_done) == (None, 0, 0)
 
 
 def test_diagnostics_refuses_given_rows_after_a_state_and_keeps_its_rows():
@@ -924,8 +955,8 @@ def test_diagnostics_columns_do_not_depend_on_how_rows_are_added():
 
 
 def test_diagnose_runs_no_complex_fft(monkeypatch):
-    # every derivative the balance laws take is of a real field (rho and the
-    # flux), so each goes through a real-input FFT pair
+    # the one derivative the balance laws take is of a real field, the flux,
+    # so it goes through a real-input FFT pair; d rho/dx comes with the series
     from entroflux import grid as grid_module
     from entroflux.entropy import diagnose
 

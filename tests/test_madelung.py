@@ -176,3 +176,71 @@ def test_madelung_arrays_row_equals_row_of_large_stack():
         row = fields(psi[i : i + 1])
         for whole, alone in zip(stacked, row):
             assert np.array_equal(whole[i : i + 1], alone), i
+
+
+# ---------- derivatives relative to each row's carrier ----------
+
+CARRIER_K0 = (0.0, 0.3, 2.0, -3.0, 10.0, 0.0, 5.0, -0.2)
+
+
+def _packets(grid, k0s):
+    """Unit-norm Gaussians of width 1 (wavenumber spread 0.5) at the wavenumbers k0s."""
+    x0 = np.linspace(-2.0, 2.0, len(k0s))[:, None]
+    psi = np.exp(-((grid.x - x0) ** 2) / 4.0 + 1j * np.array(k0s)[:, None] * grid.x)
+    return psi / np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2, axis=1, keepdims=True))
+
+
+def test_carrier_derivative_takes_each_row_alone_and_keeps_the_bits_of_rows_without_one():
+    # a carrier where |<k>| exceeds the spread 0.5: the grid wavenumber nearest
+    # k0; the derivative and carrier of each row are the same bits in a block
+    # of any mix of rows, from its own spectrum or in place, and a row without a
+    # carrier keeps the bits of ifft(ik psi_hat)
+    from entroflux.grid import _carrier_derivative, fft
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    psi = _packets(grid, CARRIER_K0)
+    psi_hat = fft(psi)
+
+    def ways(rows):
+        spectrum = _carrier_derivative(rows, grid, out=np.empty_like(rows),
+                                       spectrum=np.empty_like(rows))
+        in_place = rows.copy()
+        return spectrum, _carrier_derivative(in_place, grid, out=in_place)
+
+    block = ways(psi_hat)
+    expected = [grid.k[int(round(k0 / (2 * np.pi / grid.length)))] if abs(k0) > 0.5 else 0.0
+                for k0 in CARRIER_K0]
+    assert block[0][1].tolist() == expected
+    for i, k0 in enumerate(CARRIER_K0):
+        for (dpsi, carriers), (dpsi_alone, carrier_alone) in zip(block, ways(psi_hat[i : i + 1])):
+            assert dpsi[i].tobytes() == dpsi_alone[0].tobytes() == block[0][0][i].tobytes(), i
+            assert carriers[i] == carrier_alone[0] == expected[i], i
+        plain = _state_derivative(psi_hat[i : i + 1], grid)[0]
+        if not expected[i]:
+            assert dpsi[i].tobytes() == plain.tobytes(), i
+        # d psi/dx - i k_c psi, to roundoff
+        shifted = plain - 1j * expected[i] * psi[i]
+        np.testing.assert_allclose(dpsi[i], shifted, rtol=0, atol=1e-12 * np.abs(plain).max())
+
+
+def test_madelung_fields_of_a_carrier_agree_with_the_spectral_form():
+    # with a carrier, j gets (hbar/m) k_c rho back, and d rho/dx = 2 Re(psi* dpsi)
+    # is the derivative of rho: both agree with the spectral form to roundoff
+    from entroflux.entropy import madelung_arrays
+    from entroflux.grid import _carrier_derivative, _spectral_derivative, fft
+
+    grid = ef.Grid1D(-16.0, 16.0, 512)
+    params = ef.PhysicalParams(hbar=0.7, mass=1.3)
+    psi = _packets(grid, CARRIER_K0)
+    dpsi, carriers = _carrier_derivative(fft(psi), grid)
+    rho, j, v, mask, drho = madelung_arrays(psi.copy(), dpsi, params, 1e-10, carriers=carriers)
+    plain = madelung_arrays(psi.copy(), _state_derivative(fft(psi), grid), params, 1e-10)
+    assert carriers.any() and not carriers.all()
+    np.testing.assert_array_equal(rho, plain[0])
+    np.testing.assert_array_equal(mask, plain[3])
+    for i, k_c in enumerate(carriers):
+        if not k_c:
+            assert j[i].tobytes() == plain[1][i].tobytes(), i
+        np.testing.assert_allclose(j[i], plain[1][i], rtol=0, atol=1e-13 * np.abs(j[i]).max())
+        np.testing.assert_allclose(v[i][mask[i]], plain[2][i][mask[i]], rtol=1e-9)
+    np.testing.assert_allclose(drho, _spectral_derivative(rho, grid), rtol=0, atol=1e-13)

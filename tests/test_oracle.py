@@ -50,6 +50,21 @@ def test_coherent_velocity_at_quarter_period():
     assert np.max(np.abs(snap.den.velocity.values + 3.0)) < 1e-12
 
 
+def test_oracle_fields_carry_the_spectral_derivative_of_rho():
+    # a closed form's rows bring d rho/dx as a run's oracle takes it, the
+    # spectral derivative of its rho, which is -(x - x_c) rho / sigma^2 to roundoff
+    from entroflux.grid import _spectral_derivative
+
+    for orc in (ef.GaussianOracle(sigma0=1.0, x0=0.5, k0=2.0, params=PARAMS),
+                ef.CoherentOracle(omega=1.0, amplitude=1.0, params=PARAMS)):
+        t = 0.7
+        den = orc.fields(GRID, t).den
+        rho = den.rho.values
+        assert den.drho.values.tobytes() == _spectral_derivative(rho, GRID).tobytes()
+        closed = -(GRID.x - orc.center(t)) * rho / orc.sigma2(t)
+        assert np.max(np.abs(den.drho.values - closed)) < 1e-13
+
+
 def test_analytic_balance_residual_is_discretization_noise():
     # both oracles satisfy the local balance law exactly; on the grid the
     # residual is pure differencing error

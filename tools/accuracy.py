@@ -3,12 +3,17 @@
 
     python3 tools/accuracy.py [PARENT_REV] [--json PATH]
 
-For the free packets, the CLI of a tree runs `simulate` and `oracle` on the
-same config, one process per run, and the table holds max|simulate - oracle|
-of the series.csv columns I, dIdt_fd, rhs_eq16 and norm.  The configs are the
-`dense_diag` bench workload at seeds 1-3 and the free `FIXED` configs
-`oracle_free`, `narrow_signed_zeros`, `simulate_n64_stride1` and
-`free_16384` of `compare_outputs.py`.
+For the runs with a closed form, the CLI of a tree runs `simulate` and
+`oracle` on the same config, one process per run, and the table holds
+max|simulate - oracle| of the series.csv columns I, dIdt_fd, rhs_eq16 and
+norm.  The configs are the free packets of the `dense_diag` bench workload at
+seeds 1-3 and of the `FIXED` configs `oracle_free`, `narrow_signed_zeros`,
+`simulate_n64_stride1` and `free_16384` of `compare_outputs.py`, and the
+coherent states of the `oracle_dump` workload at seeds 1-3 and of the `FIXED`
+`simulate_coherent`, without their snapshot files.  The coherent states run
+through the kicked loop, so their distances are the Strang splitting's error
+(about 1e-9 to 3e-8), and they judge a bit move in the kicked loop or in the
+diagnostics of kicked runs.
 
 For the sweeps (the `sweep_climit` workload at seeds 1-3 and the `FIXED`
 `sweep_two_groups`), it holds each row's |delta_I - delta_I of the oracle
@@ -51,12 +56,20 @@ RULE = (f"an error may grow by at most max({GROWTH:.0%} of the parent's, "
         f"{FLOOR:g} * scale); scale = max|column|, for dIdt_fd max|I| / (2 * sample spacing)")
 
 
+def _without_snapshots(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("save_snapshots"))
+
+
 def configs() -> tuple[dict, dict]:
-    """{name: config text} of the free runs and of the sweeps."""
+    """{name: config text} of the runs with a closed form and of the sweeps."""
     runs = {f"dense_diag_seed{s}": make("dense_diag", s).config for s in (1, 2, 3)}
     runs.update({name: FIXED[name][1]
                  for name in ("oracle_free", "narrow_signed_zeros", "simulate_n64_stride1",
                               "free_16384")})
+    runs.update({f"oracle_dump_seed{s}": _without_snapshots(make("oracle_dump", s).config)
+                 for s in (1, 2, 3)})
+    runs["simulate_coherent"] = _without_snapshots(FIXED["simulate_coherent"][1])
     sweeps = {f"sweep_climit_seed{s}": make("sweep_climit", s).config for s in (1, 2, 3)}
     sweeps["sweep_two_groups"] = FIXED["sweep_two_groups"][1]
     return runs, sweeps
@@ -76,7 +89,7 @@ def _table(tree: Path, command: str, text: str, tmp: Path, name: str) -> dict:
 
 
 def run_distances(tree: Path, name: str, text: str, tmp: Path) -> dict:
-    """{column: (max|simulate - oracle|, scale)} of one free config."""
+    """{column: (max|simulate - oracle|, scale)} of one config with a closed form."""
     sim, ref = (_table(tree, command, text, tmp / command, name)
                 for command in ("simulate", "oracle"))
     spacing = float(ref["t"][1]) - float(ref["t"][0])

@@ -16,10 +16,14 @@ run observed at every 7th step, a simulated coherent packet, the free
 packet's closed form, a closed form whose density falls through the
 subnormal range, a subvolume of the whole grid, whose integrals reach the
 first and last grid intervals, the free packet's closed form at n = 2**15,
-where a block holds one row, and the binning study: 33 configs in all.
+where a block holds one row, a packet that reflects off a tall barrier, so
+that its blocks mix rows whose derivatives are taken relative to a carrier
+and rows without one, and the binning study: 34 configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
-difference and exits 1 if there is any, 0 otherwise.
+difference, naming the CSV columns (with their count of differing rows) or
+the JSON keys in which a file differs, and exits 1 if there is any, 0
+otherwise.
 
 The CSV values reach every class of `%.17g` text that the table formatter
 (`entroflux._g17`) lays out apart:
@@ -41,7 +45,9 @@ The CSV values reach every class of `%.17g` text that the table formatter
 from __future__ import annotations
 
 import argparse
+import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +151,14 @@ FIXED = {
     "oracle_height1": ("oracle", "x_min = -40\nx_max = 40\nn = 32768\nsigma0 = 1.0\n"
                        "x0 = -1\nk0 = 2\ndt = 2e-6\nt_final = 1.2e-5\nobserve_stride = 2\n"
                        "subvolume_a = -2\nsubvolume_b = 2.5\nsave_snapshots = true\n"),
+    # a k0 = 5 packet that reflects off a barrier of height 40: of its 121 rows,
+    # in blocks of 64, the first block holds 54 rows with the carrier k_c > 0
+    # and 10 without one, the second 29 without and 28 with k_c < 0
+    "barrier_reflection": ("simulate", "x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1.0\n"
+                           "x0 = -4\nk0 = 5\npotential = gaussian_barrier\n"
+                           "barrier_height = 40\nbarrier_width = 0.5\ndt = 1e-3\n"
+                           "t_final = 1.2\nobserve_stride = 10\nsubvolume_a = -2\n"
+                           "subvolume_b = 2.5\nsave_snapshots = true\n"),
 }
 
 
@@ -173,6 +187,24 @@ def run(tree: Path, command: str, config: Path, out: Path) -> tuple[int, str, di
     return proc.returncode, proc.stdout, files
 
 
+def where(path: str, a: bytes, b: bytes) -> str:
+    """The columns of a CSV, or the keys of a JSON object, in which a and b differ."""
+    if path.endswith(".json"):
+        x, y = json.loads(a), json.loads(b)
+        keys = [k for k in sorted(x.keys() | y.keys()) if x.get(k) != y.get(k)]
+        return f" in {', '.join(keys)}" if keys else ""
+    if not path.endswith(".csv"):
+        return ""
+    (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(io.StringIO(t.decode())))
+                                            for t in (a, b))
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return " in its header or row count"
+    columns = {head_a[j]: sum(r[j] != q[j] for r, q in zip(rows_a, rows_b))
+               for j in range(len(head_a))}
+    return " in " + ", ".join(f"{c} ({k} of {len(rows_a)} rows)"
+                              for c, k in columns.items() if k)
+
+
 def compare(name: str, parent: tuple, child: tuple) -> list[str]:
     """Difference lines of one config."""
     (code_a, out_a, files_a), (code_b, out_b, files_b) = parent, child
@@ -183,7 +215,7 @@ def compare(name: str, parent: tuple, child: tuple) -> list[str]:
         if path not in files_b or path not in files_a:
             diffs.append(f"{name}: {path} {'missing' if path not in files_b else 'new'}")
         elif files_a[path] != files_b[path]:
-            diffs.append(f"{name}: {path} differs")
+            diffs.append(f"{name}: {path} differs{where(path, files_a[path], files_b[path])}")
     return diffs
 
 
