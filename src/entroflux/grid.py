@@ -20,11 +20,18 @@ np.fft's results bit for bit along the last axis without its per-call Python
 wrapper, which costs about 5 us a call against about 21 us for a complex
 transform at n = 1024 (2-core Xeon, numpy 2.4.6).  The module is private to
 numpy, so it is imported here, and a numpy without it fails at import.
+
+A kicked run on n >= FOUR_STEP_POINTS points takes its transforms as a
+`FourStep`: a pass over the columns of the state's (n1, n2) view, a twiddle
+product and a pass over its rows, in place, with the spectrum left in the
+transposed order it comes out in.  `FourStep` is the one place that knows
+that layout.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -85,9 +92,13 @@ MAX_ROWS = 2**24
 # (tracemalloc's peak of a kicked run at n = 2**20, numpy 2.4.6) and about 345 B of
 # peak RSS, so about 1.5 GB.  The diagnostics' window of 3 rows holds rho, j, v, rho_I,
 # v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
-# their derivatives 32 B; the grid 32 B; the propagator's four complex arrays 64 B; the
-# initial state and the final state the loop returns 32 B.  The loop copies each observed
-# state into the held rows, so no observed state takes memory of its own.  A free run
+# their derivatives 32 B; the grid 32 B; the kicked loop's four complex arrays 64 B: the
+# state buffer, the half kick, the kinetic factor in spectrum order and the `FourStep`
+# twiddles (below FOUR_STEP_POINTS, a transform buffer and the kinetic factor in natural
+# order in place of the last two); the initial state 16 B.  The loop returns its own
+# state buffer as the final state, and copies each observed state into the held rows,
+# so neither takes memory of its own.  (A barrier run at n = 2**20 without a subvolume
+# peaks at 275 B per point, in a block's diagnostics.)  A free run
 # also holds a factor and a buffer of `propagate.split_steps` per bit level its reached
 # steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak RSS at
 # n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
@@ -236,6 +247,92 @@ def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(a.shape[:-1] + (n,))
     return _pocketfft.irfft(a, 1 / n, axes=_LAST, out=out)
+
+
+# The grid size from which a kicked run takes its transforms as a `FourStep`.
+# A kicked step with the four-step transforms took 0.79-0.85 of the time of one
+# with single-row transforms at n = 16384, 0.81 at 8192 and 0.89-0.91 at 4096,
+# but 0.99-1.02 at 2048 and 1.24-1.30 at 1024 (2-core Xeon, numpy 2.4.6).
+FOUR_STEP_POINTS = 4096
+
+
+def unit_roots(m: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2 pi i m/n) of the integers m, for n a power of two >= 8.
+
+    The exponent is reduced mod n as an integer, to a quadrant q and an angle
+    phi in [0, pi/2), and each root is made from the cosine and sine of phi
+    or of pi/2 - phi, whichever lies in [0, pi/4], as pocketfft makes its own
+    twiddles: exp(-i(q pi/2 + phi)) is (cos, -sin), (-sin, -cos), (-cos, sin)
+    or (sin, cos) of phi for q = 0..3, so each root is within an ulp of its
+    value.  No temporary is complex."""
+    quadrant, m = np.divmod(m % n, n // 4)
+    swap = 2 * m > n // 4  # phi > pi/4: take the cosine and sine of pi/2 - phi
+    np.subtract(n // 4, m, out=m, where=swap)
+    angle = m * (2.0 * np.pi / n)
+    del m
+    roots = np.empty(angle.shape, complex)
+    re, im = roots.real, roots.imag
+    np.cos(angle, out=re)
+    np.sin(angle, out=im)
+    # re takes the sine, and im the cosine, of phi in an odd quadrant and of
+    # pi/2 - phi in an even one
+    odd = swap ^ (quadrant & 1).astype(bool)
+    np.copyto(angle, im)
+    np.copyto(im, re, where=odd)
+    np.copyto(re, angle, where=odd)
+    np.negative(re, out=re, where=(quadrant == 1) | (quadrant == 2))
+    np.negative(im, out=im, where=quadrant < 2)
+    return roots
+
+
+class FourStep:
+    """The four-step split of an n-point transform (Bailey, "FFTs in external
+    or hierarchical memory", J. Supercomputing 4, 23, 1990).
+
+    A state psi is held as the (n1, n2) array x[j1, j2] = psi[j1 n2 + j2],
+    n1 = 2**floor(log2(n) / 2) and n2 = n / n1.  The forward transform is an
+    n1-point transform of each column (`columns`), a product by the twiddles
+    w**(k1 j2), w = exp(-2 pi i / n), and an n2-point transform of each row
+    (`rows`); numpy's pocketfft does such a batch of short transforms much
+    faster per point than one long transform.  The spectrum stays in the
+    order it comes out in, x[k1, k2] = psi_hat[k1 + n1 k2] (`order` puts a
+    natural-order array of n into it), and no step transposes.  The inverse
+    undoes the three steps in reverse order as ifft(X) = conj(fft(conj X)) / n,
+    with 1/n2 and 1/n1 passed to the two passes, so it takes the twiddles
+    themselves and no table of their conjugates.  Every stage writes into
+    the array it is given: numpy hands identical in and out arrays to
+    pocketfft without copying them.  The kicked loop of
+    `propagate.split_steps` makes the calls of `forward` and `inverse` in its
+    own step body.
+    """
+
+    # the stage calls: columns(x, fct, out=x) and rows(x, fct, out=x) transform
+    # each column and each row of x, times fct
+    columns = partial(_pocketfft.fft, axes=[(0,), (), (0,)])
+    rows = partial(_pocketfft.fft, axes=[(1,), (), (1,)])
+
+    def __init__(self, n: int):
+        self.n1 = 1 << (n.bit_length() - 1) // 2
+        self.n2 = n // self.n1
+        self.twiddles = unit_roots(np.outer(np.arange(self.n1), np.arange(self.n2)), n)
+
+    def order(self, values: np.ndarray) -> np.ndarray:
+        """A contiguous (n1, n2) copy of the n values in spectrum order."""
+        return values.reshape(self.n2, self.n1).T.copy()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The transform of the (n1, n2) state x, in place, in spectrum order."""
+        self.columns(x, 1, out=x)
+        np.multiply(x, self.twiddles, out=x)
+        return self.rows(x, 1, out=x)
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """The state whose transform is x, in spectrum order, in place."""
+        np.conjugate(x, out=x)
+        self.rows(x, 1 / self.n2, out=x)
+        np.multiply(x, self.twiddles, out=x)
+        self.columns(x, 1 / self.n1, out=x)
+        return np.conjugate(x, out=x)
 
 
 def _spectral_derivative(values: np.ndarray, grid: Grid1D, out: np.ndarray | None = None,

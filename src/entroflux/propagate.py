@@ -8,7 +8,9 @@ is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
 has no kicks, so it stays in Fourier space, reaches each step it needs by
 products of the kinetic factors of dt times powers of two, and writes each
 state it observes, as its transform, into a block buffer of its caller's
-(`split_steps`).
+(`split_steps`).  A kicked run on n >= `grid.FOUR_STEP_POINTS` points takes
+each transform as a four-step FFT (`grid.FourStep`) in place in its one state
+buffer, and keeps its kinetic factor in the spectrum's transposed order.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D, PhysicalParams, check_length, check_positive, fft, ifft
+from .grid import (FOUR_STEP_POINTS, FourStep, Grid1D, PhysicalParams, check_length,
+                   check_positive, fft, ifft)
 
 
 @dataclass(frozen=True)
@@ -162,20 +165,20 @@ def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     return evolve(wf, potential, dt, 1)
 
 
-def step_factors(grid: Grid1D, params: PhysicalParams, potential: Potential,
-                 dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of a Strang step of dt: the half kick exp(-i V dt / 2 hbar)
-    on the grid and the `kinetic_factor` of dt, which `split_steps` applies (a
-    half kick equal to 1 everywhere it skips).
-    """
+def half_kick(grid: Grid1D, params: PhysicalParams, potential: Potential,
+              dt: float) -> np.ndarray:
+    """The half kick of a Strang step of dt, exp(-i V dt / 2 hbar) on the grid,
+    which `split_steps` applies (and skips where it equals 1 everywhere)."""
     v = potential.values(grid.x, mass=params.mass)
-    exp_v_half = np.exp(-0.5j * v * dt / params.hbar)
-    return exp_v_half, kinetic_factor(grid, params, dt)
+    return np.exp(-0.5j * v * dt / params.hbar)
 
 
-def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float) -> np.ndarray:
-    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers."""
-    return np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float,
+                   k: np.ndarray | None = None) -> np.ndarray:
+    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers, or
+    on k, the same wavenumbers in another order."""
+    k = grid.k if k is None else k
+    return np.exp(-0.5j * params.hbar * k**2 * dt / params.mass)
 
 
 def split_steps(
@@ -190,10 +193,10 @@ def split_steps(
     """Apply n_steps Strang split steps to wf.psi and return the final psi array.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
-    another half kick, with the factors of `step_factors` computed once per
-    call.  If on_block is given, the loop observes each step of observe_at, a
-    strictly ascending iterable of steps in 0..n_steps (0 is the initial
-    state): it copies the state at t = wf.t + i*dt into the next row of rows,
+    another half kick, with the `half_kick` and the `kinetic_factor` made
+    once per call.  If on_block is given, the loop observes each step of
+    observe_at, a strictly ascending iterable of steps in 0..n_steps (0 is
+    the initial state): it copies the state at t = wf.t + i*dt into the next row of rows,
     an (h, n) complex buffer that the caller owns, and once the h rows are
     filled, or the last step observed, it calls on_block(steps, spectral)
     with the int64 steps of the filled rows, rows[:len(steps)].  A free run
@@ -218,15 +221,21 @@ def split_steps(
     step i depends on i alone, a run observed at every step takes one product
     per step, and a run observed nowhere takes one per set bit of n_steps.
 
-    The kicked loop keeps psi in buffer `a` and its transform in buffer `b`,
-    and every product and transform writes into one of them (`out=`), so it
-    allocates an array only for the state it returns.  The complex product's
-    last bit depends on the order of its operands, and numpy evaluates the
+    The kicked loop copies psi once into its state buffer `a`, steps it in
+    place, and returns that buffer as the final state; it allocates no array
+    per step.  On n >= `grid.FOUR_STEP_POINTS` points each transform is a
+    `grid.FourStep` in place in `a`, its stage calls made in the step body
+    itself, and the kinetic factor is made once, in the spectrum's
+    transposed order, from the wavenumbers in that order; every product
+    takes the state as its first operand.  Below that the loop keeps the
+    transform in a second buffer `b`, and every product and transform
+    writes into a or b (`out=`).  There the complex product's last bit
+    depends on the order of its operands, and numpy evaluates the
     expression `exp_t * fft(psi)` as `fft(psi) * exp_t` once the transform's
     temporary reaches 256 KiB (it reuses the temporary and swaps the
-    operands).  The kicked loop's kinetic product keeps the order that
-    expression has at this grid size, so its states are those of the
-    expression loop bit for bit.
+    operands).  The loop's kinetic product keeps the order that expression
+    has at its grid size, so its states are those of the expression loop
+    bit for bit.
     """
     steps = np.fromiter(() if on_block is None else observe_at, dtype=np.int64)
     if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
@@ -237,12 +246,12 @@ def split_steps(
     grid, params = wf.grid, wf.params
     check_dt(grid, params, dt)
     check_potential(grid, params, potential, dt)
-    exp_v_half, exp_t = step_factors(grid, params, potential, dt)
-    b = np.empty_like(wf.psi)
+    exp_v_half = half_kick(grid, params, potential, dt)
     done = 0
     spectral = bool((exp_v_half == 1).all())
     if spectral:
-        fft(wf.psi, out=b)
+        exp_t = kinetic_factor(grid, params, dt)
+        b = fft(wf.psi)
         used = int(np.bitwise_or.reduce(steps, initial=n_steps))
         levels = used.bit_length()
         factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
@@ -262,20 +271,46 @@ def split_steps(
                 partial[level] = psi_hat
             done = i
             return psi_hat
+    elif grid.n >= FOUR_STEP_POINTS:
+        split = FourStep(grid.n)
+        exp_t = kinetic_factor(grid, params, dt, split.order(grid.k))
+        a = wf.psi.copy()
+        x, twiddles = a.reshape(split.n1, split.n2), split.twiddles
+        by_columns, by_rows = split.columns, split.rows
+        inverse_rows, inverse_columns = 1 / split.n2, 1 / split.n1
+
+        def reach(i: int) -> np.ndarray:
+            nonlocal done
+            for _ in range(i - done):
+                np.multiply(exp_v_half, a, out=a)
+                # split.forward(x), split.inverse(x) and the kinetic step between
+                by_columns(x, 1, out=x)
+                np.multiply(x, twiddles, out=x)
+                by_rows(x, 1, out=x)
+                np.multiply(x, exp_t, out=x)
+                np.conjugate(x, out=x)
+                by_rows(x, inverse_rows, out=x)
+                np.multiply(x, twiddles, out=x)
+                by_columns(x, inverse_columns, out=x)
+                np.conjugate(x, out=x)
+                np.multiply(exp_v_half, a, out=a)
+            done = i
+            return a
     else:
-        a, psi = np.empty_like(b), wf.psi
+        a, b = wf.psi.copy(), np.empty_like(wf.psi)
+        exp_t = kinetic_factor(grid, params, dt)
         kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
 
         def reach(i: int) -> np.ndarray:
-            nonlocal psi, done
+            nonlocal done
             for _ in range(i - done):
-                psi = np.multiply(exp_v_half, psi, out=a)
-                fft(psi, out=b)
+                np.multiply(exp_v_half, a, out=a)
+                fft(a, out=b)
                 np.multiply(*kinetic, out=b)
-                psi = ifft(b, out=a)
-                np.multiply(exp_v_half, psi, out=psi)
+                ifft(b, out=a)
+                np.multiply(exp_v_half, a, out=a)
             done = i
-            return psi
+            return a
     block = list(rows) if steps.size else []  # one view per buffer row, made once
     for lo in range(0, len(steps), len(block) or 1):
         filled = steps[lo : lo + len(block)]
@@ -283,7 +318,7 @@ def split_steps(
             row[...] = reach(i)  # a copy in C: np.copyto calls a Python dispatcher
         on_block(filled, spectral)
     final = reach(n_steps)
-    return ifft(final) if spectral else final.copy()
+    return ifft(final) if spectral else final
 
 
 def evolve(

@@ -190,3 +190,60 @@ def test_complex_derivative_equals_numpy_expression_bytewise(n, heights):
         z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
         reference = np.fft.ifft(g._ik * np.fft.fft(z))
         assert _state_derivative(fft(z), g).tobytes() == reference.tobytes(), rows
+
+
+LONG_DOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_long_double = pytest.mark.skipif(
+    not LONG_DOUBLE, reason="long double is double here: no reference more precise "
+                            "than the transforms")
+
+
+def _relative_errors(got, reference):
+    """max|got - reference| / max|reference| and the rms of got - reference over
+    that of reference."""
+    err = np.abs(got - reference)
+    size = np.abs(reference)
+    return float(err.max() / size.max()), float(np.sqrt((err**2).sum() / (size**2).sum()))
+
+
+@needs_long_double
+def test_unit_roots_are_within_an_ulp():
+    from entroflux.grid import unit_roots
+
+    pi = 4 * np.arctan(np.longdouble(1))
+    for n in (8, 4096, 2**16):
+        m = np.arange(-n, 2 * n)
+        exact = np.exp(-2j * pi * m.astype(np.longdouble) / n)
+        assert np.max(np.abs(unit_roots(m, n) - exact)) < np.finfo(float).eps, n
+
+
+@needs_long_double
+@pytest.mark.parametrize("n", [4096, 8192, 16384, 2**16])
+def test_four_step_transforms_are_as_accurate_as_pocketfft(n):
+    # against np.fft of the same input in long double, the four-step
+    # transforms' max and rms relative errors are at most 1.25 times those of
+    # pocketfft's single-row transforms (forward at n = 16384: max 2.9e-16
+    # against 3.4e-16, rms 2.8e-16 against 2.8e-16; the largest ratio, 1.16, is
+    # the inverse's max at n = 4096).  n = 8192 splits into 64 x 128, so
+    # twiddles of the transposed split show there
+    from entroflux.grid import FourStep
+
+    split = FourStep(n)
+    assert (split.n1, split.n2) == (2 ** (int(np.log2(n)) // 2), n // split.n1)
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exact = np.fft.fft(z.astype(np.clongdouble))
+    x = z.reshape(split.n1, split.n2).copy()
+    forward = split.forward(x)
+    assert np.shares_memory(forward, x)
+    got = _relative_errors(forward.T.reshape(n), exact)  # spectrum order to natural
+    pocketfft = _relative_errors(np.fft.fft(z), exact)
+    assert got[0] <= 1.25 * pocketfft[0] and got[1] <= 1.25 * pocketfft[1], (got, pocketfft)
+
+    exact = np.fft.ifft(z.astype(np.clongdouble))
+    x = split.order(z)
+    inverse = split.inverse(x)
+    assert np.shares_memory(inverse, x)
+    got = _relative_errors(inverse.reshape(n), exact)
+    pocketfft = _relative_errors(np.fft.ifft(z), exact)
+    assert got[0] <= 1.25 * pocketfft[0] and got[1] <= 1.25 * pocketfft[1], (got, pocketfft)

@@ -191,23 +191,52 @@ def _observed(wf, pot, dt, n_steps, schedule, height=4):
     return final, handed, blocks
 
 
-@pytest.mark.parametrize("n", [1024, 16384])
+def _expression_states(wf, pot, dt, n_steps):
+    """{i: the state after i kicked Strang steps}, with np.fft: a single-row
+    transform pair below FOUR_STEP_POINTS, and from it the four-step
+    transforms on the (n1, n2) view of the state, with the spectrum in its
+    transposed order, C[k1, k2] = psi_hat[k1 + n1 k2], and the inverse as
+    conj(fft(conj C)) / n."""
+    from entroflux.grid import FOUR_STEP_POINTS, FourStep
+
+    grid = wf.grid
+    exp_v_half = np.exp(-0.5j * pot.values(grid.x) * dt / PARAMS.hbar)
+    psi, expected = wf.psi, {}
+    if grid.n < FOUR_STEP_POINTS:
+        exp_t = np.exp(-0.5j * PARAMS.hbar * grid.k**2 * dt / PARAMS.mass)
+        for i in range(1, n_steps + 1):
+            psi = exp_v_half * psi
+            psi = np.fft.ifft(exp_t * np.fft.fft(psi))
+            psi = exp_v_half * psi
+            expected[i] = psi
+        return expected
+    n1 = 2 ** (int(np.log2(grid.n)) // 2)
+    n2 = grid.n // n1
+    twiddles = FourStep(grid.n).twiddles
+    k = grid.k.reshape(n2, n1).T  # k[k1, k2] = grid.k[k1 + n1 k2]
+    exp_t = np.exp(-0.5j * PARAMS.hbar * k**2 * dt / PARAMS.mass)
+    for i in range(1, n_steps + 1):
+        psi = exp_v_half * psi
+        c = np.multiply(np.fft.fft(psi.reshape(n1, n2), axis=0), twiddles)
+        c = np.multiply(np.fft.fft(c, axis=1), exp_t)
+        x = np.multiply(np.fft.fft(np.conj(c), axis=1, norm="forward"), twiddles)
+        psi = np.conj(np.fft.fft(x, axis=0, norm="forward")).reshape(grid.n)
+        psi = exp_v_half * psi
+        expected[i] = psi
+    return expected
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096, 16384])
 def test_split_steps_matches_expression_loop_bitwise(n):
-    # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up
-    # (n = 16384), and the complex product's last bit depends on the order
+    # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up,
+    # and the complex product's last bit depends on the order; from
+    # FOUR_STEP_POINTS (4096) the loop takes four-step transforms, and every
+    # product takes the state as its first operand
     grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
     pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
     dt, n_steps, stride = 1e-4, 7, 2
-
-    exp_v_half = np.exp(-0.5j * pot.values(grid.x) * dt / PARAMS.hbar)
-    exp_t = np.exp(-0.5j * PARAMS.hbar * grid.k**2 * dt / PARAMS.mass)
-    psi, expected = wf.psi, {}
-    for i in range(1, n_steps + 1):
-        psi = exp_v_half * psi
-        psi = np.fft.ifft(exp_t * np.fft.fft(psi))
-        psi = exp_v_half * psi
-        expected[i] = psi
+    expected = _expression_states(wf, pot, dt, n_steps)
 
     final, handed, blocks = _observed(wf, pot, dt, n_steps, range(stride, n_steps + 1, stride),
                                       height=2)
@@ -228,11 +257,32 @@ def test_split_steps_matches_expression_loop_bitwise(n):
     assert len({w.psi.ctypes.data for w in (*states, out)}) == len(states) + 1
 
 
+def test_four_step_loop_stays_near_the_single_row_loop():
+    # 1000 steps at n = 16384: the four-step transforms round differently from
+    # the single-row ones, and the states drift apart by roundoff only
+    from entroflux.propagate import split_steps
+
+    n = 16384
+    grid = ef.Grid1D(-128.0, 128.0, n)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
+    pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
+    dt, n_steps = 1e-4, 1000
+    exp_v_half = np.exp(-0.5j * pot.values(grid.x) * dt / PARAMS.hbar)
+    exp_t = np.exp(-0.5j * PARAMS.hbar * grid.k**2 * dt / PARAMS.mass)
+    psi = wf.psi
+    for _ in range(n_steps):
+        psi = exp_v_half * np.fft.ifft(exp_t * np.fft.fft(exp_v_half * psi))
+    final = split_steps(wf, pot, dt, n_steps)
+    assert not np.array_equal(final, psi)
+    assert np.max(np.abs(final - psi)) < 1e-12
+
+
 def _kicked_states(wf, pot, dt, n_steps):
     """Each state of n_steps Strang steps that apply both half kicks, with np.fft."""
-    from entroflux.propagate import step_factors
+    from entroflux.propagate import half_kick, kinetic_factor
 
-    exp_v_half, exp_t = step_factors(wf.grid, wf.params, pot, dt)
+    exp_v_half = half_kick(wf.grid, wf.params, pot, dt)
+    exp_t = kinetic_factor(wf.grid, wf.params, dt)
     psi, states = wf.psi, []
     for _ in range(n_steps):
         psi = exp_v_half * np.fft.ifft(exp_t * np.fft.fft(exp_v_half * psi))
@@ -263,7 +313,7 @@ def _fourier_transforms(wf, dt, steps):
     the kinetic factor of 2**b * dt for each set bit b of i, highest first,
     the state the first operand of each product.  np.fft.ifft of each is the
     state."""
-    from entroflux.propagate import step_factors
+    from entroflux.propagate import kinetic_factor
 
     psi_hat_0, factors, transforms = np.fft.fft(wf.psi), {}, {}
     for i in steps:
@@ -271,8 +321,7 @@ def _fourier_transforms(wf, dt, steps):
         for b in reversed(range(i.bit_length())):
             if i >> b & 1:
                 if b not in factors:
-                    factors[b] = step_factors(wf.grid, wf.params, ef.Potential.free(),
-                                              (1 << b) * dt)[1]
+                    factors[b] = kinetic_factor(wf.grid, wf.params, (1 << b) * dt)
                 psi_hat = np.multiply(psi_hat, factors[b])
         transforms[i] = psi_hat
     return transforms
@@ -351,8 +400,8 @@ def test_a_bare_free_run_takes_one_product_per_set_bit(monkeypatch):
 
 def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch):
     # a bare run of 2**20 steps sets one bit: one product, and no factor but
-    # F_0 (made by step_factors) and F_20; a stride-8 schedule over 64 steps
-    # sets no bit below 3, so levels 1 and 2 take no factor
+    # F_0 and F_20; a stride-8 schedule over 64 steps sets no bit below 3, so
+    # levels 1 and 2 take no factor
     from entroflux import propagate
 
     made, kinetic_factor = [], propagate.kinetic_factor
@@ -429,19 +478,27 @@ def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
     assert handed == []
 
 
-@pytest.mark.parametrize("pot", [ef.Potential.free(), ef.Potential.harmonic(1.0)],
-                         ids=["free", "harmonic"])
-def test_split_steps_makes_no_call_or_copy_per_observed_row(pot):
+@pytest.mark.parametrize("pot, n, copies", [(ef.Potential.free(), 1024, 0),
+                                             (ef.Potential.harmonic(1.0), 1024, 1),
+                                             (ef.Potential.harmonic(1.0), 4096, 2)],
+                         ids=["free", "harmonic", "harmonic_four_step"])
+def test_split_steps_makes_no_call_or_copy_per_observed_row(pot, n, copies):
     # each observed row costs one Python call, reach, and a copy into the
     # buffer: 100 more observed rows add exactly 100 Python calls outside
-    # the consumer, and no `ndarray.copy` is made for any row (a kicked run
-    # copies its final state once)
+    # the consumer, and no `ndarray.copy` is made for any row.  A kicked run
+    # copies its initial state once, into the buffer it steps in and returns;
+    # from FOUR_STEP_POINTS (4096) it takes four-step transforms and also
+    # copies the wavenumbers once, into spectrum order.  Garbage collection is
+    # off while profiling: a collection calls the `gc.callbacks` that other
+    # libraries register (hypothesis does), which would count as calls
+    import gc
     import sys
 
     from entroflux.propagate import split_steps
 
-    wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
-    rows = np.empty((16, GRID.n), complex)
+    grid = ef.Grid1D(-20.0 * n / 1024, 20.0 * n / 1024, n)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, k0=1.0)
+    rows = np.empty((16, n), complex)
 
     def profiled(n_rows):
         counts = {"calls": 0, "copies": 0, "blocks": 0}
@@ -456,14 +513,16 @@ def test_split_steps_makes_no_call_or_copy_per_observed_row(pot):
                     and isinstance(getattr(arg, "__self__", None), np.ndarray):
                 counts["copies"] += 1
 
+        gc.disable()
         sys.setprofile(profile)
         try:
             split_steps(wf, pot, 1e-4, 200, range(0, n_rows), rows, on_block)
         finally:
             sys.setprofile(None)
+            gc.enable()
         return counts
 
     few, many = profiled(100), profiled(200)
     assert (few["blocks"], many["blocks"]) == (7, 13)
     assert many["calls"] - few["calls"] == 100
-    assert few["copies"] == many["copies"] == (0 if pot.kind == "free" else 1)
+    assert few["copies"] == many["copies"] == copies

@@ -18,7 +18,10 @@ subnormal range, a subvolume of the whole grid, whose integrals reach the
 first and last grid intervals, the free packet's closed form at n = 2**15,
 where a block holds one row, a packet that reflects off a tall barrier, so
 that its blocks mix rows whose derivatives are taken relative to a carrier
-and rows without one, and the binning study: 34 configs in all.
+and rows without one, kicked runs at n = 2048, 4096 and 16384, on both sides
+of the threshold from which the kicked loop takes four-step transforms, a
+coherent packet through that loop at n = 16384, and the binning study: 37
+configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
 difference, naming the CSV columns (with their count of differing rows) or
@@ -102,6 +105,21 @@ FIXED = {
                       "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
                       "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.01\nobserve_stride = 1\n"
                       "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # the kicked loop at FOUR_STEP_POINTS, where it takes four-step transforms,
+    # and one power of two below it, where it takes single-row ones; 101 rows
+    "barrier_4096": ("simulate", "x_min = -40\nx_max = 40\nn = 4096\nsigma0 = 1.0\n"
+                     "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
+                     "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.01\nobserve_stride = 1\n"
+                     "subvolume_a = -5\nsubvolume_b = 5\n"),
+    "barrier_2048": ("simulate", "x_min = -20\nx_max = 20\nn = 2048\nsigma0 = 1.0\n"
+                     "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
+                     "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.01\nobserve_stride = 1\n"
+                     "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # the coherent packet through the four-step kicked loop: 2000 steps, 41 rows
+    "coherent_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\ninitial = coherent\n"
+                       "omega = 1.0\namplitude = 1.0\npotential = harmonic\n"
+                       "potential_omega = 1.0\ndt = 1e-4\nt_final = 0.2\n"
+                       "observe_stride = 50\n"),
     # a free run observed at every step at n = 16384: its blocks of 2 rows
     # hold 512 KiB of transforms each; 51 rows end in a partial block
     "free_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\nsigma0 = 1.0\n"
