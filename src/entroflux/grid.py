@@ -302,14 +302,15 @@ class FourStep:
     themselves and no table of their conjugates.  Every stage writes into
     the array it is given: numpy hands identical in and out arrays to
     pocketfft without copying them.  The kicked loop of
-    `propagate.split_steps` makes the calls of `forward` and `inverse` in its
-    own step body.
+    `propagate.split_steps` calls `forward` and `inverse` once a step.
     """
 
     # the stage calls: columns(x, fct, out=x) and rows(x, fct, out=x) transform
-    # each column and each row of x, times fct
-    columns = partial(_pocketfft.fft, axes=[(0,), (), (0,)])
-    rows = partial(_pocketfft.fft, axes=[(1,), (), (1,)])
+    # each column and each row of x, times fct.  Static, so an instance does not
+    # bind itself to them as their first argument where partial is a method
+    # descriptor (Python 3.14 on)
+    columns = staticmethod(partial(_pocketfft.fft, axes=[(0,), (), (0,)]))
+    rows = staticmethod(partial(_pocketfft.fft, axes=[(1,), (), (1,)]))
 
     def __init__(self, n: int):
         self.n1 = 1 << (n.bit_length() - 1) // 2

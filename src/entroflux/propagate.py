@@ -173,12 +173,9 @@ def half_kick(grid: Grid1D, params: PhysicalParams, potential: Potential,
     return np.exp(-0.5j * v * dt / params.hbar)
 
 
-def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float,
-                   k: np.ndarray | None = None) -> np.ndarray:
-    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers, or
-    on k, the same wavenumbers in another order."""
-    k = grid.k if k is None else k
-    return np.exp(-0.5j * params.hbar * k**2 * dt / params.mass)
+def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float) -> np.ndarray:
+    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers."""
+    return np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
 
 
 def split_steps(
@@ -224,13 +221,12 @@ def split_steps(
     The kicked loop copies psi once into its state buffer `a`, steps it in
     place, and returns that buffer as the final state; it allocates no array
     per step.  On n >= `grid.FOUR_STEP_POINTS` points each transform is a
-    `grid.FourStep` in place in `a`, its stage calls made in the step body
-    itself, and the kinetic factor is made once, in the spectrum's
-    transposed order, from the wavenumbers in that order; every product
-    takes the state as its first operand.  Below that the loop keeps the
-    transform in a second buffer `b`, and every product and transform
-    writes into a or b (`out=`).  There the complex product's last bit
-    depends on the order of its operands, and numpy evaluates the
+    `grid.FourStep` in place in `a` (`forward` and `inverse`), and the
+    kinetic factor is made once and copied into the spectrum's transposed
+    order; every product takes the state as its first operand.  Below that
+    the loop keeps the transform in a second buffer `b`, and every product
+    and transform writes into a or b (`out=`).  There the complex product's
+    last bit depends on the order of its operands, and numpy evaluates the
     expression `exp_t * fft(psi)` as `fft(psi) * exp_t` once the transform's
     temporary reaches 256 KiB (it reuses the temporary and swaps the
     operands).  The loop's kinetic product keeps the order that expression
@@ -273,26 +269,17 @@ def split_steps(
             return psi_hat
     elif grid.n >= FOUR_STEP_POINTS:
         split = FourStep(grid.n)
-        exp_t = kinetic_factor(grid, params, dt, split.order(grid.k))
+        exp_t = split.order(kinetic_factor(grid, params, dt))
         a = wf.psi.copy()
-        x, twiddles = a.reshape(split.n1, split.n2), split.twiddles
-        by_columns, by_rows = split.columns, split.rows
-        inverse_rows, inverse_columns = 1 / split.n2, 1 / split.n1
+        x = a.reshape(split.n1, split.n2)
 
         def reach(i: int) -> np.ndarray:
             nonlocal done
             for _ in range(i - done):
                 np.multiply(exp_v_half, a, out=a)
-                # split.forward(x), split.inverse(x) and the kinetic step between
-                by_columns(x, 1, out=x)
-                np.multiply(x, twiddles, out=x)
-                by_rows(x, 1, out=x)
+                split.forward(x)
                 np.multiply(x, exp_t, out=x)
-                np.conjugate(x, out=x)
-                by_rows(x, inverse_rows, out=x)
-                np.multiply(x, twiddles, out=x)
-                by_columns(x, inverse_columns, out=x)
-                np.conjugate(x, out=x)
+                split.inverse(x)
                 np.multiply(exp_v_half, a, out=a)
             done = i
             return a

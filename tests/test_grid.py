@@ -247,3 +247,25 @@ def test_four_step_transforms_are_as_accurate_as_pocketfft(n):
     got = _relative_errors(inverse.reshape(n), exact)
     pocketfft = _relative_errors(np.fft.ifft(z), exact)
     assert got[0] <= 1.25 * pocketfft[0] and got[1] <= 1.25 * pocketfft[1], (got, pocketfft)
+
+
+def test_four_step_stage_calls_bind_no_instance():
+    # forward and inverse read their stage calls through the instance; a
+    # partial kept as a plain class attribute would take the instance as its
+    # first argument where partial is a method descriptor (Python 3.14 on),
+    # and warns of that on 3.13
+    import warnings
+
+    from entroflux.grid import FourStep
+
+    split = FourStep(4096)
+    rng = np.random.default_rng(4096)
+    z = rng.standard_normal((split.n1, split.n2)) + 1j * rng.standard_normal((split.n1, split.n2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stages = {0: split.columns, 1: split.rows}
+    for axis, stage in stages.items():
+        for fct, norm in ((1, "backward"), (1 / z.shape[axis], "forward")):
+            x = z.copy()
+            stage(x, fct, out=x)
+            assert x.tobytes() == np.fft.fft(z, axis=axis, norm=norm).tobytes(), (axis, norm)
