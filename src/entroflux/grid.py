@@ -94,8 +94,8 @@ MAX_ROWS = 2**24
 # v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
 # their derivatives 32 B; the grid 32 B; the kicked loop's four complex arrays 64 B: the
 # state buffer, the half kick, the kinetic factor in spectrum order and the `FourStep`
-# twiddles (below FOUR_STEP_POINTS, a transform buffer and the kinetic factor in natural
-# order in place of the last two); the initial state 16 B.  The loop returns its own
+# twiddles (below FOUR_STEP_POINTS three, 48 B: the state buffer, the half kick and the
+# kinetic factor in natural order); the initial state 16 B.  The loop returns its own
 # state buffer as the final state, and copies each observed state into the held rows,
 # so neither takes memory of its own.  (A barrier run at n = 2**20 without a subvolume
 # peaks at 275 B per point, in a block's diagnostics.)  A free run
@@ -250,9 +250,12 @@ def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 # The grid size from which a kicked run takes its transforms as a `FourStep`.
-# A kicked step with the four-step transforms took 0.79-0.85 of the time of one
-# with single-row transforms at n = 16384, 0.81 at 8192 and 0.89-0.91 at 4096,
-# but 0.99-1.02 at 2048 and 1.24-1.30 at 1024 (2-core Xeon, numpy 2.4.6).
+# A kicked step with the four-step transforms took 0.87-0.88 of the time of one
+# with in-place single-row transforms at n = 8192 and 0.97-0.99 at 4096, but
+# 1.06-1.09 at 2048 and 1.22 at 1024 (medians of 10 alternated in-process
+# pairs, two sets; 2-core Xeon, numpy 2.4.6).  At 4096 the two about tie; the
+# threshold stays there, since moving it moves the bits of runs at the sizes
+# it passes.
 FOUR_STEP_POINTS = 4096
 
 

@@ -8,13 +8,15 @@ is unit-modulus and the FFT pair preserves the discrete 2-norm).  A free run
 has no kicks, so it stays in Fourier space, reaches each step it needs by
 products of the kinetic factors of dt times powers of two, and writes each
 state it observes, as its transform, into a block buffer of its caller's
-(`split_steps`).  A kicked run on n >= `grid.FOUR_STEP_POINTS` points takes
-each transform as a four-step FFT (`grid.FourStep`) in place in its one state
-buffer, and keeps its kinetic factor in the spectrum's transposed order.
+(`split_steps`).  A kicked run steps its one state buffer in place, with
+single-row transforms below `grid.FOUR_STEP_POINTS` points and four-step FFTs
+(`grid.FourStep`) from it, whose spectrum, and kinetic factor, stay in
+transposed order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -220,18 +222,13 @@ def split_steps(
 
     The kicked loop copies psi once into its state buffer `a`, steps it in
     place, and returns that buffer as the final state; it allocates no array
-    per step.  On n >= `grid.FOUR_STEP_POINTS` points each transform is a
-    `grid.FourStep` in place in `a` (`forward` and `inverse`), and the
-    kinetic factor is made once and copied into the spectrum's transposed
-    order; every product takes the state as its first operand.  Below that
-    the loop keeps the transform in a second buffer `b`, and every product
-    and transform writes into a or b (`out=`).  There the complex product's
-    last bit depends on the order of its operands, and numpy evaluates the
-    expression `exp_t * fft(psi)` as `fft(psi) * exp_t` once the transform's
-    temporary reaches 256 KiB (it reuses the temporary and swaps the
-    operands).  The loop's kinetic product keeps the order that expression
-    has at its grid size, so its states are those of the expression loop
-    bit for bit.
+    per step.  Its transforms are `fft` and `ifft` into `a` below
+    `grid.FOUR_STEP_POINTS` points, and a `grid.FourStep`'s `forward` and
+    `inverse` on a's (n1, n2) view from it, where the kinetic factor is copied
+    into the spectrum's transposed order.  The complex product's last bit
+    depends on the order of its operands: the kinetic product takes the factor
+    first below the threshold, as the expression `exp_t * fft(psi)` does
+    there, and the state first from it.
     """
     steps = np.fromiter(() if on_block is None else observe_at, dtype=np.int64)
     if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
@@ -253,48 +250,39 @@ def split_steps(
         factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
                              if used >> level & 1 else None for level in range(1, levels)]
         buffers = [np.empty_like(b) if used >> level & 1 else None for level in range(levels)]
-        # partial[j]: psi_hat_0 times the factors of the set bits >= j of step `done`
-        partial = [b] * (levels + 1)
+        # partials[j]: psi_hat_0 times the factors of the set bits >= j of step `done`
+        partials = [b] * (levels + 1)
 
         def reach(i: int) -> np.ndarray:
             nonlocal done
             top = (i ^ done).bit_length()
-            psi_hat = partial[top]
+            psi_hat = partials[top]
             for level in range(top - 1, -1, -1):
                 if i >> level & 1:
                     # a positional out skips keyword parsing
                     psi_hat = np.multiply(psi_hat, factors[level], buffers[level])
-                partial[level] = psi_hat
+                partials[level] = psi_hat
             done = i
             return psi_hat
-    elif grid.n >= FOUR_STEP_POINTS:
-        split = FourStep(grid.n)
-        exp_t = split.order(kinetic_factor(grid, params, dt))
-        a = wf.psi.copy()
-        x = a.reshape(split.n1, split.n2)
-
-        def reach(i: int) -> np.ndarray:
-            nonlocal done
-            for _ in range(i - done):
-                np.multiply(exp_v_half, a, out=a)
-                split.forward(x)
-                np.multiply(x, exp_t, out=x)
-                split.inverse(x)
-                np.multiply(exp_v_half, a, out=a)
-            done = i
-            return a
     else:
-        a, b = wf.psi.copy(), np.empty_like(wf.psi)
-        exp_t = kinetic_factor(grid, params, dt)
-        kinetic = (b, exp_t) if b.nbytes >= 256 * 1024 else (exp_t, b)
+        if grid.n >= FOUR_STEP_POINTS:
+            split = FourStep(grid.n)
+            exp_t = split.order(kinetic_factor(grid, params, dt))
+            a = wf.psi.copy()
+            x = a.reshape(split.n1, split.n2)
+            forward, inverse, kinetic = split.forward, split.inverse, (x, exp_t)
+        else:
+            exp_t = kinetic_factor(grid, params, dt)
+            a = x = wf.psi.copy()
+            forward, inverse, kinetic = partial(fft, out=a), partial(ifft, out=a), (exp_t, x)
 
         def reach(i: int) -> np.ndarray:
             nonlocal done
             for _ in range(i - done):
                 np.multiply(exp_v_half, a, out=a)
-                fft(a, out=b)
-                np.multiply(*kinetic, out=b)
-                ifft(b, out=a)
+                forward(x)
+                np.multiply(*kinetic, out=x)
+                inverse(x)
                 np.multiply(exp_v_half, a, out=a)
             done = i
             return a

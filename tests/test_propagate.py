@@ -226,12 +226,13 @@ def _expression_states(wf, pot, dt, n_steps):
     return expected
 
 
-@pytest.mark.parametrize("n", [1024, 2048, 4096, 16384])
+@pytest.mark.parametrize("n", [1024, 2048, 4096, 8192, 16384])
 def test_split_steps_matches_expression_loop_bitwise(n):
-    # numpy swaps the operands of `exp_t * np.fft.fft(psi)` from 256 KiB up,
-    # and the complex product's last bit depends on the order; from
-    # FOUR_STEP_POINTS (4096) the loop takes four-step transforms, and every
-    # product takes the state as its first operand
+    # the complex product's last bit depends on the order of its operands:
+    # below FOUR_STEP_POINTS (4096) the loop takes single-row transforms and
+    # its kinetic product takes the factor first, as `exp_t * np.fft.fft(psi)`
+    # does at these sizes; from it, four-step transforms, with the state
+    # first.  8192 splits into 64 x 128, so a view of the wrong shape fails
     grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
     pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
@@ -255,6 +256,30 @@ def test_split_steps_matches_expression_loop_bitwise(n):
     for w, i in zip(states, (2, 4, 6)):
         assert np.array_equal(w.psi, expected[i]), i
     assert len({w.psi.ctypes.data for w in (*states, out)}) == len(states) + 1
+
+
+def test_a_bare_kicked_run_below_four_step_points_steps_in_place():
+    # a warm bare kicked run at n = 2048 takes its single-row transforms in
+    # its state buffer, so its loop holds three n-point complex arrays: the
+    # state buffer, the half kick and the kinetic factor.  Its traced peak is
+    # in making the factor, beside the half kick (3.54 arrays measured); a
+    # buffer for the transforms makes it 4.10, or 5.54 if made with the
+    # state before the factor
+    import tracemalloc
+
+    from entroflux.propagate import split_steps
+
+    grid = ef.Grid1D(-16.0, 16.0, 2048)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
+    pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
+    split_steps(wf, pot, 1e-4, 10)
+    tracemalloc.start()
+    try:
+        split_steps(wf, pot, 1e-4, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * grid.n) < 4, peak / (16 * grid.n)
 
 
 def test_four_step_loop_stays_near_the_single_row_loop():
@@ -347,7 +372,8 @@ class _CountingNumpy:
     (1024, 1.0, 0.0),
     (1024, 0.2, 40.0),
     (1024, 0.15, 60.0),
-    # 256 KiB states, from which the kicked loop swaps its product's operands
+    # 256 KiB states, from which numpy takes `factor * temporary` as
+    # `temporary * factor`; the free loop takes the state first at every size
     (16384, 1.0, 5.0),
 ], ids=["free_wide", "free_narrow", "free_narrowest", "free_16384"])
 def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k0):

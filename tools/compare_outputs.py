@@ -19,9 +19,9 @@ first and last grid intervals, the free packet's closed form at n = 2**15,
 where a block holds one row, a packet that reflects off a tall barrier, so
 that its blocks mix rows whose derivatives are taken relative to a carrier
 and rows without one, kicked runs at n = 2048, 4096 and 16384, on both sides
-of the threshold from which the kicked loop takes four-step transforms, a
-coherent packet through that loop at n = 16384, and the binning study: 37
-configs in all.
+of the threshold from which the kicked loop takes four-step transforms, one
+at n = 8192, whose split into 64 x 128 is not square, a coherent packet
+through that loop at n = 16384, and the binning study: 38 configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
 difference, naming the CSV columns (with their count of differing rows) or
@@ -114,6 +114,11 @@ FIXED = {
     "barrier_2048": ("simulate", "x_min = -20\nx_max = 20\nn = 2048\nsigma0 = 1.0\n"
                      "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
                      "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.01\nobserve_stride = 1\n"
+                     "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # the four-step kicked loop on a non-square split, 64 x 128: 300 steps, 31 rows
+    "barrier_8192": ("simulate", "x_min = -80\nx_max = 80\nn = 8192\nsigma0 = 1.0\n"
+                     "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
+                     "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.03\nobserve_stride = 10\n"
                      "subvolume_a = -5\nsubvolume_b = 5\n"),
     # the coherent packet through the four-step kicked loop: 2000 steps, 41 rows
     "coherent_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\ninitial = coherent\n"
