@@ -28,7 +28,9 @@ from .grid import (
     positive, step_count,
 )
 from .oracle import _normal_density, closed_form
-from .propagate import Potential, check_dt, check_potential, check_wavenumber, check_width
+from .propagate import (
+    Potential, check_dt, check_wavenumber, check_width, half_kick, kinetic_factor,
+)
 
 
 class ConfigError(ValueError):
@@ -158,6 +160,9 @@ class RunConfig:
         return self.n_steps // self.observe_stride + 1
 
 
+_GRID_KEYS = ("x_min", "x_max", "n")
+
+
 def _run_config(
     *, x_min: float, x_max: float, n: int, hbar: float = 1.0, mass: float = 1.0,
     initial: str = "gaussian", sigma0: float | None = None, x0: float | None = None,
@@ -204,16 +209,19 @@ def _run_config(
     with about("k0"):
         check_wavenumber(grid, sigma0, k0)
 
+    # the keys V reads besides the grid's
     if potential == "free":
-        pot = Potential.free()
+        pot, v_keys = Potential.free(), ()
     elif potential == "harmonic":
         _required(potential_omega=potential_omega)
         with about("potential_omega"):
             pot = Potential.harmonic(potential_omega, potential_center)
+        v_keys = ("potential_omega", "potential_center", "mass")
     elif potential == "gaussian_barrier":
         _required(barrier_height=barrier_height, barrier_width=barrier_width)
         with about("barrier_width"):
             pot = Potential.gaussian_barrier(barrier_height, barrier_width, barrier_center)
+        v_keys = ("barrier_height", "barrier_width", "barrier_center")
     else:
         raise SpecError(f"potential must be free, harmonic, or gaussian_barrier, "
                         f"got {potential!r}", ("potential",))
@@ -221,12 +229,16 @@ def _run_config(
     positive(dt=dt)
     if t_final < 0.0:
         raise SpecError(f"t_final must be >= 0, got {t_final}", ("t_final",))
-    with about("dt"):
+    # the step's checks name every key their values read, the likeliest first
+    with about("dt", "hbar", "mass", *_GRID_KEYS):
         check_dt(grid, params, dt)
+    with about("mass", "hbar", "dt", *_GRID_KEYS):
+        kinetic_factor(grid, params, dt)
+    with about("dt"):
         n_steps = step_count(t_final / dt)
         check_work(n_steps, grid.n)
-    with about("potential"):
-        check_potential(grid, params, pot, dt)
+    with about("potential", *v_keys, "hbar", "dt", *_GRID_KEYS):
+        half_kick(grid, params, pot, dt)
     if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
         raise SpecError(f"t_final = {t_final} is not a whole number of steps dt = {dt}",
                         ("t_final",))
@@ -300,6 +312,7 @@ _STEP_KEYS = ("dt_ref", "epsilons", "t_c", "L_c")
 _ROW_KEYS = {
     "sigma0": ("L_c", "n", "x_max", "x_min"),
     "dt": _STEP_KEYS,
+    "hbar": ("epsilons", "mass", "L_c", "t_c"),
     "t_final": _STEP_KEYS,
     "observe_stride": ("n_samples",),
 }

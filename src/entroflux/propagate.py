@@ -150,34 +150,37 @@ def check_dt(grid: Grid1D, params: PhysicalParams, dt: float) -> None:
         )
 
 
-def check_potential(grid: Grid1D, params: PhysicalParams, potential: Potential,
-                    dt: float) -> None:
-    """Raise unless the potential's phase per step, V(x)*dt/hbar, is finite on the grid."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = potential.values(grid.x, mass=params.mass)
-        phase *= dt
-        phase /= params.hbar
-        if not np.isfinite(phase).all():
-            raise ValueError("V(x)*dt/hbar, the potential's phase per step, overflows on "
-                             "the grid")
-
-
 def step(wf: WaveFunction, potential: Potential, dt: float) -> WaveFunction:
     """One Strang split step.  Local error O(dt^3); norm preserved to roundoff."""
     return evolve(wf, potential, dt, 1)
 
 
 def half_kick(grid: Grid1D, params: PhysicalParams, potential: Potential,
-              dt: float) -> np.ndarray:
+              dt: float) -> np.ndarray | None:
     """The half kick of a Strang step of dt, exp(-i V dt / 2 hbar) on the grid,
-    which `split_steps` applies (and skips where it equals 1 everywhere)."""
-    v = potential.values(grid.x, mass=params.mass)
-    return np.exp(-0.5j * v * dt / params.hbar)
+    which `split_steps` applies, or None where it is 1 at every grid point: a
+    V that is 0 on the grid gives None at any hbar, and no kick is built.
+    Raises unless the kick is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = potential.values(grid.x, mass=params.mass)
+        if not v.any():
+            return None
+        kick = np.exp(-0.5j * v * dt / params.hbar)
+    if not np.isfinite(kick).all():
+        raise ValueError("V(x)*dt/hbar, the potential's phase per step, overflows on "
+                         "the grid")
+    return None if (kick == 1).all() else kick
 
 
 def kinetic_factor(grid: Grid1D, params: PhysicalParams, dt: float) -> np.ndarray:
-    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers."""
-    return np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+    """The kinetic step exp(-i hbar k^2 dt / 2m) on the grid's wavenumbers.
+    Raises unless it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+    if not np.isfinite(factor).all():
+        raise ValueError("exp(-i hbar k^2 dt / 2m), the kinetic factor per step, is not "
+                         "finite on the grid")
+    return factor
 
 
 def split_steps(
@@ -205,14 +208,15 @@ def split_steps(
     starts again at rows[0].  The loop allocates no array and makes no Python
     call per observed row beyond the one that reaches its step.
 
-    A half kick equal to 1 everywhere, as a free potential's is, leaves only
-    the kinetic step, so i steps are one product by the kinetic factor of
-    i*dt (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  psi's
-    transform psi_hat_0 is taken once, and the transform at step i is
-    psi_hat_0 * F_b1 * F_b2 * ... over the set bits b1 > b2 > ... of i, where
-    F_b is the `kinetic_factor` of 2**b * dt, an exact multiple of dt
-    (exponentiation by squaring, Knuth, TAOCP Vol. 2, 4.6.3); each product
-    takes the state as its first operand and the factor as its second.  Each
+    `half_kick` is None where the half kick is 1 at every grid point, as it
+    is for a V that is 0 on the grid.  That leaves only the kinetic step, so
+    i steps are one product by the kinetic factor of i*dt (Feit, Fleck &
+    Steiger, J. Comput. Phys. 47, 412, 1982).  psi's transform psi_hat_0 is
+    taken once, and the transform at step i is psi_hat_0 * F_b1 * F_b2 * ...
+    over the set bits b1 > b2 > ... of i, where F_b is the `kinetic_factor`
+    of 2**b * dt, an exact multiple of dt (exponentiation by squaring, Knuth,
+    TAOCP Vol. 2, 4.6.3); each product takes the state as its first operand
+    and the factor as its second.  Each
     bit level that n_steps or an observed step sets holds F_b and a buffer for
     the partial product of the bits at or above it, and reaching step i
     recomputes only the levels below the highest bit in which i differs from
@@ -238,10 +242,9 @@ def split_steps(
         raise ValueError("observed steps need a buffer of rows to be written into")
     grid, params = wf.grid, wf.params
     check_dt(grid, params, dt)
-    check_potential(grid, params, potential, dt)
     exp_v_half = half_kick(grid, params, potential, dt)
     done = 0
-    spectral = bool((exp_v_half == 1).all())
+    spectral = exp_v_half is None
     if spectral:
         exp_t = kinetic_factor(grid, params, dt)
         b = fft(wf.psi)

@@ -242,6 +242,12 @@ def test_binning_command(tmp_path):
         ("potential = harmonic\npotential_omega = 1e160\n", 8),
         ("hbar = 1e-10\npotential = gaussian_barrier\nbarrier_height = 1e305\n"
          "barrier_width = 1\n", 9),
+        # below hbar = 1/DBL_MAX, 1/hbar is inf: the barrier's half kick is nan,
+        # refused at the potential; and with mass = hbar, ħ/m = 1 passes the step
+        # check, but 1/mass is inf and the kinetic factor nan at k = 0, refused at mass
+        ("hbar = 1e-310\npotential = gaussian_barrier\nbarrier_height = 1\n"
+         "barrier_width = 1\n", 9),
+        ("hbar = 1e-310\nmass = 1e-310\n", 9),
         # 2 rows have no interior row for the eq 16 check
         (("t_final = 0.2\nobserve_stride = 20",
           "t_final = 0.001\nobserve_stride = 1\neq16_rel_tol = 1e-12"), 8),
@@ -253,7 +259,8 @@ def test_binning_command(tmp_path):
          "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
          "dt_too_many_rows", "dt_over_work_ceiling", "stride_over_row_ceiling",
          "norm_tol_negative", "eq16_rel_tol_negative", "harmonic_overflow",
-         "harmonic_square_overflow", "barrier_phase_overflow", "eq16_rel_tol_two_rows",
+         "harmonic_square_overflow", "barrier_phase_overflow", "barrier_kick_nan",
+         "kinetic_factor_nan", "eq16_rel_tol_two_rows",
          "n_2_45", "n_over_point_ceiling"],
 )
 def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):

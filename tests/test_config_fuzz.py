@@ -1,14 +1,22 @@
 """Property tests of the config parsers: any text built from a parser's keys
 either parses or raises ConfigError, never any other exception; a refusal
-names its line, and an accepted config's packet lies on its grid."""
+names its line, and an accepted config's packet lies on its grid.  An
+accepted `simulate`, `oracle` or `sweep` config also runs through the command
+line to its summary."""
+import json
+import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import entroflux as ef
+from entroflux.cli import main
 from entroflux.config import _BINNING_SCHEMA, _RUN_SCHEMA, _SWEEP_SCHEMA
 from entroflux.oracle import closed_form
 
@@ -32,10 +40,11 @@ BINNING_BASE = {"x_min": "-12.8", "x_max": "12.8", "n": "1024", "sigma0": "1",
 
 
 @st.composite
-def config_text(draw, schema, base):
-    """A valid config (base) with up to five of the schema's keys reset."""
+def config_text(draw, schema, base, max_keys=5):
+    """A valid config (base) with up to max_keys of the schema's keys reset."""
     entries = dict(base)
-    for key in draw(st.lists(st.sampled_from(sorted(schema)), max_size=5, unique=True)):
+    for key in draw(st.lists(st.sampled_from(sorted(schema)), max_size=max_keys,
+                             unique=True)):
         value = draw(st.sampled_from(VALUES))
         if value is None:
             entries.pop(key, None)
@@ -120,6 +129,12 @@ def _centres(cfg, entries) -> list:
     return [(cfg.grid, cfg.x0)]
 
 
+# the refusals of the checks of a step's factors, `check_dt`, the half kick and the
+# kinetic factor: each names every key its value reads
+STEP_CHECKS = re.compile(r"time step too large|time step must be nonzero|phase per step|"
+                         r"kinetic factor per step")
+
+
 @pytest.mark.parametrize("name", PARSERS)
 def test_every_one_key_variation_parses_or_is_refused_at_its_line(name):
     # each schema key set to each of VALUES, or dropped, in the parser's base config
@@ -139,6 +154,8 @@ def test_every_one_key_variation_parses_or_is_refused_at_its_line(name):
                 if exc.line is None:
                     assert message.startswith("missing required key"), text
                     continue
+                if STEP_CHECKS.search(message):
+                    assert key in exc.__cause__.keys, (text, message, exc.__cause__.keys)
                 if re.search(r"\bx0 = \S+ lies outside the grid", message):
                     # an off-grid centre is reported at x0 if the text sets it, else
                     # at the bound it crosses
@@ -149,3 +166,84 @@ def test_every_one_key_variation_parses_or_is_refused_at_its_line(name):
             else:
                 for grid, x0 in _centres(cfg, entries):
                     assert grid.x_min <= x0 < grid.x_max, text
+
+
+# The most work a drawn run may take, in split steps (or oracle rows) times grid
+# points, summed over a sweep's rows: a run then takes at most about 0.2 s.
+MAX_RUN_WORK = 2_000_000
+
+
+def run_fuzz(examples: int) -> settings:
+    """Derandomized settings for examples accepted runs; most drawn texts are refused."""
+    return settings(derandomize=True, database=None, max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+E2E = {
+    "simulate": (ef.parse_config, "summary.json"),
+    "oracle": (ef.parse_oracle_config, "summary.json"),
+    "sweep": (ef.parse_sweep_config, "sweep_summary.json"),
+}
+
+
+def _finite_or_null(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_finite_or_null, value.values()))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _run_outputs(command: str, text: str) -> tuple[int, dict]:
+    """The exit code of `entroflux command` on text, and {path: bytes} of its outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "run.cfg"), Path(tmp, "out")
+        config.write_text(text)
+        code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+        return code, {p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _runs_to_its_summary(command: str, text: str, rerun: bool) -> None:
+    """An accepted config within MAX_RUN_WORK exits 0 or 2, with no exception and
+    no RuntimeWarning; its summary holds finite values or null, and a rerun
+    writes the same bytes."""
+    parse, summary = E2E[command]
+    try:
+        cfg = parse(text)
+    except ef.ConfigError:
+        assume(False)
+    rows = cfg.row_configs if isinstance(cfg, ef.SweepSpec) else (cfg,)
+    assume(sum(row.n_steps * row.grid.n for row in rows) <= MAX_RUN_WORK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, files = _run_outputs(command, text)
+    assert code in (0, 2), text
+    assert _finite_or_null(json.loads(files[summary])), text
+    if rerun:
+        assert _run_outputs(command, text) == (code, files), text
+
+
+# below 1/DBL_MAX, 1/hbar and 1/mass are inf, and a complex product by either is
+# nan where its other factor is 0: a free run still takes the free loop, and a
+# kinetic factor made nan at k = 0 is refused
+@run_fuzz(40)
+@given(config_text(_RUN_SCHEMA, RUN_BASE, max_keys=3), st.booleans())
+@example("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1\ndt = 1e-3\nt_final = 0.1\n"
+         "hbar = 1e-310\n", True)
+@example("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1\ndt = 1e-3\nt_final = 0.1\n"
+         "hbar = 1e-310\nmass = 1e-310\n", False)
+def test_accepted_simulate_config_runs_to_its_summary(text, rerun):
+    _runs_to_its_summary("simulate", text, rerun)
+
+
+@run_fuzz(25)
+@given(config_text(_RUN_SCHEMA, COHERENT_BASE, max_keys=3), st.booleans())
+def test_accepted_oracle_config_runs_to_its_summary(text, rerun):
+    _runs_to_its_summary("oracle", text, rerun)
+
+
+# the second row's hbar is below 1/DBL_MAX: it runs, and fails as within roundoff
+@run_fuzz(20)
+@given(config_text(_SWEEP_SCHEMA, SWEEP_BASE, max_keys=3), st.booleans())
+@example("epsilons = 0.4, 1e-320\nt_c = 2\nL_c = 1\n", False)
+def test_accepted_sweep_config_runs_to_its_summary(text, rerun):
+    _runs_to_its_summary("sweep", text, rerun)

@@ -21,7 +21,9 @@ that its blocks mix rows whose derivatives are taken relative to a carrier
 and rows without one, kicked runs at n = 2048, 4096 and 16384, on both sides
 of the threshold from which the kicked loop takes four-step transforms, one
 at n = 8192, whose split into 64 x 128 is not square, a coherent packet
-through that loop at n = 16384, and the binning study: 38 configs in all.
+through that loop at n = 16384, a barrier of height 0, whose V is 0 under a
+kind that is not free, so that it takes the free loop, and the binning study:
+39 configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
 difference, naming the CSV columns (with their count of differing rows) or
@@ -155,6 +157,11 @@ FIXED = {
     "narrow_signed_zeros": ("simulate", "x_min = -20\nx_max = 20\nn = 1024\nsigma0 = 0.2\n"
                             "k0 = 40\ndt = 1e-4\nt_final = 0.02\nobserve_stride = 1\n"
                             "save_snapshots = true\n"),
+    # V is 0 on the grid under a barrier kind: the run builds no half kick and
+    # takes the free loop; 101 rows end in a partial block
+    "barrier_height0": ("simulate", "x_min = -16\nx_max = 16\nn = 512\nsigma0 = 1.0\n"
+                        "x0 = -1\nk0 = 2\npotential = gaussian_barrier\nbarrier_height = 0\n"
+                        "barrier_width = 0.5\ndt = 1e-3\nt_final = 0.1\nobserve_stride = 1\n"),
     "binning": ("binning", "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\n"
                 "bin_widths = 0.4, 0.2, 0.1\n"),
     # a subvolume of the whole grid, x_min to the last point (ia = 0, ib = n - 1):
