@@ -24,8 +24,8 @@ numpy, so it is imported here, and a numpy without it fails at import.
 A kicked run on n >= FOUR_STEP_POINTS points takes its transforms as a
 `FourStep`: a pass over the columns of the state's (n1, n2) view, a twiddle
 product and a pass over its rows, in place, with the spectrum left in the
-transposed order it comes out in.  `FourStep` is the one place that knows
-that layout.
+transposed order it comes out in, and the state in a buffer whose rows are
+padded by one point.  `FourStep` is the one place that knows that layout.
 """
 from __future__ import annotations
 
@@ -94,11 +94,14 @@ MAX_ROWS = 2**24
 # v drho/dx and ln rho (8 B each) and the floor mask (1 B), 147 B; the held states and
 # their derivatives 32 B; the grid 32 B; the kicked loop's four complex arrays 64 B: the
 # state buffer, the half kick, the kinetic factor in spectrum order and the `FourStep`
-# twiddles (below FOUR_STEP_POINTS three, 48 B: the state buffer, the half kick and the
-# kinetic factor in natural order); the initial state 16 B.  The loop returns its own
-# state buffer as the final state, and copies each observed state into the held rows,
-# so neither takes memory of its own.  (A barrier run at n = 2**20 without a subvolume
-# peaks at 275 B per point, in a block's diagnostics.)  A free run
+# twiddles, each padded by n1 entries, 64 n1 B in all, 128 KiB at 2**22 (below
+# FOUR_STEP_POINTS three unpadded arrays, 48 B: the state buffer, the half kick and the
+# kinetic factor in natural order); the initial state 16 B.  The loop copies each
+# observed state into the held rows, which take no memory of their own.  Below
+# FOUR_STEP_POINTS it returns its state buffer as the final state, and from it one
+# contiguous copy of the buffer's (n1, n2) view: 16 B more per point once the last
+# block is done, which leaves the peak in a block's diagnostics (a barrier run at
+# n = 2**20, 20 steps at stride 4, peaks at 275.1 B per point, 275.0 unpadded).  A free run
 # also holds a factor and a buffer of `propagate.split_steps` per bit level its reached
 # steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak RSS at
 # n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
@@ -250,12 +253,12 @@ def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 # The grid size from which a kicked run takes its transforms as a `FourStep`.
-# A kicked step with the four-step transforms took 0.87-0.88 of the time of one
-# with in-place single-row transforms at n = 8192 and 0.97-0.99 at 4096, but
-# 1.06-1.09 at 2048 and 1.22 at 1024 (medians of 10 alternated in-process
-# pairs, two sets; 2-core Xeon, numpy 2.4.6).  At 4096 the two about tie; the
-# threshold stays there, since moving it moves the bits of runs at the sizes
-# it passes.
+# A kicked step with the four-step transforms, its rows padded, took 0.80-0.83 of
+# the time of one with in-place single-row transforms at n = 8192 and 0.92-0.93 at
+# 4096, but 1.14-1.19 at 2048 and 1.35-1.36 at 1024 (medians of 10 alternated
+# in-process pairs, two sets; 2-core Xeon, numpy 2.4.6).  Single-row transforms win
+# below 4096, and moving the threshold would move the bits of runs at the sizes it
+# passes.
 FOUR_STEP_POINTS = 4096
 
 
@@ -298,14 +301,27 @@ class FourStep:
     w**(k1 j2), w = exp(-2 pi i / n), and an n2-point transform of each row
     (`rows`); numpy's pocketfft does such a batch of short transforms much
     faster per point than one long transform.  The spectrum stays in the
-    order it comes out in, x[k1, k2] = psi_hat[k1 + n1 k2] (`order` puts a
-    natural-order array of n into it), and no step transposes.  The inverse
-    undoes the three steps in reverse order as ifft(X) = conj(fft(conj X)) / n,
-    with 1/n2 and 1/n1 passed to the two passes, so it takes the twiddles
-    themselves and no table of their conjugates.  Every stage writes into
-    the array it is given: numpy hands identical in and out arrays to
-    pocketfft without copying them.  The kicked loop of
-    `propagate.split_steps` calls `forward` and `inverse` once a step.
+    order it comes out in, x[k1, k2] = psi_hat[k1 + n1 k2], and no step
+    transposes.  The inverse undoes the three steps in reverse order as
+    ifft(X) = conj(fft(conj X)) / n, with 1/n2 and 1/n1 passed to the two
+    passes, so it takes the twiddles themselves and no table of their
+    conjugates.
+
+    x lives in a flat buffer of n1 (n2 + 1) points (`pad`): its rows lie
+    n2 + 1 points apart, and the point after each row is a pad slot.
+    Unpadded, a column at n = 16384 is read at a stride of 2048 B, so its
+    128 points fall into 2 of the 64 sets of a 48 KB L1 cache and evict
+    each other before the next columns reuse their lines: a column pass
+    cost about 1.5 times a row pass, and 1.0 padded (2-core Xeon, numpy
+    2.4.6).  The passes work on x, the buffer's (n1, n2) `view`, but every
+    product and conjugation runs over the whole buffer as one contiguous
+    array, against tables in the same layout whose pad slots hold 0 (a
+    product over the strided view took 2.4-3.8 times as long): each point
+    of x meets the same operands as unpadded, so no bit of it moves, and
+    the pad slots stay 0.  Every stage writes into the array it is given:
+    numpy hands identical in and out arrays to pocketfft without copying
+    them.  The kicked loop of `propagate.split_steps` calls `forward` and
+    `inverse` once a step.
     """
 
     # the stage calls: columns(x, fct, out=x) and rows(x, fct, out=x) transform
@@ -318,25 +334,45 @@ class FourStep:
     def __init__(self, n: int):
         self.n1 = 1 << (n.bit_length() - 1) // 2
         self.n2 = n // self.n1
-        self.twiddles = unit_roots(np.outer(np.arange(self.n1), np.arange(self.n2)), n)
+        # the padded table the products take, and its (n1, n2) view
+        self._twiddles = self.pad(unit_roots(np.outer(np.arange(self.n1),
+                                                      np.arange(self.n2)), n))
+        self.twiddles = self.view(self._twiddles)
+
+    def pad(self, values: np.ndarray) -> np.ndarray:
+        """A new flat complex buffer of n1 (n2 + 1) points whose `view` holds
+        values, n points in state order or an (n1, n2) array, and whose pad
+        slots hold 0."""
+        a = np.zeros(self.n1 * (self.n2 + 1), complex)
+        self.view(a)[...] = values.reshape(self.n1, self.n2)
+        return a
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The (n1, n2) view of the flat padded buffer a, its pad slots left out."""
+        return a.reshape(self.n1, self.n2 + 1)[:, : self.n2]
 
     def order(self, values: np.ndarray) -> np.ndarray:
-        """A contiguous (n1, n2) copy of the n values in spectrum order."""
-        return values.reshape(self.n2, self.n1).T.copy()
+        """A padded buffer of the n values in spectrum order."""
+        return self.pad(values.reshape(self.n2, self.n1).T)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The transform of the (n1, n2) state x, in place, in spectrum order."""
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """The transform of the state in the padded buffer a, in place, in
+        spectrum order: returns a's view."""
+        x = self.view(a)
         self.columns(x, 1, out=x)
-        np.multiply(x, self.twiddles, out=x)
+        np.multiply(a, self._twiddles, out=a)
         return self.rows(x, 1, out=x)
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        """The state whose transform is x, in spectrum order, in place."""
-        np.conjugate(x, out=x)
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """The state whose transform, in spectrum order, is in the padded
+        buffer a, in place: returns a's view."""
+        x = self.view(a)
+        np.conjugate(a, out=a)
         self.rows(x, 1 / self.n2, out=x)
-        np.multiply(x, self.twiddles, out=x)
+        np.multiply(a, self._twiddles, out=a)
         self.columns(x, 1 / self.n1, out=x)
-        return np.conjugate(x, out=x)
+        np.conjugate(a, out=a)
+        return x
 
 
 def _spectral_derivative(values: np.ndarray, grid: Grid1D, out: np.ndarray | None = None,

@@ -11,7 +11,7 @@ state it observes, as its transform, into a block buffer of its caller's
 (`split_steps`).  A kicked run steps its one state buffer in place, with
 single-row transforms below `grid.FOUR_STEP_POINTS` points and four-step FFTs
 (`grid.FourStep`) from it, whose spectrum, and kinetic factor, stay in
-transposed order.
+transposed order, in buffers whose rows are padded by one point.
 """
 from __future__ import annotations
 
@@ -167,8 +167,8 @@ def half_kick(grid: Grid1D, params: PhysicalParams, potential: Potential,
             return None
         kick = np.exp(-0.5j * v * dt / params.hbar)
     if not np.isfinite(kick).all():
-        raise ValueError("V(x)*dt/hbar, the potential's phase per step, overflows on "
-                         "the grid")
+        raise ValueError("exp(-i V dt / 2 hbar), the half kick per step, is not finite "
+                         "on the grid")
     return None if (kick == 1).all() else kick
 
 
@@ -224,15 +224,18 @@ def split_steps(
     step i depends on i alone, a run observed at every step takes one product
     per step, and a run observed nowhere takes one per set bit of n_steps.
 
-    The kicked loop copies psi once into its state buffer `a`, steps it in
-    place, and returns that buffer as the final state; it allocates no array
-    per step.  Its transforms are `fft` and `ifft` into `a` below
-    `grid.FOUR_STEP_POINTS` points, and a `grid.FourStep`'s `forward` and
-    `inverse` on a's (n1, n2) view from it, where the kinetic factor is copied
-    into the spectrum's transposed order.  The complex product's last bit
-    depends on the order of its operands: the kinetic product takes the factor
-    first below the threshold, as the expression `exp_t * fft(psi)` does
-    there, and the state first from it.
+    The kicked loop copies psi once into its state buffer `a` and steps it in
+    place; it allocates no array per step.  Below `grid.FOUR_STEP_POINTS`
+    points its transforms are `fft` and `ifft` into `a`, and it returns `a`
+    as the final state.  From it they are a `grid.FourStep`'s `forward` and
+    `inverse`, and `a` is the split's padded buffer (`FourStep.pad`), as are
+    the half kick and the kinetic factor, the latter in the spectrum's
+    transposed order, so every product runs over the whole buffer.  The loop
+    then copies each observed state out of a's (n1, n2) view, and returns a
+    contiguous copy of that view as the final state.  The complex product's
+    last bit depends on the order of its operands: the kinetic product takes
+    the factor first below the threshold, as the expression `exp_t *
+    fft(psi)` does there, and the state first from it.
     """
     steps = np.fromiter(() if on_block is None else observe_at, dtype=np.int64)
     if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
@@ -244,6 +247,7 @@ def split_steps(
     check_dt(grid, params, dt)
     exp_v_half = half_kick(grid, params, potential, dt)
     done = 0
+    shape = (grid.n,)  # of the state reach returns
     spectral = exp_v_half is None
     if spectral:
         exp_t = kinetic_factor(grid, params, dt)
@@ -270,33 +274,37 @@ def split_steps(
     else:
         if grid.n >= FOUR_STEP_POINTS:
             split = FourStep(grid.n)
+            exp_v_half = split.pad(exp_v_half)
             exp_t = split.order(kinetic_factor(grid, params, dt))
-            a = wf.psi.copy()
-            x = a.reshape(split.n1, split.n2)
-            forward, inverse, kinetic = split.forward, split.inverse, (x, exp_t)
+            a = split.pad(wf.psi)
+            x = split.view(a)
+            shape = x.shape
+            forward, inverse, kinetic = split.forward, split.inverse, (a, exp_t)
         else:
             exp_t = kinetic_factor(grid, params, dt)
             a = x = wf.psi.copy()
-            forward, inverse, kinetic = partial(fft, out=a), partial(ifft, out=a), (exp_t, x)
+            forward, inverse, kinetic = partial(fft, out=a), partial(ifft, out=a), (exp_t, a)
 
         def reach(i: int) -> np.ndarray:
             nonlocal done
             for _ in range(i - done):
                 np.multiply(exp_v_half, a, out=a)
-                forward(x)
-                np.multiply(*kinetic, out=x)
-                inverse(x)
+                forward(a)
+                np.multiply(*kinetic, out=a)
+                inverse(a)
                 np.multiply(exp_v_half, a, out=a)
             done = i
-            return a
-    block = list(rows) if steps.size else []  # one view per buffer row, made once
+            return x
+    # one view per buffer row, in the shape of the state, made once
+    block = list(rows.reshape(-1, *shape, copy=False)) if steps.size else []
     for lo in range(0, len(steps), len(block) or 1):
         filled = steps[lo : lo + len(block)]
         for row, i in zip(block, filled.tolist()):
             row[...] = reach(i)  # a copy in C: np.copyto calls a Python dispatcher
         on_block(filled, spectral)
     final = reach(n_steps)
-    return ifft(final) if spectral else final
+    # a four-step state is copied out of its padded buffer
+    return ifft(final) if spectral else final.reshape(grid.n)
 
 
 def evolve(

@@ -131,7 +131,7 @@ def _centres(cfg, entries) -> list:
 
 # the refusals of the checks of a step's factors, `check_dt`, the half kick and the
 # kinetic factor: each names every key its value reads
-STEP_CHECKS = re.compile(r"time step too large|time step must be nonzero|phase per step|"
+STEP_CHECKS = re.compile(r"time step too large|time step must be nonzero|half kick per step|"
                          r"kinetic factor per step")
 
 

@@ -233,20 +233,63 @@ def test_four_step_transforms_are_as_accurate_as_pocketfft(n):
     rng = np.random.default_rng(n)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     exact = np.fft.fft(z.astype(np.clongdouble))
-    x = z.reshape(split.n1, split.n2).copy()
-    forward = split.forward(x)
-    assert np.shares_memory(forward, x)
+    a = split.pad(z)
+    forward = split.forward(a)
+    assert np.shares_memory(forward, a)
     got = _relative_errors(forward.T.reshape(n), exact)  # spectrum order to natural
     pocketfft = _relative_errors(np.fft.fft(z), exact)
     assert got[0] <= 1.25 * pocketfft[0] and got[1] <= 1.25 * pocketfft[1], (got, pocketfft)
 
     exact = np.fft.ifft(z.astype(np.clongdouble))
-    x = split.order(z)
-    inverse = split.inverse(x)
-    assert np.shares_memory(inverse, x)
+    a = split.order(z)
+    inverse = split.inverse(a)
+    assert np.shares_memory(inverse, a)
     got = _relative_errors(inverse.reshape(n), exact)
     pocketfft = _relative_errors(np.fft.ifft(z), exact)
     assert got[0] <= 1.25 * pocketfft[0] and got[1] <= 1.25 * pocketfft[1], (got, pocketfft)
+
+
+@pytest.mark.parametrize("n", [4096, 8192, 16384, 32768, 2**16])
+def test_kicked_loop_steps_a_padded_four_step_buffer(n, monkeypatch):
+    # the loop's state lives in a flat buffer whose (n1, n2) view has a row
+    # stride of n2 + 1 points, not n2: unpadded, a column's points lie a power
+    # of two of bytes apart and share two sets of the L1 cache.  Its products
+    # run over the whole buffer, against tables whose pad slots hold 0, so the
+    # state's pad slots stay 0
+    from entroflux.grid import FourStep
+    from entroflux.propagate import split_steps
+
+    split = FourStep(n)
+    n1, n2 = split.n1, split.n2
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for table in (split._twiddles, split.pad(psi), split.order(psi)):
+        assert table.shape == (n1 * (n2 + 1),)
+        assert not table.reshape(n1, n2 + 1)[:, n2].any()
+    x = split.view(split.pad(psi))
+    assert x.strides == ((n2 + 1) * 16, 16)
+    assert np.array_equal(x.reshape(n), psi)
+    assert np.array_equal(split.view(split.order(psi)), psi.reshape(n2, n1).T)
+    assert split.twiddles.shape == (n1, n2)
+    assert np.shares_memory(split.twiddles, split._twiddles)
+
+    buffers = []
+    forward = FourStep.forward
+
+    def spy(self, a):
+        buffers.append(a)
+        return forward(self, a)
+
+    monkeypatch.setattr(FourStep, "forward", spy)
+    grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
+    wf = ef.init_gaussian(grid, ef.PhysicalParams(), sigma0=1.0, x0=-1.0, k0=5.0)
+    final = split_steps(wf, ef.Potential.gaussian_barrier(20.0, 0.5, 0.5), 1e-4, 3)
+    assert len(buffers) == 3 and all(a is buffers[0] for a in buffers)
+    a = buffers[0]
+    assert a.shape == (n1 * (n2 + 1),)
+    assert not a.reshape(n1, n2 + 1)[:, n2].any()
+    assert np.array_equal(final, split.view(a).reshape(n))
+    assert final.flags.c_contiguous and not np.shares_memory(final, a)
 
 
 def test_four_step_stage_calls_bind_no_instance():

@@ -226,13 +226,14 @@ def _expression_states(wf, pot, dt, n_steps):
     return expected
 
 
-@pytest.mark.parametrize("n", [1024, 2048, 4096, 8192, 16384])
+@pytest.mark.parametrize("n", [1024, 2048, 4096, 8192, 16384, 32768])
 def test_split_steps_matches_expression_loop_bitwise(n):
     # the complex product's last bit depends on the order of its operands:
     # below FOUR_STEP_POINTS (4096) the loop takes single-row transforms and
     # its kinetic product takes the factor first, as `exp_t * np.fft.fft(psi)`
     # does at these sizes; from it, four-step transforms, with the state
-    # first.  8192 splits into 64 x 128, so a view of the wrong shape fails
+    # first.  8192 and 32768 split into 64 x 128 and 128 x 256, so a view of
+    # the wrong shape fails; the expected loop holds no padding
     grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
     pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
@@ -313,6 +314,21 @@ def _kicked_states(wf, pot, dt, n_steps):
         psi = exp_v_half * np.fft.ifft(exp_t * np.fft.fft(exp_v_half * psi))
         states.append(psi)
     return states
+
+
+@pytest.mark.parametrize("hbar, pot", [
+    # below hbar = 1/DBL_MAX, 1/hbar is inf: the kick is nan where V > 0,
+    # though V dt / hbar itself stays finite
+    (1e-310, ef.Potential.gaussian_barrier(1.0, 1.0)),
+    # V overflows: omega**2 is inf
+    (1.0, ef.Potential.harmonic(1e200)),
+], ids=["hbar_below_1_over_dbl_max", "harmonic_overflow"])
+def test_half_kick_refusal_names_the_kick(hbar, pot):
+    from entroflux.propagate import half_kick
+
+    with pytest.raises(ValueError, match=r"^exp\(-i V dt / 2 hbar\), the half kick per step, "
+                                         r"is not finite on the grid$"):
+        half_kick(GRID, ef.PhysicalParams(hbar=hbar), pot, 1e-4)
 
 
 @pytest.mark.parametrize("pot, sigma0, k0", [
@@ -506,15 +522,16 @@ def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
 
 @pytest.mark.parametrize("pot, n, copies", [(ef.Potential.free(), 1024, 0),
                                              (ef.Potential.harmonic(1.0), 1024, 1),
-                                             (ef.Potential.harmonic(1.0), 4096, 2)],
+                                             (ef.Potential.harmonic(1.0), 4096, 0)],
                          ids=["free", "harmonic", "harmonic_four_step"])
 def test_split_steps_makes_no_call_or_copy_per_observed_row(pot, n, copies):
     # each observed row costs one Python call, reach, and a copy into the
     # buffer: 100 more observed rows add exactly 100 Python calls outside
     # the consumer, and no `ndarray.copy` is made for any row.  A kicked run
     # copies its initial state once, into the buffer it steps in and returns;
-    # from FOUR_STEP_POINTS (4096) it takes four-step transforms and also
-    # copies the wavenumbers once, into spectrum order.  Garbage collection is
+    # from FOUR_STEP_POINTS (4096) it takes four-step transforms, and lays its
+    # state and tables out in padded buffers (`FourStep.pad`), which fill new
+    # arrays and call no `copy`.  Garbage collection is
     # off while profiling: a collection calls the `gc.callbacks` that other
     # libraries register (hypothesis does), which would count as calls
     import gc

@@ -20,10 +20,11 @@ where a block holds one row, a packet that reflects off a tall barrier, so
 that its blocks mix rows whose derivatives are taken relative to a carrier
 and rows without one, kicked runs at n = 2048, 4096 and 16384, on both sides
 of the threshold from which the kicked loop takes four-step transforms, one
-at n = 8192, whose split into 64 x 128 is not square, a coherent packet
+at n = 8192, whose split into 64 x 128 is not square, one at n = 32768
+(128 x 256), whose rows each make a block, a coherent packet
 through that loop at n = 16384, a barrier of height 0, whose V is 0 under a
 kind that is not free, so that it takes the free loop, and the binning study:
-39 configs in all.
+40 configs in all.
 Each pair of runs must agree in exit code, stdout and every output file,
 byte for byte.  Prints one line per
 difference, naming the CSV columns (with their count of differing rows) or
@@ -122,6 +123,12 @@ FIXED = {
                      "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
                      "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.03\nobserve_stride = 10\n"
                      "subvolume_a = -5\nsubvolume_b = 5\n"),
+    # the four-step kicked loop on a non-square split, 128 x 256, where a block
+    # holds one row: 50 steps, 6 rows
+    "barrier_32768": ("simulate", "x_min = -320\nx_max = 320\nn = 32768\nsigma0 = 1.0\n"
+                      "x0 = -2\nk0 = 10\npotential = gaussian_barrier\nbarrier_height = 50\n"
+                      "barrier_width = 0.5\ndt = 1e-4\nt_final = 0.005\nobserve_stride = 10\n"
+                      "subvolume_a = -5\nsubvolume_b = 5\n"),
     # the coherent packet through the four-step kicked loop: 2000 steps, 41 rows
     "coherent_16384": ("simulate", "x_min = -160\nx_max = 160\nn = 16384\ninitial = coherent\n"
                        "omega = 1.0\namplitude = 1.0\npotential = harmonic\n"
