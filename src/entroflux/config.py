@@ -248,7 +248,7 @@ def _run_config(
     n_rows = n_steps // observe_stride + 1
     with about("observe_stride"):
         check_rows(n_rows)
-    with about("reg_floor"):
+    with about("reg_floor", "x_max", "x_min"):  # the floor's mass reads the grid's length
         check_reg_floor(grid, reg_floor)
 
     subvolume = None
@@ -443,7 +443,7 @@ def _binning_config(
             raise ValueError(f"the normal density of sigma0 = {sigma0} is not finite on the grid")
         rho = RealField(grid, rho)
         check_normalized(rho)
-    with about("reg_floor"):
+    with about("reg_floor", "x_max", "x_min"):  # the floor's mass reads the grid's length
         check_reg_floor(grid, reg_floor)
     return BinningConfig(grid, rho, bin_widths, reg_floor)
 

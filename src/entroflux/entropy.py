@@ -687,8 +687,7 @@ def collect(
     def on_block(steps: np.ndarray, spectral: bool) -> None:
         stream.add_held(wf.t + steps * dt, "transforms" if spectral else "states", wf.params)
 
-    split_steps(wf, potential, dt, n_steps, range(0, n_steps + 1, stride), stream.held,
-                on_block)
+    split_steps(wf, potential, dt, range(0, n_steps + 1, stride), stream.held, on_block)
 
 
 def diagnose(series: Series, subvolume=None) -> dict:

@@ -97,13 +97,11 @@ MAX_ROWS = 2**24
 # twiddles, each padded by n1 entries, 64 n1 B in all, 128 KiB at 2**22 (below
 # FOUR_STEP_POINTS three unpadded arrays, 48 B: the state buffer, the half kick and the
 # kinetic factor in natural order); the initial state 16 B.  The loop copies each
-# observed state into the held rows, which take no memory of their own.  Below
-# FOUR_STEP_POINTS it returns its state buffer as the final state, and from it one
-# contiguous copy of the buffer's (n1, n2) view: 16 B more per point once the last
-# block is done, which leaves the peak in a block's diagnostics (a barrier run at
-# n = 2**20, 20 steps at stride 4, peaks at 275.1 B per point, 275.0 unpadded).  A free run
-# also holds a factor and a buffer of `propagate.split_steps` per bit level its reached
-# steps set, 32 B per point each: 432 B per point more at 2**14 - 1 steps (peak RSS at
+# observed state into the held rows, which take no memory of their own, so the peak
+# lies in a block's diagnostics (a barrier run at n = 2**20, 20 steps at stride 4,
+# peaks at 275.1 B per point, 275.0 unpadded).  A free run also holds a factor and a
+# buffer of `propagate.split_steps` per bit level its observed steps set, 32 B per
+# point each: 432 B per point more at 2**14 - 1 steps (peak RSS at
 # n = 2**16 and 2**18), about 3.4 GB in all at the 2**14 steps MAX_WORK allows.
 MAX_POINTS = 2**22
 
@@ -145,8 +143,9 @@ class Grid1D:
     """Uniform periodic grid on [x_min, x_max) with n samples.
 
     n must be a power of two (>= 16) so the FFT-based machinery has a
-    well-defined Nyquist mode, and at most MAX_POINTS.  A bad n or range raises
-    a SpecError on its key before any array is made.
+    well-defined Nyquist mode, and at most MAX_POINTS.  The range's length
+    and k_max = pi/dx must be finite.  A bad n or range raises a SpecError on
+    its key before any array is made.
     """
 
     def __init__(self, x_min: float, x_max: float, n: int):
@@ -159,6 +158,10 @@ class Grid1D:
         self.n = int(n)
         self.length = self.x_max - self.x_min
         self.dx = self.length / self.n
+        # a dx of 0 fails before pi/dx divides by it
+        if not (np.isfinite(self.length) and self.dx > 0.0 and np.isfinite(np.pi / self.dx)):
+            raise SpecError(f"the grid [{x_min}, {x_max}) on {n} points leaves floating point: "
+                            "its length and k_max = pi/dx must be finite", ("x_max", "x_min"))
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         # Derivative multiplier: the Nyquist mode of an odd-order derivative

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -187,26 +188,26 @@ def split_steps(
     wf: WaveFunction,
     potential: Potential,
     dt: float,
-    n_steps: int,
-    observe_at=(),
-    rows: np.ndarray | None = None,
-    on_block=None,
-) -> np.ndarray:
-    """Apply n_steps Strang split steps to wf.psi and return the final psi array.
+    observe_at,
+    rows: np.ndarray,
+    on_block,
+) -> None:
+    """Apply Strang split steps to wf.psi up to the last step of observe_at,
+    and write each state it observes into rows.
 
     Each step is a half potential kick, a kinetic step in Fourier space and
     another half kick, with the `half_kick` and the `kinetic_factor` made
-    once per call.  If on_block is given, the loop observes each step of
-    observe_at, a strictly ascending iterable of steps in 0..n_steps (0 is
-    the initial state): it copies the state at t = wf.t + i*dt into the next row of rows,
-    an (h, n) complex buffer that the caller owns, and once the h rows are
-    filled, or the last step observed, it calls on_block(steps, spectral)
-    with the int64 steps of the filled rows, rows[:len(steps)].  A free run
-    holds the state in Fourier space and writes its transform psi_hat =
-    fft(psi) (spectral True); a kicked run writes psi (spectral False).  The
-    rows are the consumer's until on_block returns, and the next block
-    starts again at rows[0].  The loop allocates no array and makes no Python
-    call per observed row beyond the one that reaches its step.
+    once per call.  observe_at is a non-empty, strictly ascending iterable of
+    steps from 0 (the initial state) on.  The loop copies the state at
+    t = wf.t + i*dt of each step i of it into the next row of rows, an (h, n)
+    complex buffer that the caller owns, and once the h rows are filled, or
+    the last step observed, it calls on_block(steps, spectral) with the int64
+    steps of the filled rows, rows[:len(steps)].  A free run holds the state
+    in Fourier space and writes its transform psi_hat = fft(psi) (spectral
+    True); a kicked run writes psi (spectral False).  The rows are the
+    consumer's until on_block returns, and the next block starts again at
+    rows[0].  The loop allocates no array and makes no Python call per
+    observed row beyond the one that reaches its step.
 
     `half_kick` is None where the half kick is 1 at every grid point, as it
     is for a V that is 0 on the grid.  That leaves only the kinetic step, so
@@ -216,33 +217,28 @@ def split_steps(
     over the set bits b1 > b2 > ... of i, where F_b is the `kinetic_factor`
     of 2**b * dt, an exact multiple of dt (exponentiation by squaring, Knuth,
     TAOCP Vol. 2, 4.6.3); each product takes the state as its first operand
-    and the factor as its second.  Each
-    bit level that n_steps or an observed step sets holds F_b and a buffer for
-    the partial product of the bits at or above it, and reaching step i
-    recomputes only the levels below the highest bit in which i differs from
-    the step it reached last: one product per set bit there.  So the state at
-    step i depends on i alone, a run observed at every step takes one product
-    per step, and a run observed nowhere takes one per set bit of n_steps.
+    and the factor as its second.  Each bit level that an observed step sets
+    holds F_b and a buffer for the partial product of the bits at or above
+    it, and reaching step i recomputes only the levels below the highest bit
+    in which i differs from the step it reached last: one product per set
+    bit there.  So the state at step i depends on i alone, and a run observed
+    at every step takes one product per step.
 
     The kicked loop copies psi once into its state buffer `a` and steps it in
     place; it allocates no array per step.  Below `grid.FOUR_STEP_POINTS`
-    points its transforms are `fft` and `ifft` into `a`, and it returns `a`
-    as the final state.  From it they are a `grid.FourStep`'s `forward` and
-    `inverse`, and `a` is the split's padded buffer (`FourStep.pad`), as are
-    the half kick and the kinetic factor, the latter in the spectrum's
-    transposed order, so every product runs over the whole buffer.  The loop
-    then copies each observed state out of a's (n1, n2) view, and returns a
-    contiguous copy of that view as the final state.  The complex product's
-    last bit depends on the order of its operands: the kinetic product takes
-    the factor first below the threshold, as the expression `exp_t *
-    fft(psi)` does there, and the state first from it.
+    points its transforms are `fft` and `ifft` into `a`.  From it they are a
+    `grid.FourStep`'s `forward` and `inverse`, and `a` is the split's padded
+    buffer (`FourStep.pad`), as are the half kick and the kinetic factor, the
+    latter in the spectrum's transposed order, so every product runs over the
+    whole buffer; the loop copies each observed state out of a's (n1, n2)
+    view.  The complex product's last bit depends on the order of its
+    operands: the kinetic product takes the factor first below the
+    threshold, as the expression `exp_t * fft(psi)` does there, and the state
+    first from it.
     """
-    steps = np.fromiter(() if on_block is None else observe_at, dtype=np.int64)
-    if steps.size and not (0 <= steps[0] and steps[-1] <= n_steps
-                           and (np.diff(steps) > 0).all()):
-        raise ValueError(f"observation steps must ascend strictly within 0..{n_steps}")
-    if steps.size and (rows is None or len(rows) == 0):
-        raise ValueError("observed steps need a buffer of rows to be written into")
+    steps = np.fromiter(observe_at, dtype=np.int64)
+    if not (steps.size and 0 <= steps[0] and (np.diff(steps) > 0).all()):
+        raise ValueError("observation steps must be given, from step 0 on, strictly ascending")
     grid, params = wf.grid, wf.params
     check_dt(grid, params, dt)
     exp_v_half = half_kick(grid, params, potential, dt)
@@ -252,7 +248,7 @@ def split_steps(
     if spectral:
         exp_t = kinetic_factor(grid, params, dt)
         b = fft(wf.psi)
-        used = int(np.bitwise_or.reduce(steps, initial=n_steps))
+        used = int(np.bitwise_or.reduce(steps))
         levels = used.bit_length()
         factors = [exp_t] + [kinetic_factor(grid, params, (1 << level) * dt)
                              if used >> level & 1 else None for level in range(1, levels)]
@@ -296,15 +292,12 @@ def split_steps(
             done = i
             return x
     # one view per buffer row, in the shape of the state, made once
-    block = list(rows.reshape(-1, *shape, copy=False)) if steps.size else []
-    for lo in range(0, len(steps), len(block) or 1):
+    block = list(rows.reshape(-1, *shape, copy=False))
+    for lo in range(0, len(steps), len(block)):
         filled = steps[lo : lo + len(block)]
         for row, i in zip(block, filled.tolist()):
             row[...] = reach(i)  # a copy in C: np.copyto calls a Python dispatcher
         on_block(filled, spectral)
-    final = reach(n_steps)
-    # a four-step state is copied out of its padded buffer
-    return ifft(final) if spectral else final.reshape(grid.n)
 
 
 def evolve(
@@ -316,29 +309,32 @@ def evolve(
     stride: int = 1,
 ) -> WaveFunction:
     """Apply n_steps Strang split steps (`split_steps`); call observer(wf)
-    after every `stride` steps.
+    after every `stride` steps, and return the state after the last step.
 
     A free run transforms its state once and steps in Fourier space, while
     each `step` takes a transform pair, so free states match chained `step`
     calls to roundoff, not bit for bit.  A kicked run's match them exactly.
-    The loop writes each observed state into a one-row buffer of evolve's
-    own: a kicked state is copied out of it into its `WaveFunction`, and a
-    free run's transform is taken back with `ifft`, which makes the new
-    array: the call that makes the final state, so both carry the bits of
-    the Fourier-space loop.
+    The loop writes each observed state, and the last, into a one-row buffer
+    of evolve's own: a kicked state is copied out of it into its
+    `WaveFunction`, and a free run's transform is taken back with `ifft`,
+    which makes the new array, so both carry the bits of the Fourier-space
+    loop.  Where stride divides n_steps, the state returned is the one the
+    observer was given last.
     """
     if n_steps == 0:
         return wf
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    row = None if observer is None else np.empty((1, wf.grid.n), complex)
-
-    def state(i: int, psi: np.ndarray) -> WaveFunction:
-        return replace(wf, psi=psi, t=wf.t + i * dt)
+    row = np.empty((1, wf.grid.n), complex)
+    last = None
 
     def observe(steps: np.ndarray, spectral: bool) -> None:
-        observer(state(int(steps[0]), ifft(row[0]) if spectral else row[0].copy()))
+        nonlocal last
+        i = int(steps[0])
+        last = replace(wf, psi=ifft(row[0]) if spectral else row[0].copy(), t=wf.t + i * dt)
+        if observer is not None and i % stride == 0:
+            observer(last)
 
-    return state(n_steps, split_steps(wf, potential, dt, n_steps,
-                                      range(stride, n_steps + 1, stride), row,
-                                      None if observer is None else observe))
+    observed = () if observer is None else range(stride, n_steps, stride)
+    split_steps(wf, potential, dt, chain(observed, (n_steps,)), row, observe)
+    return last

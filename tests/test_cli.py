@@ -213,47 +213,68 @@ def test_binning_command(tmp_path):
     assert defects[0] > defects[1] > defects[2]
 
 
+SWEEP_BASE = "epsilons = 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
+# a free Gaussian whose centre, x0, is left at its default of 0, off the grid
+OFF_GRID_CENTRE = "x_min = 1\nx_max = 41\nn = 1024\nsigma0 = 1\ndt = 1e-4\nt_final = 0.1\n"
+BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths = 0.4, 0.2, 0.1\n"
+
+
 @pytest.mark.parametrize(
-    "extra,line",
+    "command,extra,line",
     [
-        ("k0 = nan\n", 8),
-        ("x0 = 1e300\n", 8),
-        ("potential = gaussian_barrier\nbarrier_width = 1.0\nbarrier_height = inf\n", 10),
-        ("mass = inf\n", 8),
-        ("k0 = 1e5\n", 8),  # n = 512 on [-20, 20) resolves |k| below pi/dx ~ 40
-        ("subvolume_a = 0.0\nsubvolume_b = 0.01\n", 8),  # narrower than dx
-        ("hbar = 1\nmass = -1\n", 9),
+        ("simulate", "k0 = nan\n", 8),
+        ("simulate", "x0 = 1e300\n", 8),
+        ("simulate",
+         "potential = gaussian_barrier\nbarrier_width = 1.0\nbarrier_height = inf\n", 10),
+        ("simulate", "mass = inf\n", 8),
+        ("simulate", "k0 = 1e5\n", 8),  # n = 512 on [-20, 20) resolves |k| below pi/dx ~ 40
+        ("simulate", "subvolume_a = 0.0\nsubvolume_b = 0.01\n", 8),  # narrower than dx
+        ("simulate", "hbar = 1\nmass = -1\n", 9),
         # a pair replaces a line of SIM_CONFIG in place of adding one:
         # t_final / dt overflows to inf, or is 2e299 steps
-        (("dt = 1e-3", "dt = 1e-320"), 5),
-        (("dt = 1e-3", "dt = 1e-300"), 5),
-        (("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
-          "dt = 1e-300\nt_final = 0.2\nobserve_stride = 1"), 5),
+        ("simulate", ("dt = 1e-3", "dt = 1e-320"), 5),
+        ("simulate", ("dt = 1e-3", "dt = 1e-300"), 5),
+        ("simulate", ("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
+                      "dt = 1e-300\nt_final = 0.2\nobserve_stride = 1"), 5),
         # 1e16 steps on 512 points: over the work ceiling of 2**36 point-steps
-        (("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
-          "dt = 1e-17\nt_final = 0.1\nobserve_stride = 1"), 5),
+        ("simulate", ("dt = 1e-3\nt_final = 0.2\nobserve_stride = 20",
+                      "dt = 1e-17\nt_final = 0.1\nobserve_stride = 1"), 5),
         # 2**25 steps on 512 points is within the work ceiling, but 2**25 + 1
         # rows exceed the row ceiling of 2**24
-        (("t_final = 0.2\nobserve_stride = 20", "t_final = 33554.432\nobserve_stride = 1"), 7),
-        ("norm_tol = -1\n", 8),
-        ("eq16_rel_tol = -5\n", 8),
+        ("simulate", ("t_final = 0.2\nobserve_stride = 20",
+                      "t_final = 33554.432\nobserve_stride = 1"), 7),
+        ("simulate", "norm_tol = -1\n", 8),
+        ("simulate", "eq16_rel_tol = -5\n", 8),
         # V(x)*dt/hbar overflows: omega**2 overflows to inf, or V*dt/hbar itself
-        ("potential = harmonic\npotential_omega = 1e200\n", 8),
-        ("potential = harmonic\npotential_omega = 1e160\n", 8),
-        ("hbar = 1e-10\npotential = gaussian_barrier\nbarrier_height = 1e305\n"
-         "barrier_width = 1\n", 9),
+        ("simulate", "potential = harmonic\npotential_omega = 1e200\n", 8),
+        ("simulate", "potential = harmonic\npotential_omega = 1e160\n", 8),
+        ("simulate", "hbar = 1e-10\npotential = gaussian_barrier\nbarrier_height = 1e305\n"
+                     "barrier_width = 1\n", 9),
         # below hbar = 1/DBL_MAX, 1/hbar is inf: the barrier's half kick is nan,
         # refused at the potential; and with mass = hbar, ħ/m = 1 passes the step
         # check, but 1/mass is inf and the kinetic factor nan at k = 0, refused at mass
-        ("hbar = 1e-310\npotential = gaussian_barrier\nbarrier_height = 1\n"
-         "barrier_width = 1\n", 9),
-        ("hbar = 1e-310\nmass = 1e-310\n", 9),
+        ("simulate", "hbar = 1e-310\npotential = gaussian_barrier\nbarrier_height = 1\n"
+                     "barrier_width = 1\n", 9),
+        ("simulate", "hbar = 1e-310\nmass = 1e-310\n", 9),
         # 2 rows have no interior row for the eq 16 check
-        (("t_final = 0.2\nobserve_stride = 20",
-          "t_final = 0.001\nobserve_stride = 1\neq16_rel_tol = 1e-12"), 8),
+        ("simulate", ("t_final = 0.2\nobserve_stride = 20",
+                      "t_final = 0.001\nobserve_stride = 1\neq16_rel_tol = 1e-12"), 8),
         # over the ceiling of 2**22 grid points: refused before any array is made
-        (("n = 512", "n = 35184372088832"), 3),
-        (("n = 512", "n = 8388608"), 3),
+        ("simulate", ("n = 512", "n = 35184372088832"), 3),
+        ("simulate", ("n = 512", "n = 8388608"), 3),
+        # a grid that leaves floating point, refused before any array is made:
+        # dx rounds to 0, the length is inf, or pi/dx is inf
+        ("simulate", ("x_min = -20\nx_max = 20", "x_min = 0\nx_max = 5e-324"), 2),
+        ("sweep", "x_min = 0\nx_max = 5e-324\n", 5),
+        ("binning", ("x_min = -12.8\nx_max = 12.8", "x_min = 0\nx_max = 5e-324"), 2),
+        ("simulate", ("x_min = -20\nx_max = 20", "x_min = -1e308\nx_max = 1e308"), 2),
+        ("binning", ("x_min = -12.8\nx_max = 12.8", "x_min = 0\nx_max = 1e-310"), 2),
+        # reg_floor at its default floors up to 1e-12 * 2e6 of the mass on this
+        # wide grid: reported at x_max, the first key of the check the text sets
+        ("simulate", ("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1.0",
+                      "x_min = -1e6\nx_max = 1e6\nn = 512\nsigma0 = 2e4"), 2),
+        ("oracle", ("x_min = -20\nx_max = 20\nn = 512\nsigma0 = 1.0",
+                    "x_min = -1e6\nx_max = 1e6\nn = 512\nsigma0 = 2e4"), 2),
     ],
     ids=["k0_nan", "x0_off_grid", "barrier_inf", "mass_inf", "k0_unresolved",
          "subvolume_below_dx", "mass_negative", "dt_tiny", "dt_too_many_steps",
@@ -261,21 +282,20 @@ def test_binning_command(tmp_path):
          "norm_tol_negative", "eq16_rel_tol_negative", "harmonic_overflow",
          "harmonic_square_overflow", "barrier_phase_overflow", "barrier_kick_nan",
          "kinetic_factor_nan", "eq16_rel_tol_two_rows",
-         "n_2_45", "n_over_point_ceiling"],
+         "n_2_45", "n_over_point_ceiling", "dx_zero", "sweep_dx_zero", "binning_dx_zero",
+         "length_inf", "binning_k_max_inf", "wide_reg_floor", "oracle_wide_reg_floor"],
 )
-def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, extra, line):
-    text = SIM_CONFIG.replace(*extra) if isinstance(extra, tuple) else SIM_CONFIG + extra
+# a numpy warning on the way to a refusal fails the test
+@pytest.mark.filterwarnings("error")
+def test_non_finite_or_off_grid_value_is_config_error(tmp_path, capsys, command, extra, line):
+    base = {"sweep": SWEEP_BASE, "binning": BINNING_BASE}.get(command, SIM_CONFIG)
+    text = base.replace(*extra) if isinstance(extra, tuple) else base + extra
     cfg = _write(tmp_path, "run.cfg", text)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}:")
     assert "Traceback" not in err
-
-
-SWEEP_BASE = "epsilons = 0.4, 0.2\nt_c = 2.0\nL_c = 1.0\n"
-# a free Gaussian whose centre, x0, is left at its default of 0, off the grid
-OFF_GRID_CENTRE = "x_min = 1\nx_max = 41\nn = 1024\nsigma0 = 1\ndt = 1e-4\nt_final = 0.1\n"
-BINNING_BASE = "x_min = -12.8\nx_max = 12.8\nn = 1024\nsigma0 = 1.0\nbin_widths = 0.4, 0.2, 0.1\n"
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(

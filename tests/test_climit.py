@@ -190,13 +190,13 @@ def test_failing_rows_fail_one_by_one():
 
 @pytest.mark.parametrize("kwargs", [ACCEPTANCE, CAPPED])
 def test_each_row_runs_its_own_steps_at_full_block_height(kwargs, monkeypatch):
-    # one split_steps call of the row's own n_steps per row, into a
+    # one split_steps call per row, up to the row's own n_steps, into a
     # Diagnostics whose blocks take the whole CHUNK_POINTS
     steps, heights = [], []
 
-    def counting(wf, potential, dt, n_steps, observe_at=(), rows=None, on_block=None):
-        steps.append(n_steps)
-        return split_steps(wf, potential, dt, n_steps, observe_at, rows, on_block)
+    def counting(wf, potential, dt, observe_at, rows, on_block):
+        steps.append(observe_at[-1])
+        split_steps(wf, potential, dt, observe_at, rows, on_block)
 
     def recording(wf, potential, dt, n_steps, stride, stream):
         heights.append(stream.height)
@@ -216,13 +216,13 @@ def test_a_row_that_fails_mid_run_fails_alone(monkeypatch):
     spec = ef.SweepSpec(**ACCEPTANCE)
     clean = ef.run_sweep(spec).rows
 
-    def failing(wf, potential, dt, n_steps, observe_at=(), rows=None, on_block=None):
+    def failing(wf, potential, dt, observe_at, rows, on_block):
         def watched(steps, spectral):
-            if n_steps == 500 and 250 in steps:
+            if observe_at[-1] == 500 and 250 in steps:
                 raise ValueError("failed at step 250")
             on_block(steps, spectral)
 
-        return split_steps(wf, potential, dt, n_steps, observe_at, rows, watched)
+        split_steps(wf, potential, dt, observe_at, rows, watched)
 
     monkeypatch.setattr(entropy, "split_steps", failing)
     rep = ef.run_sweep(spec)

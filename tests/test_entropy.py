@@ -583,14 +583,12 @@ def test_kicked_run_peak_is_its_block_buffers_and_nine_block_arrays():
     # window and the held states, a warm run holds at most 9 arrays of a block's
     # (h, n) floats: the held states' derivatives (2), the propagator's four
     # n-point complex arrays (4: the state buffer, the half kick, the kinetic
-    # factor and the twiddles; the final state, a copy of the state buffer's
-    # view, is made after the last block), the initial state (1), ik psi_hat
-    # of half the wavenumbers, from which the carriers' moments are taken (1),
-    # and small temporaries and the four arrays' pads of n1 = 128 points each
-    # (measured 0.11, 0.08 unpadded; 0.3 when each observed state was handed
-    # over in an array of its own).  A block
-    # temporary the size of the held states, as a forward transform made anew,
-    # adds 2
+    # factor and the twiddles), the initial state (1), ik psi_hat of half the
+    # wavenumbers, from which the carriers' moments are taken (1), and small
+    # temporaries and the four arrays' pads of n1 = 128 points each (measured
+    # 0.11, 0.08 unpadded; 0.3 when each observed state was handed over in an
+    # array of its own).  A block temporary the size of the held states, as a
+    # forward transform made anew, adds 2
     import tracemalloc
 
     import entroflux.report as report

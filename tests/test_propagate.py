@@ -172,10 +172,10 @@ def test_discrete_continuity_second_order():
     assert resids[0] / resids[1] >= 3.5
 
 
-def _observed(wf, pot, dt, n_steps, schedule, height=4):
-    """split_steps observing schedule into a buffer of height rows: the final
-    state, the (step, copy of its row) of every observed step, and the steps
-    and spectral flag of every block."""
+def _observed(wf, pot, dt, schedule, height=4):
+    """split_steps observing schedule into a buffer of height rows: the
+    (step, copy of its row) of every observed step, and the steps and
+    spectral flag of every block."""
     from entroflux.propagate import split_steps
 
     rows = np.empty((height, wf.grid.n), complex)
@@ -186,9 +186,8 @@ def _observed(wf, pot, dt, n_steps, schedule, height=4):
         blocks.append((steps.tolist(), spectral))
         handed.extend(zip(steps.tolist(), rows[: len(steps)].copy()))
 
-    final = split_steps(wf, pot, dt, n_steps, schedule, rows, on_block)
-    assert not np.shares_memory(final, rows) and not np.shares_memory(final, wf.psi)
-    return final, handed, blocks
+    split_steps(wf, pot, dt, schedule, rows, on_block)
+    return handed, blocks
 
 
 def _expression_states(wf, pot, dt, n_steps):
@@ -240,15 +239,14 @@ def test_split_steps_matches_expression_loop_bitwise(n):
     dt, n_steps, stride = 1e-4, 7, 2
     expected = _expression_states(wf, pot, dt, n_steps)
 
-    final, handed, blocks = _observed(wf, pot, dt, n_steps, range(stride, n_steps + 1, stride),
-                                      height=2)
-    assert np.array_equal(final, expected[n_steps])
+    handed, blocks = _observed(wf, pot, dt, range(stride, n_steps + 1, stride), height=2)
     # a block of the buffer's two rows, then the last observed step alone
     assert blocks == [([2, 4], False), ([6], False)]
     for i, given in handed:
         assert np.array_equal(given, expected[i]), i
 
-    # evolve copies each kicked state out of its one-row buffer
+    # evolve copies each kicked state out of its one-row buffer, the last
+    # one too
     states = []
     out = ef.evolve(wf, pot, dt, n_steps, observer=states.append, stride=stride)
     assert np.array_equal(out.psi, expected[n_steps])
@@ -260,12 +258,13 @@ def test_split_steps_matches_expression_loop_bitwise(n):
 
 
 def test_a_bare_kicked_run_below_four_step_points_steps_in_place():
-    # a warm bare kicked run at n = 2048 takes its single-row transforms in
-    # its state buffer, so its loop holds three n-point complex arrays: the
-    # state buffer, the half kick and the kinetic factor.  Its traced peak is
-    # in making the factor, beside the half kick (3.54 arrays measured); a
-    # buffer for the transforms makes it 4.10, or 5.54 if made with the
-    # state before the factor
+    # a warm bare kicked run at n = 2048, observed at its last step only,
+    # takes its single-row transforms in its state buffer, so its loop holds
+    # three n-point complex arrays: the state buffer, the half kick and the
+    # kinetic factor.  Its traced peak is in making the factor, beside the
+    # half kick (3.54 arrays measured); a buffer for the transforms makes it
+    # 4.10, or 5.54 if made with the state before the factor.  Its one-row
+    # buffer is made before tracing starts, as a stream's rows are
     import tracemalloc
 
     from entroflux.propagate import split_steps
@@ -273,21 +272,52 @@ def test_a_bare_kicked_run_below_four_step_points_steps_in_place():
     grid = ef.Grid1D(-16.0, 16.0, 2048)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
     pot = ef.Potential.gaussian_barrier(20.0, 0.5, 0.5)
-    split_steps(wf, pot, 1e-4, 10)
+    row = np.empty((1, grid.n), complex)
+    split_steps(wf, pot, 1e-4, [10], row, lambda *block: None)
     tracemalloc.start()
     try:
-        split_steps(wf, pot, 1e-4, 10)
+        split_steps(wf, pot, 1e-4, [10], row, lambda *block: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / (16 * grid.n) < 4, peak / (16 * grid.n)
 
 
+@pytest.mark.parametrize("pot, n", [(ef.Potential.free(), 1024),
+                                    (ef.Potential.gaussian_barrier(20.0, 0.5, 0.5), 16384)],
+                         ids=["free", "four_step"])
+def test_split_steps_allocates_no_state_after_its_last_block(pot, n):
+    # the rows are the loop's only output: once the last on_block returns it
+    # makes no n-point array, such as a final state taken back from Fourier
+    # space or copied out of a padded four-step buffer (16 B per point)
+    import tracemalloc
+
+    from entroflux.propagate import split_steps
+
+    grid = ef.Grid1D(-8.0 * n / 1024, 8.0 * n / 1024, n)
+    wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
+    rows = np.empty((4, n), complex)
+    after = []
+
+    def on_block(steps, spectral):
+        if steps[-1] == 10:
+            tracemalloc.reset_peak()
+            after.append(tracemalloc.get_traced_memory()[0])
+
+    split_steps(wf, pot, 1e-4, range(0, 11, 2), rows, lambda *block: None)
+    tracemalloc.start()
+    try:
+        split_steps(wf, pot, 1e-4, range(0, 11, 2), rows, on_block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(after) == 1
+    assert (peak - after[0]) / n < 1, (peak - after[0]) / n
+
+
 def test_four_step_loop_stays_near_the_single_row_loop():
     # 1000 steps at n = 16384: the four-step transforms round differently from
     # the single-row ones, and the states drift apart by roundoff only
-    from entroflux.propagate import split_steps
-
     n = 16384
     grid = ef.Grid1D(-128.0, 128.0, n)
     wf = ef.init_gaussian(grid, PARAMS, sigma0=1.0, x0=-1.0, k0=5.0)
@@ -298,7 +328,7 @@ def test_four_step_loop_stays_near_the_single_row_loop():
     psi = wf.psi
     for _ in range(n_steps):
         psi = exp_v_half * np.fft.ifft(exp_t * np.fft.fft(exp_v_half * psi))
-    final = split_steps(wf, pot, dt, n_steps)
+    final = ef.evolve(wf, pot, dt, n_steps).psi
     assert not np.array_equal(final, psi)
     assert np.max(np.abs(final - psi)) < 1e-12
 
@@ -340,8 +370,7 @@ def test_split_steps_equal_kicked_loop_bytewise(pot, sigma0, k0):
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
     expected = _kicked_states(wf, pot, dt, n_steps)
-    final, handed, blocks = _observed(wf, pot, dt, n_steps, range(1, n_steps + 1), height=32)
-    assert final.tobytes() == expected[-1].tobytes()
+    handed, blocks = _observed(wf, pot, dt, range(1, n_steps + 1), height=32)
     assert [len(steps) for steps, _ in blocks] == [32] * 6 + [8]
     assert [i for i, _ in handed] == list(range(1, n_steps + 1))
     for (i, got), want in zip(handed, expected):
@@ -395,7 +424,7 @@ class _CountingNumpy:
 def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k0):
     # split_steps skips a half kick equal to 1 everywhere and reaches each
     # step by the kinetic factors of its set bits; the transforms it writes
-    # into the buffer and the state it returns must be those of the
+    # into the buffer, and the state evolve returns, must be those of the
     # from-scratch products, to the sign of every zero, observed at every step
     # or at every 7th (gaps that change several bits), with one product per
     # step observed at every step
@@ -405,12 +434,13 @@ def test_split_steps_equal_fourier_space_loop_bytewise(monkeypatch, n, sigma0, k
     wf = ef.init_gaussian(grid, PARAMS, sigma0=sigma0, k0=k0)
     dt, n_steps = 1e-4, 200
     expected = _fourier_transforms(wf, dt, range(n_steps + 1))
+    final = ef.evolve(wf, ef.Potential.free(), dt, n_steps).psi
+    assert final.tobytes() == np.fft.ifft(expected[n_steps]).tobytes()
     for schedule in (range(1, n_steps + 1), range(0, n_steps + 1, 7)):
         counting = _CountingNumpy()
         monkeypatch.setattr(propagate, "np", counting)
-        final, handed, blocks = _observed(wf, ef.Potential.free(), dt, n_steps, schedule)
+        handed, blocks = _observed(wf, ef.Potential.free(), dt, schedule)
         monkeypatch.undo()
-        assert final.tobytes() == np.fft.ifft(expected[n_steps]).tobytes()
         assert [i for i, _ in handed] == list(schedule)
         assert all(spectral for _, spectral in blocks)
         for i, got in handed:
@@ -429,7 +459,7 @@ def test_a_bare_free_run_takes_one_product_per_set_bit(monkeypatch):
     dt, n_steps = 2e-6, 2**20 - 1
     counting = _CountingNumpy()
     monkeypatch.setattr(propagate, "np", counting)
-    final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps)
+    final = propagate.evolve(wf, ef.Potential.free(), dt, n_steps).psi
     monkeypatch.undo()
     assert counting.products == 20
     expected = np.fft.ifft(_fourier_transforms(wf, dt, [n_steps])[n_steps])
@@ -441,9 +471,9 @@ def test_a_bare_free_run_takes_one_product_per_set_bit(monkeypatch):
 
 
 def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch):
-    # a bare run of 2**20 steps sets one bit: one product, and no factor but
-    # F_0 and F_20; a stride-8 schedule over 64 steps sets no bit below 3, so
-    # levels 1 and 2 take no factor
+    # a run observed at step 2**20 alone sets one bit: one product, and no
+    # factor but F_0 and F_20; a stride-8 schedule over 64 steps sets no bit
+    # below 3, so levels 1 and 2 take no factor
     from entroflux import propagate
 
     made, kinetic_factor = [], propagate.kinetic_factor
@@ -457,14 +487,13 @@ def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch
     counting = _CountingNumpy()
     monkeypatch.setattr(propagate, "np", counting)
     monkeypatch.setattr(propagate, "kinetic_factor", counting_factor)
-    final = propagate.split_steps(wf, ef.Potential.free(), dt, n_steps)
+    (_, final), = _observed(wf, ef.Potential.free(), dt, [n_steps], height=1)[0]
     assert counting.products == 1 and made == [dt, n_steps * dt]
     made.clear()
-    _, handed, _ = _observed(wf, ef.Potential.free(), dt, 64, schedule)
+    handed, _ = _observed(wf, ef.Potential.free(), dt, schedule)
     assert made == [dt] + [(1 << b) * dt for b in range(3, 7)]
     monkeypatch.undo()
-    expected = np.fft.ifft(_fourier_transforms(wf, dt, [n_steps])[n_steps])
-    assert final.tobytes() == expected.tobytes()
+    assert final.tobytes() == _fourier_transforms(wf, dt, [n_steps])[n_steps].tobytes()
     expected = _fourier_transforms(wf, dt, schedule)
     assert [i for i, _ in handed] == list(schedule)
     for i, got in handed:
@@ -476,47 +505,39 @@ def test_a_free_run_makes_factors_only_for_the_bit_levels_it_reaches(monkeypatch
 def test_split_steps_observes_its_schedule_only(pot):
     # a free run writes each state as its transform (spectral), a kicked run
     # as the state; step 0 is the initial state; the buffer's 4 rows are
-    # handed over when full, and the last observed step ends a block
-    from entroflux.propagate import split_steps
-
+    # handed over when full, and the last observed step ends a block; each
+    # row holds the bits of the same step observed alone
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
     schedule = [0, 1, 2, 5, 13, 20]
     free = pot.kind == "free"
-    final, handed, blocks = _observed(wf, pot, 1e-4, 20, iter(schedule))
+    handed, blocks = _observed(wf, pot, 1e-4, iter(schedule))
     assert blocks == [([0, 1, 2, 5], free), ([13, 20], free)]
-    alone = {i: split_steps(wf, pot, 1e-4, i) for i in schedule}
     for i, given in handed:
-        # the state after step i (through ifft from a transform)
-        state = np.fft.ifft(given) if free else given
-        assert state.tobytes() == alone[i].tobytes(), i
-    assert final.tobytes() == alone[20].tobytes()
+        (_, alone), = _observed(wf, pot, 1e-4, [i], height=1)[0]
+        assert given.tobytes() == alone.tobytes(), i
 
 
 def test_split_steps_hands_out_step_0_of_an_empty_run():
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0, k0=1.0)
     for pot in (ef.Potential.free(), ef.Potential.harmonic(1.0)):
-        final, handed, blocks = _observed(wf, pot, 1e-4, 0, [0], height=1)
+        handed, blocks = _observed(wf, pot, 1e-4, [0], height=1)
         assert blocks == [([0], pot.kind == "free")], pot.kind
         given = handed[0][1]
         state = np.fft.ifft(given) if pot.kind == "free" else given
-        assert state.tobytes() == final.tobytes(), pot.kind
         np.testing.assert_allclose(state, wf.psi, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [3, 21], [-1]],
-                         ids=["unsorted", "repeated", "past_the_end", "negative"])
+@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [], [-1]],
+                         ids=["unsorted", "repeated", "empty", "negative"])
 def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
+    # the loop steps to the last observed step, so an empty schedule has no end
     from entroflux.propagate import split_steps
 
     wf = ef.init_gaussian(GRID, PARAMS, sigma0=1.0)
     handed = []
-    with pytest.raises(ValueError, match="ascend strictly within 0..20"):
-        split_steps(wf, ef.Potential.free(), 1e-4, 20, schedule,
+    with pytest.raises(ValueError, match="from step 0 on, strictly ascending"):
+        split_steps(wf, ef.Potential.free(), 1e-4, schedule,
                     np.empty((4, GRID.n), complex), lambda *block: handed.append(block))
-    assert handed == []
-    with pytest.raises(ValueError, match="need a buffer of rows"):
-        split_steps(wf, ef.Potential.free(), 1e-4, 20, [1], None,
-                    lambda *block: handed.append(block))
     assert handed == []
 
 
@@ -527,13 +548,15 @@ def test_split_steps_refuses_a_schedule_outside_its_steps(schedule):
 def test_split_steps_makes_no_call_or_copy_per_observed_row(pot, n, copies):
     # each observed row costs one Python call, reach, and a copy into the
     # buffer: 100 more observed rows add exactly 100 Python calls outside
-    # the consumer, and no `ndarray.copy` is made for any row.  A kicked run
-    # copies its initial state once, into the buffer it steps in and returns;
-    # from FOUR_STEP_POINTS (4096) it takes four-step transforms, and lays its
-    # state and tables out in padded buffers (`FourStep.pad`), which fill new
-    # arrays and call no `copy`.  Garbage collection is
-    # off while profiling: a collection calls the `gc.callbacks` that other
-    # libraries register (hypothesis does), which would count as calls
+    # the consumer, and no `ndarray.copy` is made for any row.  Both runs
+    # end at step 255, so they take the same steps, and a free run the same
+    # bit levels.  A kicked run copies its initial state once, into the
+    # buffer it steps in; from FOUR_STEP_POINTS (4096) it takes four-step
+    # transforms, and lays its state and tables out in padded buffers
+    # (`FourStep.pad`), which fill new arrays and call no `copy`.  Garbage
+    # collection is off while profiling: a collection calls the
+    # `gc.callbacks` that other libraries register (hypothesis does), which
+    # would count as calls
     import gc
     import sys
 
@@ -559,7 +582,7 @@ def test_split_steps_makes_no_call_or_copy_per_observed_row(pot, n, copies):
         gc.disable()
         sys.setprofile(profile)
         try:
-            split_steps(wf, pot, 1e-4, 200, range(0, n_rows), rows, on_block)
+            split_steps(wf, pot, 1e-4, [*range(n_rows - 1), 255], rows, on_block)
         finally:
             sys.setprofile(None)
             gc.enable()
